@@ -7,12 +7,17 @@ pilots, each further pilot reuses the unused candidate closest (largest
 inner-product magnitude) to the configuration that would be optimal if
 the current angle estimate were exact. The estimate is recomputed from
 all received pilots after every transmission.
+
+The grid steering matrix and the candidates' array responses depend only
+on the array and the grid: ``build_adaptive_setup`` computes them once
+per experiment. Per trial, the BS-RIS phase compensation turns them into
+the projection directions and the candidate matrix of the array-backed
+``ConfigurationPool``, which selects with one vectorised pass per pilot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -78,6 +83,18 @@ def plausible_angles(num_elements: int) -> PlausibleAngleSet:
     return PlausibleAngleSet(np.arcsin(2.0 * m / num_elements))
 
 
+def _phase_compensation(
+    bs_ris_channel: KnownBsRisChannel, array: ArrayModel
+) -> np.ndarray:
+    """exp(-1j*arg(h_n)), after checking that h matches the array."""
+    if array.num_elements != bs_ris_channel.num_elements:
+        raise DimensionError(
+            f"array has {array.num_elements} elements but the BS-RIS channel "
+            f"has {bs_ris_channel.num_elements}"
+        )
+    return np.exp(-1j * np.angle(bs_ris_channel.coefficients))
+
+
 def optimal_configuration(
     bs_ris_channel: KnownBsRisChannel, aoa: float, array: ArrayModel
 ) -> RisConfiguration:
@@ -86,13 +103,13 @@ def optimal_configuration(
     Entry n is exp(-1j*arg(h_n)) * conj(a(aoa)_n): it cancels the BS-RIS
     phase and the arrival phase so all element paths add coherently.
     """
-    if array.num_elements != bs_ris_channel.num_elements:
-        raise DimensionError(
-            f"array has {array.num_elements} elements but the BS-RIS channel "
-            f"has {bs_ris_channel.num_elements}"
-        )
-    compensation = np.exp(-1j * np.angle(bs_ris_channel.coefficients))
+    compensation = _phase_compensation(bs_ris_channel, array)
     return RisConfiguration(compensation * np.conj(array_response(array, aoa)))
+
+
+def _conj_responses(array: ArrayModel, angles: PlausibleAngleSet) -> np.ndarray:
+    """Row k is conj(a(angles[k])), computed exactly as in optimal_configuration."""
+    return np.array([np.conj(array_response(array, angle)) for angle in angles])
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,52 +121,63 @@ class PoolEntry:
 
 
 class ConfigurationPool:
-    """Candidate configurations split into unused and consumed ones.
+    """Candidate configurations held as a matrix plus a used mask.
 
-    Entries are kept sorted by angle; ties in the selection rules resolve
-    to the smallest remaining angle.
+    Row k of ``candidates`` points at ``angles[k]`` (increasing). Each
+    selection scores all rows in one vectorised pass with used rows masked
+    out; ties resolve to the smallest remaining angle. A row becomes a
+    ``PoolEntry`` when first handed out and stays that same object.
     """
 
-    def __init__(self, entries: Iterable[PoolEntry]):
-        self._remaining = sorted(entries, key=lambda entry: entry.angle)
+    def __init__(self, angles: PlausibleAngleSet, candidates):
+        self._angles = angles.angles
+        self._sines = np.sin(self._angles)
+        self._candidates = np.asarray(candidates, dtype=np.complex128)
+        if self._candidates.ndim != 2 or len(self._candidates) != len(angles):
+            raise DimensionError("the pool needs one candidate row per angle")
+        self._used_mask = np.zeros(len(angles), dtype=bool)
         self._used: list[PoolEntry] = []
-        self._size = len(self._remaining)
-        if self._size == 0:
-            raise ValueError("configuration pool must not be empty")
+        self._entries: list[PoolEntry | None] = [None] * len(angles)
 
     @property
     def size(self) -> int:
-        return self._size
+        return self._angles.size
 
     @property
     def remaining(self) -> tuple[PoolEntry, ...]:
-        return tuple(self._remaining)
+        return tuple(self._entry(i) for i in np.flatnonzero(~self._used_mask))
 
     @property
     def used(self) -> tuple[PoolEntry, ...]:
         return tuple(self._used)
 
-    def _take(self, index: int) -> PoolEntry:
-        entry = self._remaining.pop(index)
-        self._used.append(entry)
-        return entry
+    def _entry(self, index: int) -> PoolEntry:
+        if self._entries[index] is None:
+            self._entries[index] = PoolEntry(
+                float(self._angles[index]), RisConfiguration(self._candidates[index])
+            )
+        return self._entries[index]
+
+    def _take(self, scores: np.ndarray, masked_value: float, pick) -> PoolEntry:
+        """Consume the unused row that ``pick`` (argmin/argmax) selects."""
+        if self._used_mask.all():
+            raise PoolExhaustedError("no unused configurations left in the pool")
+        scores[self._used_mask] = masked_value
+        index = int(pick(scores))
+        self._used_mask[index] = True
+        self._used.append(self._entry(index))
+        return self._used[-1]
 
     def take_nearest(self, angle: float) -> PoolEntry:
         """Consume the unused entry whose sine is closest to sin(angle)."""
-        if not self._remaining:
-            raise PoolExhaustedError("no unused configurations left in the pool")
-        sines = np.sin([entry.angle for entry in self._remaining])
-        return self._take(int(np.argmin(np.abs(sines - np.sin(angle)))))
+        return self._take(np.abs(self._sines - np.sin(angle)), np.inf, np.argmin)
 
     def take_best_match(self, reference: RisConfiguration) -> PoolEntry:
         """Consume the unused entry maximizing |reference^H entry|."""
-        if not self._remaining:
-            raise PoolExhaustedError("no unused configurations left in the pool")
-        scores = [
-            config_correlation(reference, entry.configuration)
-            for entry in self._remaining
-        ]
-        return self._take(int(np.argmax(scores)))
+        if len(reference) != self._candidates.shape[1]:
+            raise DimensionError("reference and candidates differ in length")
+        scores = np.abs(self._candidates @ np.conj(reference.phases))
+        return self._take(scores, -1.0, np.argmax)
 
 
 def build_configuration_pool(
@@ -158,11 +186,35 @@ def build_configuration_pool(
     array: ArrayModel,
 ) -> ConfigurationPool:
     """One candidate configuration per plausible angle, all unused."""
-    entries = [
-        PoolEntry(float(angle), optimal_configuration(bs_ris_channel, angle, array))
-        for angle in angles
-    ]
-    return ConfigurationPool(entries)
+    compensation = _phase_compensation(bs_ris_channel, array)
+    return ConfigurationPool(angles, compensation * _conj_responses(array, angles))
+
+
+@dataclass(frozen=True, eq=False)
+class AdaptiveSetup:
+    """Trial-independent arrays of the adaptive loop for one array and grid.
+
+    Column j of ``steering`` is a(grid_angles[j]); row k of
+    ``conj_responses`` is conj(a(angles[k])) for plausible angle k.
+    """
+
+    array: ArrayModel
+    grid: AoaSearchGrid
+    grid_angles: np.ndarray
+    steering: np.ndarray
+    angles: PlausibleAngleSet
+    conj_responses: np.ndarray
+
+
+def build_adaptive_setup(array: ArrayModel, grid: AoaSearchGrid) -> AdaptiveSetup:
+    """Compute the steering matrix and candidate responses once, read-only."""
+    grid_angles = grid.angles
+    steering = steering_matrix(array, grid_angles)
+    angles = plausible_angles(array.num_elements)
+    conj_responses = _conj_responses(array, angles)
+    for values in (grid_angles, steering, conj_responses):
+        values.setflags(write=False)
+    return AdaptiveSetup(array, grid, grid_angles, steering, angles, conj_responses)
 
 
 def config_correlation(a: RisConfiguration, b: RisConfiguration) -> float:
@@ -332,6 +384,7 @@ def run_adaptive_estimation(
     record_utility: bool = False,
     initial_angles: tuple[float, float] | None = None,
     peak_gap_db: float | None = None,
+    setup: AdaptiveSetup | None = None,
 ) -> AdaptiveRunRecord:
     """Run the adaptive estimation loop for ``num_pilots`` pilots.
 
@@ -343,7 +396,8 @@ def run_adaptive_estimation(
     next. ``pilot_snr`` is the per-element pilot SNR in linear scale
     (``inf`` for noise-free runs). When ``peak_gap_db`` is set, the run
     stops early once the utility's top two peaks differ by more than
-    that many dB.
+    that many dB. ``setup`` shares the trial-independent arrays between
+    runs over the same array and grid; it is built here when absent.
 
     The returned record exposes one step per transmitted pilot; the
     estimate stored at step i is exactly what a run with budget i would
@@ -363,18 +417,21 @@ def run_adaptive_estimation(
         )
     if grid is None:
         grid = AoaSearchGrid()
+    if setup is None:
+        setup = build_adaptive_setup(array, grid)
+    elif setup.array != array or setup.grid != grid:
+        raise ValueError("setup was built for a different array or grid")
     rng = np.random.default_rng(rng)
 
     pilot_power, noise_std = _pilot_power_for_snr(
         pilot_snr, true_channel.gain, bs_ris_channel
     )
     g = expand_channel(true_channel, array)
-    pool = build_configuration_pool(bs_ris_channel, plausible_angles(n), array)
-    grid_angles = grid.angles
+    compensation = _phase_compensation(bs_ris_channel, array)
+    pool = ConfigurationPool(setup.angles, compensation * setup.conj_responses)
+    grid_angles = setup.grid_angles
     # Columns hold D_h a(angle); every pilot row projects onto them.
-    directions = bs_ris_channel.coefficients[:, None] * steering_matrix(
-        array, grid_angles
-    )
+    directions = bs_ris_channel.coefficients[:, None] * setup.steering
 
     inner_acc = np.zeros(grid.num_points, dtype=np.complex128)  # y^H B D_h a
     energy_acc = np.zeros(grid.num_points, dtype=float)  # ||B D_h a||^2
@@ -393,13 +450,11 @@ def run_adaptive_estimation(
         samples.append(sample)
         pilot_angles.append(entry.angle)
 
-    if initial_angles is None:
-        transmit(pool.take_nearest(float(np.arcsin(INITIAL_SINES[0]))))
-        transmit(pool.take_nearest(float(np.arcsin(INITIAL_SINES[1]))))
-    else:
-        start_a, start_b = initial_angles
-        transmit(pool.take_nearest(float(start_a)))
-        transmit(pool.take_nearest(float(start_b)))
+    start_a, start_b = (
+        np.arcsin(INITIAL_SINES) if initial_angles is None else initial_angles
+    )
+    transmit(pool.take_nearest(float(start_a)))
+    transmit(pool.take_nearest(float(start_b)))
 
     steps: list[AdaptiveStep] = [
         AdaptiveStep(1, pilot_angles[0], samples[0], None, None, None)

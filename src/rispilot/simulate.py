@@ -17,6 +17,7 @@ import numpy as np
 
 from .adaptive import (
     AdaptiveRunRecord,
+    build_adaptive_setup,
     run_adaptive_estimation,
     simulate_pilot_reception,
 )
@@ -59,6 +60,14 @@ def _require(condition: bool, name: str, message: str) -> None:
         raise ConfigValidationError(f"{name}: {message}")
 
 
+def _is_integral(value) -> bool:
+    """True for finite whole numbers; inf and nan are not integers."""
+    try:
+        return math.isfinite(value) and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a rate-curve or utility-trace experiment needs.
@@ -77,14 +86,18 @@ class ExperimentConfig:
     grid_points: int = 2000
     rng_seed: int = 42
 
+    def _set_integer(self, name: str, low: int, high: float, message: str) -> None:
+        value = getattr(self, name)
+        _require(_is_integral(value) and low <= value < high, name, message)
+        object.__setattr__(self, name, int(value))
+
     def __post_init__(self) -> None:
+        self._set_integer("num_elements", 1, math.inf, "must be a positive integer")
         _require(
-            int(self.num_elements) == self.num_elements and self.num_elements >= 1,
-            "num_elements",
-            "must be a positive integer",
+            math.isfinite(self.spacing_ratio) and self.spacing_ratio > 0,
+            "spacing_ratio",
+            "must be positive and finite",
         )
-        object.__setattr__(self, "num_elements", int(self.num_elements))
-        _require(self.spacing_ratio > 0, "spacing_ratio", "must be positive")
         _require(math.isfinite(self.data_snr_db), "data_snr_db", "must be finite")
         _require(
             math.isfinite(self.pilot_snr_offset_db),
@@ -92,7 +105,7 @@ class ExperimentConfig:
             "must be finite",
         )
         _require(
-            all(int(v) == v for v in self.pilot_budgets),
+            all(_is_integral(v) for v in self.pilot_budgets),
             "pilot_budgets",
             "must be integers",
         )
@@ -107,12 +120,7 @@ class ExperimentConfig:
             f"each budget must lie in [2, {self.num_elements}]",
         )
         object.__setattr__(self, "pilot_budgets", budgets)
-        _require(
-            int(self.num_trials) == self.num_trials and self.num_trials >= 1,
-            "num_trials",
-            "must be a positive integer",
-        )
-        object.__setattr__(self, "num_trials", int(self.num_trials))
+        self._set_integer("num_trials", 1, math.inf, "must be a positive integer")
         domain = tuple(float(v) for v in self.search_domain)
         _require(len(domain) == 2 and domain[0] < domain[1], "search_domain",
                  "must be an increasing pair")
@@ -131,19 +139,10 @@ class ExperimentConfig:
             "must be contained in the search domain",
         )
         object.__setattr__(self, "ue_angle_range", ue_range)
-        _require(
-            int(self.grid_points) == self.grid_points and self.grid_points >= 2,
-            "grid_points",
-            "must be an integer of at least 2",
+        self._set_integer(
+            "grid_points", 2, math.inf, "must be an integer of at least 2"
         )
-        object.__setattr__(self, "grid_points", int(self.grid_points))
-        _require(
-            int(self.rng_seed) == self.rng_seed
-            and 0 <= self.rng_seed < 2**64,
-            "rng_seed",
-            "must be an unsigned 64-bit integer",
-        )
-        object.__setattr__(self, "rng_seed", int(self.rng_seed))
+        self._set_integer("rng_seed", 0, 2**64, "must be an unsigned 64-bit integer")
 
     def array(self) -> ArrayModel:
         return ArrayModel(self.num_elements, self.spacing_ratio)
@@ -249,6 +248,7 @@ def collect_trial_rates(
     factory = bs_ris_channel_factory or random_bs_ris_channel
     array = config.array()
     grid = config.grid()
+    setup = build_adaptive_setup(array, grid)
     powers = snr_to_powers(config)
     budgets = config.pilot_budgets
     max_budget = max(budgets)
@@ -271,7 +271,7 @@ def collect_trial_rates(
         caps[t] = capacity(h, g, powers.data_power)
 
         record = run_adaptive_estimation(
-            channel, h, array, max_budget, powers.pilot_power, rng, grid
+            channel, h, array, max_budget, powers.pilot_power, rng, grid, setup=setup
         )
         for b, budget in enumerate(budgets):
             step = record.step_for(budget)

@@ -8,14 +8,17 @@ import pytest
 from rispilot import (
     AoaSearchGrid,
     ArrayModel,
+    ConfigurationPool,
     DimensionError,
     InsufficientPilotsError,
     KnownBsRisChannel,
     LosChannel,
     PilotCampaign,
+    PlausibleAngleSet,
     PoolExhaustedError,
     RisConfiguration,
     achievable_rate,
+    build_adaptive_setup,
     build_configuration_pool,
     capacity,
     config_correlation,
@@ -130,6 +133,72 @@ class TestConfigurationPool:
         target = pool.remaining[5]
         chosen = pool.take_best_match(target.configuration)
         assert chosen.angle == target.angle
+
+    def test_rows_match_per_candidate_optimal_configurations(self, rng):
+        # reference: the configuration each candidate had as its own object
+        n = 40
+        array = ArrayModel(n, 0.25)
+        h = random_bs_ris_channel(n, rng)
+        pool = build_configuration_pool(h, plausible_angles(n), array)
+        for entry in pool.remaining:
+            expected = optimal_configuration(h, entry.angle, array).phases
+            assert np.array_equal(entry.configuration.phases, expected)
+
+    def test_take_best_match_agrees_with_correlation_argmax(self, rng):
+        # reference: argmax of config_correlation over pool.remaining, in
+        # angle order, so ties resolve to the smallest remaining angle.
+        # Beams between two candidates score both neighbours almost alike.
+        n = 40
+        array = ArrayModel(n, 0.25)
+        h = random_bs_ris_channel(n, rng)
+        pool = build_configuration_pool(h, plausible_angles(n), array)
+        pool.take_nearest(-0.5)
+        pool.take_nearest(0.5)
+        for k in range(30):
+            if k % 2:
+                reference = RisConfiguration(
+                    np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+                )
+            else:
+                angle = float(rng.uniform(-np.pi / 2, np.pi / 2))
+                reference = optimal_configuration(h, angle, array)
+            remaining = pool.remaining
+            scores = [config_correlation(reference, e.configuration) for e in remaining]
+            expected = remaining[int(np.argmax(scores))]
+            chosen = pool.take_best_match(reference)
+            assert chosen is expected
+            assert chosen in pool.used and chosen not in pool.remaining
+        assert len(pool.remaining) == n - 32
+
+    def test_entries_keep_their_identity(self, rng):
+        n = 6
+        array = ArrayModel(n, 0.25)
+        pool = build_configuration_pool(
+            random_bs_ris_channel(n, rng), plausible_angles(n), array
+        )
+        before = pool.remaining
+        taken = pool.take_best_match(before[3].configuration)
+        assert taken is before[3]
+        assert pool.remaining == before[:3] + before[4:]
+
+    def test_ties_go_to_smallest_remaining_angle(self):
+        row = np.exp(1j * np.array([0.5, 1.5]))
+        angles = PlausibleAngleSet(np.array([-0.3, 0.1, 0.2, 0.4]))
+        pool = ConfigurationPool(angles, np.vstack([row] * 4))
+        reference = RisConfiguration(row)
+        assert pool.take_best_match(reference).angle == -0.3
+        assert pool.take_best_match(reference).angle == 0.1
+        assert pool.take_nearest(0.25).angle == 0.2
+
+    def test_rejects_mismatched_shapes(self):
+        angles = PlausibleAngleSet(np.array([0.0, 0.1]))
+        with pytest.raises(DimensionError):
+            ConfigurationPool(angles, np.ones((3, 2)))
+        with pytest.raises(DimensionError):
+            ConfigurationPool(angles, np.ones(2))
+        pool = ConfigurationPool(angles, np.ones((2, 2)))
+        with pytest.raises(DimensionError):
+            pool.take_best_match(RisConfiguration(np.ones(3)))
 
 
 class TestConfigCorrelation:
@@ -409,6 +478,61 @@ class TestAdaptiveRun:
             assert step.utility is not None and step.utility.size == 300
             assert grid.angles[np.argmax(step.utility)] == step.aoa_estimate
         assert record.result.utility_trace is not None
+
+    def test_shared_setup_matches_per_run_setup(self):
+        # one setup serves many runs; each must equal a run that builds its
+        # own setup, down to the last bit
+        n = 16
+        array = ArrayModel(n, 0.25)
+        grid = AoaSearchGrid(num_points=700)
+        setup = build_adaptive_setup(array, grid)
+        cases = [
+            (0, None, None),
+            (1, (0.29, -0.4), None),
+            (2, None, 3.0),
+            (3, (-1.2, 1.2), 6.0),
+            (4, None, None),
+        ]
+        for seed, initial_angles, peak_gap_db in cases:
+            gen = np.random.default_rng(seed)
+            h = random_bs_ris_channel(n, gen)
+            channel = LosChannel(
+                1.0, float(gen.uniform(0, 2 * np.pi)), float(gen.uniform(-1, 1))
+            )
+            kwargs = dict(
+                record_utility=True,
+                initial_angles=initial_angles,
+                peak_gap_db=peak_gap_db,
+            )
+            fresh = run_adaptive_estimation(
+                channel, h, array, n, 10.0, seed + 100, grid, **kwargs
+            )
+            shared = run_adaptive_estimation(
+                channel, h, array, n, 10.0, seed + 100, grid, setup=setup, **kwargs
+            )
+            assert len(fresh.steps) == len(shared.steps)
+            for a, b in zip(fresh.steps, shared.steps):
+                assert a.config_angle == b.config_angle
+                assert a.received == b.received
+                assert a.aoa_estimate == b.aoa_estimate
+                assert a.gain_estimate == b.gain_estimate
+                assert a.phase_estimate == b.phase_estimate
+                if a.utility is None:
+                    assert b.utility is None
+                else:
+                    assert np.array_equal(a.utility, b.utility)
+
+    def test_rejects_setup_for_another_grid(self, rng):
+        n = 8
+        array = ArrayModel(n, 0.25)
+        setup = build_adaptive_setup(array, AoaSearchGrid(num_points=300))
+        h = random_bs_ris_channel(n, rng)
+        channel = LosChannel(1.0, 0.0, 0.2)
+        with pytest.raises(ValueError):
+            run_adaptive_estimation(
+                channel, h, array, 4, 10.0, rng, AoaSearchGrid(num_points=301),
+                setup=setup,
+            )
 
 
 class TestPilotReception:
