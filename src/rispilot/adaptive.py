@@ -1,9 +1,9 @@
 """Adaptive selection of surface configurations during pilot transmission.
 
-Pilot-time configurations are drawn from a pool of N candidates, one per
-plausible angle. The angles are chosen so their sines are equally spaced,
-which keeps the candidate beams well separated. After an initial pair of
-pilots, each further pilot reuses the unused candidate closest (largest
+Pilot-time configurations are drawn from N candidates, one per plausible
+angle. The angles are chosen so their sines are equally spaced, which
+keeps the candidate beams well separated. After an initial pair of
+pilots, each further pilot uses the unused candidate closest (largest
 inner-product magnitude) to the configuration that would be optimal if
 the current angle estimate were exact. The estimate is recomputed from
 all received pilots after every transmission.
@@ -11,8 +11,8 @@ all received pilots after every transmission.
 The grid steering matrix and the candidates' array responses depend only
 on the array and the grid: ``build_adaptive_setup`` computes them once
 per experiment. Per trial, the BS-RIS phase compensation turns them into
-the projection directions and the candidate matrix of the array-backed
-``ConfigurationPool``, which selects with one vectorised pass per pilot.
+the projection directions and an N x N candidate matrix; a boolean used
+mask over its rows makes every pick one masked argmin or argmax.
 """
 
 from __future__ import annotations
@@ -21,20 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDirectionError,
-    DimensionError,
-    InsufficientPilotsError,
-    PoolExhaustedError,
-)
+from .errors import DimensionError, InsufficientPilotsError, PoolExhaustedError
 from .estimators import (
     AoaSearchGrid,
     EstimationResult,
     PilotCampaign,
     UtilitySamples,
+    _gain_and_phase,
+    _utility_values,
 )
 from .model import (
-    TWO_PI,
     ArrayModel,
     KnownBsRisChannel,
     LosChannel,
@@ -113,84 +109,6 @@ def _conj_responses(array: ArrayModel, angles: PlausibleAngleSet) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PoolEntry:
-    """A candidate configuration tagged with the angle it points at."""
-
-    angle: float
-    configuration: RisConfiguration
-
-
-class ConfigurationPool:
-    """Candidate configurations held as a matrix plus a used mask.
-
-    Row k of ``candidates`` points at ``angles[k]`` (increasing). Each
-    selection scores all rows in one vectorised pass with used rows masked
-    out; ties resolve to the smallest remaining angle. A row becomes a
-    ``PoolEntry`` when first handed out and stays that same object.
-    """
-
-    def __init__(self, angles: PlausibleAngleSet, candidates):
-        self._angles = angles.angles
-        self._sines = np.sin(self._angles)
-        self._candidates = np.asarray(candidates, dtype=np.complex128)
-        if self._candidates.ndim != 2 or len(self._candidates) != len(angles):
-            raise DimensionError("the pool needs one candidate row per angle")
-        self._used_mask = np.zeros(len(angles), dtype=bool)
-        self._used: list[PoolEntry] = []
-        self._entries: list[PoolEntry | None] = [None] * len(angles)
-
-    @property
-    def size(self) -> int:
-        return self._angles.size
-
-    @property
-    def remaining(self) -> tuple[PoolEntry, ...]:
-        return tuple(self._entry(i) for i in np.flatnonzero(~self._used_mask))
-
-    @property
-    def used(self) -> tuple[PoolEntry, ...]:
-        return tuple(self._used)
-
-    def _entry(self, index: int) -> PoolEntry:
-        if self._entries[index] is None:
-            self._entries[index] = PoolEntry(
-                float(self._angles[index]), RisConfiguration(self._candidates[index])
-            )
-        return self._entries[index]
-
-    def _take(self, scores: np.ndarray, masked_value: float, pick) -> PoolEntry:
-        """Consume the unused row that ``pick`` (argmin/argmax) selects."""
-        if self._used_mask.all():
-            raise PoolExhaustedError("no unused configurations left in the pool")
-        scores[self._used_mask] = masked_value
-        index = int(pick(scores))
-        self._used_mask[index] = True
-        self._used.append(self._entry(index))
-        return self._used[-1]
-
-    def take_nearest(self, angle: float) -> PoolEntry:
-        """Consume the unused entry whose sine is closest to sin(angle)."""
-        return self._take(np.abs(self._sines - np.sin(angle)), np.inf, np.argmin)
-
-    def take_best_match(self, reference: RisConfiguration) -> PoolEntry:
-        """Consume the unused entry maximizing |reference^H entry|."""
-        if len(reference) != self._candidates.shape[1]:
-            raise DimensionError("reference and candidates differ in length")
-        scores = np.abs(self._candidates @ np.conj(reference.phases))
-        return self._take(scores, -1.0, np.argmax)
-
-
-def build_configuration_pool(
-    bs_ris_channel: KnownBsRisChannel,
-    angles: PlausibleAngleSet,
-    array: ArrayModel,
-) -> ConfigurationPool:
-    """One candidate configuration per plausible angle, all unused."""
-    compensation = _phase_compensation(bs_ris_channel, array)
-    return ConfigurationPool(angles, compensation * _conj_responses(array, angles))
-
-
-@dataclass(frozen=True, eq=False)
 class AdaptiveSetup:
     """Trial-independent arrays of the adaptive loop for one array and grid.
 
@@ -220,7 +138,7 @@ def build_adaptive_setup(array: ArrayModel, grid: AoaSearchGrid) -> AdaptiveSetu
 def config_correlation(a: RisConfiguration, b: RisConfiguration) -> float:
     """Magnitude of the inner product |a^H b| between two configurations.
 
-    For pool configurations over a ULA this is the Dirichlet kernel
+    For candidate configurations over a ULA this is the Dirichlet kernel
     |sin(N*pi*rho*d) / sin(pi*rho*d)| in the sine difference d of their
     angles, with rho the spacing-to-wavelength ratio.
     """
@@ -234,20 +152,6 @@ def config_correlation(a: RisConfiguration, b: RisConfiguration) -> float:
 #: Sines of the two starting beams: the one-third and two-thirds
 #: quantiles of the sine range, far apart without being endfire.
 INITIAL_SINES = (-0.5, 0.5)
-
-
-def select_initial_pair(
-    pool: ConfigurationPool,
-) -> tuple[RisConfiguration, RisConfiguration]:
-    """Consume and return the two starting configurations.
-
-    Picks the entries whose sines are nearest -1/2 and +1/2.
-    """
-    if len(pool.remaining) < 2:
-        raise PoolExhaustedError("the pool must hold at least two configurations")
-    first = pool.take_nearest(float(np.arcsin(INITIAL_SINES[0])))
-    second = pool.take_nearest(float(np.arcsin(INITIAL_SINES[1])))
-    return first.configuration, second.configuration
 
 
 def simulate_pilot_reception(
@@ -391,9 +295,11 @@ def run_adaptive_estimation(
     The first two pilots use the starting pair (or ``initial_angles``
     nearest-sine matches when prior knowledge is available). After every
     pilot i >= 2 the angle and coefficient estimates are refreshed from
-    all data so far; while pilots remain, the unused pool configuration
-    best matching the would-be-optimal configuration is transmitted
-    next. ``pilot_snr`` is the per-element pilot SNR in linear scale
+    all data so far; while pilots remain, the unused candidate maximizing
+    |candidate^H reference|, with the reference the would-be-optimal
+    configuration, is transmitted next. A used mask over the candidate
+    rows keeps each candidate to one pilot; ties go to the smallest
+    angle. ``pilot_snr`` is the per-element pilot SNR in linear scale
     (``inf`` for noise-free runs). When ``peak_gap_db`` is set, the run
     stops early once the utility's top two peaks differ by more than
     that many dB. ``setup`` shares the trial-independent arrays between
@@ -428,7 +334,10 @@ def run_adaptive_estimation(
     )
     g = expand_channel(true_channel, array)
     compensation = _phase_compensation(bs_ris_channel, array)
-    pool = ConfigurationPool(setup.angles, compensation * setup.conj_responses)
+    # row k equals optimal_configuration(bs_ris_channel, angles[k], array).phases
+    candidates = compensation * setup.conj_responses
+    sines = np.sin(setup.angles.angles)
+    used = np.zeros(n, dtype=bool)
     grid_angles = setup.grid_angles
     # Columns hold D_h a(angle); every pilot row projects onto them.
     directions = bs_ris_channel.coefficients[:, None] * setup.steering
@@ -439,22 +348,27 @@ def run_adaptive_estimation(
     samples: list[complex] = []
     pilot_angles: list[float] = []
 
-    def transmit(entry: PoolEntry) -> None:
+    def transmit(scores: np.ndarray, pick) -> None:
+        """Send the unused candidate that ``pick`` (nanargmin/nanargmax) selects."""
+        scores[used] = np.nan
+        k = int(pick(scores))
+        used[k] = True
+        config = RisConfiguration(candidates[k])
         sample = simulate_pilot_reception(
-            entry.configuration, bs_ris_channel, g, pilot_power, noise_std, rng
+            config, bs_ris_channel, g, pilot_power, noise_std, rng
         )
-        row_projection = entry.configuration.phases @ directions
+        row_projection = config.phases @ directions
         inner_acc[:] += np.conj(sample) * row_projection
         energy_acc[:] += np.abs(row_projection) ** 2
-        rows.append(entry.configuration.phases)
+        rows.append(config.phases)
         samples.append(sample)
-        pilot_angles.append(entry.angle)
+        pilot_angles.append(float(setup.angles.angles[k]))
 
     start_a, start_b = (
         np.arcsin(INITIAL_SINES) if initial_angles is None else initial_angles
     )
-    transmit(pool.take_nearest(float(start_a)))
-    transmit(pool.take_nearest(float(start_b)))
+    for start in (start_a, start_b):
+        transmit(np.abs(sines - np.sin(float(start))), np.nanargmin)
 
     steps: list[AdaptiveStep] = [
         AdaptiveStep(1, pilot_angles[0], samples[0], None, None, None)
@@ -463,29 +377,12 @@ def run_adaptive_estimation(
     aoa_hat = gain_hat = phase_hat = 0.0
     last_utility: np.ndarray | None = None
     for i in range(2, num_pilots + 1):
-        if np.all(energy_acc == 0.0):
-            raise DegenerateDirectionError(
-                "no grid direction carries pilot energy"
-            )
-        # directions on shared kernel nulls explain nothing and score 0,
-        # matching ml_utility_profile
-        utility = np.divide(
-            np.abs(inner_acc) ** 2,
-            energy_acc,
-            out=np.zeros_like(energy_acc),
-            where=energy_acc > 0.0,
-        )
+        utility = _utility_values(inner_acc, energy_acc)
         peak = int(np.argmax(utility))
-        if energy_acc[peak] == 0.0:
-            # only reachable when every utility is zero and the tie-break
-            # lands on a dead direction; matches estimate_scalar_coefficient
-            raise DegenerateDirectionError(
-                "the selected direction carries no pilot energy"
-            )
+        gain_hat, phase_hat = _gain_and_phase(
+            inner_acc[peak], energy_acc[peak], pilot_power
+        )
         aoa_hat = float(grid_angles[peak])
-        inner = inner_acc[peak]
-        gain_hat = abs(inner) ** 2 / (pilot_power * energy_acc[peak] ** 2)
-        phase_hat = float((-np.angle(inner)) % TWO_PI)
         last_utility = utility
         steps.append(
             AdaptiveStep(
@@ -502,8 +399,9 @@ def run_adaptive_estimation(
             break
         if peak_gap_db is not None and top_two_peak_gap_db(utility) > peak_gap_db:
             break
-        reference = optimal_configuration(bs_ris_channel, aoa_hat, array)
-        transmit(pool.take_best_match(reference))
+        # optimal_configuration(bs_ris_channel, aoa_hat, array).phases
+        reference = compensation * np.conj(array_response(array, aoa_hat))
+        transmit(np.abs(candidates @ np.conj(reference)), np.nanargmax)
 
     campaign = PilotCampaign(
         np.vstack(rows), np.asarray(samples), pilot_power, bs_ris_channel

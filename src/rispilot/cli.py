@@ -224,14 +224,12 @@ def _check_beam_correlation() -> tuple[bool, str]:
     rho = 0.25
     array = model.ArrayModel(n, rho)
     h = model.random_bs_ris_channel(n, rng)
-    pool = adaptive.build_configuration_pool(h, adaptive.plausible_angles(n), array)
-    entries = pool.remaining
+    angles = adaptive.plausible_angles(n).angles
+    configs = [adaptive.optimal_configuration(h, a, array) for a in angles]
     for _ in range(20):
-        i, j = rng.choice(len(entries), size=2, replace=False)
-        measured = adaptive.config_correlation(
-            entries[i].configuration, entries[j].configuration
-        )
-        delta = math.sin(entries[j].angle) - math.sin(entries[i].angle)
+        i, j = rng.choice(n, size=2, replace=False)
+        measured = adaptive.config_correlation(configs[i], configs[j])
+        delta = math.sin(angles[j]) - math.sin(angles[i])
         x = math.pi * rho * delta
         expected = abs(math.sin(n * x) / math.sin(x))
         if abs(measured - expected) > 1e-9 * max(expected, 1.0):

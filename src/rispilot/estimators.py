@@ -20,6 +20,7 @@ from .model import (
     UNIT_MODULUS_TOL,
     ArrayModel,
     KnownBsRisChannel,
+    _is_integral,
     array_response,
     steering_matrix,
 )
@@ -95,10 +96,11 @@ class AoaSearchGrid:
     def __post_init__(self) -> None:
         if not self.lower < self.upper:
             raise ValueError("grid lower bound must be below the upper bound")
-        if self.num_points < 2:
-            raise ValueError("grid needs at least two points")
+        if not (_is_integral(self.num_points) and self.num_points >= 2):
+            raise ValueError("grid needs an integer number of at least two points")
         if self.lower < -np.pi / 2 or self.upper > np.pi / 2:
             raise ValueError("grid must lie within the front half-plane")
+        object.__setattr__(self, "num_points", int(self.num_points))
 
     @property
     def angles(self) -> np.ndarray:
@@ -147,6 +149,36 @@ class EstimationResult:
         object.__setattr__(self, "channel_estimate", vec)
 
 
+def _utility_values(inner: np.ndarray, energy: np.ndarray) -> np.ndarray:
+    """ML objective |y^H v|^2 / ||v||^2 from y^H v and ||v||^2 per direction.
+
+    A direction with exactly zero pilot energy (a kernel null shared by
+    all rows) explains nothing and scores 0. If no direction carries any
+    energy the campaign cannot rank any angle: degenerate-direction error.
+    """
+    if np.all(energy == 0.0):
+        raise DegenerateDirectionError(
+            "no probed direction carries pilot energy; the campaign cannot "
+            "rank any angle"
+        )
+    return np.divide(
+        np.abs(inner) ** 2, energy, out=np.zeros_like(energy), where=energy > 0.0
+    )
+
+
+def _gain_and_phase(inner, energy, pilot_power: float) -> tuple[float, float]:
+    """Closed-form gain |y^H v|^2 / (P_p ||v||^4) and phase -arg(y^H v).
+
+    The phase is wrapped to [0, 2*pi); a zero inner product maps to (0, 0).
+    """
+    if energy == 0.0:
+        raise DegenerateDirectionError(
+            "the estimated direction carries no pilot energy"
+        )
+    gain = abs(inner) ** 2 / (pilot_power * energy**2)
+    return gain, float((-np.angle(inner)) % TWO_PI)
+
+
 def _signal_directions(
     campaign: PilotCampaign, array: ArrayModel, angles: np.ndarray
 ) -> np.ndarray:
@@ -168,23 +200,15 @@ def ml_utility_profile(
     """ML objective |y^H B D_h a(angle)|^2 / ||B D_h a(angle)||^2 per angle.
 
     The objective is the received energy explained by each candidate
-    direction. A direction the campaign never illuminated (exactly zero
-    pilot energy, which happens on kernel nulls shared by all rows)
-    explains nothing and scores 0; if no probed direction carries any
-    energy the campaign is unusable and a degenerate-direction error is
+    direction. A direction with exactly zero pilot energy scores 0; if
+    no probed direction carries energy, a degenerate-direction error is
     raised.
     """
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     directions = _signal_directions(campaign, array, angles)
-    denom = np.sum(np.abs(directions) ** 2, axis=0)
-    if np.all(denom == 0.0):
-        raise DegenerateDirectionError(
-            "no probed direction carries pilot energy; the campaign cannot "
-            "rank any angle"
-        )
-    numer = np.abs(np.conj(campaign.received) @ directions) ** 2
-    return np.divide(
-        numer, denom, out=np.zeros_like(denom), where=denom > 0.0
+    return _utility_values(
+        np.conj(campaign.received) @ directions,
+        np.sum(np.abs(directions) ** 2, axis=0),
     )
 
 
@@ -218,15 +242,11 @@ def estimate_scalar_coefficient(
     to (0, 0) so all-zero received signals stay well defined.
     """
     direction = _signal_directions(campaign, array, np.asarray([aoa_estimate]))[:, 0]
-    energy = float(np.sum(np.abs(direction) ** 2))
-    if energy == 0.0:
-        raise DegenerateDirectionError(
-            "the estimated direction carries no pilot energy"
-        )
-    inner = complex(np.conj(campaign.received) @ direction)
-    gain = abs(inner) ** 2 / (campaign.pilot_power * energy**2)
-    phase = float((-np.angle(inner)) % TWO_PI)
-    return gain, phase
+    return _gain_and_phase(
+        complex(np.conj(campaign.received) @ direction),
+        float(np.sum(np.abs(direction) ** 2)),
+        campaign.pilot_power,
+    )
 
 
 def parametric_ml_estimate(

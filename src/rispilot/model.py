@@ -11,6 +11,7 @@ used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,14 @@ def _check_front_half_plane(aoa: float) -> None:
         raise AngleDomainError(
             f"angle {aoa!r} rad lies outside the front half-plane [-pi/2, pi/2]"
         )
+
+
+def _is_integral(value) -> bool:
+    """True for finite whole numbers; inf and nan are not integers."""
+    try:
+        return math.isfinite(value) and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _readonly_complex_vector(values, what: str) -> np.ndarray:
@@ -50,10 +59,10 @@ class ArrayModel:
     spacing_ratio: float = 0.25
 
     def __post_init__(self) -> None:
-        if int(self.num_elements) != self.num_elements or self.num_elements < 1:
+        if not (_is_integral(self.num_elements) and self.num_elements >= 1):
             raise ValueError("num_elements must be a positive integer")
-        if not self.spacing_ratio > 0:
-            raise ValueError("spacing_ratio must be positive")
+        if not 0 < self.spacing_ratio < np.inf:
+            raise ValueError("spacing_ratio must be positive and finite")
         object.__setattr__(self, "num_elements", int(self.num_elements))
         object.__setattr__(self, "spacing_ratio", float(self.spacing_ratio))
 

@@ -33,6 +33,7 @@ from .model import (
     capacity,
     expand_channel,
     random_bs_ris_channel,
+    _is_integral,
 )
 
 __all__ = [
@@ -58,14 +59,6 @@ DEFAULT_PILOT_BUDGETS = (2, 3, 4, 5, 6, 8, 10, 15, 20, 30, 40)
 def _require(condition: bool, name: str, message: str) -> None:
     if not condition:
         raise ConfigValidationError(f"{name}: {message}")
-
-
-def _is_integral(value) -> bool:
-    """True for finite whole numbers; inf and nan are not integers."""
-    try:
-        return math.isfinite(value) and int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        return False
 
 
 @dataclass(frozen=True)

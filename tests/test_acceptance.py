@@ -16,7 +16,6 @@ from rispilot import (
     PilotCampaign,
     RisConfiguration,
     achievable_rate,
-    build_configuration_pool,
     capacity,
     config_correlation,
     effective_channel,
@@ -227,14 +226,13 @@ def test_criterion_08_beam_correlation_formula():
     n, rho = 40, 0.25
     array = ArrayModel(n, rho)
     h = random_bs_ris_channel(n, rng)
-    entries = build_configuration_pool(h, plausible_angles(n), array).remaining
+    angles = plausible_angles(n).angles
+    configs = [RisConfiguration(row) for row in pool_config_rows(h, angles, array)]
     worst = 0.0
     for _ in range(50):
         i, j = rng.choice(n, size=2, replace=False)
-        measured = config_correlation(
-            entries[i].configuration, entries[j].configuration
-        )
-        delta = math.sin(entries[j].angle) - math.sin(entries[i].angle)
+        measured = config_correlation(configs[i], configs[j])
+        delta = math.sin(angles[j]) - math.sin(angles[i])
         x = math.pi * rho * delta
         analytic = abs(math.sin(n * x) / math.sin(x))
         worst = max(worst, abs(measured - analytic) / max(analytic, 1.0))

@@ -1,4 +1,4 @@
-"""Tests for the adaptive pilot-configuration loop and its pool machinery."""
+"""Tests for the adaptive pilot-configuration loop and its candidate selection."""
 
 import math
 
@@ -8,18 +8,15 @@ import pytest
 from rispilot import (
     AoaSearchGrid,
     ArrayModel,
-    ConfigurationPool,
     DimensionError,
     InsufficientPilotsError,
     KnownBsRisChannel,
     LosChannel,
     PilotCampaign,
-    PlausibleAngleSet,
     PoolExhaustedError,
     RisConfiguration,
     achievable_rate,
     build_adaptive_setup,
-    build_configuration_pool,
     capacity,
     config_correlation,
     effective_channel,
@@ -33,12 +30,11 @@ from rispilot import (
     plausible_angles,
     random_bs_ris_channel,
     run_adaptive_estimation,
-    select_initial_pair,
     simulate_pilot_reception,
     top_two_peak_gap_db,
 )
 
-from conftest import circular_diff
+from conftest import circular_diff, pool_config_rows
 
 
 def snap_to_grid(grid: AoaSearchGrid, target: float) -> float:
@@ -102,103 +98,115 @@ class TestOptimalConfiguration:
 
 
 class TestConfigurationPool:
+    """The N candidate configurations and their used mask, seen through runs."""
+
     def test_pool_holds_one_config_per_angle(self, rng):
         n = 4
         array = ArrayModel(n, 0.25)
         h = KnownBsRisChannel(np.ones(n))
-        pool = build_configuration_pool(h, plausible_angles(n), array)
-        assert pool.size == n
-        assert len(pool.remaining) == n and not pool.used
-        for entry in pool.remaining:
+        record = run_adaptive_estimation(
+            LosChannel(1.0, 0.4, 0.3), h, array, n, 10.0, rng
+        )
+        angles = [s.config_angle for s in record.steps]
+        assert sorted(angles) == list(plausible_angles(n).angles)
+        for angle, row in zip(angles, record.campaign.config_matrix):
             expected = np.conj(
-                np.exp(-2j * np.pi * 0.25 * np.arange(n) * np.sin(entry.angle))
+                np.exp(-2j * np.pi * 0.25 * np.arange(n) * np.sin(angle))
             )
-            assert np.allclose(entry.configuration.phases, expected, atol=1e-12)
+            assert np.allclose(row, expected, atol=1e-12)
 
     def test_take_accounting(self, rng):
+        # every pilot consumes one unused candidate, and the picks of a
+        # shorter budget are the first picks of the full budget
         n = 6
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
-        pool = build_configuration_pool(h, plausible_angles(n), array)
-        taken = pool.take_nearest(0.0)
-        assert len(pool.remaining) + len(pool.used) == n
-        assert taken in pool.used
-        assert all(entry.angle != taken.angle for entry in pool.remaining)
+        channel = LosChannel(1.0, 0.5, -0.3)
+        full = run_adaptive_estimation(channel, h, array, n, 10.0, 8)
+        picks = [s.config_angle for s in full.steps]
+        assert sorted(picks) == list(plausible_angles(n).angles)
+        for budget in range(2, n):
+            record = run_adaptive_estimation(channel, h, array, budget, 10.0, 8)
+            assert [s.config_angle for s in record.steps] == picks[:budget]
 
-    def test_take_best_match_prefers_reference_angle(self, rng):
+    def test_take_best_match_prefers_reference_angle(self):
+        # noise-free truth on candidate angle 10 and on grid point 0: the
+        # two-pilot estimate is that angle, so the third pilot is its beam
         n = 16
         array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
-        pool = build_configuration_pool(h, plausible_angles(n), array)
-        target = pool.remaining[5]
-        chosen = pool.take_best_match(target.configuration)
-        assert chosen.angle == target.angle
+        target = float(plausible_angles(n).angles[10])
+        grid = AoaSearchGrid(target, np.pi / 2, 500)
+        for seed in range(3):
+            h = random_bs_ris_channel(n, seed)
+            record = run_adaptive_estimation(
+                LosChannel(1.0, 0.7, target), h, array, 3, math.inf, seed, grid
+            )
+            assert record.steps[1].aoa_estimate == target
+            assert record.steps[2].config_angle == target
 
     def test_rows_match_per_candidate_optimal_configurations(self, rng):
-        # reference: the configuration each candidate had as its own object
+        # reference: the configuration each candidate has as its own object
         n = 40
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
-        pool = build_configuration_pool(h, plausible_angles(n), array)
-        for entry in pool.remaining:
-            expected = optimal_configuration(h, entry.angle, array).phases
-            assert np.array_equal(entry.configuration.phases, expected)
+        record = run_adaptive_estimation(
+            LosChannel(1.0, 2.0, 0.3), h, array, n, 10.0, rng
+        )
+        for step, row in zip(record.steps, record.campaign.config_matrix):
+            expected = optimal_configuration(h, step.config_angle, array).phases
+            assert np.array_equal(row, expected)
 
     def test_take_best_match_agrees_with_correlation_argmax(self, rng):
-        # reference: argmax of config_correlation over pool.remaining, in
-        # angle order, so ties resolve to the smallest remaining angle.
-        # Beams between two candidates score both neighbours almost alike.
+        # oracle: each pick after the starting pair is the argmax of
+        # config_correlation against the configuration optimal for the
+        # current estimate, over the unused candidates in angle order, so
+        # ties resolve to the smallest unused angle
         n = 40
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
-        pool = build_configuration_pool(h, plausible_angles(n), array)
-        pool.take_nearest(-0.5)
-        pool.take_nearest(0.5)
-        for k in range(30):
-            if k % 2:
-                reference = RisConfiguration(
-                    np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-                )
-            else:
-                angle = float(rng.uniform(-np.pi / 2, np.pi / 2))
-                reference = optimal_configuration(h, angle, array)
-            remaining = pool.remaining
-            scores = [config_correlation(reference, e.configuration) for e in remaining]
-            expected = remaining[int(np.argmax(scores))]
-            chosen = pool.take_best_match(reference)
-            assert chosen is expected
-            assert chosen in pool.used and chosen not in pool.remaining
-        assert len(pool.remaining) == n - 32
-
-    def test_entries_keep_their_identity(self, rng):
-        n = 6
-        array = ArrayModel(n, 0.25)
-        pool = build_configuration_pool(
-            random_bs_ris_channel(n, rng), plausible_angles(n), array
-        )
-        before = pool.remaining
-        taken = pool.take_best_match(before[3].configuration)
-        assert taken is before[3]
-        assert pool.remaining == before[:3] + before[4:]
+        channel = LosChannel(1.0, 1.1, -0.45)
+        record = run_adaptive_estimation(channel, h, array, n, 10.0, rng)
+        angles = plausible_angles(n).angles
+        for prev, step in zip(record.steps[1:], record.steps[2:]):
+            picked = {s.config_angle for s in record.steps[: step.pilot_index - 1]}
+            unused = [float(a) for a in angles if a not in picked]
+            reference = optimal_configuration(h, prev.aoa_estimate, array)
+            scores = [
+                config_correlation(reference, optimal_configuration(h, a, array))
+                for a in unused
+            ]
+            assert step.config_angle == unused[int(np.argmax(scores))]
 
     def test_ties_go_to_smallest_remaining_angle(self):
-        row = np.exp(1j * np.array([0.5, 1.5]))
-        angles = PlausibleAngleSet(np.array([-0.3, 0.1, 0.2, 0.4]))
-        pool = ConfigurationPool(angles, np.vstack([row] * 4))
-        reference = RisConfiguration(row)
-        assert pool.take_best_match(reference).angle == -0.3
-        assert pool.take_best_match(reference).angle == 0.1
-        assert pool.take_nearest(0.25).angle == 0.2
+        # nearest-sine tie: sines -2/3 and 2/3 are equally far from 0
+        array = ArrayModel(3, 0.25)
+        h = random_bs_ris_channel(3, 2)
+        channel = LosChannel(1.0, 0.3, 0.2)
+        record = run_adaptive_estimation(
+            channel, h, array, 2, 10.0, 1, initial_angles=(0.0, 0.0)
+        )
+        angles = plausible_angles(3).angles
+        assert [s.config_angle for s in record.steps] == [0.0, angles[0]]
+        # best-match tie: at a vanishing spacing every candidate is the
+        # all-ones beam, so all scores are exactly equal
+        n = 8
+        array = ArrayModel(n, 1e-300)
+        h = KnownBsRisChannel(np.ones(n))
+        rows = pool_config_rows(h, plausible_angles(n).angles, array)
+        assert np.all(np.abs(rows @ np.conj(rows[0])) == n)
+        record = run_adaptive_estimation(
+            channel, h, array, n, 10.0, 1, AoaSearchGrid(num_points=50)
+        )
+        sines = [round(math.sin(s.config_angle), 12) for s in record.steps]
+        assert sines == [-0.5, 0.5, -0.75, -0.25, 0.0, 0.25, 0.75, 1.0]
 
-    def test_rejects_mismatched_shapes(self):
-        angles = PlausibleAngleSet(np.array([0.0, 0.1]))
-        with pytest.raises(DimensionError):
-            ConfigurationPool(angles, np.ones((3, 2)))
-        with pytest.raises(DimensionError):
-            ConfigurationPool(angles, np.ones(2))
-        pool = ConfigurationPool(angles, np.ones((2, 2)))
-        with pytest.raises(DimensionError):
-            pool.take_best_match(RisConfiguration(np.ones(3)))
+    def test_rejects_mismatched_shapes(self, rng):
+        array = ArrayModel(6, 0.25)
+        channel = LosChannel(1.0, 0.0, 0.1)
+        for length in (5, 7):
+            h = random_bs_ris_channel(length, rng)
+            with pytest.raises(DimensionError):
+                run_adaptive_estimation(channel, h, array, 3, 10.0, rng)
 
 
 class TestConfigCorrelation:
@@ -211,10 +219,10 @@ class TestConfigCorrelation:
         n = 10
         array = ArrayModel(n, 0.5)
         h = random_bs_ris_channel(n, rng)
-        entries = build_configuration_pool(h, plausible_angles(n), array).remaining
+        rows = pool_config_rows(h, plausible_angles(n).angles, array)
         for i, j in ((0, 3), (1, 8), (2, 5)):
             value = config_correlation(
-                entries[i].configuration, entries[j].configuration
+                RisConfiguration(rows[i]), RisConfiguration(rows[j])
             )
             assert value == pytest.approx(0.0, abs=1e-9)
 
@@ -224,14 +232,13 @@ class TestConfigCorrelation:
         n = 12
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
-        entries = build_configuration_pool(h, plausible_angles(n), array).remaining
-        sines = np.sin([e.angle for e in entries])
-        null = config_correlation(entries[0].configuration, entries[2].configuration)
+        angles = plausible_angles(n).angles
+        configs = [RisConfiguration(row) for row in pool_config_rows(h, angles, array)]
+        sines = np.sin(angles)
+        null = config_correlation(configs[0], configs[2])
         assert sines[2] - sines[0] == pytest.approx(4.0 / n)
         assert null == pytest.approx(0.0, abs=1e-9)
-        nonnull = config_correlation(
-            entries[0].configuration, entries[1].configuration
-        )
+        nonnull = config_correlation(configs[0], configs[1])
         assert nonnull > 1.0
 
     def test_orthogonal_two_element_configs(self):
@@ -250,49 +257,44 @@ class TestConfigCorrelation:
         n, rho = 40, 0.25
         array = ArrayModel(n, rho)
         h = random_bs_ris_channel(n, rng)
-        entries = build_configuration_pool(h, plausible_angles(n), array).remaining
+        angles = plausible_angles(n).angles
+        configs = [RisConfiguration(row) for row in pool_config_rows(h, angles, array)]
         for _ in range(25):
             i, j = rng.choice(n, size=2, replace=False)
-            measured = config_correlation(
-                entries[i].configuration, entries[j].configuration
-            )
-            delta = math.sin(entries[j].angle) - math.sin(entries[i].angle)
+            measured = config_correlation(configs[i], configs[j])
+            delta = math.sin(angles[j]) - math.sin(angles[i])
             x = math.pi * rho * delta
             expected = abs(math.sin(n * x) / math.sin(x))
             assert abs(measured - expected) <= 1e-9 * max(expected, 1.0)
 
 
 class TestInitialPair:
-    def test_forty_elements_picks_half_sines(self, rng):
-        n = 40
+    def starting_sines(self, n, rng):
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
-        pool = build_configuration_pool(h, plausible_angles(n), array)
-        select_initial_pair(pool)
-        used_sines = sorted(np.sin(entry.angle) for entry in pool.used)
-        assert used_sines == pytest.approx([-0.5, 0.5])
+        record = run_adaptive_estimation(
+            LosChannel(1.0, 0.0, 0.2), h, array, 2, 10.0, rng
+        )
+        return record, np.sin([s.config_angle for s in record.steps])
+
+    def test_forty_elements_picks_half_sines(self, rng):
+        _, sines = self.starting_sines(40, rng)
+        assert list(sines) == pytest.approx([-0.5, 0.5])
 
     def test_two_elements_uses_both(self, rng):
-        array = ArrayModel(2, 0.25)
-        h = random_bs_ris_channel(2, rng)
-        pool = build_configuration_pool(h, plausible_angles(2), array)
-        first, second = select_initial_pair(pool)
-        assert not pool.remaining
-        assert not np.array_equal(first.phases, second.phases)
+        record, _ = self.starting_sines(2, rng)
+        angles = [s.config_angle for s in record.steps]
+        assert sorted(angles) == list(plausible_angles(2).angles)
+        first, second = record.campaign.config_matrix
+        assert not np.array_equal(first, second)
 
     def test_four_elements_picks_inner_pair(self, rng):
-        array = ArrayModel(4, 0.25)
-        h = random_bs_ris_channel(4, rng)
-        pool = build_configuration_pool(h, plausible_angles(4), array)
-        select_initial_pair(pool)
-        assert sorted(np.sin(e.angle) for e in pool.used) == pytest.approx([-0.5, 0.5])
+        _, sines = self.starting_sines(4, rng)
+        assert list(sines) == pytest.approx([-0.5, 0.5])
 
     def test_exhausted_pool(self, rng):
-        array = ArrayModel(1, 0.25)
-        h = random_bs_ris_channel(1, rng)
-        pool = build_configuration_pool(h, plausible_angles(1), array)
         with pytest.raises(PoolExhaustedError):
-            select_initial_pair(pool)
+            self.starting_sines(1, rng)
 
 
 class TestPeakHelpers:

@@ -1,5 +1,7 @@
 """Tests for the parametric ML estimator and the least-squares baseline."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,16 @@ class TestCampaignTypes:
             AoaSearchGrid(-1.0, 1.0, 1)
         with pytest.raises(ValueError):
             AoaSearchGrid(-2.0, 1.0, 10)
+
+    @pytest.mark.parametrize("num_points", [2.5, math.inf, math.nan])
+    def test_grid_rejects_non_integral_point_count(self, num_points):
+        with pytest.raises(ValueError):
+            AoaSearchGrid(num_points=num_points)
+
+    def test_grid_accepts_whole_float_point_count(self):
+        grid = AoaSearchGrid(-1.0, 1.0, 5.0)
+        assert grid.num_points == 5 and isinstance(grid.num_points, int)
+        assert grid.angles.size == 5
 
 
 class TestMlUtility:

@@ -71,6 +71,20 @@ class TestArrayResponse:
         with pytest.raises(ValueError):
             ArrayModel(4, 0.0)
 
+    @pytest.mark.parametrize(
+        "num_elements, spacing_ratio",
+        [
+            (math.inf, 0.25),
+            (math.nan, 0.25),
+            (2.5, 0.25),
+            (4, math.inf),
+            (4, math.nan),
+        ],
+    )
+    def test_array_model_rejects_non_finite(self, num_elements, spacing_ratio):
+        with pytest.raises(ValueError):
+            ArrayModel(num_elements, spacing_ratio)
+
 
 class TestChannelTypes:
     def test_expand_unit_gain_broadside(self):
