@@ -26,7 +26,6 @@ from .estimators import (
     AoaSearchGrid,
     EstimationResult,
     PilotCampaign,
-    UtilitySamples,
     _gain_and_phase,
     _utility_values,
 )
@@ -42,41 +41,20 @@ from .model import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class PlausibleAngleSet:
-    """Candidate angles whose sines are equally spaced in [-1, 1]."""
-
-    angles: np.ndarray
-
-    def __post_init__(self) -> None:
-        angles = np.array(self.angles, dtype=float)
-        if angles.ndim != 1 or angles.size == 0:
-            raise ValueError("angle set must be a nonempty 1-D array")
-        if np.any(np.abs(angles) > np.pi / 2):
-            raise ValueError("plausible angles must lie in [-pi/2, pi/2]")
-        if angles.size > 1 and np.any(np.diff(angles) <= 0):
-            raise ValueError("plausible angles must be strictly increasing")
-        angles.setflags(write=False)
-        object.__setattr__(self, "angles", angles)
-
-    def __len__(self) -> int:
-        return self.angles.size
-
-    def __iter__(self):
-        return iter(self.angles)
-
-
-def plausible_angles(num_elements: int) -> PlausibleAngleSet:
+def plausible_angles(num_elements: int) -> np.ndarray:
     """The N angles arcsin(2m/N) for m = -floor((N-1)/2), ..., floor(N/2).
 
     Beams of an N-element ULA separated by a sine difference of 2/N are
     nearly orthogonal, so these candidates cover the half-plane evenly.
-    For even N the last index reaches arcsin(1) = pi/2.
+    For even N the last index reaches arcsin(1) = pi/2. The result is an
+    increasing, read-only 1-D array.
     """
     if num_elements < 1:
         raise ValueError("num_elements must be a positive integer")
     m = np.arange(-((num_elements - 1) // 2), num_elements // 2 + 1)
-    return PlausibleAngleSet(np.arcsin(2.0 * m / num_elements))
+    angles = np.arcsin(2.0 * m / num_elements)
+    angles.setflags(write=False)
+    return angles
 
 
 def _phase_compensation(
@@ -103,7 +81,7 @@ def optimal_configuration(
     return RisConfiguration(compensation * np.conj(array_response(array, aoa)))
 
 
-def _conj_responses(array: ArrayModel, angles: PlausibleAngleSet) -> np.ndarray:
+def _conj_responses(array: ArrayModel, angles: np.ndarray) -> np.ndarray:
     """Row k is conj(a(angles[k])), computed exactly as in optimal_configuration."""
     return np.array([np.conj(array_response(array, angle)) for angle in angles])
 
@@ -120,7 +98,7 @@ class AdaptiveSetup:
     grid: AoaSearchGrid
     grid_angles: np.ndarray
     steering: np.ndarray
-    angles: PlausibleAngleSet
+    angles: np.ndarray
     conj_responses: np.ndarray
 
 
@@ -195,26 +173,6 @@ def local_peak_indices(values) -> np.ndarray:
     return np.nonzero(left & right)[0]
 
 
-def top_two_peak_gap_db(values) -> float:
-    """Gap in dB between the largest and second-largest local maxima.
-
-    Returns ``inf`` when fewer than two peaks exist or the runner-up is
-    zero, and 0.0 for an all-flat profile.
-    """
-    v = np.asarray(values, dtype=float)
-    idx = local_peak_indices(v)
-    if idx.size == 0:
-        return 0.0
-    peaks = np.sort(v[idx])[::-1]
-    if peaks.size < 2:
-        return float("inf")
-    if peaks[0] <= 0.0:
-        return 0.0
-    if peaks[1] <= 0.0:
-        return float("inf")
-    return float(10.0 * np.log10(peaks[0] / peaks[1]))
-
-
 @dataclass(frozen=True, eq=False)
 class AdaptiveStep:
     """State after one pilot: what was sent, what came back, what is believed.
@@ -286,23 +244,20 @@ def run_adaptive_estimation(
     grid: AoaSearchGrid | None = None,
     *,
     record_utility: bool = False,
-    initial_angles: tuple[float, float] | None = None,
-    peak_gap_db: float | None = None,
     setup: AdaptiveSetup | None = None,
 ) -> AdaptiveRunRecord:
     """Run the adaptive estimation loop for ``num_pilots`` pilots.
 
-    The first two pilots use the starting pair (or ``initial_angles``
-    nearest-sine matches when prior knowledge is available). After every
-    pilot i >= 2 the angle and coefficient estimates are refreshed from
-    all data so far; while pilots remain, the unused candidate maximizing
-    |candidate^H reference|, with the reference the would-be-optimal
-    configuration, is transmitted next. A used mask over the candidate
-    rows keeps each candidate to one pilot; ties go to the smallest
-    angle. ``pilot_snr`` is the per-element pilot SNR in linear scale
-    (``inf`` for noise-free runs). When ``peak_gap_db`` is set, the run
-    stops early once the utility's top two peaks differ by more than
-    that many dB. ``setup`` shares the trial-independent arrays between
+    The first two pilots use the candidates nearest in sine to
+    ``INITIAL_SINES``. After every pilot i >= 2 the angle and
+    coefficient estimates are refreshed from all data so far; while
+    pilots remain, the unused candidate maximizing |candidate^H
+    reference|, with the reference the would-be-optimal configuration,
+    is transmitted next. A used mask over the candidate rows keeps each
+    candidate to one pilot; ties go to the smallest angle. ``pilot_snr``
+    is the per-element pilot SNR in linear scale (``inf`` for noise-free
+    runs). ``record_utility`` keeps the grid utility in every step after
+    the first. ``setup`` shares the trial-independent arrays between
     runs over the same array and grid; it is built here when absent.
 
     The returned record exposes one step per transmitted pilot; the
@@ -336,7 +291,7 @@ def run_adaptive_estimation(
     compensation = _phase_compensation(bs_ris_channel, array)
     # row k equals optimal_configuration(bs_ris_channel, angles[k], array).phases
     candidates = compensation * setup.conj_responses
-    sines = np.sin(setup.angles.angles)
+    sines = np.sin(setup.angles)
     used = np.zeros(n, dtype=bool)
     grid_angles = setup.grid_angles
     # Columns hold D_h a(angle); every pilot row projects onto them.
@@ -362,20 +317,16 @@ def run_adaptive_estimation(
         energy_acc[:] += np.abs(row_projection) ** 2
         rows.append(config.phases)
         samples.append(sample)
-        pilot_angles.append(float(setup.angles.angles[k]))
+        pilot_angles.append(float(setup.angles[k]))
 
-    start_a, start_b = (
-        np.arcsin(INITIAL_SINES) if initial_angles is None else initial_angles
-    )
-    for start in (start_a, start_b):
-        transmit(np.abs(sines - np.sin(float(start))), np.nanargmin)
+    for start in INITIAL_SINES:
+        transmit(np.abs(sines - start), np.nanargmin)
 
     steps: list[AdaptiveStep] = [
         AdaptiveStep(1, pilot_angles[0], samples[0], None, None, None)
     ]
 
     aoa_hat = gain_hat = phase_hat = 0.0
-    last_utility: np.ndarray | None = None
     for i in range(2, num_pilots + 1):
         utility = _utility_values(inner_acc, energy_acc)
         peak = int(np.argmax(utility))
@@ -383,7 +334,6 @@ def run_adaptive_estimation(
             inner_acc[peak], energy_acc[peak], pilot_power
         )
         aoa_hat = float(grid_angles[peak])
-        last_utility = utility
         steps.append(
             AdaptiveStep(
                 i,
@@ -397,8 +347,6 @@ def run_adaptive_estimation(
         )
         if i == num_pilots:
             break
-        if peak_gap_db is not None and top_two_peak_gap_db(utility) > peak_gap_db:
-            break
         # optimal_configuration(bs_ris_channel, aoa_hat, array).phases
         reference = compensation * np.conj(array_response(array, aoa_hat))
         transmit(np.abs(candidates @ np.conj(reference)), np.nanargmax)
@@ -409,10 +357,5 @@ def run_adaptive_estimation(
     channel_estimate = (
         np.sqrt(gain_hat) * np.exp(1j * phase_hat) * array_response(array, aoa_hat)
     )
-    trace = (
-        UtilitySamples(grid_angles, last_utility)
-        if record_utility and last_utility is not None
-        else None
-    )
-    result = EstimationResult(aoa_hat, gain_hat, phase_hat, channel_estimate, trace)
+    result = EstimationResult(aoa_hat, gain_hat, phase_hat, channel_estimate)
     return AdaptiveRunRecord(tuple(steps), campaign, result, grid)

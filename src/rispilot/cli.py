@@ -134,7 +134,7 @@ def _check_noise_free_recovery() -> tuple[bool, str]:
     array = model.ArrayModel(16, 0.25)
     grid = estimators.AoaSearchGrid(num_points=1500)
     angles = grid.angles
-    pool_angles = adaptive.plausible_angles(16).angles
+    pool_angles = adaptive.plausible_angles(16)
     for _ in range(5):
         target = rng.choice(pool_angles)
         aoa = float(angles[np.argmin(np.abs(angles - target))])
@@ -196,13 +196,13 @@ def _check_scale_invariance() -> tuple[bool, str]:
     n = 12
     array = model.ArrayModel(n, 0.25)
     grid = estimators.AoaSearchGrid(num_points=600)
-    pool = adaptive.plausible_angles(n)
+    pool_angles = adaptive.plausible_angles(n)
     for _ in range(20):
         h = model.random_bs_ris_channel(n, rng)
         rows = np.vstack(
             [
                 adaptive.optimal_configuration(h, a, array).phases
-                for a in rng.choice(pool.angles, size=3, replace=False)
+                for a in rng.choice(pool_angles, size=3, replace=False)
             ]
         )
         received = rng.normal(size=3) + 1j * rng.normal(size=3)
@@ -224,7 +224,7 @@ def _check_beam_correlation() -> tuple[bool, str]:
     rho = 0.25
     array = model.ArrayModel(n, rho)
     h = model.random_bs_ris_channel(n, rng)
-    angles = adaptive.plausible_angles(n).angles
+    angles = adaptive.plausible_angles(n)
     configs = [adaptive.optimal_configuration(h, a, array) for a in angles]
     for _ in range(20):
         i, j = rng.choice(n, size=2, replace=False)

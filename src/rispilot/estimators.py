@@ -112,28 +112,6 @@ class AoaSearchGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class UtilitySamples:
-    """Sampled ML objective: angle grid and the matching utility values."""
-
-    angles: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        angles = np.array(self.angles, dtype=float)
-        values = np.array(self.values, dtype=float)
-        if angles.shape != values.shape or angles.ndim != 1:
-            raise DimensionError("angles and values must be 1-D and equally long")
-        angles.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def argmax_index(self) -> int:
-        return int(np.argmax(self.values))
-
-
-@dataclass(frozen=True, eq=False)
 class EstimationResult:
     """Parametric estimate: angle, gain, phase, and the expanded channel."""
 
@@ -141,7 +119,6 @@ class EstimationResult:
     gain_estimate: float
     phase_estimate: float
     channel_estimate: np.ndarray
-    utility_trace: UtilitySamples | None = None
 
     def __post_init__(self) -> None:
         vec = np.array(self.channel_estimate, dtype=np.complex128)
@@ -253,20 +230,17 @@ def parametric_ml_estimate(
     campaign: PilotCampaign,
     array: ArrayModel,
     grid: AoaSearchGrid,
-    record_utility: bool = False,
 ) -> EstimationResult:
     """Grid-search ML estimate of the LOS channel.
 
-    Composes the angle search with the closed-form coefficient, and
-    optionally keeps the sampled utility for diagnostics.
+    Composes the angle search with the closed-form coefficient.
     """
     angles = grid.angles
     profile = ml_utility_profile(campaign, array, angles)
     aoa = float(angles[int(np.argmax(profile))])
     gain, phase = estimate_scalar_coefficient(campaign, array, aoa)
     channel = np.sqrt(gain) * np.exp(1j * phase) * array_response(array, aoa)
-    trace = UtilitySamples(angles, profile) if record_utility else None
-    return EstimationResult(aoa, gain, phase, channel, trace)
+    return EstimationResult(aoa, gain, phase, channel)
 
 
 def least_squares_estimate(campaign: PilotCampaign) -> np.ndarray:

@@ -81,8 +81,10 @@ class LosChannel:
     aoa: float
 
     def __post_init__(self) -> None:
-        if not self.gain >= 0:
-            raise ValueError("gain must be nonnegative")
+        if not 0 <= self.gain < np.inf:
+            raise ValueError("gain must be nonnegative and finite")
+        if not math.isfinite(self.phase):
+            raise ValueError("phase must be finite")
         _check_front_half_plane(self.aoa)
         object.__setattr__(self, "gain", float(self.gain))
         object.__setattr__(self, "phase", float(self.phase) % TWO_PI)

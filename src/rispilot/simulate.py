@@ -19,7 +19,6 @@ from .adaptive import (
     AdaptiveRunRecord,
     build_adaptive_setup,
     run_adaptive_estimation,
-    simulate_pilot_reception,
 )
 from .errors import AngleDomainError, ConfigValidationError
 from .estimators import AoaSearchGrid, PilotCampaign, least_squares_estimate
@@ -35,21 +34,6 @@ from .model import (
     random_bs_ris_channel,
     _is_integral,
 )
-
-__all__ = [
-    "ExperimentConfig",
-    "RateCurvePoint",
-    "TrialRates",
-    "UtilityStage",
-    "UtilityTrace",
-    "SingleRunSummary",
-    "snr_to_powers",
-    "simulate_pilot_reception",
-    "collect_trial_rates",
-    "run_rate_experiment",
-    "run_utility_trace",
-    "run_single_estimate",
-]
 
 ChannelFactory = Callable[[int, np.random.Generator], KnownBsRisChannel]
 
@@ -91,11 +75,17 @@ class ExperimentConfig:
             "spacing_ratio",
             "must be positive and finite",
         )
-        _require(math.isfinite(self.data_snr_db), "data_snr_db", "must be finite")
+        # inf or nan dB values give an inf, 0 or nan power and fail here too
+        data_power, pilot_power, _ = snr_to_powers(self)
         _require(
-            math.isfinite(self.pilot_snr_offset_db),
+            0 < data_power < math.inf,
+            "data_snr_db",
+            "must give a positive, finite linear power",
+        )
+        _require(
+            0 < pilot_power < math.inf,
             "pilot_snr_offset_db",
-            "must be finite",
+            "must give a positive, finite pilot power",
         )
         _require(
             all(_is_integral(v) for v in self.pilot_budgets),
@@ -152,6 +142,14 @@ class PowerScales(NamedTuple):
     channel_gain: float
 
 
+def _db_to_linear(db: float) -> float:
+    """10**(db/10), with inf where the power overflows a float."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def snr_to_powers(config: ExperimentConfig) -> PowerScales:
     """Translate the configured SNRs into linear power scales.
 
@@ -159,8 +157,8 @@ def snr_to_powers(config: ExperimentConfig) -> PowerScales:
     channel gain, the per-element data SNR equals the data power, and
     the pilot power sits ``pilot_snr_offset_db`` above it.
     """
-    data_power = 10.0 ** (config.data_snr_db / 10.0)
-    pilot_power = data_power * 10.0 ** (config.pilot_snr_offset_db / 10.0)
+    data_power = _db_to_linear(config.data_snr_db)
+    pilot_power = data_power * _db_to_linear(config.pilot_snr_offset_db)
     return PowerScales(data_power, pilot_power, 1.0)
 
 
@@ -230,9 +228,11 @@ def collect_trial_rates(
     Per trial: draw the user angle and reference phase, run one adaptive
     estimation at the largest budget (the estimate recorded after pilot
     L is exactly the budget-L outcome, since earlier pilots do not
-    depend on later ones), run the least-squares baseline on a fresh
-    random subset of DFT columns per budget, and score everything with
-    the phase-matched rate against the capacity.
+    depend on later ones), run the least-squares baseline, and score
+    everything with the phase-matched rate against the capacity. The
+    baseline draws one noise vector and one permutation of the DFT
+    columns per trial; budget L uses the first L columns and the first
+    L noise samples, so the budgets see nested prefixes of both.
 
     ``bs_ris_channel_factory`` may replace the default random-phase
     BS-RIS channel; it must keep unit-magnitude coefficients for the SNR

@@ -97,7 +97,7 @@ def test_criterion_04_noise_free_exactness():
     array = ArrayModel(40, 0.25)
     grid = AoaSearchGrid()
     grid_angles = grid.angles
-    candidates = plausible_angles(40).angles
+    candidates = plausible_angles(40)
     worst_gain = worst_phase = 0.0
     exact = 0
     for _ in range(100):
@@ -133,7 +133,7 @@ def test_criterion_05_ls_exact_recovery():
     array = ArrayModel(n, 0.25)
     dft_rows = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n).T
     extra = pool_config_rows(
-        KnownBsRisChannel(np.ones(n)), plausible_angles(n).angles[:8], array
+        KnownBsRisChannel(np.ones(n)), plausible_angles(n)[:8], array
     )
     worst = 0.0
     for rows in (dft_rows, np.vstack([dft_rows, extra])):
@@ -194,7 +194,7 @@ def test_criterion_07_argmax_scale_invariance():
     n = 16
     array = ArrayModel(n, 0.25)
     grid = AoaSearchGrid(num_points=1200)
-    candidates = plausible_angles(n).angles
+    candidates = plausible_angles(n)
     mismatches = 0
     for _ in range(100):
         h = random_bs_ris_channel(n, rng)
@@ -226,7 +226,7 @@ def test_criterion_08_beam_correlation_formula():
     n, rho = 40, 0.25
     array = ArrayModel(n, rho)
     h = random_bs_ris_channel(n, rng)
-    angles = plausible_angles(n).angles
+    angles = plausible_angles(n)
     configs = [RisConfiguration(row) for row in pool_config_rows(h, angles, array)]
     worst = 0.0
     for _ in range(50):

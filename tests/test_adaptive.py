@@ -31,7 +31,6 @@ from rispilot import (
     random_bs_ris_channel,
     run_adaptive_estimation,
     simulate_pilot_reception,
-    top_two_peak_gap_db,
 )
 
 from conftest import circular_diff, pool_config_rows
@@ -45,14 +44,14 @@ def snap_to_grid(grid: AoaSearchGrid, target: float) -> float:
 class TestPlausibleAngles:
     def test_four_elements(self):
         # hand computation: m in {-1, 0, 1, 2} -> arcsin of {-1/2, 0, 1/2, 1}
-        angles = plausible_angles(4).angles
+        angles = plausible_angles(4)
         assert np.allclose(angles, [-np.pi / 6, 0.0, np.pi / 6, np.pi / 2])
 
     def test_single_element(self):
-        assert np.array_equal(plausible_angles(1).angles, [0.0])
+        assert np.array_equal(plausible_angles(1), [0.0])
 
     def test_forty_elements_sine_spacing(self):
-        angles = plausible_angles(40).angles
+        angles = plausible_angles(40)
         assert angles.size == 40
         sines = np.sin(angles)
         assert sines[0] == pytest.approx(-0.95)
@@ -61,10 +60,15 @@ class TestPlausibleAngles:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 16])
     def test_count_and_sines(self, n):
-        angles = plausible_angles(n).angles
+        angles = plausible_angles(n)
         assert angles.size == n
         m = np.arange(-((n - 1) // 2), n // 2 + 1)
         assert np.allclose(np.sin(angles), 2.0 * m / n, atol=1e-12)
+
+    def test_result_is_read_only(self):
+        angles = plausible_angles(8)
+        with pytest.raises(ValueError):
+            angles[0] = 0.0
 
 
 class TestOptimalConfiguration:
@@ -108,7 +112,7 @@ class TestConfigurationPool:
             LosChannel(1.0, 0.4, 0.3), h, array, n, 10.0, rng
         )
         angles = [s.config_angle for s in record.steps]
-        assert sorted(angles) == list(plausible_angles(n).angles)
+        assert sorted(angles) == list(plausible_angles(n))
         for angle, row in zip(angles, record.campaign.config_matrix):
             expected = np.conj(
                 np.exp(-2j * np.pi * 0.25 * np.arange(n) * np.sin(angle))
@@ -124,7 +128,7 @@ class TestConfigurationPool:
         channel = LosChannel(1.0, 0.5, -0.3)
         full = run_adaptive_estimation(channel, h, array, n, 10.0, 8)
         picks = [s.config_angle for s in full.steps]
-        assert sorted(picks) == list(plausible_angles(n).angles)
+        assert sorted(picks) == list(plausible_angles(n))
         for budget in range(2, n):
             record = run_adaptive_estimation(channel, h, array, budget, 10.0, 8)
             assert [s.config_angle for s in record.steps] == picks[:budget]
@@ -134,7 +138,7 @@ class TestConfigurationPool:
         # two-pilot estimate is that angle, so the third pilot is its beam
         n = 16
         array = ArrayModel(n, 0.25)
-        target = float(plausible_angles(n).angles[10])
+        target = float(plausible_angles(n)[10])
         grid = AoaSearchGrid(target, np.pi / 2, 500)
         for seed in range(3):
             h = random_bs_ris_channel(n, seed)
@@ -166,7 +170,7 @@ class TestConfigurationPool:
         h = random_bs_ris_channel(n, rng)
         channel = LosChannel(1.0, 1.1, -0.45)
         record = run_adaptive_estimation(channel, h, array, n, 10.0, rng)
-        angles = plausible_angles(n).angles
+        angles = plausible_angles(n)
         for prev, step in zip(record.steps[1:], record.steps[2:]):
             picked = {s.config_angle for s in record.steps[: step.pilot_index - 1]}
             unused = [float(a) for a in angles if a not in picked]
@@ -178,21 +182,20 @@ class TestConfigurationPool:
             assert step.config_angle == unused[int(np.argmax(scores))]
 
     def test_ties_go_to_smallest_remaining_angle(self):
-        # nearest-sine tie: sines -2/3 and 2/3 are equally far from 0
-        array = ArrayModel(3, 0.25)
-        h = random_bs_ris_channel(3, 2)
+        # nearest-sine tie: at N=10 the sines -0.6/-0.4 are equally far
+        # from -0.5, and 0.4/0.6 from 0.5
+        array = ArrayModel(10, 0.25)
+        h = random_bs_ris_channel(10, 2)
         channel = LosChannel(1.0, 0.3, 0.2)
-        record = run_adaptive_estimation(
-            channel, h, array, 2, 10.0, 1, initial_angles=(0.0, 0.0)
-        )
-        angles = plausible_angles(3).angles
-        assert [s.config_angle for s in record.steps] == [0.0, angles[0]]
+        record = run_adaptive_estimation(channel, h, array, 2, 10.0, 1)
+        angles = plausible_angles(10)
+        assert [s.config_angle for s in record.steps] == [angles[1], angles[6]]
         # best-match tie: at a vanishing spacing every candidate is the
         # all-ones beam, so all scores are exactly equal
         n = 8
         array = ArrayModel(n, 1e-300)
         h = KnownBsRisChannel(np.ones(n))
-        rows = pool_config_rows(h, plausible_angles(n).angles, array)
+        rows = pool_config_rows(h, plausible_angles(n), array)
         assert np.all(np.abs(rows @ np.conj(rows[0])) == n)
         record = run_adaptive_estimation(
             channel, h, array, n, 10.0, 1, AoaSearchGrid(num_points=50)
@@ -219,7 +222,7 @@ class TestConfigCorrelation:
         n = 10
         array = ArrayModel(n, 0.5)
         h = random_bs_ris_channel(n, rng)
-        rows = pool_config_rows(h, plausible_angles(n).angles, array)
+        rows = pool_config_rows(h, plausible_angles(n), array)
         for i, j in ((0, 3), (1, 8), (2, 5)):
             value = config_correlation(
                 RisConfiguration(rows[i]), RisConfiguration(rows[j])
@@ -232,7 +235,7 @@ class TestConfigCorrelation:
         n = 12
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
-        angles = plausible_angles(n).angles
+        angles = plausible_angles(n)
         configs = [RisConfiguration(row) for row in pool_config_rows(h, angles, array)]
         sines = np.sin(angles)
         null = config_correlation(configs[0], configs[2])
@@ -257,7 +260,7 @@ class TestConfigCorrelation:
         n, rho = 40, 0.25
         array = ArrayModel(n, rho)
         h = random_bs_ris_channel(n, rng)
-        angles = plausible_angles(n).angles
+        angles = plausible_angles(n)
         configs = [RisConfiguration(row) for row in pool_config_rows(h, angles, array)]
         for _ in range(25):
             i, j = rng.choice(n, size=2, replace=False)
@@ -284,7 +287,7 @@ class TestInitialPair:
     def test_two_elements_uses_both(self, rng):
         record, _ = self.starting_sines(2, rng)
         angles = [s.config_angle for s in record.steps]
-        assert sorted(angles) == list(plausible_angles(2).angles)
+        assert sorted(angles) == list(plausible_angles(2))
         first, second = record.campaign.config_matrix
         assert not np.array_equal(first, second)
 
@@ -302,17 +305,12 @@ class TestPeakHelpers:
         values = np.array([3.0, 1.0, 2.0, 5.0, 2.0, 2.5, 1.0, 0.5])
         assert list(local_peak_indices(values)) == [0, 3, 5]
 
-    def test_peak_gap(self):
-        values = np.array([0.0, 10.0, 0.0, 1.0, 0.0])
-        assert top_two_peak_gap_db(values) == pytest.approx(10.0)
-        assert top_two_peak_gap_db(np.array([0.0, 1.0, 0.0])) == math.inf
-
 
 class TestAdaptiveRun:
     def run_noise_free(self, rng, n=8, budget=5, grid_points=900):
         array = ArrayModel(n, 0.25)
         grid = AoaSearchGrid(num_points=grid_points)
-        truth_angle = snap_to_grid(grid, float(rng.choice(plausible_angles(n).angles)))
+        truth_angle = snap_to_grid(grid, float(rng.choice(plausible_angles(n))))
         channel = LosChannel(
             float(rng.uniform(0.5, 2.0)), float(rng.uniform(0, 2 * np.pi)), truth_angle
         )
@@ -353,7 +351,7 @@ class TestAdaptiveRun:
         assert [s.pilot_index for s in record.steps] == list(range(1, budget + 1))
         assert record.steps[0].aoa_estimate is None
         assert all(s.aoa_estimate is not None for s in record.steps[1:])
-        pool_angle_set = set(np.round(plausible_angles(n).angles, 12))
+        pool_angle_set = set(np.round(plausible_angles(n), 12))
         used = [round(s.config_angle, 12) for s in record.steps]
         assert len(set(used)) == budget  # never reissues a configuration
         assert set(used) <= pool_angle_set
@@ -406,7 +404,7 @@ class TestAdaptiveRun:
         channel = LosChannel(1.0, 0.3, 0.2)
         record = run_adaptive_estimation(channel, h, array, n, 10.0, rng, grid)
         used = sorted(round(s.config_angle, 12) for s in record.steps)
-        assert used == sorted(np.round(plausible_angles(n).angles, 12))
+        assert used == sorted(np.round(plausible_angles(n), 12))
         batch = parametric_ml_estimate(record.campaign, array, grid)
         assert batch.aoa_estimate == record.result.aoa_estimate
         assert batch.gain_estimate == pytest.approx(
@@ -427,45 +425,6 @@ class TestAdaptiveRun:
         assert first.result.aoa_estimate == second.result.aoa_estimate
         assert first.result.gain_estimate == second.result.gain_estimate
 
-    def test_initial_angle_override(self, rng):
-        n = 16
-        array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
-        channel = LosChannel(1.0, 0.0, 0.3)
-        record = run_adaptive_estimation(
-            channel,
-            h,
-            array,
-            4,
-            10.0,
-            rng,
-            initial_angles=(0.29, 0.4),
-        )
-        sines = np.sin([record.steps[0].config_angle, record.steps[1].config_angle])
-        pool_sines = np.sin(plausible_angles(n).angles)
-        assert sines[0] == pytest.approx(
-            pool_sines[np.argmin(np.abs(pool_sines - np.sin(0.29)))]
-        )
-        assert sines[1] == pytest.approx(
-            pool_sines[np.argmin(np.abs(pool_sines - np.sin(0.4)))]
-        )
-
-    def test_early_termination_on_peak_gap(self, rng):
-        # a noise-free run develops one dominant peak, so a small gap
-        # threshold must stop it before the full budget
-        n = 16
-        array = ArrayModel(n, 0.25)
-        grid = AoaSearchGrid(num_points=600)
-        truth = snap_to_grid(grid, float(plausible_angles(n).angles[4]))
-        channel = LosChannel(1.0, 1.2, truth)
-        h = random_bs_ris_channel(n, rng)
-        full = run_adaptive_estimation(channel, h, array, n, math.inf, rng, grid)
-        stopped = run_adaptive_estimation(
-            channel, h, array, n, math.inf, rng, grid, peak_gap_db=1.0
-        )
-        assert len(stopped.steps) < len(full.steps)
-        assert stopped.result.aoa_estimate == truth
-
     def test_record_utility_traces(self, rng):
         n = 8
         array = ArrayModel(n, 0.25)
@@ -479,7 +438,6 @@ class TestAdaptiveRun:
         for step in record.steps[1:]:
             assert step.utility is not None and step.utility.size == 300
             assert grid.angles[np.argmax(step.utility)] == step.aoa_estimate
-        assert record.result.utility_trace is not None
 
     def test_shared_setup_matches_per_run_setup(self):
         # one setup serves many runs; each must equal a run that builds its
@@ -488,29 +446,18 @@ class TestAdaptiveRun:
         array = ArrayModel(n, 0.25)
         grid = AoaSearchGrid(num_points=700)
         setup = build_adaptive_setup(array, grid)
-        cases = [
-            (0, None, None),
-            (1, (0.29, -0.4), None),
-            (2, None, 3.0),
-            (3, (-1.2, 1.2), 6.0),
-            (4, None, None),
-        ]
-        for seed, initial_angles, peak_gap_db in cases:
+        for seed in range(5):
             gen = np.random.default_rng(seed)
             h = random_bs_ris_channel(n, gen)
             channel = LosChannel(
                 1.0, float(gen.uniform(0, 2 * np.pi)), float(gen.uniform(-1, 1))
             )
-            kwargs = dict(
-                record_utility=True,
-                initial_angles=initial_angles,
-                peak_gap_db=peak_gap_db,
-            )
             fresh = run_adaptive_estimation(
-                channel, h, array, n, 10.0, seed + 100, grid, **kwargs
+                channel, h, array, n, 10.0, seed + 100, grid, record_utility=True
             )
             shared = run_adaptive_estimation(
-                channel, h, array, n, 10.0, seed + 100, grid, setup=setup, **kwargs
+                channel, h, array, n, 10.0, seed + 100, grid,
+                record_utility=True, setup=setup,
             )
             assert len(fresh.steps) == len(shared.steps)
             for a, b in zip(fresh.steps, shared.steps):
@@ -523,6 +470,16 @@ class TestAdaptiveRun:
                     assert b.utility is None
                 else:
                     assert np.array_equal(a.utility, b.utility)
+
+    def test_setup_arrays_are_read_only(self):
+        # one setup is shared by every trial of an experiment
+        array, grid = ArrayModel(8, 0.25), AoaSearchGrid(num_points=50)
+        setup = build_adaptive_setup(array, grid)
+        for values in (
+            setup.grid_angles, setup.steering, setup.angles, setup.conj_responses
+        ):
+            with pytest.raises(ValueError):
+                values[0] = 0.0
 
     def test_rejects_setup_for_another_grid(self, rng):
         n = 8

@@ -146,6 +146,10 @@ def test_validate_failure_exits_nonzero(capsys, monkeypatch):
     [
         ["rate-curve", "--set", "wavelength=3", "--out", "x.csv"],
         ["rate-curve", "--set", "num_trials=0", "--out", "x.csv"],
+        # linear powers that overflow or underflow to 0
+        ["rate-curve", "--set", "data_snr_db=4000", "--out", "x.csv"],
+        ["rate-curve", "--set", "data_snr_db=-4000", "--out", "x.csv"],
+        ["rate-curve", "--set", "pilot_snr_offset_db=-4000", "--out", "x.csv"],
         ["utility-trace", *FAST, "--true-aoa-deg", "80", "--l-max", "5",
          "--out", "x.csv"],  # outside the configured UE range
         ["utility-trace", *FAST, "--true-aoa-deg", "0", "--l-max", "40",

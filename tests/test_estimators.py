@@ -87,7 +87,7 @@ class TestMlUtility:
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
         channel = LosChannel(gain=1.9, phase=0.7, aoa=0.35)
-        rows = pool_config_rows(h, plausible_angles(n).angles[:4], array)
+        rows = pool_config_rows(h, plausible_angles(n)[:4], array)
         campaign = make_campaign(rows, h, channel, array, pilot_power=2.0)
         direction = rows @ (
             h.coefficients * expand_channel(LosChannel(1.0, 0.0, 0.35), array)
@@ -147,7 +147,7 @@ class TestMlUtility:
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
         channel = LosChannel(1.0, 1.1, -0.5)
-        rows = pool_config_rows(h, plausible_angles(n).angles[2:6], array)
+        rows = pool_config_rows(h, plausible_angles(n)[2:6], array)
         campaign = make_campaign(rows, h, channel, array, 1.0, noise_std=1.0, rng=rng)
         angles = np.linspace(-1.3, 1.3, 41)
         profile = ml_utility_profile(campaign, array, angles)
@@ -185,7 +185,7 @@ class TestEstimateAoa:
         truth = float(grid.angles[517])
         h = random_bs_ris_channel(n, rng)
         channel = LosChannel(1.4, 0.9, truth)
-        rows = pool_config_rows(h, plausible_angles(n).angles, array)
+        rows = pool_config_rows(h, plausible_angles(n), array)
         campaign = make_campaign(rows, h, channel, array, 1.0)
         assert estimate_aoa(campaign, array, grid) == truth
         values = np.array(
@@ -240,7 +240,7 @@ class TestScalarCoefficient:
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
         truth = LosChannel(gain=0.8, phase=2.9, aoa=-0.41)
-        rows = pool_config_rows(h, plausible_angles(n).angles[::2], array)
+        rows = pool_config_rows(h, plausible_angles(n)[::2], array)
         campaign = make_campaign(rows, h, truth, array, pilot_power=3.0)
         gain, phase = estimate_scalar_coefficient(campaign, array, -0.41)
         assert gain == pytest.approx(0.8, rel=1e-9)
@@ -278,7 +278,7 @@ class TestParametricMl:
         truth_aoa = float(grid.angles[222])
         truth = LosChannel(gain=2.2, phase=4.0, aoa=truth_aoa)
         h = random_bs_ris_channel(n, rng)
-        rows = pool_config_rows(h, plausible_angles(n).angles, array)
+        rows = pool_config_rows(h, plausible_angles(n), array)
         campaign = make_campaign(rows, h, truth, array, 1.5)
         result = parametric_ml_estimate(campaign, array, grid)
         g = expand_channel(truth, array)
@@ -310,24 +310,6 @@ class TestParametricMl:
         campaign = PilotCampaign(rows, np.zeros(2), 1.0, h)
         result = parametric_ml_estimate(campaign, array, AoaSearchGrid(num_points=50))
         assert np.array_equal(result.channel_estimate, np.zeros(n, dtype=complex))
-
-    def test_utility_trace_recorded_on_request(self, rng):
-        n = 5
-        array = ArrayModel(n, 0.25)
-        grid = AoaSearchGrid(num_points=64)
-        h = random_bs_ris_channel(n, rng)
-        channel = LosChannel(1.0, 0.0, 0.4)
-        rows = pool_config_rows(h, [-0.5, 0.5], array)
-        campaign = make_campaign(rows, h, channel, array, 1.0, noise_std=0.2, rng=rng)
-        bare = parametric_ml_estimate(campaign, array, grid)
-        assert bare.utility_trace is None
-        traced = parametric_ml_estimate(campaign, array, grid, record_utility=True)
-        assert traced.utility_trace is not None
-        assert traced.utility_trace.values.size == 64
-        assert (
-            traced.utility_trace.angles[traced.utility_trace.argmax_index]
-            == traced.aoa_estimate
-        )
 
 
 class TestLeastSquares:

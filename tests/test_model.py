@@ -114,6 +114,14 @@ class TestChannelTypes:
         with pytest.raises(AngleDomainError):
             LosChannel(gain=1.0, phase=0.0, aoa=2.0)
 
+    @pytest.mark.parametrize(
+        "gain, phase",
+        [(math.inf, 0.0), (1.0, math.inf), (1.0, -math.inf), (1.0, math.nan)],
+    )
+    def test_los_channel_rejects_non_finite(self, gain, phase):
+        with pytest.raises(ValueError):
+            LosChannel(gain=gain, phase=phase, aoa=0.0)
+
     def test_los_channel_wraps_phase(self):
         assert LosChannel(1.0, 2 * np.pi + 0.5, 0.0).phase == pytest.approx(0.5)
         assert LosChannel(1.0, -0.5, 0.0).phase == pytest.approx(2 * np.pi - 0.5)

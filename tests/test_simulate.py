@@ -99,6 +99,14 @@ class TestExperimentConfig:
             {"grid_points": math.nan},
             {"rng_seed": math.nan},
             {"spacing_ratio": math.inf},
+            {"data_snr_db": 4000.0},
+            {"data_snr_db": -4000.0},
+            {"pilot_snr_offset_db": -4000.0},
+            {"data_snr_db": 3000.0, "pilot_snr_offset_db": 200.0},
+            {"data_snr_db": math.nan},
+            {"data_snr_db": -math.inf},
+            {"pilot_snr_offset_db": math.inf},
+            {"pilot_snr_offset_db": math.nan},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
