@@ -7,9 +7,6 @@ Carlo harness with CSV output.
 """
 
 from .adaptive import (
-    AdaptiveRunRecord,
-    AdaptiveSetup,
-    AdaptiveStep,
     build_adaptive_setup,
     config_correlation,
     local_peak_indices,
@@ -31,7 +28,6 @@ from .errors import (
 )
 from .estimators import (
     AoaSearchGrid,
-    EstimationResult,
     PilotCampaign,
     estimate_aoa,
     estimate_scalar_coefficient,
@@ -56,12 +52,7 @@ from .model import (
 )
 from .simulate import (
     ExperimentConfig,
-    PowerScales,
     RateCurvePoint,
-    SingleRunSummary,
-    TrialRates,
-    UtilityStage,
-    UtilityTrace,
     collect_trial_rates,
     run_rate_experiment,
     run_single_estimate,
@@ -72,9 +63,6 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveRunRecord",
-    "AdaptiveSetup",
-    "AdaptiveStep",
     "AngleDomainError",
     "AoaSearchGrid",
     "ArrayModel",
@@ -82,22 +70,16 @@ __all__ = [
     "ConfigValidationError",
     "DegenerateDirectionError",
     "DimensionError",
-    "EstimationResult",
     "ExperimentConfig",
     "InsufficientPilotsError",
     "KnownBsRisChannel",
     "LosChannel",
     "PilotCampaign",
     "PoolExhaustedError",
-    "PowerScales",
     "RateCurvePoint",
     "RisConfiguration",
     "RisPilotError",
-    "SingleRunSummary",
     "SingularChannelError",
-    "TrialRates",
-    "UtilityStage",
-    "UtilityTrace",
     "achievable_rate",
     "array_response",
     "build_adaptive_setup",

@@ -271,11 +271,6 @@ def run_adaptive_estimation(
         raise PoolExhaustedError(
             f"budget {num_pilots} exceeds the {n} available configurations"
         )
-    if bs_ris_channel.num_elements != n:
-        raise DimensionError(
-            f"BS-RIS channel length {bs_ris_channel.num_elements} does not "
-            f"match the {n}-element array"
-        )
     if grid is None:
         grid = AoaSearchGrid()
     if setup is None:

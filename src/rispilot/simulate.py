@@ -75,12 +75,13 @@ class ExperimentConfig:
             "spacing_ratio",
             "must be positive and finite",
         )
-        # inf or nan dB values give an inf, 0 or nan power and fail here too
+        # inf or nan dB values fail here too, and so does a power so small that
+        # the capacity log2(1 + N^2 P_d) rounds to 0: the rate ratios divide by it
         data_power, pilot_power, _ = snr_to_powers(self)
         _require(
-            0 < data_power < math.inf,
+            data_power < math.inf and 1.0 + data_power * self.num_elements**2 > 1.0,
             "data_snr_db",
-            "must give a positive, finite linear power",
+            "must give a finite power whose capacity log2(1 + N^2 P_d) is above 0",
         )
         _require(
             0 < pilot_power < math.inf,

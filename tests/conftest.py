@@ -9,21 +9,8 @@ from rispilot import (
     LosChannel,
     PilotCampaign,
     expand_channel,
-    optimal_configuration,
 )
-
-
-def circular_diff(a: float, b: float) -> float:
-    """Distance between two phases on the circle."""
-    d = abs(a - b) % (2 * np.pi)
-    return min(d, 2 * np.pi - d)
-
-
-def pool_config_rows(h: KnownBsRisChannel, angles, array: ArrayModel) -> np.ndarray:
-    """Stack of candidate-configuration rows for the given angles."""
-    return np.vstack(
-        [optimal_configuration(h, float(a), array).phases for a in angles]
-    )
+from rispilot.checks import circular_diff, pool_config_rows  # noqa: F401
 
 
 def make_campaign(

@@ -8,31 +8,9 @@ import math
 
 import numpy as np
 
-from rispilot import (
-    AoaSearchGrid,
-    ArrayModel,
-    KnownBsRisChannel,
-    LosChannel,
-    PilotCampaign,
-    RisConfiguration,
-    achievable_rate,
-    capacity,
-    config_correlation,
-    effective_channel,
-    estimate_aoa,
-    expand_channel,
-    least_squares_estimate,
-    local_peak_indices,
-    plausible_angles,
-    random_bs_ris_channel,
-    run_adaptive_estimation,
-    run_rate_experiment,
-    run_utility_trace,
-)
+from rispilot import checks, local_peak_indices, run_rate_experiment, run_utility_trace
 from rispilot.cli import main
 from rispilot.simulate import ExperimentConfig
-
-from conftest import circular_diff, pool_config_rows
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -93,152 +71,65 @@ def test_criterion_03_ls_convergence():
 def test_criterion_04_noise_free_exactness():
     # 100 random channels with the truth on the candidate-angle grid are
     # recovered exactly with 5 noise-free pilots
-    rng = np.random.default_rng(2024)
-    array = ArrayModel(40, 0.25)
-    grid = AoaSearchGrid()
-    grid_angles = grid.angles
-    candidates = plausible_angles(40)
-    worst_gain = worst_phase = 0.0
-    exact = 0
-    for _ in range(100):
-        target = rng.choice(candidates)
-        truth_aoa = float(grid_angles[np.argmin(np.abs(grid_angles - target))])
-        gain = float(rng.uniform(0.25, 4.0))
-        phase = float(rng.uniform(0.0, 2 * np.pi))
-        channel = LosChannel(gain, phase, truth_aoa)
-        h = random_bs_ris_channel(40, rng)
-        record = run_adaptive_estimation(channel, h, array, 5, math.inf, rng, grid)
-        exact += record.result.aoa_estimate == truth_aoa
-        worst_gain = max(worst_gain, abs(record.result.gain_estimate - gain) / gain)
-        worst_phase = max(
-            worst_phase, circular_diff(record.result.phase_estimate, channel.phase)
-        )
-    ok = exact == 100 and worst_gain <= 1e-9 and worst_phase <= 1e-9 * 2 * np.pi
-    report(
-        4,
-        ok,
-        f"exact angle {exact}/100, worst gain rel err {worst_gain:.2e}, "
-        f"worst phase err {worst_phase:.2e} rad",
+    result = checks.noise_free_recovery()
+    v = result.values
+    ok = (
+        result.cases == 100
+        and v["exact"] == 100
+        and v["worst_gain"] <= 1e-9
+        and v["worst_phase"] <= 1e-9 * 2 * np.pi
     )
-    assert exact == 100
-    assert worst_gain <= 1e-9
-    assert worst_phase <= 1e-9 * 2 * np.pi
+    report(4, ok, result.detail)
+    assert result.cases == 100
+    assert v["exact"] == 100
+    assert v["worst_gain"] <= 1e-9
+    assert v["worst_phase"] <= 1e-9 * 2 * np.pi
 
 
 def test_criterion_05_ls_exact_recovery():
     # full-rank noise-free campaigns with L >= N reproduce the channel
     # to 1e-9 elementwise
-    rng = np.random.default_rng(77)
-    n = 16
-    array = ArrayModel(n, 0.25)
-    dft_rows = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n).T
-    extra = pool_config_rows(
-        KnownBsRisChannel(np.ones(n)), plausible_angles(n)[:8], array
-    )
-    worst = 0.0
-    for rows in (dft_rows, np.vstack([dft_rows, extra])):
-        for _ in range(10):
-            channel = LosChannel(
-                float(rng.uniform(0.2, 3.0)),
-                float(rng.uniform(0.0, 2 * np.pi)),
-                float(rng.uniform(-1.3, 1.3)),
-            )
-            h = random_bs_ris_channel(n, rng)
-            g = expand_channel(channel, array)
-            received = rows @ (h.coefficients * g) * np.sqrt(5.0)
-            campaign = PilotCampaign(rows, received, 5.0, h)
-            estimate = least_squares_estimate(campaign)
-            worst = max(worst, float(np.max(np.abs(estimate - g))))
-    ok = worst <= 1e-9
-    report(5, ok, f"worst elementwise recovery error {worst:.2e} over 20 campaigns")
-    assert worst <= 1e-9
+    result = checks.least_squares_recovery()
+    ok = result.cases == 20 and result.values["worst"] <= 1e-9
+    report(5, ok, result.detail)
+    assert result.cases == 20
+    assert result.values["worst"] <= 1e-9
 
 
 def test_criterion_06_capacity_bound_suite():
     # 1e4 random draws: no configuration beats the bound, and the
     # phase-aligned configuration attains it to 1e-9 relative
-    rng = np.random.default_rng(31)
-    violations = 0
-    worst_equality = 0.0
-    for _ in range(10_000):
-        n = int(rng.integers(2, 33))
-        h = KnownBsRisChannel(
-            rng.uniform(0.2, 2.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-        )
-        g = rng.normal(size=n) + 1j * rng.normal(size=n)
-        snr = float(rng.uniform(0.1, 5.0))
-        cap = capacity(h, g, snr)
-        theta = RisConfiguration(np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
-        rate = achievable_rate(effective_channel(theta, h, g), snr)
-        violations += rate > cap
-        aligned = RisConfiguration(
-            np.exp(-1j * (np.angle(h.coefficients) + np.angle(g)))
-        )
-        best = achievable_rate(effective_channel(aligned, h, g), snr)
-        worst_equality = max(worst_equality, abs(best - cap) / cap)
-    ok = violations == 0 and worst_equality <= 1e-9
-    report(
-        6,
-        ok,
-        f"{violations} bound violations, worst optimal-config equality "
-        f"error {worst_equality:.2e} (relative)",
+    result = checks.capacity_bound()
+    v = result.values
+    ok = (
+        result.cases == 10_000
+        and v["violations"] == 0
+        and v["worst_equality"] <= 1e-9
     )
-    assert violations == 0
-    assert worst_equality <= 1e-9
+    report(6, ok, result.detail)
+    assert result.cases == 10_000
+    assert v["violations"] == 0
+    assert v["worst_equality"] <= 1e-9
 
 
 def test_criterion_07_argmax_scale_invariance():
     # scaling the received vector by any nonzero complex number leaves
     # the angle estimate exactly unchanged
-    rng = np.random.default_rng(55)
-    n = 16
-    array = ArrayModel(n, 0.25)
-    grid = AoaSearchGrid(num_points=1200)
-    candidates = plausible_angles(n)
-    mismatches = 0
-    for _ in range(100):
-        h = random_bs_ris_channel(n, rng)
-        num_rows = int(rng.integers(2, 7))
-        rows = pool_config_rows(
-            h, rng.choice(candidates, size=num_rows, replace=False), array
-        )
-        channel = LosChannel(1.0, float(rng.uniform(0, 2 * np.pi)),
-                             float(rng.uniform(-1.0, 1.0)))
-        g = expand_channel(channel, array)
-        noise = rng.standard_normal(num_rows) + 1j * rng.standard_normal(num_rows)
-        received = rows @ (h.coefficients * g) * np.sqrt(10.0) + noise / np.sqrt(2)
-        campaign = PilotCampaign(rows, received, 10.0, h)
-        baseline = estimate_aoa(campaign, array, grid)
-        scale = 0.0
-        while scale == 0.0:
-            scale = complex(rng.normal(), rng.normal())
-        scaled = PilotCampaign(rows, scale * received, 10.0, h)
-        mismatches += estimate_aoa(scaled, array, grid) != baseline
-    ok = mismatches == 0
-    report(7, ok, f"{mismatches} argmax changes over 100 scaled campaigns")
-    assert mismatches == 0
+    result = checks.scale_invariance()
+    ok = result.cases == 100 and result.values["mismatches"] == 0
+    report(7, ok, result.detail)
+    assert result.cases == 100
+    assert result.values["mismatches"] == 0
 
 
 def test_criterion_08_beam_correlation_formula():
     # candidate-beam inner products follow |sin(N x)/sin(x)| in the sine
     # difference, to 1e-9 (relative above 1, absolute at the exact nulls)
-    rng = np.random.default_rng(101)
-    n, rho = 40, 0.25
-    array = ArrayModel(n, rho)
-    h = random_bs_ris_channel(n, rng)
-    angles = plausible_angles(n)
-    configs = [RisConfiguration(row) for row in pool_config_rows(h, angles, array)]
-    worst = 0.0
-    for _ in range(50):
-        i, j = rng.choice(n, size=2, replace=False)
-        measured = config_correlation(configs[i], configs[j])
-        delta = math.sin(angles[j]) - math.sin(angles[i])
-        x = math.pi * rho * delta
-        analytic = abs(math.sin(n * x) / math.sin(x))
-        worst = max(worst, abs(measured - analytic) / max(analytic, 1.0))
-    ok = worst <= 1e-9
-    report(8, ok, f"worst kernel mismatch {worst:.2e} over 50 beam pairs")
-    assert worst <= 1e-9
+    result = checks.beam_correlation()
+    ok = result.cases == 50 and result.values["worst"] <= 1e-9
+    report(8, ok, result.detail)
+    assert result.cases == 50
+    assert result.values["worst"] <= 1e-9
 
 
 def gap_db_between_top_two_peaks(utility_db: np.ndarray) -> float:

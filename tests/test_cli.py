@@ -2,6 +2,7 @@
 
 import pytest
 
+from rispilot import adaptive, checks, estimators, model
 from rispilot.cli import main
 from rispilot.io import RATE_CSV_HEADER, UTILITY_CSV_HEADER
 
@@ -41,28 +42,6 @@ def test_config_file_plus_overrides(tmp_path):
          "--out", str(out)]
     ) == 0
     assert out.read_text().splitlines()[1].endswith(",25")
-
-
-def test_env_seed_overrides_config(tmp_path, monkeypatch):
-    base = tmp_path / "base.csv"
-    env = tmp_path / "env.csv"
-    explicit = tmp_path / "explicit.csv"
-    assert main(["rate-curve", *FAST, "--out", str(base)]) == 0
-    monkeypatch.setenv("RIS_SIM_SEED", "777")
-    assert main(["rate-curve", *FAST, "--out", str(env)]) == 0
-    monkeypatch.delenv("RIS_SIM_SEED")
-    assert main(
-        ["rate-curve", *FAST, "--set", "rng_seed=777", "--out", str(explicit)]
-    ) == 0
-    assert env.read_bytes() != base.read_bytes()
-    assert env.read_bytes() == explicit.read_bytes()
-
-
-def test_bad_env_seed_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("RIS_SIM_SEED", "not-a-number")
-    code = main(["rate-curve", *FAST, "--out", str(tmp_path / "r.csv")])
-    assert code == 2
-    assert "RIS_SIM_SEED" in capsys.readouterr().err
 
 
 def test_utility_trace_cli(tmp_path):
@@ -129,16 +108,41 @@ def test_validate_passes(capsys):
 
 
 def test_validate_failure_exits_nonzero(capsys, monkeypatch):
-    import rispilot.cli as cli
+    def broken():
+        return checks.CheckResult(False, 1, "synthetic failure", {})
 
-    def broken_check():
-        return False, "synthetic failure"
+    monkeypatch.setattr(checks, "CHECKS", (broken,) + checks.CHECKS)
+    assert main(["validate"]) == 2
+    assert "FAIL broken: synthetic failure" in capsys.readouterr().out
 
+
+# (check, module, function, how the function's output is distorted)
+DEFECTS = [
+    ("noise-free-recovery", adaptive, "_gain_and_phase",
+     lambda out, *_: (out[0] * (1 + 1e-6), out[1])),
+    ("least-squares-recovery", estimators, "least_squares_estimate",
+     lambda out, *_: out + 1e-6),
+    ("capacity-bound", model, "capacity", lambda out, *_: out * (1 + 1e-6)),
+    ("scale-invariance", estimators, "estimate_aoa",
+     lambda out, campaign, *_: out + 1e-3 * abs(campaign.received[0])),
+    ("beam-correlation", adaptive, "config_correlation",
+     lambda out, *_: out * (1 + 1e-6)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, module, function, distort", DEFECTS, ids=[d[0] for d in DEFECTS]
+)
+def test_validate_fails_on_a_defect(name, module, function, distort, capsys,
+                                    monkeypatch):
+    # only the covered check runs, to keep the suite fast
+    monkeypatch.setattr(checks, "CHECKS", (getattr(checks, name.replace("-", "_")),))
+    original = getattr(module, function)
     monkeypatch.setattr(
-        cli, "VALIDATION_CHECKS", (("broken", broken_check),) + cli.VALIDATION_CHECKS
+        module, function, lambda *args: distort(original(*args), *args)
     )
     assert main(["validate"]) == 2
-    assert "FAIL broken" in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith(f"FAIL {name}: ")
 
 
 @pytest.mark.parametrize(
@@ -154,6 +158,11 @@ def test_validate_failure_exits_nonzero(capsys, monkeypatch):
          "--out", "x.csv"],  # outside the configured UE range
         ["utility-trace", *FAST, "--true-aoa-deg", "0", "--l-max", "40",
          "--out", "x.csv"],  # more pilots than pool configurations
+        # data powers whose capacity log2(1 + N^2 P_d) rounds to 0
+        ["rate-curve", "--set", "data_snr_db=-300", "--set", "num_trials=5",
+         "--set", "pilot_budgets=2,5", "--out", "x.csv"],
+        ["rate-curve", "--set", "data_snr_db=-3200", "--set", "num_trials=5",
+         "--set", "pilot_budgets=2,5", "--out", "x.csv"],
     ],
 )
 def test_invalid_inputs_exit_2(argv, capsys):

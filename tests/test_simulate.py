@@ -107,6 +107,9 @@ class TestExperimentConfig:
             {"data_snr_db": -math.inf},
             {"pilot_snr_offset_db": math.inf},
             {"pilot_snr_offset_db": math.nan},
+            # the capacity log2(1 + N^2 P_d) rounds to 0
+            {"data_snr_db": -300.0},
+            {"data_snr_db": -3200.0},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
