@@ -32,6 +32,7 @@ from .estimators import (
     estimate_aoa,
     estimate_scalar_coefficient,
     least_squares_estimate,
+    least_squares_prefix_estimates,
     ml_utility,
     ml_utility_profile,
     parametric_ml_estimate,
@@ -93,6 +94,7 @@ __all__ = [
     "estimate_scalar_coefficient",
     "expand_channel",
     "least_squares_estimate",
+    "least_squares_prefix_estimates",
     "local_peak_indices",
     "ml_utility",
     "ml_utility_profile",

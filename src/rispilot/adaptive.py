@@ -11,8 +11,13 @@ all received pilots after every transmission.
 The grid steering matrix and the candidates' array responses depend only
 on the array and the grid: ``build_adaptive_setup`` computes them once
 per experiment. Per trial, the BS-RIS phase compensation turns them into
-the projection directions and an N x N candidate matrix; a boolean used
-mask over its rows makes every pick one masked argmin or argmax.
+the projection directions and an N x N candidate matrix, the noise-free
+received value of every candidate is computed, and the pilot noise is
+drawn. Per pick, only the arithmetic that decides the outputs remains:
+the sent row's projection onto the grid, the two utility accumulators,
+the utility argmax with its gain and phase, and one argmax of the
+candidates' match to the would-be-optimal configuration, with used rows
+scored -inf.
 """
 
 from __future__ import annotations
@@ -260,6 +265,13 @@ def run_adaptive_estimation(
     the first. ``setup`` shares the trial-independent arrays between
     runs over the same array and grid; it is built here when absent.
 
+    Every received sample equals ``simulate_pilot_reception`` on the
+    sent row with ``rng``, bit for bit: the loop computes all N
+    noise-free values once and draws the 2 * ``num_pilots`` normals of
+    the per-pilot noise up front, in transmission order (none when
+    ``pilot_snr`` is infinite). The sent rows are checked once, when the
+    returned campaign is built.
+
     The returned record exposes one step per transmitted pilot; the
     estimate stored at step i is exactly what a run with budget i would
     have returned under the same noise draws.
@@ -286,6 +298,17 @@ def run_adaptive_estimation(
     compensation = _phase_compensation(bs_ris_channel, array)
     # row k equals optimal_configuration(bs_ris_channel, angles[k], array).phases
     candidates = compensation * setup.conj_responses
+    # entry k is simulate_pilot_reception's noise-free value for row k
+    signals = (
+        np.sum(candidates * bs_ris_channel.coefficients * g, axis=1)
+        * np.sqrt(pilot_power)
+    )
+    # the per-pick standard_normal(2) draws of simulate_pilot_reception,
+    # taken at once in the same order; noise-free runs draw and add nothing
+    noise = None
+    if noise_std > 0:
+        draws = rng.standard_normal(2 * num_pilots)
+        noise = (draws[0::2] + 1j * draws[1::2]) * (noise_std / np.sqrt(2.0))
     sines = np.sin(setup.angles)
     used = np.zeros(n, dtype=bool)
     grid_angles = setup.grid_angles
@@ -294,31 +317,26 @@ def run_adaptive_estimation(
 
     inner_acc = np.zeros(grid.num_points, dtype=np.complex128)  # y^H B D_h a
     energy_acc = np.zeros(grid.num_points, dtype=float)  # ||B D_h a||^2
-    rows: list[np.ndarray] = []
+    picks: list[int] = []
     samples: list[complex] = []
-    pilot_angles: list[float] = []
 
-    def transmit(scores: np.ndarray, pick) -> None:
-        """Send the unused candidate that ``pick`` (nanargmin/nanargmax) selects."""
-        scores[used] = np.nan
-        k = int(pick(scores))
+    def transmit(scores: np.ndarray) -> None:
+        """Send the unused candidate with the highest score (first on ties)."""
+        scores[used] = -np.inf
+        k = int(np.argmax(scores))
         used[k] = True
-        config = RisConfiguration(candidates[k])
-        sample = simulate_pilot_reception(
-            config, bs_ris_channel, g, pilot_power, noise_std, rng
-        )
-        row_projection = config.phases @ directions
+        sample = signals[k] if noise is None else signals[k] + noise[len(picks)]
+        row_projection = candidates[k] @ directions
         inner_acc[:] += np.conj(sample) * row_projection
         energy_acc[:] += np.abs(row_projection) ** 2
-        rows.append(config.phases)
+        picks.append(k)
         samples.append(sample)
-        pilot_angles.append(float(setup.angles[k]))
 
     for start in INITIAL_SINES:
-        transmit(np.abs(sines - start), np.nanargmin)
+        transmit(-np.abs(sines - start))
 
     steps: list[AdaptiveStep] = [
-        AdaptiveStep(1, pilot_angles[0], samples[0], None, None, None)
+        AdaptiveStep(1, float(setup.angles[picks[0]]), samples[0], None, None, None)
     ]
 
     aoa_hat = gain_hat = phase_hat = 0.0
@@ -332,7 +350,7 @@ def run_adaptive_estimation(
         steps.append(
             AdaptiveStep(
                 i,
-                pilot_angles[i - 1],
+                float(setup.angles[picks[i - 1]]),
                 samples[i - 1],
                 aoa_hat,
                 gain_hat,
@@ -344,10 +362,10 @@ def run_adaptive_estimation(
             break
         # optimal_configuration(bs_ris_channel, aoa_hat, array).phases
         reference = compensation * np.conj(array_response(array, aoa_hat))
-        transmit(np.abs(candidates @ np.conj(reference)), np.nanargmax)
+        transmit(np.abs(candidates @ np.conj(reference)))
 
     campaign = PilotCampaign(
-        np.vstack(rows), np.asarray(samples), pilot_power, bs_ris_channel
+        candidates[picks], np.asarray(samples), pilot_power, bs_ris_channel
     )
     channel_estimate = (
         np.sqrt(gain_hat) * np.exp(1j * phase_hat) * array_response(array, aoa_hat)

@@ -5,7 +5,9 @@ estimator restricts the channel to the LOS family c * a(aoa) and
 reduces to a one-dimensional grid search over the angle followed by
 closed-form expressions for the complex coefficient. The least-squares
 baseline inverts the pilot equation with a pseudoinverse and needs a
-pilot count on the order of the element count to work well.
+pilot count on the order of the element count to work well. For
+mutually orthogonal rows (DFT columns) the pseudoinverse is B^H / N, so
+the estimates of all pilot prefixes come from one cumulative sum.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from .model import (
 
 #: Relative singular-value cutoff used by the pseudoinverse.
 PINV_CUTOFF = 1e-12
+
+#: Tolerance on max |B B^H - N I| / N for rows taken as mutually orthogonal.
+ORTHOGONALITY_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +64,7 @@ class PilotCampaign:
             )
         if matrix.size:
             deviation = np.max(np.abs(np.abs(matrix) - 1.0))
-            if deviation > UNIT_MODULUS_TOL:
+            if not deviation <= UNIT_MODULUS_TOL:
                 raise ValueError(
                     f"config_matrix entries must have unit modulus "
                     f"(worst deviation {deviation:.3e})"
@@ -253,3 +258,27 @@ def least_squares_estimate(campaign: PilotCampaign) -> np.ndarray:
     pinv = np.linalg.pinv(campaign.config_matrix, rcond=PINV_CUTOFF)
     unscaled = pinv @ campaign.received
     return unscaled / (np.sqrt(campaign.pilot_power) * campaign.bs_ris_channel.coefficients)
+
+
+def least_squares_prefix_estimates(campaign: PilotCampaign) -> np.ndarray:
+    """Least-squares estimates of every pilot prefix of an orthogonal campaign.
+
+    Row L-1 equals ``least_squares_estimate`` on the first L pilots: for
+    unit-modulus rows with B B^H = N I the pseudoinverse of any row
+    subset is its conjugate transpose over N, so the estimates are the
+    cumulative sums of conj(B) * y scaled by 1 / (N sqrt(P_p) h).
+    Raises ``ValueError`` when the rows are not mutually orthogonal.
+    """
+    matrix = campaign.config_matrix
+    n = campaign.num_elements
+    gram = matrix @ matrix.conj().T
+    deviation = np.max(np.abs(gram - n * np.eye(campaign.num_pilots)), initial=0.0)
+    if not deviation <= ORTHOGONALITY_TOL * n:
+        raise ValueError(
+            f"config_matrix rows must be mutually orthogonal "
+            f"(worst |B B^H - N I| entry {deviation:.3e})"
+        )
+    sums = np.cumsum(np.conj(matrix) * campaign.received[:, None], axis=0)
+    return sums / (
+        n * np.sqrt(campaign.pilot_power) * campaign.bs_ris_channel.coefficients
+    )

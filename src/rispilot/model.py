@@ -43,6 +43,8 @@ def _readonly_complex_vector(values, what: str) -> np.ndarray:
     vec = np.array(values, dtype=np.complex128)
     if vec.ndim != 1 or vec.size == 0:
         raise ValueError(f"{what} must be a nonempty 1-D complex vector")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"{what} entries must be finite")
     vec.setflags(write=False)
     return vec
 
@@ -109,7 +111,7 @@ class RisConfiguration:
     def __post_init__(self) -> None:
         vec = _readonly_complex_vector(self.phases, "configuration")
         deviation = np.max(np.abs(np.abs(vec) - 1.0))
-        if deviation > UNIT_MODULUS_TOL:
+        if not deviation <= UNIT_MODULUS_TOL:
             raise ValueError(
                 f"configuration entries must have unit modulus "
                 f"(worst deviation {deviation:.3e})"
@@ -183,10 +185,13 @@ def effective_channel(
 
 
 def achievable_rate(effective: complex, data_snr_scale: float) -> float:
-    """Rate log2(1 + |effective|^2 * P_d / sigma^2) in bits/s/Hz."""
+    """Rate log2(1 + |effective|^2 * P_d / sigma^2) in bits/s/Hz.
+
+    Computed as log1p(x) / ln 2, which keeps full precision for tiny x.
+    """
     if not data_snr_scale > 0:
         raise ValueError("data_snr_scale must be positive")
-    return float(np.log2(1.0 + np.abs(effective) ** 2 * data_snr_scale))
+    return float(np.log1p(np.abs(effective) ** 2 * data_snr_scale) / np.log(2.0))
 
 
 def capacity(h: KnownBsRisChannel, g, data_snr_scale: float) -> float:
@@ -203,7 +208,7 @@ def capacity(h: KnownBsRisChannel, g, data_snr_scale: float) -> float:
             f"channel vector ({g.size}) must match BS-RIS channel ({len(h)})"
         )
     aligned = np.sum(np.abs(h.coefficients * g))
-    return float(np.log2(1.0 + aligned**2 * data_snr_scale))
+    return float(np.log1p(aligned**2 * data_snr_scale) / np.log(2.0))
 
 
 def random_bs_ris_channel(num_elements: int, rng) -> KnownBsRisChannel:

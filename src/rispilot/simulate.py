@@ -21,7 +21,7 @@ from .adaptive import (
     run_adaptive_estimation,
 )
 from .errors import AngleDomainError, ConfigValidationError
-from .estimators import AoaSearchGrid, PilotCampaign, least_squares_estimate
+from .estimators import AoaSearchGrid, PilotCampaign, least_squares_prefix_estimates
 from .model import (
     TWO_PI,
     ArrayModel,
@@ -76,7 +76,8 @@ class ExperimentConfig:
             "must be positive and finite",
         )
         # inf or nan dB values fail here too, and so does a power so small that
-        # the capacity log2(1 + N^2 P_d) rounds to 0: the rate ratios divide by it
+        # 1 + N^2 P_d rounds to 1, where the capacity the ratios divide by
+        # is no longer resolved
         data_power, pilot_power, _ = snr_to_powers(self)
         _require(
             data_power < math.inf and 1.0 + data_power * self.num_elements**2 > 1.0,
@@ -233,7 +234,10 @@ def collect_trial_rates(
     everything with the phase-matched rate against the capacity. The
     baseline draws one noise vector and one permutation of the DFT
     columns per trial; budget L uses the first L columns and the first
-    L noise samples, so the budgets see nested prefixes of both.
+    L noise samples, so the budgets see nested prefixes of both. Those
+    rows are orthogonal, so one campaign at the largest budget and
+    ``least_squares_prefix_estimates`` give every budget's estimate from
+    a cumulative sum, with no pseudoinverse.
 
     ``bs_ris_channel_factory`` may replace the default random-phase
     BS-RIS channel; it must keep unit-magnitude coefficients for the SNR
@@ -279,14 +283,16 @@ def collect_trial_rates(
         noise = (
             rng.standard_normal(max_budget) + 1j * rng.standard_normal(max_budget)
         ) / np.sqrt(2.0)
-        columns = rng.permutation(n)
+        config_rows = dft[:, rng.permutation(n)[:max_budget]].T
         signal = h.coefficients * g * np.sqrt(powers.pilot_power)
+        campaign = PilotCampaign(
+            config_rows, config_rows @ signal + noise, powers.pilot_power, h
+        )
+        ls_estimates = least_squares_prefix_estimates(campaign)
         for b, budget in enumerate(budgets):
-            config_rows = dft[:, columns[:budget]].T
-            received = config_rows @ signal + noise[:budget]
-            campaign = PilotCampaign(config_rows, received, powers.pilot_power, h)
-            ls_estimate = least_squares_estimate(campaign)
-            rate_ls[b, t] = _phase_matched_rate(h, g, ls_estimate, powers.data_power)
+            rate_ls[b, t] = _phase_matched_rate(
+                h, g, ls_estimates[budget - 1], powers.data_power
+            )
 
         if progress is not None:
             progress(t + 1, trials)

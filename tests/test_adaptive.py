@@ -514,3 +514,34 @@ class TestPilotReception:
         a = simulate_pilot_reception(config, h, g, 1.0, 1.0, np.random.default_rng(3))
         b = simulate_pilot_reception(config, h, g, 1.0, 1.0, np.random.default_rng(3))
         assert a == b
+
+    @pytest.mark.parametrize("pilot_snr, noise_std", [(10.0, 1.0), (math.inf, 0.0)])
+    def test_loop_samples_replay_reference_reception(self, pilot_snr, noise_std):
+        # the loop draws its noise up front; every sample must still equal
+        # simulate_pilot_reception on the sent row, bit for bit, with the
+        # generator advanced in transmission order, and draw nothing more
+        n, budget = 16, 7
+        array = ArrayModel(n, 0.25)
+        gen = np.random.default_rng(5)
+        h = random_bs_ris_channel(n, gen)
+        channel = LosChannel(0.8, float(gen.uniform(0, 2 * np.pi)), 0.3)
+        g = expand_channel(channel, array)
+        run_rng = np.random.default_rng(11)
+        record = run_adaptive_estimation(
+            channel, h, array, budget, pilot_snr, run_rng,
+            AoaSearchGrid(num_points=300),
+        )
+        replay_rng = np.random.default_rng(11)
+        campaign = record.campaign
+        for step, row in zip(record.steps, campaign.config_matrix, strict=True):
+            expected = simulate_pilot_reception(
+                RisConfiguration(row), h, g, campaign.pilot_power, noise_std,
+                replay_rng,
+            )
+            assert np.complex128(step.received).tobytes() == (
+                np.complex128(expected).tobytes()
+            )
+        assert run_rng.bit_generator.state == replay_rng.bit_generator.state
+        if noise_std == 0.0:
+            untouched = np.random.default_rng(11).bit_generator.state
+            assert run_rng.bit_generator.state == untouched

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rispilot import (
     AoaSearchGrid,
@@ -17,6 +19,7 @@ from rispilot import (
     estimate_scalar_coefficient,
     expand_channel,
     least_squares_estimate,
+    least_squares_prefix_estimates,
     ml_utility,
     ml_utility_profile,
     parametric_ml_estimate,
@@ -49,6 +52,14 @@ class TestCampaignTypes:
             PilotCampaign(np.ones((2, 3)), np.zeros(3), 1.0, h)
         with pytest.raises(DimensionError):
             PilotCampaign(np.ones((2, 4)), np.zeros(2), 1.0, h)
+
+    def test_rejects_non_finite_rows(self):
+        # a NaN deviation from unit modulus is not within the tolerance
+        h = KnownBsRisChannel(np.ones(3))
+        rows = np.ones((2, 3), dtype=complex)
+        rows[1, 2] = np.nan
+        with pytest.raises(ValueError, match="unit modulus"):
+            PilotCampaign(rows, np.zeros(2), 1.0, h)
 
     def test_rejects_nonpositive_power(self):
         h = KnownBsRisChannel(np.ones(2))
@@ -401,3 +412,70 @@ class TestLeastSquares:
         assert effective_under_own_configuration(g_ls) == pytest.approx(
             effective_under_own_configuration(g_ml), rel=1e-6
         )
+
+
+@st.composite
+def dft_prefix_campaigns(draw):
+    """Rows from a random subset of DFT columns, random h and y."""
+    n = draw(st.integers(2, 40))
+    num_pilots = draw(st.integers(1, n))
+    columns = draw(st.permutations(range(n)))[:num_pilots]
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = KnownBsRisChannel(
+        gen.uniform(0.5, 2.0, n) * np.exp(1j * gen.uniform(0, 2 * np.pi, n))
+    )
+    received = gen.standard_normal(num_pilots) + 1j * gen.standard_normal(num_pilots)
+    power = draw(st.floats(1e-3, 1e3))
+    return PilotCampaign(dft_rows(n, columns), received, power, h)
+
+
+class TestLeastSquaresPrefixes:
+    @settings(max_examples=60, deadline=None)
+    @given(dft_prefix_campaigns())
+    def test_every_prefix_matches_pseudoinverse(self, campaign):
+        prefixes = least_squares_prefix_estimates(campaign)
+        assert prefixes.shape == (campaign.num_pilots, campaign.num_elements)
+        for length in range(1, campaign.num_pilots + 1):
+            reference = least_squares_estimate(
+                PilotCampaign(
+                    campaign.config_matrix[:length],
+                    campaign.received[:length],
+                    campaign.pilot_power,
+                    campaign.bs_ris_channel,
+                )
+            )
+            # relative to the largest entry: an entry that cancels to ~0
+            # has no meaningful relative error of its own
+            np.testing.assert_allclose(
+                prefixes[length - 1],
+                reference,
+                rtol=1e-12,
+                atol=1e-12 * np.max(np.abs(reference)),
+            )
+
+    @settings(max_examples=30, deadline=None)
+    @given(dft_prefix_campaigns(), st.data())
+    def test_non_orthogonal_rows_raise(self, campaign, data):
+        rows = np.array(campaign.config_matrix)
+        if rows.shape[0] < 2:
+            rows = np.vstack([rows, rows])
+        row = data.draw(st.integers(0, rows.shape[0] - 1))
+        element = data.draw(st.integers(0, rows.shape[1] - 1))
+        rows[row, element] *= np.exp(1j * data.draw(st.floats(0.05, 6.2)))
+        skewed = PilotCampaign(
+            rows,
+            np.ones(rows.shape[0], dtype=complex),
+            campaign.pilot_power,
+            campaign.bs_ris_channel,
+        )
+        with pytest.raises(ValueError, match="orthogonal"):
+            least_squares_prefix_estimates(skewed)
+
+    def test_full_dft_recovers_channel(self, rng):
+        n = 8
+        array = ArrayModel(n, 0.25)
+        h = random_bs_ris_channel(n, rng)
+        truth = LosChannel(1.3, 0.8, 0.25)
+        campaign = make_campaign(dft_rows(n), h, truth, array, 2.0)
+        prefixes = least_squares_prefix_estimates(campaign)
+        assert np.max(np.abs(prefixes[-1] - expand_channel(truth, array))) < 1e-12

@@ -131,6 +131,18 @@ class TestChannelTypes:
         with pytest.raises(ValueError):
             RisConfiguration(np.array([1.0, 1.0 + 1e-6]))
 
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)]
+    )
+    def test_known_channel_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            KnownBsRisChannel(np.array([1.0, bad, 1.0j]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1, math.nan)])
+    def test_ris_configuration_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError):
+            RisConfiguration(np.array([bad, 1.0, 1.0]))
+
     def test_known_channel_rejects_zero_entries(self):
         with pytest.raises(SingularChannelError):
             KnownBsRisChannel(np.array([1.0, 0.0, 1.0j]))
@@ -211,6 +223,14 @@ class TestRates:
         h = KnownBsRisChannel(np.ones(40))
         g = np.exp(1j * np.linspace(0, 3, 40))
         assert capacity(h, g, 1.0) == pytest.approx(math.log2(1601.0), rel=1e-12)
+
+    def test_rates_keep_precision_at_tiny_snr(self):
+        # log2(1 + x) rounds to 0 for x below 2^-53; log1p keeps x / ln 2
+        h = KnownBsRisChannel(np.ones(40))
+        g = np.exp(1j * np.linspace(0, 3, 40))
+        expected = 1600e-20 / math.log(2.0)
+        assert math.isclose(capacity(h, g, 1e-20), expected, rel_tol=1e-12)
+        assert math.isclose(achievable_rate(40.0, 1e-20), expected, rel_tol=1e-12)
 
     def test_capacity_dimension_mismatch(self):
         with pytest.raises(DimensionError):

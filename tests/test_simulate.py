@@ -212,7 +212,9 @@ class TestTrialRates:
 
         trials = collect_trial_rates(config)
         assert np.array_equal(trials.rate_ml, rate_ml)
-        assert np.array_equal(trials.rate_ls, rate_ls)
+        # the harness takes every budget's LS estimate from one prefix sum
+        # instead of a pseudoinverse per budget, so only the last bits move
+        np.testing.assert_allclose(trials.rate_ls, rate_ls, rtol=1e-12, atol=0)
         assert np.array_equal(trials.capacity, caps)
 
 
