@@ -9,7 +9,6 @@ Carlo harness with CSV output.
 from .adaptive import (
     build_adaptive_setup,
     config_correlation,
-    local_peak_indices,
     optimal_configuration,
     plausible_angles,
     run_adaptive_estimation,
@@ -33,7 +32,6 @@ from .estimators import (
     estimate_scalar_coefficient,
     least_squares_estimate,
     least_squares_prefix_estimates,
-    ml_utility,
     ml_utility_profile,
     parametric_ml_estimate,
 )
@@ -57,7 +55,6 @@ from .simulate import (
     collect_trial_rates,
     run_rate_experiment,
     run_single_estimate,
-    run_utility_trace,
     snr_to_powers,
 )
 
@@ -95,8 +92,6 @@ __all__ = [
     "expand_channel",
     "least_squares_estimate",
     "least_squares_prefix_estimates",
-    "local_peak_indices",
-    "ml_utility",
     "ml_utility_profile",
     "optimal_configuration",
     "parametric_ml_estimate",
@@ -106,7 +101,6 @@ __all__ = [
     "run_adaptive_estimation",
     "run_rate_experiment",
     "run_single_estimate",
-    "run_utility_trace",
     "simulate_pilot_reception",
     "snr_to_powers",
     "steering_matrix",

@@ -14,10 +14,10 @@ per experiment. Per trial, the BS-RIS phase compensation turns them into
 the projection directions and an N x N candidate matrix, the noise-free
 received value of every candidate is computed, and the pilot noise is
 drawn. Per pick, only the arithmetic that decides the outputs remains:
-the sent row's projection onto the grid, the two utility accumulators,
-the utility argmax with its gain and phase, and one argmax of the
-candidates' match to the would-be-optimal configuration, with used rows
-scored -inf.
+the sent pilot goes into the estimators' ``UtilityAccumulator``, whose
+utility argmax gives the estimate with its gain and phase, and one
+argmax of the candidates' match to the would-be-optimal configuration,
+with used rows scored -inf, picks the next pilot.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from .estimators import (
     AoaSearchGrid,
     EstimationResult,
     PilotCampaign,
-    _gain_and_phase,
-    _utility_values,
+    UtilityAccumulator,
 )
 from .model import (
     ArrayModel,
@@ -162,22 +161,6 @@ def simulate_pilot_reception(
     return signal + (re + 1j * im) * (noise_std / np.sqrt(2.0))
 
 
-def local_peak_indices(values) -> np.ndarray:
-    """Indices of strict local maxima, boundaries included."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("values must be 1-D")
-    if v.size <= 1:
-        return np.arange(v.size)
-    left = np.empty(v.size, dtype=bool)
-    right = np.empty(v.size, dtype=bool)
-    left[0] = True
-    left[1:] = v[1:] > v[:-1]
-    right[-1] = True
-    right[:-1] = v[:-1] > v[1:]
-    return np.nonzero(left & right)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class AdaptiveStep:
     """State after one pilot: what was sent, what came back, what is believed.
@@ -185,6 +168,8 @@ class AdaptiveStep:
     ``aoa_estimate``/``gain_estimate``/``phase_estimate`` use all pilots
     up to and including this one; they are ``None`` for the very first
     pilot because a single projection cannot identify the angle.
+    ``utility`` is the read-only ML objective over the grid that gave
+    the estimate, also ``None`` for the first pilot.
     """
 
     pilot_index: int
@@ -194,12 +179,6 @@ class AdaptiveStep:
     gain_estimate: float | None
     phase_estimate: float | None
     utility: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.utility is not None:
-            vec = np.array(self.utility, dtype=float)
-            vec.setflags(write=False)
-            object.__setattr__(self, "utility", vec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +227,6 @@ def run_adaptive_estimation(
     rng=None,
     grid: AoaSearchGrid | None = None,
     *,
-    record_utility: bool = False,
     setup: AdaptiveSetup | None = None,
 ) -> AdaptiveRunRecord:
     """Run the adaptive estimation loop for ``num_pilots`` pilots.
@@ -261,9 +239,8 @@ def run_adaptive_estimation(
     is transmitted next. A used mask over the candidate rows keeps each
     candidate to one pilot; ties go to the smallest angle. ``pilot_snr``
     is the per-element pilot SNR in linear scale (``inf`` for noise-free
-    runs). ``record_utility`` keeps the grid utility in every step after
-    the first. ``setup`` shares the trial-independent arrays between
-    runs over the same array and grid; it is built here when absent.
+    runs). ``setup`` shares the trial-independent arrays between runs
+    over the same array and grid; it is built here when absent.
 
     Every received sample equals ``simulate_pilot_reception`` on the
     sent row with ``rng``, bit for bit: the loop computes all N
@@ -272,9 +249,11 @@ def run_adaptive_estimation(
     ``pilot_snr`` is infinite). The sent rows are checked once, when the
     returned campaign is built.
 
-    The returned record exposes one step per transmitted pilot; the
-    estimate stored at step i is exactly what a run with budget i would
-    have returned under the same noise draws.
+    Each pilot goes into one ``UtilityAccumulator`` as it is sent, so
+    the estimate and the grid utility stored at step i are bit for bit
+    those of ``parametric_ml_estimate`` and ``ml_utility_profile`` on
+    the first i pilots of the returned campaign, and exactly what a run
+    with budget i would have returned under the same noise draws.
     """
     n = array.num_elements
     if num_pilots < 2:
@@ -312,11 +291,7 @@ def run_adaptive_estimation(
     sines = np.sin(setup.angles)
     used = np.zeros(n, dtype=bool)
     grid_angles = setup.grid_angles
-    # Columns hold D_h a(angle); every pilot row projects onto them.
-    directions = bs_ris_channel.coefficients[:, None] * setup.steering
-
-    inner_acc = np.zeros(grid.num_points, dtype=np.complex128)  # y^H B D_h a
-    energy_acc = np.zeros(grid.num_points, dtype=float)  # ||B D_h a||^2
+    accumulator = UtilityAccumulator(bs_ris_channel, setup.steering)
     picks: list[int] = []
     samples: list[complex] = []
 
@@ -326,9 +301,7 @@ def run_adaptive_estimation(
         k = int(np.argmax(scores))
         used[k] = True
         sample = signals[k] if noise is None else signals[k] + noise[len(picks)]
-        row_projection = candidates[k] @ directions
-        inner_acc[:] += np.conj(sample) * row_projection
-        energy_acc[:] += np.abs(row_projection) ** 2
+        accumulator.add(candidates[k], sample)
         picks.append(k)
         samples.append(sample)
 
@@ -341,11 +314,10 @@ def run_adaptive_estimation(
 
     aoa_hat = gain_hat = phase_hat = 0.0
     for i in range(2, num_pilots + 1):
-        utility = _utility_values(inner_acc, energy_acc)
+        utility = accumulator.utility()
+        utility.setflags(write=False)
         peak = int(np.argmax(utility))
-        gain_hat, phase_hat = _gain_and_phase(
-            inner_acc[peak], energy_acc[peak], pilot_power
-        )
+        gain_hat, phase_hat = accumulator.gain_and_phase(peak, pilot_power)
         aoa_hat = float(grid_angles[peak])
         steps.append(
             AdaptiveStep(
@@ -355,7 +327,7 @@ def run_adaptive_estimation(
                 aoa_hat,
                 gain_hat,
                 phase_hat,
-                utility if record_utility else None,
+                utility,
             )
         )
         if i == num_pilots:

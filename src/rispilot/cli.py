@@ -2,11 +2,11 @@
 
 Subcommands: ``rate-curve`` (Monte Carlo rate-vs-pilot-count sweep),
 ``utility-trace`` (utility evolution of one seeded run), ``estimate-once``
-(single-run summary for debugging) and ``validate`` (the consistency
-checks in ``checks.py``, which acceptance criteria 4-8 also run, at the
-same seeds and sizes). Angles are degrees on this boundary. Exit codes:
-0 success, 2 validation or parse error or a failed check, 3 runtime
-numerical or I/O error. The seed is the ``rng_seed`` config field.
+(summary of the same seeded run, for debugging) and ``validate`` (the
+consistency checks in ``checks.py``, which acceptance criteria 4-8 also
+run, at the same seeds and sizes). Angles are degrees on this boundary.
+Exit codes: 0 success, 2 validation or parse error or a failed check, 3
+runtime numerical or I/O error. The seed is the ``rng_seed`` config field.
 """
 
 from __future__ import annotations
@@ -30,12 +30,7 @@ from .errors import (
     SingularChannelError,
 )
 from .io import emit_rate_csv, emit_utility_csv, parse_config
-from .simulate import (
-    ExperimentConfig,
-    run_rate_experiment,
-    run_single_estimate,
-    run_utility_trace,
-)
+from .simulate import ExperimentConfig, run_rate_experiment, run_single_estimate
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -130,9 +125,9 @@ def _cmd_rate_curve(args: argparse.Namespace) -> int:
 
 def _cmd_utility_trace(args: argparse.Namespace) -> int:
     config = parse_config(args.config, args.overrides)
-    trace = run_utility_trace(config, math.radians(args.true_aoa_deg), args.l_max)
-    emit_utility_csv(trace, args.out)
-    print(f"wrote {len(trace.stages)} utility stages to {args.out}")
+    summary = run_single_estimate(config, math.radians(args.true_aoa_deg), args.l_max)
+    emit_utility_csv(summary.record, args.out)
+    print(f"wrote {len(summary.record.steps) - 1} utility stages to {args.out}")
     return EXIT_OK
 
 

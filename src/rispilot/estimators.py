@@ -3,11 +3,14 @@
 Two estimators are provided. The parametric maximum-likelihood (ML)
 estimator restricts the channel to the LOS family c * a(aoa) and
 reduces to a one-dimensional grid search over the angle followed by
-closed-form expressions for the complex coefficient. The least-squares
-baseline inverts the pilot equation with a pseudoinverse and needs a
-pilot count on the order of the element count to work well. For
-mutually orthogonal rows (DFT columns) the pseudoinverse is B^H / N, so
-the estimates of all pilot prefixes come from one cumulative sum.
+closed-form expressions for the complex coefficient. Its sums live in
+one ``UtilityAccumulator`` that takes the pilots one at a time: the
+batch estimators feed it a whole campaign, the adaptive loop each pilot
+as it is sent. The least-squares baseline inverts the pilot equation
+with a pseudoinverse and needs a pilot count on the order of the
+element count to work well. For mutually orthogonal rows (DFT columns)
+the pseudoinverse is B^H / N, so the estimates of all pilot prefixes
+come from one cumulative sum.
 """
 
 from __future__ import annotations
@@ -131,49 +134,72 @@ class EstimationResult:
         object.__setattr__(self, "channel_estimate", vec)
 
 
-def _utility_values(inner: np.ndarray, energy: np.ndarray) -> np.ndarray:
-    """ML objective |y^H v|^2 / ||v||^2 from y^H v and ||v||^2 per direction.
+class UtilityAccumulator:
+    """Running sums behind the ML objective, one pilot at a time.
 
-    A direction with exactly zero pilot energy (a kernel null shared by
-    all rows) explains nothing and scores 0. If no direction carries any
-    energy the campaign cannot rank any angle: degenerate-direction error.
+    Column j of ``steering`` is a(angle_j). The accumulator keeps the
+    directions v_j = D_h a(angle_j) and, over the pilots added so far in
+    transmission order, y^H B v_j and ||B v_j||^2. The adaptive loop and
+    the batch estimators share this one copy of the arithmetic.
     """
-    if np.all(energy == 0.0):
-        raise DegenerateDirectionError(
-            "no probed direction carries pilot energy; the campaign cannot "
-            "rank any angle"
-        )
-    return np.divide(
-        np.abs(inner) ** 2, energy, out=np.zeros_like(energy), where=energy > 0.0
+
+    def __init__(self, bs_ris_channel: KnownBsRisChannel, steering: np.ndarray):
+        if steering.shape[0] != bs_ris_channel.num_elements:
+            raise DimensionError(
+                f"steering has {steering.shape[0]} elements but the BS-RIS "
+                f"channel has {bs_ris_channel.num_elements}"
+            )
+        self.directions = bs_ris_channel.coefficients[:, None] * steering
+        self.inner = np.zeros(steering.shape[1], dtype=np.complex128)
+        self.energy = np.zeros(steering.shape[1], dtype=float)
+
+    def add(self, row: np.ndarray, sample: complex) -> None:
+        """Add one pilot: its configuration row and its received sample."""
+        projection = row @ self.directions
+        self.inner += np.conj(sample) * projection
+        self.energy += np.abs(projection) ** 2
+
+    def utility(self) -> np.ndarray:
+        """ML objective |y^H B v|^2 / ||B v||^2 per direction, as a new array.
+
+        A direction with exactly zero pilot energy (a kernel null shared by
+        all rows) explains nothing and scores 0. If no direction carries any
+        energy no angle can be ranked: degenerate-direction error.
+        """
+        energy = self.energy
+        if np.all(energy == 0.0):
+            raise DegenerateDirectionError(
+                "no probed direction carries pilot energy; the campaign cannot "
+                "rank any angle"
+            )
+        return np.divide(np.abs(self.inner) ** 2, energy,
+                         out=np.zeros_like(energy), where=energy > 0.0)
+
+    def gain_and_phase(self, index: int, pilot_power: float) -> tuple[float, float]:
+        """Gain |y^H B v|^2 / (P_p ||B v||^4) and phase -arg(y^H B v).
+
+        ``v`` is direction ``index``. The phase is wrapped to [0, 2*pi); a
+        zero inner product maps to (0, 0).
+        """
+        inner, energy = self.inner[index], self.energy[index]
+        if energy == 0.0:
+            raise DegenerateDirectionError(
+                "the estimated direction carries no pilot energy"
+            )
+        gain = abs(inner) ** 2 / (pilot_power * energy**2)
+        return gain, float((-np.angle(inner)) % TWO_PI)
+
+
+def _accumulate(
+    campaign: PilotCampaign, array: ArrayModel, angles
+) -> UtilityAccumulator:
+    """An accumulator over ``angles`` fed the campaign's pilots in order."""
+    accumulator = UtilityAccumulator(
+        campaign.bs_ris_channel, steering_matrix(array, angles)
     )
-
-
-def _gain_and_phase(inner, energy, pilot_power: float) -> tuple[float, float]:
-    """Closed-form gain |y^H v|^2 / (P_p ||v||^4) and phase -arg(y^H v).
-
-    The phase is wrapped to [0, 2*pi); a zero inner product maps to (0, 0).
-    """
-    if energy == 0.0:
-        raise DegenerateDirectionError(
-            "the estimated direction carries no pilot energy"
-        )
-    gain = abs(inner) ** 2 / (pilot_power * energy**2)
-    return gain, float((-np.angle(inner)) % TWO_PI)
-
-
-def _signal_directions(
-    campaign: PilotCampaign, array: ArrayModel, angles: np.ndarray
-) -> np.ndarray:
-    """Noise-free received directions B D_h a(angle), one column per angle."""
-    if array.num_elements != campaign.num_elements:
-        raise DimensionError(
-            f"array has {array.num_elements} elements but the campaign "
-            f"has {campaign.num_elements}"
-        )
-    responses = steering_matrix(array, angles)
-    return campaign.config_matrix @ (
-        campaign.bs_ris_channel.coefficients[:, None] * responses
-    )
+    for row, sample in zip(campaign.config_matrix, campaign.received):
+        accumulator.add(row, sample)
+    return accumulator
 
 
 def ml_utility_profile(
@@ -186,21 +212,7 @@ def ml_utility_profile(
     no probed direction carries energy, a degenerate-direction error is
     raised.
     """
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    directions = _signal_directions(campaign, array, angles)
-    return _utility_values(
-        np.conj(campaign.received) @ directions,
-        np.sum(np.abs(directions) ** 2, axis=0),
-    )
-
-
-def ml_utility(campaign: PilotCampaign, array: ArrayModel, aoa: float) -> float:
-    """ML objective at a single angle. See :func:`ml_utility_profile`.
-
-    Raises a degenerate-direction error when this angle's direction
-    carries no pilot energy at all.
-    """
-    return float(ml_utility_profile(campaign, array, [aoa])[0])
+    return _accumulate(campaign, array, angles).utility()
 
 
 def estimate_aoa(
@@ -223,12 +235,8 @@ def estimate_scalar_coefficient(
     phase = -arg(y^H v) wrapped to [0, 2*pi). A zero inner product maps
     to (0, 0) so all-zero received signals stay well defined.
     """
-    direction = _signal_directions(campaign, array, np.asarray([aoa_estimate]))[:, 0]
-    return _gain_and_phase(
-        complex(np.conj(campaign.received) @ direction),
-        float(np.sum(np.abs(direction) ** 2)),
-        campaign.pilot_power,
-    )
+    accumulator = _accumulate(campaign, array, [aoa_estimate])
+    return accumulator.gain_and_phase(0, campaign.pilot_power)
 
 
 def parametric_ml_estimate(
@@ -238,12 +246,14 @@ def parametric_ml_estimate(
 ) -> EstimationResult:
     """Grid-search ML estimate of the LOS channel.
 
-    Composes the angle search with the closed-form coefficient.
+    Composes the angle search with the closed-form coefficient at the
+    grid peak, from one accumulator over the grid.
     """
     angles = grid.angles
-    profile = ml_utility_profile(campaign, array, angles)
-    aoa = float(angles[int(np.argmax(profile))])
-    gain, phase = estimate_scalar_coefficient(campaign, array, aoa)
+    accumulator = _accumulate(campaign, array, angles)
+    peak = int(np.argmax(accumulator.utility()))
+    aoa = float(angles[peak])
+    gain, phase = accumulator.gain_and_phase(peak, campaign.pilot_power)
     channel = np.sqrt(gain) * np.exp(1j * phase) * array_response(array, aoa)
     return EstimationResult(aoa, gain, phase, channel)
 

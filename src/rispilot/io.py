@@ -12,8 +12,11 @@ import math
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
+from .adaptive import AdaptiveRunRecord
 from .errors import ConfigParseError
-from .simulate import ExperimentConfig, RateCurvePoint, UtilityTrace
+from .simulate import ExperimentConfig, RateCurvePoint
 
 RATE_CSV_HEADER = (
     "L,mean_rate_ml,mean_rate_ls,mean_capacity,ratio_ml,ratio_ls,"
@@ -113,14 +116,21 @@ def emit_rate_csv(points: Sequence[RateCurvePoint], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def emit_utility_csv(trace: UtilityTrace, path: str | Path) -> None:
-    """Write a utility trace in long format, one row per (L, angle)."""
+def emit_utility_csv(record: AdaptiveRunRecord, path: str | Path) -> None:
+    """Write a run's grid utility in long format, one row per (L, angle).
+
+    Every step after the first gives its utility in dB (-inf where it is
+    0), with ``is_argmax`` 1 on the row of the estimate.
+    """
     lines = [UTILITY_CSV_HEADER]
-    for stage in trace.stages:
-        for idx, (angle, value) in enumerate(zip(trace.angles, stage.utility_db)):
-            marker = 1 if idx == stage.argmax_index else 0
+    for step in record.steps[1:]:
+        with np.errstate(divide="ignore"):
+            utility_db = 10.0 * np.log10(step.utility)
+        peak = int(np.argmax(step.utility))
+        for idx, (angle, value) in enumerate(zip(record.grid.angles, utility_db)):
+            marker = 1 if idx == peak else 0
             lines.append(
-                f"{stage.pilot_count},{format(angle, '.9g')},"
+                f"{step.pilot_index},{format(angle, '.9g')},"
                 f"{format(value, '.9g')},{marker}"
             )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

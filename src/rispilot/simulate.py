@@ -39,6 +39,10 @@ ChannelFactory = Callable[[int, np.random.Generator], KnownBsRisChannel]
 
 DEFAULT_PILOT_BUDGETS = (2, 3, 4, 5, 6, 8, 10, 15, 20, 30, 40)
 
+#: Most complex entries of the N x G and N x N arrays allocated before the
+#: first trial: 2**26 entries are 1 GiB; the reference config needs 80 000.
+MAX_ARRAY_ENTRIES = 2**26
+
 
 def _require(condition: bool, name: str, message: str) -> None:
     if not condition:
@@ -78,7 +82,7 @@ class ExperimentConfig:
         # inf or nan dB values fail here too, and so does a power so small that
         # 1 + N^2 P_d rounds to 1, where the capacity the ratios divide by
         # is no longer resolved
-        data_power, pilot_power, _ = snr_to_powers(self)
+        data_power, pilot_power = snr_to_powers(self)
         _require(
             data_power < math.inf and 1.0 + data_power * self.num_elements**2 > 1.0,
             "data_snr_db",
@@ -127,6 +131,12 @@ class ExperimentConfig:
         self._set_integer(
             "grid_points", 2, math.inf, "must be an integer of at least 2"
         )
+        _require(
+            self.num_elements * max(self.num_elements, self.grid_points)
+            <= MAX_ARRAY_ENTRIES,
+            "num_elements * max(num_elements, grid_points)",
+            f"must be at most {MAX_ARRAY_ENTRIES} (1 GiB of complex entries)",
+        )
         self._set_integer("rng_seed", 0, 2**64, "must be an unsigned 64-bit integer")
 
     def array(self) -> ArrayModel:
@@ -141,7 +151,6 @@ class PowerScales(NamedTuple):
 
     data_power: float
     pilot_power: float
-    channel_gain: float
 
 
 def _db_to_linear(db: float) -> float:
@@ -161,7 +170,7 @@ def snr_to_powers(config: ExperimentConfig) -> PowerScales:
     """
     data_power = _db_to_linear(config.data_snr_db)
     pilot_power = data_power * _db_to_linear(config.pilot_snr_offset_db)
-    return PowerScales(data_power, pilot_power, 1.0)
+    return PowerScales(data_power, pilot_power)
 
 
 @dataclass(frozen=True)
@@ -177,7 +186,6 @@ class RateCurvePoint:
     trial_count: int
     stderr_ml: float
     stderr_ls: float
-    stderr_capacity: float
 
     def __post_init__(self) -> None:
         for name, mean, stderr in (
@@ -263,7 +271,7 @@ def collect_trial_rates(
         rng = np.random.default_rng(seeds[t])
         aoa = rng.uniform(*config.ue_angle_range)
         omega = rng.uniform(0.0, TWO_PI)
-        channel = LosChannel(powers.channel_gain, omega, aoa)
+        channel = LosChannel(1.0, omega, aoa)
         h = factory(n, rng)
         g = expand_channel(channel, array)
         caps[t] = capacity(h, g, powers.data_power)
@@ -279,6 +287,9 @@ def collect_trial_rates(
                 * array_response(array, step.aoa_estimate)
             )
             rate_ml[b, t] = _phase_matched_rate(h, g, estimate, powers.data_power)
+        # every step holds its grid utility: free this run before the next
+        # one instead of holding two runs' L x G utilities at once
+        del record
 
         noise = (
             rng.standard_normal(max_budget) + 1j * rng.standard_normal(max_budget)
@@ -314,7 +325,7 @@ def run_rate_experiment(
 ) -> list[RateCurvePoint]:
     """Average rates per pilot budget, sorted by ascending budget."""
     trials = collect_trial_rates(config, bs_ris_channel_factory, progress)
-    mean_cap, stderr_cap = _mean_and_stderr(trials.capacity)
+    mean_cap = float(np.mean(trials.capacity))
     points = []
     for b, budget in enumerate(trials.pilot_budgets):
         mean_ml, stderr_ml = _mean_and_stderr(trials.rate_ml[b])
@@ -330,86 +341,9 @@ def run_rate_experiment(
                 trial_count=config.num_trials,
                 stderr_ml=stderr_ml,
                 stderr_ls=stderr_ls,
-                stderr_capacity=stderr_cap,
             )
         )
     return sorted(points, key=lambda point: point.pilot_budget)
-
-
-@dataclass(frozen=True, eq=False)
-class UtilityStage:
-    """Utility profile (dB) after a given number of pilots."""
-
-    pilot_count: int
-    utility_db: np.ndarray
-    argmax_index: int
-
-    def __post_init__(self) -> None:
-        vec = np.array(self.utility_db, dtype=float)
-        vec.setflags(write=False)
-        object.__setattr__(self, "utility_db", vec)
-
-
-@dataclass(frozen=True, eq=False)
-class UtilityTrace:
-    """Evolution of the angle-search utility as pilots accumulate."""
-
-    angles: np.ndarray
-    stages: tuple[UtilityStage, ...]
-
-    def __post_init__(self) -> None:
-        angles = np.array(self.angles, dtype=float)
-        angles.setflags(write=False)
-        object.__setattr__(self, "angles", angles)
-        if not self.stages:
-            raise ValueError("a utility trace needs at least one stage")
-        for stage in self.stages:
-            if stage.utility_db.size != angles.size:
-                raise ValueError("stage grids must match the angle grid")
-
-
-def _seeded_trial_context(
-    config: ExperimentConfig, true_aoa: float
-) -> tuple[np.random.Generator, LosChannel, KnownBsRisChannel, PowerScales]:
-    lo, hi = config.ue_angle_range
-    if not lo <= true_aoa <= hi:
-        raise AngleDomainError(
-            f"true angle {true_aoa!r} rad lies outside the configured UE "
-            f"range [{lo}, {hi}]"
-        )
-    rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed))
-    powers = snr_to_powers(config)
-    omega = rng.uniform(0.0, TWO_PI)
-    channel = LosChannel(powers.channel_gain, omega, float(true_aoa))
-    h = random_bs_ris_channel(config.num_elements, rng)
-    return rng, channel, h, powers
-
-
-def run_utility_trace(
-    config: ExperimentConfig, true_aoa: float, l_max: int
-) -> UtilityTrace:
-    """One seeded adaptive run, recording the utility in dB per pilot count."""
-    rng, channel, h, powers = _seeded_trial_context(config, true_aoa)
-    record = run_adaptive_estimation(
-        channel,
-        h,
-        config.array(),
-        l_max,
-        powers.pilot_power,
-        rng,
-        config.grid(),
-        record_utility=True,
-    )
-    stages = []
-    for step in record.steps:
-        if step.aoa_estimate is None:
-            continue
-        with np.errstate(divide="ignore"):
-            utility_db = 10.0 * np.log10(step.utility)
-        stages.append(
-            UtilityStage(step.pilot_index, utility_db, int(np.argmax(step.utility)))
-        )
-    return UtilityTrace(record.grid.angles, tuple(stages))
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,8 +364,23 @@ class SingleRunSummary:
 def run_single_estimate(
     config: ExperimentConfig, true_aoa: float, num_pilots: int
 ) -> SingleRunSummary:
-    """Run one seeded adaptive estimation and score the final estimate."""
-    rng, channel, h, powers = _seeded_trial_context(config, true_aoa)
+    """Run one seeded adaptive estimation and score the final estimate.
+
+    The run draws the reference phase and the BS-RIS channel from
+    ``SeedSequence(rng_seed)``, then the pilot noise. Its record keeps
+    the grid utility of every step after the first, so ``utility-trace``
+    and ``estimate-once`` show the same run.
+    """
+    lo, hi = config.ue_angle_range
+    if not lo <= true_aoa <= hi:
+        raise AngleDomainError(
+            f"true angle {true_aoa!r} rad lies outside the configured UE "
+            f"range [{lo}, {hi}]"
+        )
+    rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed))
+    powers = snr_to_powers(config)
+    channel = LosChannel(1.0, rng.uniform(0.0, TWO_PI), float(true_aoa))
+    h = random_bs_ris_channel(config.num_elements, rng)
     array = config.array()
     g = expand_channel(channel, array)
     record = run_adaptive_estimation(

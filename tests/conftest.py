@@ -9,6 +9,7 @@ from rispilot import (
     LosChannel,
     PilotCampaign,
     expand_channel,
+    steering_matrix,
 )
 from rispilot.checks import circular_diff, pool_config_rows  # noqa: F401
 
@@ -32,6 +33,44 @@ def make_campaign(
         )
         received = received + noise * (noise_std / np.sqrt(2.0))
     return PilotCampaign(rows, received, pilot_power, h)
+
+
+def direct_utility(campaign: PilotCampaign, array: ArrayModel, angles) -> np.ndarray:
+    """ML objective per angle from the whole matrix V = B D_h A at once.
+
+    A reference independent of the package's pilot-by-pilot accumulator:
+    |y^H v|^2 / ||v||^2 per column v of V, and 0 where ||v|| is exactly 0.
+    """
+    directions = campaign.config_matrix @ (
+        campaign.bs_ris_channel.coefficients[:, None] * steering_matrix(array, angles)
+    )
+    inner = np.conj(campaign.received) @ directions
+    energy = np.sum(np.abs(directions) ** 2, axis=0)
+    return np.divide(
+        np.abs(inner) ** 2, energy, out=np.zeros_like(energy), where=energy > 0.0
+    )
+
+
+def utility_db(utility: np.ndarray) -> np.ndarray:
+    """10 log10 of a utility profile, -inf where it is 0, as the trace CSV has it."""
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(utility)
+
+
+def local_peak_indices(values) -> np.ndarray:
+    """Indices of strict local maxima, boundaries included."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1:
+        raise ValueError("values must be 1-D")
+    if v.size <= 1:
+        return np.arange(v.size)
+    left = np.empty(v.size, dtype=bool)
+    right = np.empty(v.size, dtype=bool)
+    left[0] = True
+    left[1:] = v[1:] > v[:-1]
+    right[-1] = True
+    right[:-1] = v[:-1] > v[1:]
+    return np.nonzero(left & right)[0]
 
 
 @pytest.fixture

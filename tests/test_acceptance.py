@@ -8,9 +8,11 @@ import math
 
 import numpy as np
 
-from rispilot import checks, local_peak_indices, run_rate_experiment, run_utility_trace
+from rispilot import checks, run_rate_experiment, run_single_estimate
 from rispilot.cli import main
 from rispilot.simulate import ExperimentConfig
+
+from conftest import local_peak_indices, utility_db
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -149,13 +151,13 @@ def test_criterion_09_fig3_utility_evolution():
     details = []
     for seed in range(10):
         config = ExperimentConfig(num_trials=1, rng_seed=seed)
-        trace = run_utility_trace(config, truth, 10)
+        record = run_single_estimate(config, truth, 10).record
         step = config.grid().step
-        first, last = trace.stages[0], trace.stages[-1]
-        near_truth = abs(trace.angles[last.argmax_index] - truth) <= step
+        first, last = record.steps[1].utility, record.steps[-1].utility
+        near_truth = abs(record.grid.angles[np.argmax(last)] - truth) <= step
         gap_grew = gap_db_between_top_two_peaks(
-            last.utility_db
-        ) > gap_db_between_top_two_peaks(first.utility_db)
+            utility_db(last)
+        ) > gap_db_between_top_two_peaks(utility_db(first))
         successes += near_truth and gap_grew
         details.append("y" if near_truth and gap_grew else "n")
     ok = successes >= 8

@@ -23,8 +23,7 @@ from rispilot import (
     estimate_aoa,
     estimate_scalar_coefficient,
     expand_channel,
-    local_peak_indices,
-    ml_utility,
+    ml_utility_profile,
     optimal_configuration,
     parametric_ml_estimate,
     plausible_angles,
@@ -33,7 +32,7 @@ from rispilot import (
     simulate_pilot_reception,
 )
 
-from conftest import circular_diff, pool_config_rows
+from conftest import circular_diff, direct_utility, local_peak_indices, pool_config_rows
 
 
 def snap_to_grid(grid: AoaSearchGrid, target: float) -> float:
@@ -335,9 +334,7 @@ class TestAdaptiveRun:
         assert record.result.aoa_estimate == channel.aoa
         assert record.result.gain_estimate == pytest.approx(channel.gain, rel=1e-9)
         assert circular_diff(record.result.phase_estimate, channel.phase) < 1e-9
-        values = np.array(
-            [ml_utility(record.campaign, array, a) for a in grid.angles]
-        )
+        values = direct_utility(record.campaign, array, grid.angles)
         best = int(np.argmax(values))
         assert grid.angles[best] == channel.aoa
         assert np.all(np.delete(values, best) < values[best])
@@ -359,8 +356,8 @@ class TestAdaptiveRun:
         assert np.max(np.abs(np.abs(record.campaign.config_matrix) - 1.0)) < 1e-12
 
     def test_interim_estimates_match_batch_estimators(self, rng):
-        # dual route: the incremental loop must agree with the one-shot
-        # estimators applied to each prefix of the recorded campaign
+        # dual route: the incremental loop must agree bit for bit with the
+        # one-shot estimators applied to each prefix of the recorded campaign
         n, budget = 12, 7
         array = ArrayModel(n, 0.25)
         grid = AoaSearchGrid(num_points=700)
@@ -376,6 +373,15 @@ class TestAdaptiveRun:
             )
             step = record.step_for(i)
             assert estimate_aoa(prefix, array, grid) == step.aoa_estimate
+            assert np.array_equal(
+                ml_utility_profile(prefix, array, grid.angles), step.utility
+            )
+            batch = parametric_ml_estimate(prefix, array, grid)
+            assert batch.aoa_estimate == step.aoa_estimate
+            assert batch.gain_estimate == step.gain_estimate
+            assert batch.phase_estimate == step.phase_estimate
+            # a one-angle projection is a different BLAS reduction than the
+            # grid's, so the fixed-angle route agrees to rounding only
             gain, phase = estimate_scalar_coefficient(
                 prefix, array, step.aoa_estimate
             )
@@ -393,7 +399,7 @@ class TestAdaptiveRun:
                 record.campaign.pilot_power,
                 h,
             )
-            utilities.append(ml_utility(prefix, array, channel.aoa))
+            utilities.append(direct_utility(prefix, array, [channel.aoa])[0])
         assert all(b >= a * (1 - 1e-12) for a, b in zip(utilities, utilities[1:]))
 
     def test_full_budget_consumes_pool_and_matches_one_shot(self, rng):
@@ -407,12 +413,20 @@ class TestAdaptiveRun:
         assert used == sorted(np.round(plausible_angles(n), 12))
         batch = parametric_ml_estimate(record.campaign, array, grid)
         assert batch.aoa_estimate == record.result.aoa_estimate
-        assert batch.gain_estimate == pytest.approx(
-            record.result.gain_estimate, rel=1e-12
-        )
-        assert np.max(
-            np.abs(batch.channel_estimate - record.result.channel_estimate)
-        ) < 1e-12
+        assert batch.gain_estimate == record.result.gain_estimate
+        assert batch.phase_estimate == record.result.phase_estimate
+        assert np.array_equal(batch.channel_estimate, record.result.channel_estimate)
+        for i in range(2, n + 1):
+            prefix = PilotCampaign(
+                record.campaign.config_matrix[:i],
+                record.campaign.received[:i],
+                record.campaign.pilot_power,
+                h,
+            )
+            assert np.array_equal(
+                ml_utility_profile(prefix, array, grid.angles),
+                record.step_for(i).utility,
+            )
 
     def test_deterministic_given_seed(self):
         n = 10
@@ -431,13 +445,13 @@ class TestAdaptiveRun:
         grid = AoaSearchGrid(num_points=300)
         h = random_bs_ris_channel(n, rng)
         channel = LosChannel(1.0, 0.0, -0.6)
-        record = run_adaptive_estimation(
-            channel, h, array, 4, 10.0, rng, grid, record_utility=True
-        )
+        record = run_adaptive_estimation(channel, h, array, 4, 10.0, rng, grid)
         assert record.steps[0].utility is None
         for step in record.steps[1:]:
             assert step.utility is not None and step.utility.size == 300
             assert grid.angles[np.argmax(step.utility)] == step.aoa_estimate
+            with pytest.raises(ValueError):
+                step.utility[0] = 0.0
 
     def test_shared_setup_matches_per_run_setup(self):
         # one setup serves many runs; each must equal a run that builds its
@@ -453,11 +467,10 @@ class TestAdaptiveRun:
                 1.0, float(gen.uniform(0, 2 * np.pi)), float(gen.uniform(-1, 1))
             )
             fresh = run_adaptive_estimation(
-                channel, h, array, n, 10.0, seed + 100, grid, record_utility=True
+                channel, h, array, n, 10.0, seed + 100, grid
             )
             shared = run_adaptive_estimation(
-                channel, h, array, n, 10.0, seed + 100, grid,
-                record_utility=True, setup=setup,
+                channel, h, array, n, 10.0, seed + 100, grid, setup=setup
             )
             assert len(fresh.steps) == len(shared.steps)
             for a, b in zip(fresh.steps, shared.steps):

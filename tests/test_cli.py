@@ -116,9 +116,9 @@ def test_validate_failure_exits_nonzero(capsys, monkeypatch):
     assert "FAIL broken: synthetic failure" in capsys.readouterr().out
 
 
-# (check, module, function, how the function's output is distorted)
+# (check, owner, function, how the function's output is distorted)
 DEFECTS = [
-    ("noise-free-recovery", adaptive, "_gain_and_phase",
+    ("noise-free-recovery", estimators.UtilityAccumulator, "gain_and_phase",
      lambda out, *_: (out[0] * (1 + 1e-6), out[1])),
     ("least-squares-recovery", estimators, "least_squares_estimate",
      lambda out, *_: out + 1e-6),
@@ -131,15 +131,15 @@ DEFECTS = [
 
 
 @pytest.mark.parametrize(
-    "name, module, function, distort", DEFECTS, ids=[d[0] for d in DEFECTS]
+    "name, owner, function, distort", DEFECTS, ids=[d[0] for d in DEFECTS]
 )
-def test_validate_fails_on_a_defect(name, module, function, distort, capsys,
+def test_validate_fails_on_a_defect(name, owner, function, distort, capsys,
                                     monkeypatch):
     # only the covered check runs, to keep the suite fast
     monkeypatch.setattr(checks, "CHECKS", (getattr(checks, name.replace("-", "_")),))
-    original = getattr(module, function)
+    original = getattr(owner, function)
     monkeypatch.setattr(
-        module, function, lambda *args: distort(original(*args), *args)
+        owner, function, lambda *args: distort(original(*args), *args)
     )
     assert main(["validate"]) == 2
     assert capsys.readouterr().out.startswith(f"FAIL {name}: ")
@@ -163,6 +163,12 @@ def test_validate_fails_on_a_defect(name, module, function, distort, capsys,
          "--set", "pilot_budgets=2,5", "--out", "x.csv"],
         ["rate-curve", "--set", "data_snr_db=-3200", "--set", "num_trials=5",
          "--set", "pilot_budgets=2,5", "--out", "x.csv"],
+        # up-front arrays of N x max(N, grid_points) complex entries over 1 GiB
+        ["rate-curve", "--set", "grid_points=1000000000000000", "--out", "x.csv"],
+        ["rate-curve", "--set", "num_elements=1000000000000000",
+         "--set", "pilot_budgets=2", "--out", "x.csv"],
+        ["utility-trace", "--set", "grid_points=1000000000000000",
+         "--true-aoa-deg", "0", "--l-max", "5", "--out", "x.csv"],
     ],
 )
 def test_invalid_inputs_exit_2(argv, capsys):

@@ -20,14 +20,15 @@ from rispilot import (
     expand_channel,
     least_squares_estimate,
     least_squares_prefix_estimates,
-    ml_utility,
     ml_utility_profile,
     parametric_ml_estimate,
     plausible_angles,
     random_bs_ris_channel,
+    steering_matrix,
 )
+from rispilot.estimators import UtilityAccumulator
 
-from conftest import circular_diff, make_campaign, pool_config_rows
+from conftest import circular_diff, direct_utility, make_campaign, pool_config_rows
 
 
 def dft_rows(n: int, columns=None) -> np.ndarray:
@@ -104,7 +105,12 @@ class TestMlUtility:
             h.coefficients * expand_channel(LosChannel(1.0, 0.0, 0.35), array)
         )
         expected = 2.0 * 1.9 * float(np.sum(np.abs(direction) ** 2))
-        assert ml_utility(campaign, array, 0.35) == pytest.approx(expected, rel=1e-10)
+        assert ml_utility_profile(campaign, array, [0.35])[0] == pytest.approx(
+            expected, rel=1e-10
+        )
+        assert direct_utility(campaign, array, [0.35])[0] == pytest.approx(
+            expected, rel=1e-10
+        )
 
     def test_orthogonal_received_signal_gives_zero(self, rng):
         n = 6
@@ -115,7 +121,9 @@ class TestMlUtility:
         direction = rows @ (h.coefficients * expand_channel(LosChannel(1, 0, aoa), array))
         received = np.array([np.conj(direction[1]), -np.conj(direction[0])])
         campaign = PilotCampaign(rows, received, 1.0, h)
-        assert ml_utility(campaign, array, aoa) == pytest.approx(0.0, abs=1e-18)
+        assert ml_utility_profile(campaign, array, [aoa])[0] == pytest.approx(
+            0.0, abs=1e-18
+        )
 
     def test_single_pilot_utility_is_constant(self, rng):
         n = 5
@@ -124,14 +132,14 @@ class TestMlUtility:
         rows = pool_config_rows(h, [0.1], array)
         received = np.array([2.0 - 1.0j])
         campaign = PilotCampaign(rows, received, 1.0, h)
-        for aoa in (-1.2, -0.3, 0.0, 0.4, 1.5):
-            assert ml_utility(campaign, array, aoa) == pytest.approx(5.0, rel=1e-12)
+        profile = ml_utility_profile(campaign, array, [-1.2, -0.3, 0.0, 0.4, 1.5])
+        assert profile == pytest.approx(np.full(5, 5.0), rel=1e-12)
 
     def test_empty_campaign_is_degenerate(self):
         h = KnownBsRisChannel(np.ones(4))
         campaign = PilotCampaign(np.ones((0, 4)), np.zeros(0), 1.0, h)
         with pytest.raises(DegenerateDirectionError):
-            ml_utility(campaign, ArrayModel(4, 0.25), 0.0)
+            ml_utility_profile(campaign, ArrayModel(4, 0.25), [0.0])
 
     def test_exact_kernel_null_scores_zero_in_grid_search(self):
         # the [1, -1] row is exactly orthogonal to the broadside response
@@ -150,10 +158,11 @@ class TestMlUtility:
         assert estimate_aoa(campaign, array, grid) != 0.0
         # probing the dead direction alone is still an error
         with pytest.raises(DegenerateDirectionError):
-            ml_utility(campaign, array, 0.0)
+            ml_utility_profile(campaign, array, [0.0])
 
     def test_profile_matches_scalar_loop(self, rng):
-        # dual route: vectorized profile vs one angle at a time
+        # dual route: the accumulated profile vs the whole-matrix reference,
+        # one angle at a time
         n = 7
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
@@ -164,7 +173,7 @@ class TestMlUtility:
         profile = ml_utility_profile(campaign, array, angles)
         for k, aoa in enumerate(angles):
             assert profile[k] == pytest.approx(
-                ml_utility(campaign, array, aoa), rel=1e-12
+                direct_utility(campaign, array, [aoa])[0], rel=1e-12
             )
 
     def test_invariant_under_global_row_phase_rotation(self, rng):
@@ -181,10 +190,54 @@ class TestMlUtility:
             1.0,
             h,
         )
-        for aoa in (-0.9, 0.0, 0.8):
-            assert ml_utility(rotated, array, aoa) == pytest.approx(
-                ml_utility(campaign, array, aoa), rel=1e-10
-            )
+        angles = [-0.9, 0.0, 0.8]
+        assert ml_utility_profile(rotated, array, angles) == pytest.approx(
+            ml_utility_profile(campaign, array, angles), rel=1e-10
+        )
+
+
+@st.composite
+def utility_inputs(draw):
+    """A campaign of random unit-modulus rows and samples, an array, angles."""
+    n = draw(st.integers(1, 40))
+    num_pilots = draw(st.integers(1, 12))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = KnownBsRisChannel(
+        gen.uniform(0.5, 2.0, n) * np.exp(1j * gen.uniform(0, 2 * np.pi, n))
+    )
+    rows = np.exp(1j * gen.uniform(0, 2 * np.pi, (num_pilots, n)))
+    received = gen.standard_normal(num_pilots) + 1j * gen.standard_normal(num_pilots)
+    array = ArrayModel(n, draw(st.floats(0.05, 1.0)))
+    angles = draw(
+        st.lists(st.floats(-np.pi / 2, np.pi / 2), min_size=1, max_size=60)
+    )
+    return PilotCampaign(rows, received, 1.0, h), array, np.array(angles)
+
+
+class TestUtilityAccumulator:
+    @settings(max_examples=60, deadline=None)
+    @given(utility_inputs())
+    def test_profile_matches_whole_matrix_reference(self, inputs):
+        campaign, array, angles = inputs
+        accumulator = UtilityAccumulator(
+            campaign.bs_ris_channel, steering_matrix(array, angles)
+        )
+        for row, sample in zip(campaign.config_matrix, campaign.received):
+            accumulator.add(row, sample)
+        profile = accumulator.utility()
+        reference = direct_utility(campaign, array, angles)
+        # relative to the largest value: a direction the pilots barely see
+        # has no meaningful relative error of its own
+        np.testing.assert_allclose(
+            profile, reference, rtol=1e-12, atol=1e-12 * np.max(reference)
+        )
+        # the batch estimators feed the same accumulator in the same order
+        assert np.array_equal(ml_utility_profile(campaign, array, angles), profile)
+
+    def test_rejects_steering_of_another_size(self):
+        h = KnownBsRisChannel(np.ones(4))
+        with pytest.raises(DimensionError):
+            UtilityAccumulator(h, steering_matrix(ArrayModel(5, 0.25), [0.0]))
 
 
 class TestEstimateAoa:
@@ -199,9 +252,7 @@ class TestEstimateAoa:
         rows = pool_config_rows(h, plausible_angles(n), array)
         campaign = make_campaign(rows, h, channel, array, 1.0)
         assert estimate_aoa(campaign, array, grid) == truth
-        values = np.array(
-            [ml_utility(campaign, array, a) for a in grid.angles]
-        )
+        values = direct_utility(campaign, array, grid.angles)
         best = np.argmax(values)
         assert grid.angles[best] == truth
         others = np.delete(values, best)

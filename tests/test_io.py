@@ -11,7 +11,7 @@ from rispilot import (
     emit_rate_csv,
     emit_utility_csv,
     parse_config,
-    run_utility_trace,
+    run_single_estimate,
     snr_to_powers,
 )
 from rispilot.io import RATE_CSV_HEADER, UTILITY_CSV_HEADER
@@ -29,7 +29,6 @@ def make_point(budget: int, ml: float = 5.0, ls: float = 3.0) -> RateCurvePoint:
         trial_count=100,
         stderr_ml=0.0123456789,
         stderr_ls=0.02,
-        stderr_capacity=0.0,
     )
 
 
@@ -144,32 +143,36 @@ class TestRateCsv:
 
 class TestUtilityCsv:
     @pytest.fixture
-    def trace(self):
+    def record(self):
         config = ExperimentConfig(
             num_elements=8, pilot_budgets=(2, 4), num_trials=1,
             grid_points=50, rng_seed=6,
         )
-        return run_utility_trace(config, 0.2, 4)
+        return run_single_estimate(config, 0.2, 4).record
 
-    def test_row_counts_and_argmax_markers(self, tmp_path, trace):
+    def test_row_counts_and_argmax_markers(self, tmp_path, record):
         path = tmp_path / "trace.csv"
-        emit_utility_csv(trace, path)
+        emit_utility_csv(record, path)
         lines = path.read_text().splitlines()
         assert lines[0] == UTILITY_CSV_HEADER
         rows = [line.split(",") for line in lines[1:]]
-        assert len(rows) == 3 * 50  # stages for L = 2, 3, 4
-        for stage in ("2", "3", "4"):
-            markers = [r for r in rows if r[0] == stage and r[3] == "1"]
+        assert len(rows) == 3 * 50  # steps for L = 2, 3, 4
+        for step in record.steps[1:]:
+            markers = [r for r in rows if r[0] == str(step.pilot_index) and r[3] == "1"]
             assert len(markers) == 1
+            # the marked row is the estimate's angle
+            assert float(markers[0][1]) == pytest.approx(step.aoa_estimate, abs=1e-8)
 
-    def test_db_values_match_linear_utilities(self, tmp_path, trace):
+    def test_db_values_match_linear_utilities(self, tmp_path, record):
         path = tmp_path / "trace.csv"
-        emit_utility_csv(trace, path)
+        emit_utility_csv(record, path)
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
         sampled = rows[37]
-        stage = next(s for s in trace.stages if s.pilot_count == int(sampled[0]))
+        step = record.step_for(int(sampled[0]))
         idx = 37 % 50
-        assert float(sampled[1]) == pytest.approx(trace.angles[idx], abs=1e-8)
-        assert float(sampled[2]) == pytest.approx(stage.utility_db[idx], abs=1e-6)
+        assert float(sampled[1]) == pytest.approx(record.grid.angles[idx], abs=1e-8)
+        assert float(sampled[2]) == pytest.approx(
+            10.0 * math.log10(step.utility[idx]), abs=1e-6
+        )
         linear = 10.0 ** (float(sampled[2]) / 10.0)
         assert 10.0 * math.log10(linear) == pytest.approx(float(sampled[2]), abs=1e-9)

@@ -20,16 +20,18 @@ from rispilot import (
     collect_trial_rates,
     expand_channel,
     least_squares_estimate,
-    local_peak_indices,
     optimal_configuration,
     random_bs_ris_channel,
     run_adaptive_estimation,
     run_rate_experiment,
     run_single_estimate,
-    run_utility_trace,
     simulate_pilot_reception,
     snr_to_powers,
 )
+
+from rispilot.simulate import MAX_ARRAY_ENTRIES
+
+from conftest import local_peak_indices, utility_db
 
 
 class TestSnrToPowers:
@@ -37,7 +39,6 @@ class TestSnrToPowers:
         powers = snr_to_powers(ExperimentConfig(data_snr_db=0.0))
         assert powers.data_power == pytest.approx(1.0)
         assert powers.pilot_power == pytest.approx(10.0)
-        assert powers.channel_gain == 1.0
 
     def test_low_snr_operating_point(self):
         powers = snr_to_powers(ExperimentConfig(data_snr_db=-10.0))
@@ -110,11 +111,22 @@ class TestExperimentConfig:
             # the capacity log2(1 + N^2 P_d) rounds to 0
             {"data_snr_db": -300.0},
             {"data_snr_db": -3200.0},
+            # N x max(N, G) complex entries beyond MAX_ARRAY_ENTRIES
+            {"grid_points": MAX_ARRAY_ENTRIES // 40 + 1},
+            {"grid_points": 10**15},
+            {"num_elements": 2**13 + 1, "pilot_budgets": (2,)},
+            {"num_elements": 10**15, "pilot_budgets": (2,)},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ConfigValidationError):
             ExperimentConfig(**kwargs)
+
+    def test_array_bound_admits_its_limit(self):
+        # building the config allocates nothing, so the limit itself is cheap
+        assert MAX_ARRAY_ENTRIES == 2**26
+        ExperimentConfig(grid_points=MAX_ARRAY_ENTRIES // 40)
+        ExperimentConfig(num_elements=2**13, pilot_budgets=(2,))
 
     def test_rate_point_rejects_capacity_violation(self):
         with pytest.raises(ValueError):
@@ -128,7 +140,6 @@ class TestExperimentConfig:
                 trial_count=10,
                 stderr_ml=0.01,
                 stderr_ls=0.01,
-                stderr_capacity=0.0,
             )
 
 
@@ -181,7 +192,7 @@ class TestTrialRates:
             rng = np.random.default_rng(seed)
             aoa = rng.uniform(*config.ue_angle_range)
             omega = rng.uniform(0.0, 2.0 * np.pi)
-            channel = LosChannel(powers.channel_gain, omega, aoa)
+            channel = LosChannel(1.0, omega, aoa)
             h = random_bs_ris_channel(n, rng)
             g = expand_channel(channel, array)
             caps[t] = capacity(h, g, powers.data_power)
@@ -329,18 +340,20 @@ class TestUtilityTrace:
             num_elements=16, pilot_budgets=(2, 8), num_trials=1,
             grid_points=300, rng_seed=2,
         )
-        trace = run_utility_trace(config, 0.3, 6)
-        assert [s.pilot_count for s in trace.stages] == [2, 3, 4, 5, 6]
-        for stage in trace.stages:
-            assert stage.utility_db.size == 300
-            assert 0 <= stage.argmax_index < 300
-            # argmax marks the largest utility
-            assert stage.utility_db[stage.argmax_index] == np.max(stage.utility_db)
+        record = run_single_estimate(config, 0.3, 6).record
+        assert [s.pilot_index for s in record.steps[1:]] == [2, 3, 4, 5, 6]
+        for step in record.steps[1:]:
+            assert step.utility.size == 300
+            db = utility_db(step.utility)
+            peak = int(np.argmax(step.utility))
+            # the estimate sits at the largest utility, in dB as well
+            assert record.grid.angles[peak] == step.aoa_estimate
+            assert db[peak] == np.max(db)
 
     def test_rejects_truth_outside_ue_range(self):
         config = ExperimentConfig(num_elements=8, pilot_budgets=(2, 4), num_trials=1)
         with pytest.raises(AngleDomainError):
-            run_utility_trace(config, 1.2, 4)
+            run_single_estimate(config, 1.2, 4)
 
     def test_effectively_noise_free_argmax_sits_at_truth(self):
         config = ExperimentConfig(
@@ -353,16 +366,16 @@ class TestUtilityTrace:
         )
         angles = config.grid().angles
         truth = float(angles[np.argmin(np.abs(angles - (-np.pi / 4)))])
-        trace = run_utility_trace(config, truth, 8)
-        for stage in trace.stages:
-            assert trace.angles[stage.argmax_index] == truth
+        steps = run_single_estimate(config, truth, 8).record.steps
+        for step in steps[1:]:
+            assert angles[np.argmax(step.utility)] == truth
 
     def test_two_pilot_stage_has_near_equal_peaks(self):
         # with two pilots several angles explain the data almost equally well
         config = ExperimentConfig(rng_seed=3, num_trials=1)
-        trace = run_utility_trace(config, -np.pi / 4, 10)
-        first = trace.stages[0]
-        peaks = np.sort(first.utility_db[local_peak_indices(first.utility_db)])[::-1]
+        record = run_single_estimate(config, -np.pi / 4, 10).record
+        first = utility_db(record.steps[1].utility)
+        peaks = np.sort(first[local_peak_indices(first)])[::-1]
         assert peaks.size >= 2
         assert peaks[0] - peaks[1] < 3.0
 
