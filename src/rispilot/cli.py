@@ -112,9 +112,14 @@ def _cmd_rate_curve(args: argparse.Namespace) -> int:
     progress = None
     if args.progress:
         every = max(1, config.num_trials // 20)
+        shown = 0
 
         def progress(done: int, total: int) -> None:
-            if done % every == 0 or done == total:
+            # counts arrive a chunk of trials at a time: print when one
+            # passes the next multiple of ``every``, and always the last
+            nonlocal shown
+            if done // every > shown // every or done == total:
+                shown = done
                 print(f"trial {done}/{total}", file=sys.stderr)
 
     points = run_rate_experiment(config, progress=progress)

@@ -137,68 +137,94 @@ class EstimationResult:
 class UtilityAccumulator:
     """Running sums behind the ML objective, one pilot at a time.
 
-    Column j of ``steering`` is a(angle_j). The accumulator keeps the
-    directions v_j = D_h a(angle_j) and, over the pilots added so far in
-    transmission order, y^H B v_j and ||B v_j||^2. The adaptive loop and
-    the batch estimators share this one copy of the arithmetic.
+    For the pilots added so far in transmission order it keeps, per
+    direction v_j = D_h a(angle_j), the inner product y^H B v_j and the
+    energy ||B v_j||^2. Each pilot arrives as its projection row
+    (B_i v_j over j) and its received sample. ``shape`` is the number of
+    directions, or (trials, directions) for a leading axis of independent
+    runs: the adaptive loop advances a chunk of trials at once this way,
+    and the batch estimators feed one campaign. This is the one copy of
+    the utility and of the closed-form gain and phase.
     """
 
-    def __init__(self, bs_ris_channel: KnownBsRisChannel, steering: np.ndarray):
-        if steering.shape[0] != bs_ris_channel.num_elements:
-            raise DimensionError(
-                f"steering has {steering.shape[0]} elements but the BS-RIS "
-                f"channel has {bs_ris_channel.num_elements}"
-            )
-        self.directions = bs_ris_channel.coefficients[:, None] * steering
-        self.inner = np.zeros(steering.shape[1], dtype=np.complex128)
-        self.energy = np.zeros(steering.shape[1], dtype=float)
+    def __init__(self, shape):
+        self.inner = np.zeros(shape, dtype=np.complex128)
+        self.energy = np.zeros(shape, dtype=float)
 
-    def add(self, row: np.ndarray, sample: complex) -> None:
-        """Add one pilot: its configuration row and its received sample."""
-        projection = row @ self.directions
-        self.inner += np.conj(sample) * projection
-        self.energy += np.abs(projection) ** 2
+    def add(
+        self, projection: np.ndarray, sample, energy: np.ndarray | None = None
+    ) -> None:
+        """Add one pilot per run: projection rows, samples, and |projection|^2.
+
+        ``energy`` is |projection|^2 when the caller already holds it;
+        otherwise it is computed here.
+        """
+        self.inner += np.conj(sample)[..., None] * projection
+        self.energy += np.abs(projection) ** 2 if energy is None else energy
 
     def utility(self) -> np.ndarray:
         """ML objective |y^H B v|^2 / ||B v||^2 per direction, as a new array.
 
         A direction with exactly zero pilot energy (a kernel null shared by
-        all rows) explains nothing and scores 0. If no direction carries any
-        energy no angle can be ranked: degenerate-direction error.
+        all rows) explains nothing and scores 0. If no direction of a run
+        carries any energy no angle can be ranked: degenerate-direction error.
         """
         energy = self.energy
-        if np.all(energy == 0.0):
+        lit = energy > 0.0
+        value = np.abs(self.inner)
+        np.square(value, out=value)
+        if lit.all():  # the usual case: no masked division needed
+            return np.divide(value, energy, out=value)
+        if not lit.any(axis=-1).all():
             raise DegenerateDirectionError(
                 "no probed direction carries pilot energy; the campaign cannot "
                 "rank any angle"
             )
-        return np.divide(np.abs(self.inner) ** 2, energy,
-                         out=np.zeros_like(energy), where=energy > 0.0)
+        return np.divide(value, energy, out=np.zeros_like(energy), where=lit)
 
-    def gain_and_phase(self, index: int, pilot_power: float) -> tuple[float, float]:
+    def gain_and_phase(self, index, pilot_power):
         """Gain |y^H B v|^2 / (P_p ||B v||^4) and phase -arg(y^H B v).
 
-        ``v`` is direction ``index``. The phase is wrapped to [0, 2*pi); a
-        zero inner product maps to (0, 0).
+        ``v`` is direction ``index`` (one index per run for a leading
+        trial axis, then ``pilot_power`` may hold one power per run too).
+        The phase is wrapped to [0, 2*pi); a zero inner product maps to
+        (0, 0). A single run gives floats, a trial axis arrays.
         """
-        inner, energy = self.inner[index], self.energy[index]
-        if energy == 0.0:
+        index = np.asarray(index)
+        at = (np.arange(index.size), index.reshape(-1))
+        size = self.inner.shape[-1]
+        inner = self.inner.reshape(-1, size)[at].reshape(index.shape)
+        energy = self.energy.reshape(-1, size)[at].reshape(index.shape)
+        if np.any(energy == 0.0):
             raise DegenerateDirectionError(
                 "the estimated direction carries no pilot energy"
             )
-        gain = abs(inner) ** 2 / (pilot_power * energy**2)
-        return gain, float((-np.angle(inner)) % TWO_PI)
+        gain = np.abs(inner) ** 2 / (pilot_power * energy**2)
+        phase = (-np.angle(inner)) % TWO_PI
+        if gain.ndim == 0:
+            return float(gain), float(phase)
+        return gain, phase
 
 
 def _accumulate(
     campaign: PilotCampaign, array: ArrayModel, angles
 ) -> UtilityAccumulator:
-    """An accumulator over ``angles`` fed the campaign's pilots in order."""
-    accumulator = UtilityAccumulator(
-        campaign.bs_ris_channel, steering_matrix(array, angles)
+    """An accumulator over ``angles`` fed the campaign's pilots in order.
+
+    Each row is projected onto the directions D_h a(angle): the general
+    path, for any BS-RIS magnitudes and any configuration rows.
+    """
+    if array.num_elements != campaign.num_elements:
+        raise DimensionError(
+            f"array has {array.num_elements} elements but the BS-RIS "
+            f"channel has {campaign.num_elements}"
+        )
+    directions = (
+        campaign.bs_ris_channel.coefficients[:, None] * steering_matrix(array, angles)
     )
+    accumulator = UtilityAccumulator(directions.shape[1])
     for row, sample in zip(campaign.config_matrix, campaign.received):
-        accumulator.add(row, sample)
+        accumulator.add(row @ directions, sample)
     return accumulator
 
 

@@ -24,8 +24,8 @@ TWO_PI = 2.0 * np.pi
 UNIT_MODULUS_TOL = 1e-12
 
 
-def _check_front_half_plane(aoa: float) -> None:
-    if not -np.pi / 2 <= aoa <= np.pi / 2:
+def _check_front_half_plane(aoa) -> None:
+    if not np.all((-np.pi / 2 <= aoa) & (aoa <= np.pi / 2)):
         raise AngleDomainError(
             f"angle {aoa!r} rad lies outside the front half-plane [-pi/2, pi/2]"
         )
@@ -146,15 +146,19 @@ class KnownBsRisChannel:
         return self.coefficients.size
 
 
-def array_response(array: ArrayModel, aoa: float) -> np.ndarray:
+def array_response(array: ArrayModel, aoa) -> np.ndarray:
     """Response of the ULA to a plane wave arriving from ``aoa``.
 
     Element n carries exp(-1j * 2*pi * spacing_ratio * n * sin(aoa)), so
     the reference element is exactly 1 and every entry has unit modulus.
+    An array of angles gives one response per angle along a new last axis,
+    each equal to that angle's own response.
     """
     _check_front_half_plane(aoa)
     indices = np.arange(array.num_elements)
-    return np.exp(-1j * TWO_PI * array.spacing_ratio * np.sin(aoa) * indices)
+    return np.exp(
+        -1j * TWO_PI * array.spacing_ratio * np.sin(aoa)[..., None] * indices
+    )
 
 
 def steering_matrix(array: ArrayModel, aoas) -> np.ndarray:
@@ -184,14 +188,16 @@ def effective_channel(
     return complex(np.sum(ris.phases * h.coefficients * g))
 
 
-def achievable_rate(effective: complex, data_snr_scale: float) -> float:
+def achievable_rate(effective, data_snr_scale: float):
     """Rate log2(1 + |effective|^2 * P_d / sigma^2) in bits/s/Hz.
 
     Computed as log1p(x) / ln 2, which keeps full precision for tiny x.
+    A scalar gives a float, an array of effective channels an array.
     """
     if not data_snr_scale > 0:
         raise ValueError("data_snr_scale must be positive")
-    return float(np.log1p(np.abs(effective) ** 2 * data_snr_scale) / np.log(2.0))
+    rate = np.log1p(np.abs(effective) ** 2 * data_snr_scale) / np.log(2.0)
+    return float(rate) if np.ndim(rate) == 0 else rate
 
 
 def capacity(h: KnownBsRisChannel, g, data_snr_scale: float) -> float:

@@ -3,8 +3,12 @@
 Power bookkeeping is normalized: unit noise power, unit channel gain,
 unit-magnitude BS-RIS coefficients. The per-element data SNR then equals
 the data power directly and the pilot power is a fixed dB offset above
-it. Every trial draws its own random generator from the master seed with
-a counter-based split, so results do not depend on execution order.
+it. The BS-RIS channel is always ``random_bs_ris_channel``, whose unit
+magnitudes let every trial share the adaptive setup's projection tables.
+Every trial draws its own random generator from the master seed with a
+counter-based split and draws all its values from it up front; the
+adaptive estimation then runs a chunk of trials at once, and a trial's
+outcome depends neither on execution order nor on its chunk.
 """
 
 from __future__ import annotations
@@ -17,7 +21,10 @@ import numpy as np
 
 from .adaptive import (
     AdaptiveRunRecord,
+    advance_trials,
     build_adaptive_setup,
+    pilot_noise,
+    pilot_power_for_snr,
     run_adaptive_estimation,
 )
 from .errors import AngleDomainError, ConfigValidationError
@@ -35,13 +42,17 @@ from .model import (
     _is_integral,
 )
 
-ChannelFactory = Callable[[int, np.random.Generator], KnownBsRisChannel]
-
 DEFAULT_PILOT_BUDGETS = (2, 3, 4, 5, 6, 8, 10, 15, 20, 30, 40)
 
 #: Most complex entries of the N x G and N x N arrays allocated before the
 #: first trial: 2**26 entries are 1 GiB; the reference config needs 80 000.
 MAX_ARRAY_ENTRIES = 2**26
+
+#: Most complex entries in one (trials x grid) or (trials x N x N) array of
+#: a trial chunk. A few such arrays are live per pilot; at 20 000 entries
+#: (320 KB) they stay in a 2 MB L2 cache, and the reference config
+#: advances 10 trials at a time.
+CHUNK_ENTRIES = 20_000
 
 
 def _require(condition: bool, name: str, message: str) -> None:
@@ -215,11 +226,15 @@ class TrialRates:
 
 
 def _phase_matched_rate(
-    h: KnownBsRisChannel, g: np.ndarray, estimated: np.ndarray, data_power: float
-) -> float:
-    """Rate when the surface is configured from the estimate's phases."""
-    shifts = np.angle(h.coefficients) + np.angle(estimated)
-    eff = complex(np.sum(h.coefficients * g * np.exp(-1j * shifts)))
+    coefficients: np.ndarray, g: np.ndarray, estimated: np.ndarray, data_power: float
+):
+    """Rate when the surface is configured from the estimate's phases.
+
+    The channel vectors run along the last axis; leading axes broadcast
+    and give one rate each.
+    """
+    shifts = np.angle(coefficients) + np.angle(estimated)
+    eff = np.sum(coefficients * g * np.exp(-1j * shifts), axis=-1)
     return achievable_rate(eff, data_power)
 
 
@@ -228,30 +243,42 @@ def _dft_matrix(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(k, k) / n)
 
 
+def _trial_chunk(num_elements: int, grid_points: int) -> int:
+    """Trials advanced together by one call of the adaptive core.
+
+    As many as keep each per-trial array of the chunk within
+    ``CHUNK_ENTRIES``, and at least one. Larger chunks amortize the
+    per-pilot numpy calls over more trials but fall out of cache. A
+    one-trial chunk holds the arrays that ``MAX_ARRAY_ENTRIES`` already
+    bounds, so no chunk exceeds that bound either.
+    """
+    per_trial = max(grid_points, num_elements * num_elements)
+    return max(1, CHUNK_ENTRIES // per_trial)
+
+
 def collect_trial_rates(
     config: ExperimentConfig,
-    bs_ris_channel_factory: ChannelFactory | None = None,
     progress: Callable[[int, int], None] | None = None,
 ) -> TrialRates:
     """Run all Monte Carlo trials and keep the per-trial rates.
 
-    Per trial: draw the user angle and reference phase, run one adaptive
-    estimation at the largest budget (the estimate recorded after pilot
-    L is exactly the budget-L outcome, since earlier pilots do not
-    depend on later ones), run the least-squares baseline, and score
-    everything with the phase-matched rate against the capacity. The
+    Per trial: draw the user angle, reference phase and random-phase
+    BS-RIS channel, the adaptive loop's pilot noise and the
+    least-squares baseline's inputs, in that order from the trial's own
+    generator. The adaptive estimation runs at the largest budget (the
+    estimate recorded after pilot L is exactly the budget-L outcome,
+    since earlier pilots do not depend on later ones), for a chunk of
+    trials at once through ``advance_trials``; each trial's outcome is
+    the one ``run_adaptive_estimation`` returns for it alone. Everything
+    is scored with the phase-matched rate against the capacity. The
     baseline draws one noise vector and one permutation of the DFT
     columns per trial; budget L uses the first L columns and the first
     L noise samples, so the budgets see nested prefixes of both. Those
     rows are orthogonal, so one campaign at the largest budget and
     ``least_squares_prefix_estimates`` give every budget's estimate from
-    a cumulative sum, with no pseudoinverse.
-
-    ``bs_ris_channel_factory`` may replace the default random-phase
-    BS-RIS channel; it must keep unit-magnitude coefficients for the SNR
-    bookkeeping to stay calibrated.
+    a cumulative sum, with no pseudoinverse. ``progress(done, total)`` is
+    called after every chunk.
     """
-    factory = bs_ris_channel_factory or random_bs_ris_channel
     array = config.array()
     grid = config.grid()
     setup = build_adaptive_setup(array, grid)
@@ -261,52 +288,58 @@ def collect_trial_rates(
     n = config.num_elements
     trials = config.num_trials
     dft = _dft_matrix(n)
+    chunk = _trial_chunk(n, config.grid_points)
+    # budget L reads row L - 1 of the LS prefix estimates and the
+    # adaptive estimate from L pilots, column L - 2 of a run's steps
+    last = np.array(budgets) - 1
 
     rate_ml = np.zeros((len(budgets), trials))
     rate_ls = np.zeros((len(budgets), trials))
     caps = np.zeros(trials)
 
     seeds = np.random.SeedSequence(config.rng_seed).spawn(trials)
-    for t in range(trials):
-        rng = np.random.default_rng(seeds[t])
-        aoa = rng.uniform(*config.ue_angle_range)
-        omega = rng.uniform(0.0, TWO_PI)
-        channel = LosChannel(1.0, omega, aoa)
-        h = factory(n, rng)
-        g = expand_channel(channel, array)
-        caps[t] = capacity(h, g, powers.data_power)
+    for begin in range(0, trials, chunk):
+        members = range(begin, min(begin + chunk, trials))
+        h_rows = np.empty((len(members), n), dtype=np.complex128)
+        g_rows = np.empty((len(members), n), dtype=np.complex128)
+        draws = np.empty((len(members), 2 * max_budget))
+        for row, t in enumerate(members):
+            rng = np.random.default_rng(seeds[t])
+            aoa = rng.uniform(*config.ue_angle_range)
+            omega = rng.uniform(0.0, TWO_PI)
+            h = random_bs_ris_channel(n, rng)
+            g = expand_channel(LosChannel(1.0, omega, aoa), array)
+            caps[t] = capacity(h, g, powers.data_power)
+            h_rows[row], g_rows[row] = h.coefficients, g
+            # the configured pilot power is finite, so every run is noisy
+            draws[row] = rng.standard_normal(2 * max_budget)
 
-        record = run_adaptive_estimation(
-            channel, h, array, max_budget, powers.pilot_power, rng, grid, setup=setup
-        )
-        for b, budget in enumerate(budgets):
-            step = record.step_for(budget)
-            estimate = (
-                np.sqrt(step.gain_estimate)
-                * np.exp(1j * step.phase_estimate)
-                * array_response(array, step.aoa_estimate)
+            noise = (
+                rng.standard_normal(max_budget) + 1j * rng.standard_normal(max_budget)
+            ) / np.sqrt(2.0)
+            config_rows = dft[:, rng.permutation(n)[:max_budget]].T
+            signal = h.coefficients * g * np.sqrt(powers.pilot_power)
+            campaign = PilotCampaign(
+                config_rows, config_rows @ signal + noise, powers.pilot_power, h
             )
-            rate_ml[b, t] = _phase_matched_rate(h, g, estimate, powers.data_power)
-        # every step holds its grid utility: free this run before the next
-        # one instead of holding two runs' L x G utilities at once
-        del record
-
-        noise = (
-            rng.standard_normal(max_budget) + 1j * rng.standard_normal(max_budget)
-        ) / np.sqrt(2.0)
-        config_rows = dft[:, rng.permutation(n)[:max_budget]].T
-        signal = h.coefficients * g * np.sqrt(powers.pilot_power)
-        campaign = PilotCampaign(
-            config_rows, config_rows @ signal + noise, powers.pilot_power, h
-        )
-        ls_estimates = least_squares_prefix_estimates(campaign)
-        for b, budget in enumerate(budgets):
-            rate_ls[b, t] = _phase_matched_rate(
-                h, g, ls_estimates[budget - 1], powers.data_power
+            ls_estimates = least_squares_prefix_estimates(campaign)[last]
+            rate_ls[:, t] = _phase_matched_rate(
+                h.coefficients, g, ls_estimates, powers.data_power
             )
 
+        pilot_power, noise_std = pilot_power_for_snr(powers.pilot_power, 1.0, h_rows)
+        run = advance_trials(
+            setup, h_rows, g_rows, pilot_power, pilot_noise(draws, noise_std), max_budget
+        )
+        step = last - 1
+        estimates = (
+            np.sqrt(run.gains[:, step]) * np.exp(1j * run.phases[:, step])
+        )[..., None] * array_response(array, setup.grid_angles[run.peaks[:, step]])
+        rate_ml[:, members.start:members.stop] = _phase_matched_rate(
+            h_rows[:, None, :], g_rows[:, None, :], estimates, powers.data_power
+        ).T
         if progress is not None:
-            progress(t + 1, trials)
+            progress(members.stop, trials)
 
     return TrialRates(budgets, rate_ml, rate_ls, caps)
 
@@ -320,11 +353,10 @@ def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
 
 def run_rate_experiment(
     config: ExperimentConfig,
-    bs_ris_channel_factory: ChannelFactory | None = None,
     progress: Callable[[int, int], None] | None = None,
 ) -> list[RateCurvePoint]:
     """Average rates per pilot budget, sorted by ascending budget."""
-    trials = collect_trial_rates(config, bs_ris_channel_factory, progress)
+    trials = collect_trial_rates(config, progress)
     mean_cap = float(np.mean(trials.capacity))
     points = []
     for b, budget in enumerate(trials.pilot_budgets):
@@ -387,6 +419,6 @@ def run_single_estimate(
         channel, h, array, num_pilots, powers.pilot_power, rng, config.grid()
     )
     rate = _phase_matched_rate(
-        h, g, record.result.channel_estimate, powers.data_power
+        h.coefficients, g, record.result.channel_estimate, powers.data_power
     )
     return SingleRunSummary(record, channel, h, rate, capacity(h, g, powers.data_power))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rispilot import (
     AoaSearchGrid,
@@ -30,9 +32,20 @@ from rispilot import (
     random_bs_ris_channel,
     run_adaptive_estimation,
     simulate_pilot_reception,
+    steering_matrix,
 )
+from rispilot.adaptive import advance_trials, pilot_noise, pilot_power_for_snr
 
-from conftest import circular_diff, direct_utility, local_peak_indices, pool_config_rows
+from conftest import (
+    NEAR_NULL,
+    assert_steps_match_batch,
+    circular_diff,
+    direct_utility,
+    local_peak_indices,
+    pilot_energy,
+    pool_config_rows,
+    prefix_campaign,
+)
 
 
 def snap_to_grid(grid: AoaSearchGrid, target: float) -> float:
@@ -356,32 +369,20 @@ class TestAdaptiveRun:
         assert np.max(np.abs(np.abs(record.campaign.config_matrix) - 1.0)) < 1e-12
 
     def test_interim_estimates_match_batch_estimators(self, rng):
-        # dual route: the incremental loop must agree bit for bit with the
-        # one-shot estimators applied to each prefix of the recorded campaign
+        # dual route: the table-driven loop must agree with the one-shot
+        # estimators applied to each prefix of the recorded campaign, to
+        # rounding; this run has no near-null argmax, so every step counts
         n, budget = 12, 7
         array = ArrayModel(n, 0.25)
         grid = AoaSearchGrid(num_points=700)
         h = random_bs_ris_channel(n, rng)
         channel = LosChannel(1.0, 2.0, -0.4)
         record = run_adaptive_estimation(channel, h, array, budget, 10.0, rng, grid)
+        assert assert_steps_match_batch(record, array, grid) == budget - 1
         for i in range(2, budget + 1):
-            prefix = PilotCampaign(
-                record.campaign.config_matrix[:i],
-                record.campaign.received[:i],
-                record.campaign.pilot_power,
-                h,
-            )
+            prefix = prefix_campaign(record.campaign, i)
             step = record.step_for(i)
             assert estimate_aoa(prefix, array, grid) == step.aoa_estimate
-            assert np.array_equal(
-                ml_utility_profile(prefix, array, grid.angles), step.utility
-            )
-            batch = parametric_ml_estimate(prefix, array, grid)
-            assert batch.aoa_estimate == step.aoa_estimate
-            assert batch.gain_estimate == step.gain_estimate
-            assert batch.phase_estimate == step.phase_estimate
-            # a one-angle projection is a different BLAS reduction than the
-            # grid's, so the fixed-angle route agrees to rounding only
             gain, phase = estimate_scalar_coefficient(
                 prefix, array, step.aoa_estimate
             )
@@ -413,20 +414,14 @@ class TestAdaptiveRun:
         assert used == sorted(np.round(plausible_angles(n), 12))
         batch = parametric_ml_estimate(record.campaign, array, grid)
         assert batch.aoa_estimate == record.result.aoa_estimate
-        assert batch.gain_estimate == record.result.gain_estimate
-        assert batch.phase_estimate == record.result.phase_estimate
-        assert np.array_equal(batch.channel_estimate, record.result.channel_estimate)
-        for i in range(2, n + 1):
-            prefix = PilotCampaign(
-                record.campaign.config_matrix[:i],
-                record.campaign.received[:i],
-                record.campaign.pilot_power,
-                h,
-            )
-            assert np.array_equal(
-                ml_utility_profile(prefix, array, grid.angles),
-                record.step_for(i).utility,
-            )
+        assert batch.gain_estimate == pytest.approx(
+            record.result.gain_estimate, rel=1e-12
+        )
+        assert circular_diff(batch.phase_estimate, record.result.phase_estimate) < 1e-12
+        np.testing.assert_allclose(
+            batch.channel_estimate, record.result.channel_estimate, rtol=1e-12
+        )
+        assert assert_steps_match_batch(record, array, grid) == n - 1
 
     def test_deterministic_given_seed(self):
         n = 10
@@ -484,12 +479,59 @@ class TestAdaptiveRun:
                 else:
                     assert np.array_equal(a.utility, b.utility)
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(3, 40),
+        points=st.integers(50, 2000),
+        seed=st.integers(0, 2**32 - 1),
+        snr=st.sampled_from([1.0, 10.0, 100.0]),
+    )
+    def test_picks_and_estimates_ignore_bs_ris_phases(self, n, points, seed, snr):
+        # the configurations compensate the known BS-RIS phases, so two
+        # random phase profiles under the same noise must give the same run,
+        # up to the first argmax on a near-null direction, where the utility
+        # divides noise by almost nothing
+        gen = np.random.default_rng(seed)
+        array = ArrayModel(n, 0.25)
+        grid = AoaSearchGrid(num_points=points)
+        setup = build_adaptive_setup(array, grid)
+        channel = LosChannel(
+            1.0, float(gen.uniform(0, 2 * np.pi)), float(gen.uniform(-1.0, 1.0))
+        )
+        noise_seed = int(gen.integers(2**32))
+        hs = [random_bs_ris_channel(n, gen) for _ in range(2)]
+        g = expand_channel(channel, array)
+        assert capacity(hs[0], g, snr) == pytest.approx(
+            capacity(hs[1], g, snr), rel=1e-12
+        )
+        runs = [
+            run_adaptive_estimation(
+                channel, h, array, n, snr, noise_seed, grid, setup=setup
+            )
+            for h in hs
+        ]
+        for first, second in zip(runs[0].steps, runs[1].steps):
+            assert first.config_angle == second.config_angle
+            if first.utility is None:
+                continue
+            near_null = False
+            for run, step in zip(runs, (first, second)):
+                prefix = prefix_campaign(run.campaign, step.pilot_index)
+                energy = pilot_energy(prefix, array, grid.angles)
+                peak = int(np.argmax(step.utility))
+                near_null |= energy[peak] <= NEAR_NULL * np.max(energy)
+            if near_null:
+                break
+            assert first.aoa_estimate == second.aoa_estimate
+            assert first.gain_estimate == pytest.approx(second.gain_estimate, rel=1e-9)
+
     def test_setup_arrays_are_read_only(self):
         # one setup is shared by every trial of an experiment
         array, grid = ArrayModel(8, 0.25), AoaSearchGrid(num_points=50)
         setup = build_adaptive_setup(array, grid)
         for values in (
-            setup.grid_angles, setup.steering, setup.angles, setup.conj_responses
+            setup.grid_angles, setup.steering, setup.angles, setup.conj_responses,
+            setup.projections, setup.projection_energy, setup.scores,
         ):
             with pytest.raises(ValueError):
                 values[0] = 0.0
@@ -505,6 +547,89 @@ class TestAdaptiveRun:
                 channel, h, array, 4, 10.0, rng, AoaSearchGrid(num_points=301),
                 setup=setup,
             )
+
+
+class TestProjectionTables:
+    """The setup's trial-independent tables against per-channel constructions."""
+
+    def test_tables_match_reference_constructions(self, rng):
+        n = 16
+        array = ArrayModel(n, 0.25)
+        grid = AoaSearchGrid(num_points=300)
+        setup = build_adaptive_setup(array, grid)
+        steering = steering_matrix(array, grid.angles)
+        for _ in range(3):
+            h = random_bs_ris_channel(n, rng)
+            candidates = pool_config_rows(h, setup.angles, array)
+            projections = candidates @ (h.coefficients[:, None] * steering)
+            scores = np.array([
+                np.abs(candidates @ np.conj(optimal_configuration(h, a, array).phases))
+                for a in grid.angles
+            ])
+            tol = 1e-12 * n
+            assert np.max(np.abs(setup.projections - projections)) <= tol
+            assert np.max(
+                np.abs(setup.projection_energy - np.abs(projections) ** 2)
+            ) <= tol
+            assert setup.scores.shape == (grid.num_points, n)
+            assert np.max(np.abs(setup.scores - scores)) <= tol
+
+    def test_non_unit_magnitudes_match_batch_estimators(self, rng):
+        # a library caller's BS-RIS channel with |h| in [0.5, 2]: the run
+        # builds its own table from |h| and still matches the batch route
+        n = 12
+        array = ArrayModel(n, 0.25)
+        grid = AoaSearchGrid(num_points=700)
+        setup = build_adaptive_setup(array, grid)
+        for seed in range(3):
+            gen = np.random.default_rng(seed)
+            h = KnownBsRisChannel(
+                gen.uniform(0.5, 2.0, n) * np.exp(1j * gen.uniform(0, 2 * np.pi, n))
+            )
+            channel = LosChannel(1.0, float(gen.uniform(0, 2 * np.pi)), -0.4)
+            record = run_adaptive_estimation(
+                channel, h, array, n, 10.0, gen, grid, setup=setup
+            )
+            assert assert_steps_match_batch(record, array, grid) >= n - 2
+
+    def test_chunked_trials_match_single_runs_bit_for_bit(self):
+        # the Monte Carlo advances trials in chunks; each row must be the
+        # run that run_adaptive_estimation returns for that trial alone
+        n, budget, trials, snr = 16, 10, 5, 10.0
+        array = ArrayModel(n, 0.25)
+        grid = AoaSearchGrid(num_points=500)
+        setup = build_adaptive_setup(array, grid)
+        gen = np.random.default_rng(3)
+        channels = [
+            LosChannel(1.0, float(gen.uniform(0, 2 * np.pi)), float(gen.uniform(-1, 1)))
+            for _ in range(trials)
+        ]
+        hs = [random_bs_ris_channel(n, gen) for _ in range(trials)]
+        coefficients = np.stack([h.coefficients for h in hs])
+        g = np.stack([expand_channel(c, array) for c in channels])
+        draws = np.stack([
+            np.random.default_rng(100 + t).standard_normal(2 * budget)
+            for t in range(trials)
+        ])
+        pilot_power, noise_std = pilot_power_for_snr(snr, 1.0, coefficients)
+        chunk = advance_trials(
+            setup, coefficients, g, pilot_power, pilot_noise(draws, noise_std),
+            budget, keep_utility=True,
+        )
+        for t in range(trials):
+            record = run_adaptive_estimation(
+                channels[t], hs[t], array, budget, snr, 100 + t, grid, setup=setup
+            )
+            assert [s.config_angle for s in record.steps] == list(
+                setup.angles[chunk.picks[t]]
+            )
+            received = np.array([s.received for s in record.steps])
+            assert received.tobytes() == chunk.samples[t].tobytes()
+            for i, step in enumerate(record.steps[1:]):
+                assert step.aoa_estimate == setup.grid_angles[chunk.peaks[t, i]]
+                assert step.gain_estimate == chunk.gains[t, i]
+                assert step.phase_estimate == chunk.phases[t, i]
+                assert np.array_equal(step.utility, chunk.utilities[i][t])
 
 
 class TestPilotReception:

@@ -5,6 +5,7 @@ import pytest
 from rispilot import adaptive, checks, estimators, model
 from rispilot.cli import main
 from rispilot.io import RATE_CSV_HEADER, UTILITY_CSV_HEADER
+from rispilot.simulate import _trial_chunk
 
 FAST = [
     "--set", "num_elements=8",
@@ -29,6 +30,20 @@ def test_rate_curve_is_byte_deterministic(tmp_path):
     assert main(["rate-curve", *FAST, "--out", str(first)]) == 0
     assert main(["rate-curve", *FAST, "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_rate_curve_progress_ends_with_full_count(tmp_path, capsys):
+    # trials run in chunks; a count that is not a multiple of the chunk
+    # size must still end stderr with the full count
+    trials = _trial_chunk(8, 200) + 5
+    out = tmp_path / "rates.csv"
+    argv = ["rate-curve", *FAST, "--set", f"num_trials={trials}", "--progress"]
+    assert main([*argv, "--out", str(out)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) >= 2
+    assert lines[-1] == f"trial {trials}/{trials}"
+    counts = [int(line.split()[1].split("/")[0]) for line in lines]
+    assert counts == sorted(set(counts))
 
 
 def test_config_file_plus_overrides(tmp_path):

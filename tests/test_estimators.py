@@ -219,11 +219,21 @@ class TestUtilityAccumulator:
     @given(utility_inputs())
     def test_profile_matches_whole_matrix_reference(self, inputs):
         campaign, array, angles = inputs
-        accumulator = UtilityAccumulator(
-            campaign.bs_ris_channel, steering_matrix(array, angles)
+        directions = campaign.bs_ris_channel.coefficients[:, None] * steering_matrix(
+            array, angles
         )
-        for row, sample in zip(campaign.config_matrix, campaign.received):
-            accumulator.add(row, sample)
+        accumulator = UtilityAccumulator(angles.size)
+        # a leading trial axis: row 0 is this campaign, row 1 the same rows
+        # with the samples reversed; rows must not mix
+        stacked = UtilityAccumulator((2, angles.size))
+        for i, (row, sample) in enumerate(
+            zip(campaign.config_matrix, campaign.received)
+        ):
+            accumulator.add(row @ directions, sample)
+            stacked.add(
+                np.stack([row @ directions, row @ directions]),
+                np.array([sample, campaign.received[-1 - i]]),
+            )
         profile = accumulator.utility()
         reference = direct_utility(campaign, array, angles)
         # relative to the largest value: a direction the pilots barely see
@@ -233,12 +243,21 @@ class TestUtilityAccumulator:
         )
         # the batch estimators feed the same accumulator in the same order
         assert np.array_equal(ml_utility_profile(campaign, array, angles), profile)
+        assert np.array_equal(stacked.utility()[0], profile)
+        reversed_campaign = PilotCampaign(
+            campaign.config_matrix, campaign.received[::-1], 1.0,
+            campaign.bs_ris_channel,
+        )
+        assert np.array_equal(
+            stacked.utility()[1],
+            ml_utility_profile(reversed_campaign, array, angles),
+        )
 
     def test_rejects_steering_of_another_size(self):
         h = KnownBsRisChannel(np.ones(4))
+        campaign = PilotCampaign(np.ones((1, 4)), [1.0], 1.0, h)
         with pytest.raises(DimensionError):
-            UtilityAccumulator(h, steering_matrix(ArrayModel(5, 0.25), [0.0]))
-
+            ml_utility_profile(campaign, ArrayModel(5, 0.25), [0.0])
 
 class TestEstimateAoa:
     def test_noise_free_full_pool_recovers_grid_truth(self, rng):
