@@ -37,15 +37,20 @@ def make_campaign(
     return PilotCampaign(rows, received, pilot_power, h)
 
 
+def _pilot_directions(campaign: PilotCampaign, array: ArrayModel, angles) -> np.ndarray:
+    """The whole matrix V = B D_h A at once, one column per angle."""
+    return campaign.config_matrix @ (
+        campaign.bs_ris_channel.coefficients[:, None] * steering_matrix(array, angles)
+    )
+
+
 def direct_utility(campaign: PilotCampaign, array: ArrayModel, angles) -> np.ndarray:
     """ML objective per angle from the whole matrix V = B D_h A at once.
 
     A reference independent of the package's pilot-by-pilot accumulator:
     |y^H v|^2 / ||v||^2 per column v of V, and 0 where ||v|| is exactly 0.
     """
-    directions = campaign.config_matrix @ (
-        campaign.bs_ris_channel.coefficients[:, None] * steering_matrix(array, angles)
-    )
+    directions = _pilot_directions(campaign, array, angles)
     inner = np.conj(campaign.received) @ directions
     energy = np.sum(np.abs(directions) ** 2, axis=0)
     return np.divide(
@@ -55,9 +60,7 @@ def direct_utility(campaign: PilotCampaign, array: ArrayModel, angles) -> np.nda
 
 def pilot_energy(campaign: PilotCampaign, array: ArrayModel, angles) -> np.ndarray:
     """||B D_h a(angle)||^2 per angle, from the whole matrix at once."""
-    directions = campaign.config_matrix @ (
-        campaign.bs_ris_channel.coefficients[:, None] * steering_matrix(array, angles)
-    )
+    directions = _pilot_directions(campaign, array, angles)
     return np.sum(np.abs(directions) ** 2, axis=0)
 
 

@@ -14,7 +14,6 @@ from rispilot import (
     InsufficientPilotsError,
     KnownBsRisChannel,
     LosChannel,
-    PilotCampaign,
     PoolExhaustedError,
     RisConfiguration,
     achievable_rate,
@@ -25,7 +24,6 @@ from rispilot import (
     estimate_aoa,
     estimate_scalar_coefficient,
     expand_channel,
-    ml_utility_profile,
     optimal_configuration,
     parametric_ml_estimate,
     plausible_angles,
@@ -394,12 +392,7 @@ class TestAdaptiveRun:
         array, grid, channel, h, record = self.run_noise_free(rng, n=10, budget=8)
         utilities = []
         for i in range(2, 9):
-            prefix = PilotCampaign(
-                record.campaign.config_matrix[:i],
-                record.campaign.received[:i],
-                record.campaign.pilot_power,
-                h,
-            )
+            prefix = prefix_campaign(record.campaign, i)
             utilities.append(direct_utility(prefix, array, [channel.aoa])[0])
         assert all(b >= a * (1 - 1e-12) for a, b in zip(utilities, utilities[1:]))
 
