@@ -28,8 +28,6 @@ from .errors import (
 from .estimators import (
     AoaSearchGrid,
     PilotCampaign,
-    estimate_aoa,
-    estimate_scalar_coefficient,
     least_squares_estimate,
     least_squares_prefix_estimates,
     ml_utility_profile,
@@ -87,8 +85,6 @@ __all__ = [
     "effective_channel",
     "emit_rate_csv",
     "emit_utility_csv",
-    "estimate_aoa",
-    "estimate_scalar_coefficient",
     "expand_channel",
     "least_squares_estimate",
     "least_squares_prefix_estimates",

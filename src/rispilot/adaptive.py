@@ -48,6 +48,7 @@ from .model import (
     array_response,
     effective_channel,
     expand_channel,
+    los_vector,
     steering_matrix,
 )
 
@@ -91,11 +92,6 @@ def optimal_configuration(
     """
     compensation = _phase_compensation(bs_ris_channel.coefficients, array)
     return RisConfiguration(compensation * np.conj(array_response(array, aoa)))
-
-
-def _conj_responses(array: ArrayModel, angles: np.ndarray) -> np.ndarray:
-    """Row k is conj(a(angles[k])), computed exactly as in optimal_configuration."""
-    return np.array([np.conj(array_response(array, angle)) for angle in angles])
 
 
 def _projection_tables(
@@ -143,7 +139,7 @@ def build_adaptive_setup(array: ArrayModel, grid: AoaSearchGrid) -> AdaptiveSetu
     grid_angles = grid.angles
     steering = steering_matrix(array, grid_angles)
     angles = plausible_angles(array.num_elements)
-    conj_responses = _conj_responses(array, angles)
+    conj_responses = np.conj(array_response(array, angles))
     projections, projection_energy = _projection_tables(conj_responses, steering)
     scores = np.ascontiguousarray(np.abs(projections).T)
     for values in (grid_angles, steering, conj_responses, scores):
@@ -459,13 +455,6 @@ def run_adaptive_estimation(
         compensation * setup.conj_responses[picks], samples, pilot_power[0],
         bs_ris_channel,
     )
-    channel_estimate = (
-        np.sqrt(final.gain_estimate)
-        * np.exp(1j * final.phase_estimate)
-        * array_response(array, final.aoa_estimate)
-    )
-    result = EstimationResult(
-        final.aoa_estimate, final.gain_estimate, final.phase_estimate,
-        channel_estimate,
-    )
+    aoa, gain, phase = final.aoa_estimate, final.gain_estimate, final.phase_estimate
+    result = EstimationResult(aoa, gain, phase, los_vector(array, gain, phase, aoa))
     return AdaptiveRunRecord(tuple(steps), campaign, result, grid)

@@ -95,7 +95,7 @@ def capacity_bound() -> CheckResult:
         h = model.KnownBsRisChannel(magnitudes * np.exp(1j * phases))
         g = rng.normal(size=n) + 1j * rng.normal(size=n)
         snr = float(rng.uniform(0.1, 5.0))
-        cap = model.capacity(h, g, snr)
+        cap = model.capacity(h.coefficients, g, snr)
         theta = model.RisConfiguration(np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
         rate = model.achievable_rate(model.effective_channel(theta, h, g), snr)
         aligned = np.exp(-1j * (np.angle(h.coefficients) + np.angle(g)))
@@ -127,12 +127,13 @@ def scale_invariance() -> CheckResult:
         noise = rng.standard_normal(num_rows) + 1j * rng.standard_normal(num_rows)
         received = rows @ (h.coefficients * g) * np.sqrt(10.0) + noise / np.sqrt(2)
         campaign = estimators.PilotCampaign(rows, received, 10.0, h)
-        baseline = estimators.estimate_aoa(campaign, array, grid)
+        baseline = estimators.parametric_ml_estimate(campaign, array, grid).aoa_estimate
         scale = 0.0
         while scale == 0.0:
             scale = complex(rng.normal(), rng.normal())
         scaled = estimators.PilotCampaign(rows, scale * received, 10.0, h)
-        mismatches += estimators.estimate_aoa(scaled, array, grid) != baseline
+        estimate = estimators.parametric_ml_estimate(scaled, array, grid)
+        mismatches += estimate.aoa_estimate != baseline
     detail = f"{mismatches} argmax changes over {cases} scaled campaigns"
     return CheckResult(mismatches == 0, cases, detail, dict(mismatches=mismatches))
 

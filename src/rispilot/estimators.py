@@ -26,7 +26,7 @@ from .model import (
     ArrayModel,
     KnownBsRisChannel,
     _is_integral,
-    array_response,
+    los_vector,
     steering_matrix,
 )
 
@@ -241,30 +241,6 @@ def ml_utility_profile(
     return _accumulate(campaign, array, angles).utility()
 
 
-def estimate_aoa(
-    campaign: PilotCampaign, array: ArrayModel, grid: AoaSearchGrid
-) -> float:
-    """Angle maximizing the ML objective over the grid.
-
-    Exact ties resolve to the smallest angle (first grid index).
-    """
-    profile = ml_utility_profile(campaign, array, grid.angles)
-    return float(grid.angles[int(np.argmax(profile))])
-
-
-def estimate_scalar_coefficient(
-    campaign: PilotCampaign, array: ArrayModel, aoa_estimate: float
-) -> tuple[float, float]:
-    """Closed-form gain and phase estimates for a fixed angle.
-
-    With v = B D_h a(aoa): gain = |y^H v|^2 / (P_p ||v||^4) and
-    phase = -arg(y^H v) wrapped to [0, 2*pi). A zero inner product maps
-    to (0, 0) so all-zero received signals stay well defined.
-    """
-    accumulator = _accumulate(campaign, array, [aoa_estimate])
-    return accumulator.gain_and_phase(0, campaign.pilot_power)
-
-
 def parametric_ml_estimate(
     campaign: PilotCampaign,
     array: ArrayModel,
@@ -280,8 +256,7 @@ def parametric_ml_estimate(
     peak = int(np.argmax(accumulator.utility()))
     aoa = float(angles[peak])
     gain, phase = accumulator.gain_and_phase(peak, campaign.pilot_power)
-    channel = np.sqrt(gain) * np.exp(1j * phase) * array_response(array, aoa)
-    return EstimationResult(aoa, gain, phase, channel)
+    return EstimationResult(aoa, gain, phase, los_vector(array, gain, phase, aoa))
 
 
 def least_squares_estimate(campaign: PilotCampaign) -> np.ndarray:
@@ -296,25 +271,29 @@ def least_squares_estimate(campaign: PilotCampaign) -> np.ndarray:
     return unscaled / (np.sqrt(campaign.pilot_power) * campaign.bs_ris_channel.coefficients)
 
 
-def least_squares_prefix_estimates(campaign: PilotCampaign) -> np.ndarray:
-    """Least-squares estimates of every pilot prefix of an orthogonal campaign.
+def least_squares_prefix_estimates(
+    rows: np.ndarray, received: np.ndarray, coefficients: np.ndarray, pilot_power: float
+) -> np.ndarray:
+    """Least-squares estimates of every pilot prefix of orthogonal campaigns.
 
-    Row L-1 equals ``least_squares_estimate`` on the first L pilots: for
-    unit-modulus rows with B B^H = N I the pseudoinverse of any row
-    subset is its conjugate transpose over N, so the estimates are the
-    cumulative sums of conj(B) * y scaled by 1 / (N sqrt(P_p) h).
-    Raises ``ValueError`` when the rows are not mutually orthogonal.
+    A campaign is a ``PilotCampaign``'s configuration rows B, samples y and
+    BS-RIS coefficients h; leading axes stack campaigns that share one
+    pilot power, and each gives its own call's result bit for bit. Row L-1
+    of a result equals ``least_squares_estimate`` on the first L pilots:
+    with B B^H = N I the pseudoinverse of any row subset is its conjugate
+    transpose over N, so the estimates are the cumulative sums of
+    conj(B) * y over N sqrt(P_p) h. Raises ``ValueError`` when the rows of
+    any campaign are not mutually orthogonal.
     """
-    matrix = campaign.config_matrix
-    n = campaign.num_elements
-    gram = matrix @ matrix.conj().T
-    deviation = np.max(np.abs(gram - n * np.eye(campaign.num_pilots)), initial=0.0)
+    n = rows.shape[-1]
+    if received.shape != rows.shape[:-1] or coefficients.shape[-1] != n:
+        raise DimensionError("samples and BS-RIS channel must match the rows")
+    gram = rows @ np.conj(np.swapaxes(rows, -1, -2))
+    deviation = np.max(np.abs(gram - n * np.eye(received.shape[-1])), initial=0.0)
     if not deviation <= ORTHOGONALITY_TOL * n:
         raise ValueError(
-            f"config_matrix rows must be mutually orthogonal "
+            f"configuration rows must be mutually orthogonal "
             f"(worst |B B^H - N I| entry {deviation:.3e})"
         )
-    sums = np.cumsum(np.conj(matrix) * campaign.received[:, None], axis=0)
-    return sums / (
-        n * np.sqrt(campaign.pilot_power) * campaign.bs_ris_channel.coefficients
-    )
+    sums = np.cumsum(np.conj(rows) * received[..., None], axis=-2)
+    return sums / (n * np.sqrt(pilot_power) * coefficients[..., None, :])

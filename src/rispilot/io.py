@@ -85,7 +85,10 @@ def parse_config(
     """
     values: dict[str, object] = {}
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigParseError(f"{path}: not UTF-8 text ({exc})") from exc
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:

@@ -92,11 +92,6 @@ class LosChannel:
         object.__setattr__(self, "phase", float(self.phase) % TWO_PI)
         object.__setattr__(self, "aoa", float(self.aoa))
 
-    @property
-    def coefficient(self) -> complex:
-        """Complex channel coefficient at the reference element."""
-        return complex(np.sqrt(self.gain) * np.exp(1j * self.phase))
-
 
 @dataclass(frozen=True, eq=False)
 class RisConfiguration:
@@ -164,15 +159,25 @@ def array_response(array: ArrayModel, aoa) -> np.ndarray:
 def steering_matrix(array: ArrayModel, aoas) -> np.ndarray:
     """Array responses for many angles at once, one column per angle."""
     angles = np.atleast_1d(np.asarray(aoas, dtype=float))
-    if np.any(np.isnan(angles)) or np.any(np.abs(angles) > np.pi / 2):
-        raise AngleDomainError("all angles must lie in [-pi/2, pi/2]")
+    _check_front_half_plane(angles)
     indices = np.arange(array.num_elements)[:, None]
     return np.exp(-1j * TWO_PI * array.spacing_ratio * indices * np.sin(angles)[None, :])
 
 
+def los_vector(array: ArrayModel, gain, phase, aoa) -> np.ndarray:
+    """Vector form sqrt(gain) * e^{j phase} * a(aoa) of a LOS channel.
+
+    It expands true channels and estimates alike. Arrays of gains, phases
+    and angles broadcast and give one vector per entry along a new last
+    axis, each equal to that entry's own.
+    """
+    coefficient = np.sqrt(gain) * np.exp(1j * np.asarray(phase))
+    return coefficient[..., None] * array_response(array, aoa)
+
+
 def expand_channel(channel: LosChannel, array: ArrayModel) -> np.ndarray:
     """Vector form of a LOS channel: sqrt(gain) * e^{j phase} * response(aoa)."""
-    return channel.coefficient * array_response(array, channel.aoa)
+    return los_vector(array, channel.gain, channel.phase, channel.aoa)
 
 
 def effective_channel(
@@ -200,21 +205,23 @@ def achievable_rate(effective, data_snr_scale: float):
     return float(rate) if np.ndim(rate) == 0 else rate
 
 
-def capacity(h: KnownBsRisChannel, g, data_snr_scale: float) -> float:
+def capacity(coefficients, g, data_snr_scale: float):
     """Rate upper bound log2(1 + (sum_n |h_n g_n|)^2 * P_d / sigma^2).
 
-    Attained by the configuration that phase-aligns all reflected paths,
-    theta_n = arg(h_n) + arg(g_n).
+    The ``achievable_rate`` of the aligned sum, attained by the
+    configuration theta_n = arg(h_n) + arg(g_n) that phase-aligns all
+    reflected paths. ``coefficients`` holds the BS-RIS channel's h_n. Both
+    vectors run along the last axis; leading trial axes broadcast to one
+    capacity per trial, equal to that trial's own. One pair gives a float.
     """
-    if not data_snr_scale > 0:
-        raise ValueError("data_snr_scale must be positive")
+    coefficients = np.asarray(coefficients, dtype=np.complex128)
     g = np.asarray(g, dtype=np.complex128)
-    if g.ndim != 1 or g.size != len(h):
+    if g.ndim == 0 or g.shape[-1:] != coefficients.shape[-1:]:
         raise DimensionError(
-            f"channel vector ({g.size}) must match BS-RIS channel ({len(h)})"
+            f"channel vector {g.shape} and BS-RIS channel {coefficients.shape} "
+            f"must share their last axis"
         )
-    aligned = np.sum(np.abs(h.coefficients * g))
-    return float(np.log1p(aligned**2 * data_snr_scale) / np.log(2.0))
+    return achievable_rate(np.sum(np.abs(coefficients * g), axis=-1), data_snr_scale)
 
 
 def random_bs_ris_channel(num_elements: int, rng) -> KnownBsRisChannel:

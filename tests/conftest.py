@@ -14,6 +14,7 @@ from rispilot import (
     steering_matrix,
 )
 from rispilot.checks import circular_diff, pool_config_rows  # noqa: F401
+from rispilot.estimators import _accumulate
 
 
 def make_campaign(
@@ -108,6 +109,12 @@ def assert_steps_match_batch(record, array: ArrayModel, grid) -> int:
         assert circular_diff(batch.phase_estimate, step.phase_estimate) < 1e-12
         compared += 1
     return compared
+
+
+def coefficient_at(campaign: PilotCampaign, array: ArrayModel, aoa: float):
+    """Closed-form (gain, phase) of the campaign at one fixed angle."""
+    accumulator = _accumulate(campaign, array, [aoa])
+    return accumulator.gain_and_phase(0, campaign.pilot_power)
 
 
 def utility_db(utility: np.ndarray) -> np.ndarray:

@@ -21,8 +21,6 @@ from rispilot import (
     capacity,
     config_correlation,
     effective_channel,
-    estimate_aoa,
-    estimate_scalar_coefficient,
     expand_channel,
     optimal_configuration,
     parametric_ml_estimate,
@@ -38,6 +36,7 @@ from conftest import (
     NEAR_NULL,
     assert_steps_match_batch,
     circular_diff,
+    coefficient_at,
     direct_utility,
     local_peak_indices,
     pilot_energy,
@@ -95,7 +94,7 @@ class TestOptimalConfiguration:
         g = expand_channel(channel, array)
         config = optimal_configuration(h, channel.aoa, array)
         rate = achievable_rate(effective_channel(config, h, g), 2.0)
-        assert rate == pytest.approx(capacity(h, g, 2.0), rel=1e-9)
+        assert rate == pytest.approx(capacity(h.coefficients, g, 2.0), rel=1e-9)
 
     def test_matches_elementwise_oracle(self):
         n = 8
@@ -380,10 +379,10 @@ class TestAdaptiveRun:
         for i in range(2, budget + 1):
             prefix = prefix_campaign(record.campaign, i)
             step = record.step_for(i)
-            assert estimate_aoa(prefix, array, grid) == step.aoa_estimate
-            gain, phase = estimate_scalar_coefficient(
-                prefix, array, step.aoa_estimate
-            )
+            batch = parametric_ml_estimate(prefix, array, grid)
+            assert batch.aoa_estimate == step.aoa_estimate
+            # the coefficient projected onto the one estimated angle alone
+            gain, phase = coefficient_at(prefix, array, step.aoa_estimate)
             assert gain == pytest.approx(step.gain_estimate, rel=1e-12)
             assert circular_diff(phase, step.phase_estimate) < 1e-12
 
@@ -494,8 +493,8 @@ class TestAdaptiveRun:
         noise_seed = int(gen.integers(2**32))
         hs = [random_bs_ris_channel(n, gen) for _ in range(2)]
         g = expand_channel(channel, array)
-        assert capacity(hs[0], g, snr) == pytest.approx(
-            capacity(hs[1], g, snr), rel=1e-12
+        assert capacity(hs[0].coefficients, g, snr) == pytest.approx(
+            capacity(hs[1].coefficients, g, snr), rel=1e-12
         )
         runs = [
             run_adaptive_estimation(

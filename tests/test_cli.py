@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
+
 import pytest
 
 from rispilot import adaptive, checks, estimators, model
@@ -138,8 +140,10 @@ DEFECTS = [
     ("least-squares-recovery", estimators, "least_squares_estimate",
      lambda out, *_: out + 1e-6),
     ("capacity-bound", model, "capacity", lambda out, *_: out * (1 + 1e-6)),
-    ("scale-invariance", estimators, "estimate_aoa",
-     lambda out, campaign, *_: out + 1e-3 * abs(campaign.received[0])),
+    ("scale-invariance", estimators, "parametric_ml_estimate",
+     lambda out, campaign, *_: dataclasses.replace(
+         out, aoa_estimate=out.aoa_estimate + 1e-3 * abs(campaign.received[0])
+     )),
     ("beam-correlation", adaptive, "config_correlation",
      lambda out, *_: out * (1 + 1e-6)),
 ]
@@ -189,6 +193,31 @@ def test_validate_fails_on_a_defect(name, owner, function, distort, capsys,
 def test_invalid_inputs_exit_2(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_non_utf8_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"num_trials=5\n# caf\xff\n")
+    assert main(["rate-curve", "--config", str(cfg), "--out", "x.csv"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_exact_single_trial_estimate_meets_capacity_bound(tmp_path):
+    # noise-free pilots make the LS estimate exact, so its rate equals the
+    # capacity up to rounding, with no stderr from a single trial
+    out = tmp_path / "x.csv"
+    argv = [
+        "rate-curve",
+        "--set", "num_trials=1",
+        "--set", "pilot_snr_offset_db=300",
+        "--set", "num_elements=4",
+        "--set", "pilot_budgets=4",
+        "--set", "grid_points=400",
+        "--set", "rng_seed=6",
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    assert out.read_text().splitlines()[1].startswith("4,")
 
 
 def test_missing_config_file_reports_io_error(tmp_path, capsys):

@@ -15,8 +15,6 @@ from rispilot import (
     KnownBsRisChannel,
     LosChannel,
     PilotCampaign,
-    estimate_aoa,
-    estimate_scalar_coefficient,
     expand_channel,
     least_squares_estimate,
     least_squares_prefix_estimates,
@@ -28,7 +26,13 @@ from rispilot import (
 )
 from rispilot.estimators import UtilityAccumulator
 
-from conftest import circular_diff, direct_utility, make_campaign, pool_config_rows
+from conftest import (
+    circular_diff,
+    coefficient_at,
+    direct_utility,
+    make_campaign,
+    pool_config_rows,
+)
 
 
 def dft_rows(n: int, columns=None) -> np.ndarray:
@@ -155,7 +159,7 @@ class TestMlUtility:
         assert profile[0] == 0.0
         assert np.all(profile[1:] > 0.0)
         assert profile[1:] == pytest.approx(np.full(10, 5.0), rel=1e-12)
-        assert estimate_aoa(campaign, array, grid) != 0.0
+        assert parametric_ml_estimate(campaign, array, grid).aoa_estimate != 0.0
         # probing the dead direction alone is still an error
         with pytest.raises(DegenerateDirectionError):
             ml_utility_profile(campaign, array, [0.0])
@@ -270,7 +274,7 @@ class TestEstimateAoa:
         channel = LosChannel(1.4, 0.9, truth)
         rows = pool_config_rows(h, plausible_angles(n), array)
         campaign = make_campaign(rows, h, channel, array, 1.0)
-        assert estimate_aoa(campaign, array, grid) == truth
+        assert parametric_ml_estimate(campaign, array, grid).aoa_estimate == truth
         values = direct_utility(campaign, array, grid.angles)
         best = np.argmax(values)
         assert grid.angles[best] == truth
@@ -284,7 +288,7 @@ class TestEstimateAoa:
         rows = pool_config_rows(h, [-0.5, 0.5], array)
         campaign = PilotCampaign(rows, np.zeros(2), 1.0, h)
         grid = AoaSearchGrid(-1.0, 1.0, 21)
-        assert estimate_aoa(campaign, array, grid) == -1.0
+        assert parametric_ml_estimate(campaign, array, grid).aoa_estimate == -1.0
 
     def test_off_grid_truth_lands_within_one_step_of_fine_grid(self, rng):
         # oracle: a 100x finer grid search over the same objective
@@ -296,9 +300,12 @@ class TestEstimateAoa:
         campaign = make_campaign(rows, h, channel, array, 1.0)
         coarse = AoaSearchGrid(num_points=201)
         fine = AoaSearchGrid(num_points=20001)
-        coarse_estimate = estimate_aoa(campaign, array, coarse)
-        fine_estimate = estimate_aoa(campaign, array, fine)
-        assert abs(coarse_estimate - fine_estimate) <= coarse.step
+        coarse_estimate = parametric_ml_estimate(campaign, array, coarse)
+        fine_estimate = parametric_ml_estimate(campaign, array, fine)
+        assert (
+            abs(coarse_estimate.aoa_estimate - fine_estimate.aoa_estimate)
+            <= coarse.step
+        )
 
     def test_scale_equivariance(self, rng):
         n = 10
@@ -308,11 +315,12 @@ class TestEstimateAoa:
         channel = LosChannel(1.0, 2.2, -0.8)
         rows = pool_config_rows(h, [-0.8, -0.1, 0.6], array)
         campaign = make_campaign(rows, h, channel, array, 1.0, noise_std=1.0, rng=rng)
-        baseline = estimate_aoa(campaign, array, grid)
+        baseline = parametric_ml_estimate(campaign, array, grid).aoa_estimate
         for _ in range(10):
             s = complex(rng.normal(), rng.normal())
             scaled = PilotCampaign(rows, s * campaign.received, 1.0, h)
-            assert estimate_aoa(scaled, array, grid) == baseline
+            scaled_estimate = parametric_ml_estimate(scaled, array, grid)
+            assert scaled_estimate.aoa_estimate == baseline
 
 
 class TestScalarCoefficient:
@@ -323,7 +331,7 @@ class TestScalarCoefficient:
         truth = LosChannel(gain=0.8, phase=2.9, aoa=-0.41)
         rows = pool_config_rows(h, plausible_angles(n)[::2], array)
         campaign = make_campaign(rows, h, truth, array, pilot_power=3.0)
-        gain, phase = estimate_scalar_coefficient(campaign, array, -0.41)
+        gain, phase = coefficient_at(campaign, array, -0.41)
         assert gain == pytest.approx(0.8, rel=1e-9)
         assert circular_diff(phase, 2.9) < 1e-9
 
@@ -333,7 +341,7 @@ class TestScalarCoefficient:
         h = KnownBsRisChannel(np.ones(n))
         rows = pool_config_rows(h, [-0.5, 0.5], array)
         campaign = PilotCampaign(rows, np.zeros(2), 1.0, h)
-        gain, phase = estimate_scalar_coefficient(campaign, array, 0.3)
+        gain, phase = coefficient_at(campaign, array, 0.3)
         assert gain == 0.0
         assert phase == 0.0
 
@@ -344,9 +352,9 @@ class TestScalarCoefficient:
         channel = LosChannel(1.2, 0.5, 0.2)
         rows = pool_config_rows(h, [-0.4, 0.3, 0.9], array)
         campaign = make_campaign(rows, h, channel, array, 1.0, noise_std=0.7, rng=rng)
-        gain, phase = estimate_scalar_coefficient(campaign, array, 0.21)
+        gain, phase = coefficient_at(campaign, array, 0.21)
         scaled = PilotCampaign(rows, 3.0 * campaign.received, 1.0, h)
-        gain_scaled, phase_scaled = estimate_scalar_coefficient(scaled, array, 0.21)
+        gain_scaled, phase_scaled = coefficient_at(scaled, array, 0.21)
         assert gain_scaled == pytest.approx(9.0 * gain, rel=1e-12)
         assert circular_diff(phase_scaled, phase) < 1e-12
 
@@ -484,6 +492,16 @@ class TestLeastSquares:
         )
 
 
+def campaign_prefixes(campaign: PilotCampaign) -> np.ndarray:
+    """``least_squares_prefix_estimates`` of one campaign."""
+    return least_squares_prefix_estimates(
+        campaign.config_matrix,
+        campaign.received,
+        campaign.bs_ris_channel.coefficients,
+        campaign.pilot_power,
+    )
+
+
 @st.composite
 def dft_prefix_campaigns(draw):
     """Rows from a random subset of DFT columns, random h and y."""
@@ -499,11 +517,30 @@ def dft_prefix_campaigns(draw):
     return PilotCampaign(dft_rows(n, columns), received, power, h)
 
 
+@st.composite
+def stacked_dft_campaigns(draw):
+    """(rows, samples, coefficients, power) of 1-5 campaigns of one shape."""
+    n = draw(st.integers(2, 24))
+    num_pilots = draw(st.integers(1, n))
+    count = draw(st.integers(1, 5))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.stack(
+        [dft_rows(n, gen.permutation(n)[:num_pilots]) for _ in range(count)]
+    )
+    received = gen.standard_normal((count, num_pilots)) + 1j * gen.standard_normal(
+        (count, num_pilots)
+    )
+    coefficients = gen.uniform(0.5, 2.0, (count, n)) * np.exp(
+        1j * gen.uniform(0, 2 * np.pi, (count, n))
+    )
+    return rows, received, coefficients, draw(st.floats(1e-3, 1e3))
+
+
 class TestLeastSquaresPrefixes:
     @settings(max_examples=60, deadline=None)
     @given(dft_prefix_campaigns())
     def test_every_prefix_matches_pseudoinverse(self, campaign):
-        prefixes = least_squares_prefix_estimates(campaign)
+        prefixes = campaign_prefixes(campaign)
         assert prefixes.shape == (campaign.num_pilots, campaign.num_elements)
         for length in range(1, campaign.num_pilots + 1):
             reference = least_squares_estimate(
@@ -539,7 +576,40 @@ class TestLeastSquaresPrefixes:
             campaign.bs_ris_channel,
         )
         with pytest.raises(ValueError, match="orthogonal"):
-            least_squares_prefix_estimates(skewed)
+            campaign_prefixes(skewed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(stacked_dft_campaigns())
+    def test_stacked_campaigns_match_their_own_calls(self, stack):
+        rows, received, coefficients, power = stack
+        prefixes = least_squares_prefix_estimates(rows, received, coefficients, power)
+        assert prefixes.shape == rows.shape
+        for t in range(rows.shape[0]):
+            alone = least_squares_prefix_estimates(
+                rows[t], received[t], coefficients[t], power
+            )
+            assert np.array_equal(prefixes[t], alone)
+
+    @settings(max_examples=30, deadline=None)
+    @given(stacked_dft_campaigns(), st.data())
+    def test_one_skewed_campaign_in_a_stack_raises(self, stack, data):
+        rows, received, coefficients, power = stack
+        if rows.shape[1] < 2:
+            rows = np.concatenate([rows, rows], axis=1)
+            received = np.concatenate([received, received], axis=1)
+        campaign = data.draw(st.integers(0, rows.shape[0] - 1))
+        row = data.draw(st.integers(0, rows.shape[1] - 1))
+        element = data.draw(st.integers(0, rows.shape[2] - 1))
+        rows[campaign, row, element] *= np.exp(1j * data.draw(st.floats(0.05, 6.2)))
+        with pytest.raises(ValueError, match="orthogonal"):
+            least_squares_prefix_estimates(rows, received, coefficients, power)
+
+    def test_mismatched_shapes_raise(self):
+        rows = dft_rows(4)[None]
+        with pytest.raises(DimensionError):
+            least_squares_prefix_estimates(rows, np.ones((1, 3)), np.ones((1, 4)), 1.0)
+        with pytest.raises(DimensionError):
+            least_squares_prefix_estimates(rows, np.ones((1, 4)), np.ones((1, 5)), 1.0)
 
     def test_full_dft_recovers_channel(self, rng):
         n = 8
@@ -547,5 +617,5 @@ class TestLeastSquaresPrefixes:
         h = random_bs_ris_channel(n, rng)
         truth = LosChannel(1.3, 0.8, 0.25)
         campaign = make_campaign(dft_rows(n), h, truth, array, 2.0)
-        prefixes = least_squares_prefix_estimates(campaign)
+        prefixes = campaign_prefixes(campaign)
         assert np.max(np.abs(prefixes[-1] - expand_channel(truth, array))) < 1e-12

@@ -22,6 +22,7 @@ from rispilot import (
     random_bs_ris_channel,
     steering_matrix,
 )
+from rispilot.model import los_vector
 
 
 class TestArrayResponse:
@@ -107,6 +108,17 @@ class TestChannelTypes:
                 * cmath.exp(-2j * cmath.pi * 0.25 * n * math.sin(0.3))
             )
             assert abs(expanded[n] - expected) < 1e-12
+
+    def test_los_vector_over_arrays_matches_each_channel(self, rng):
+        array = ArrayModel(9, 0.25)
+        gains = rng.uniform(0.1, 4.0, 6)
+        phases = rng.uniform(0.0, 2 * np.pi, 6)
+        aoas = rng.uniform(-1.5, 1.5, 6)
+        vectors = los_vector(array, gains, phases, aoas)
+        assert vectors.shape == (6, 9)
+        for t in range(6):
+            alone = expand_channel(LosChannel(gains[t], phases[t], aoas[t]), array)
+            assert np.array_equal(vectors[t], alone)
 
     def test_los_channel_rejects_bad_fields(self):
         with pytest.raises(ValueError):
@@ -208,13 +220,13 @@ class TestRates:
 
     def test_capacity_single_element(self):
         h = KnownBsRisChannel(np.array([1.0]))
-        assert capacity(h, np.array([1.0]), 1.0) == pytest.approx(1.0)
+        assert capacity(h.coefficients, np.array([1.0]), 1.0) == pytest.approx(1.0)
 
     def test_capacity_upper_bounds_any_configuration(self, rng):
         n = 7
         h = KnownBsRisChannel(rng.normal(size=n) + 1j * rng.normal(size=n))
         g = rng.normal(size=n) + 1j * rng.normal(size=n)
-        cap = capacity(h, g, 2.0)
+        cap = capacity(h.coefficients, g, 2.0)
         for _ in range(100):
             ris = RisConfiguration(np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
             assert achievable_rate(effective_channel(ris, h, g), 2.0) <= cap
@@ -222,19 +234,29 @@ class TestRates:
     def test_capacity_all_unit_products(self):
         h = KnownBsRisChannel(np.ones(40))
         g = np.exp(1j * np.linspace(0, 3, 40))
-        assert capacity(h, g, 1.0) == pytest.approx(math.log2(1601.0), rel=1e-12)
+        assert capacity(h.coefficients, g, 1.0) == pytest.approx(math.log2(1601.0), rel=1e-12)
 
     def test_rates_keep_precision_at_tiny_snr(self):
         # log2(1 + x) rounds to 0 for x below 2^-53; log1p keeps x / ln 2
         h = KnownBsRisChannel(np.ones(40))
         g = np.exp(1j * np.linspace(0, 3, 40))
         expected = 1600e-20 / math.log(2.0)
-        assert math.isclose(capacity(h, g, 1e-20), expected, rel_tol=1e-12)
+        assert math.isclose(capacity(h.coefficients, g, 1e-20), expected, rel_tol=1e-12)
         assert math.isclose(achievable_rate(40.0, 1e-20), expected, rel_tol=1e-12)
+
+    def test_capacity_over_trial_axis_matches_scalar_calls(self, rng):
+        coefficients = np.exp(1j * rng.uniform(0, 2 * np.pi, (5, 12)))
+        g = rng.normal(size=(5, 12)) + 1j * rng.normal(size=(5, 12))
+        caps = capacity(coefficients, g, 0.7)
+        assert caps.shape == (5,)
+        for t in range(5):
+            alone = capacity(coefficients[t], g[t], 0.7)
+            assert isinstance(alone, float)
+            assert caps[t] == alone
 
     def test_capacity_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            capacity(KnownBsRisChannel(np.ones(3)), np.ones(4), 1.0)
+            capacity(np.ones(3), np.ones(4), 1.0)
 
 
 def test_random_bs_ris_channel_unit_magnitude_and_seeded():

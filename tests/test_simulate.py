@@ -19,6 +19,7 @@ from rispilot import (
     collect_trial_rates,
     expand_channel,
     least_squares_estimate,
+    least_squares_prefix_estimates,
     optimal_configuration,
     random_bs_ris_channel,
     run_adaptive_estimation,
@@ -185,6 +186,7 @@ class TestTrialRates:
 
         rate_ml = np.zeros((len(budgets), config.num_trials))
         rate_ls = np.zeros((len(budgets), config.num_trials))
+        rate_ls_prefix = np.zeros((len(budgets), config.num_trials))
         caps = np.zeros(config.num_trials)
         seeds = np.random.SeedSequence(config.rng_seed).spawn(config.num_trials)
         for t, seed in enumerate(seeds):
@@ -194,7 +196,7 @@ class TestTrialRates:
             channel = LosChannel(1.0, omega, aoa)
             h = random_bs_ris_channel(n, rng)
             g = expand_channel(channel, array)
-            caps[t] = capacity(h, g, powers.data_power)
+            caps[t] = capacity(h.coefficients, g, powers.data_power)
             record = run_adaptive_estimation(
                 channel, h, array, max(budgets), powers.pilot_power, rng, grid
             )
@@ -219,12 +221,21 @@ class TestTrialRates:
                 rate_ls[b, t] = phase_matched_rate(
                     h, g, least_squares_estimate(campaign)
                 )
+            # the trial's own campaign at the largest budget, alone
+            rows = dft[:, columns[:max(budgets)]].T
+            prefixes = least_squares_prefix_estimates(
+                rows, rows @ signal + noise, h.coefficients, powers.pilot_power
+            )
+            for b, budget in enumerate(budgets):
+                rate_ls_prefix[b, t] = phase_matched_rate(h, g, prefixes[budget - 1])
 
         trials = collect_trial_rates(config)
         assert np.array_equal(trials.rate_ml, rate_ml)
         # the harness takes every budget's LS estimate from one prefix sum
         # instead of a pseudoinverse per budget, so only the last bits move
         np.testing.assert_allclose(trials.rate_ls, rate_ls, rtol=1e-12, atol=0)
+        # chunked prefix sums equal each campaign's own, bit for bit
+        assert np.array_equal(trials.rate_ls, rate_ls_prefix)
         assert np.array_equal(trials.capacity, caps)
 
 
