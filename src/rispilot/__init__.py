@@ -45,7 +45,6 @@ from .model import (
     effective_channel,
     expand_channel,
     random_bs_ris_channel,
-    steering_matrix,
 )
 from .simulate import (
     ExperimentConfig,
@@ -99,5 +98,4 @@ __all__ = [
     "run_single_estimate",
     "simulate_pilot_reception",
     "snr_to_powers",
-    "steering_matrix",
 ]

@@ -49,7 +49,6 @@ from .model import (
     effective_channel,
     expand_channel,
     los_vector,
-    steering_matrix,
 )
 
 
@@ -124,7 +123,6 @@ class AdaptiveSetup:
     """
 
     array: ArrayModel
-    grid: AoaSearchGrid
     grid_angles: np.ndarray
     steering: np.ndarray
     angles: np.ndarray
@@ -137,7 +135,7 @@ class AdaptiveSetup:
 def build_adaptive_setup(array: ArrayModel, grid: AoaSearchGrid) -> AdaptiveSetup:
     """Compute the steering matrix, candidate responses and tables once, read-only."""
     grid_angles = grid.angles
-    steering = steering_matrix(array, grid_angles)
+    steering = array_response(array, grid_angles).T
     angles = plausible_angles(array.num_elements)
     conj_responses = np.conj(array_response(array, angles))
     projections, projection_energy = _projection_tables(conj_responses, steering)
@@ -145,7 +143,7 @@ def build_adaptive_setup(array: ArrayModel, grid: AoaSearchGrid) -> AdaptiveSetu
     for values in (grid_angles, steering, conj_responses, scores):
         values.setflags(write=False)
     return AdaptiveSetup(
-        array, grid, grid_angles, steering, angles, conj_responses,
+        array, grid_angles, steering, angles, conj_responses,
         projections, projection_energy, scores,
     )
 
@@ -195,41 +193,24 @@ def simulate_pilot_reception(
 
 
 @dataclass(frozen=True, eq=False)
-class AdaptiveStep:
-    """State after one pilot: what was sent, what came back, what is believed.
+class AdaptiveRunRecord:
+    """Transcript of one adaptive run of L pilots, as the core's read-only arrays.
 
-    ``aoa_estimate``/``gain_estimate``/``phase_estimate`` use all pilots
-    up to and including this one; they are ``None`` for the very first
-    pilot because a single projection cannot identify the angle.
-    ``utility`` is the read-only ML objective over the grid that gave
-    the estimate, also ``None`` for the first pilot.
+    Entry i of ``config_angles`` (L) is the angle of pilot i+1; the campaign
+    holds its row and sample. One pilot cannot identify the angle, so entry i
+    of ``aoa_estimates``, ``gain_estimates`` and ``phase_estimates`` (L-1) is
+    the estimate from the first i+2 pilots, and row i of ``utilities``
+    ((L-1) x grid) the ML objective over ``grid`` behind it.
     """
 
-    pilot_index: int
-    config_angle: float
-    received: complex
-    aoa_estimate: float | None
-    gain_estimate: float | None
-    phase_estimate: float | None
-    utility: np.ndarray | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class AdaptiveRunRecord:
-    """Full transcript of one adaptive estimation run."""
-
-    steps: tuple[AdaptiveStep, ...]
+    config_angles: np.ndarray
+    aoa_estimates: np.ndarray
+    gain_estimates: np.ndarray
+    phase_estimates: np.ndarray
+    utilities: np.ndarray
     campaign: PilotCampaign
     result: EstimationResult
     grid: AoaSearchGrid
-
-    def step_for(self, num_pilots: int) -> AdaptiveStep:
-        """Step holding the estimate based on the first ``num_pilots`` pilots."""
-        if not 1 <= num_pilots <= len(self.steps):
-            raise ValueError(
-                f"run holds {len(self.steps)} pilots, not {num_pilots}"
-            )
-        return self.steps[num_pilots - 1]
 
 
 def pilot_power_for_snr(
@@ -372,8 +353,6 @@ def run_adaptive_estimation(
     pilot_snr: float,
     rng=None,
     grid: AoaSearchGrid | None = None,
-    *,
-    setup: AdaptiveSetup | None = None,
 ) -> AdaptiveRunRecord:
     """Run the adaptive estimation loop for ``num_pilots`` pilots.
 
@@ -385,13 +364,12 @@ def run_adaptive_estimation(
     is transmitted next. A used mask over the candidates keeps each
     candidate to one pilot; ties go to the smallest angle. ``pilot_snr``
     is the per-element pilot SNR in linear scale (``inf`` for noise-free
-    runs). ``setup`` shares the trial-independent arrays and tables
-    between runs over the same array and grid; it is built here when
-    absent.
+    runs).
 
     This is the one-trial call of ``advance_trials``, which the Monte
-    Carlo harness runs on chunks of trials; the record keeps every
-    step's grid utility. Every received sample equals
+    Carlo harness runs on chunks of trials, on a setup built for ``array``
+    and ``grid``; the record holds the core's arrays for the one trial,
+    every step's grid utility included. Every received sample equals
     ``simulate_pilot_reception`` on the sent row with ``rng``, bit for
     bit: all N noise-free values are computed once and the 2 *
     ``num_pilots`` normals of the per-pilot noise are drawn up front, in
@@ -400,11 +378,11 @@ def run_adaptive_estimation(
     The setup's tables hold for unit-magnitude BS-RIS coefficients; when
     some | |h_n| - 1 | exceeds ``UNIT_MODULUS_TOL`` the run builds its
     own from |h| with the same table function. The estimate and utility
-    at step i match ``parametric_ml_estimate`` and ``ml_utility_profile``
-    on the first i pilots of the returned campaign to rounding, which
-    shows only where the pilots barely illuminate a direction. A run with
-    budget i returns exactly the first i steps of a longer run under the
-    same noise draws.
+    from the first i pilots match ``parametric_ml_estimate`` and
+    ``ml_utility_profile`` on those pilots of the returned campaign to
+    rounding, which shows only where the pilots barely illuminate a
+    direction. A run with budget i returns exactly the first i pilots and
+    i-1 estimates of a longer run under the same noise draws.
     """
     n = array.num_elements
     if num_pilots < 2:
@@ -415,10 +393,7 @@ def run_adaptive_estimation(
         )
     if grid is None:
         grid = AoaSearchGrid()
-    if setup is None:
-        setup = build_adaptive_setup(array, grid)
-    elif setup.array != array or setup.grid != grid:
-        raise ValueError("setup was built for a different array or grid")
+    setup = build_adaptive_setup(array, grid)
     rng = np.random.default_rng(rng)
 
     coefficients = bs_ris_channel.coefficients
@@ -441,20 +416,19 @@ def run_adaptive_estimation(
         tables=tables, keep_utility=True,
     )
 
-    picks, samples = run.picks[0], run.samples[0]
+    picks = run.picks[0]
     config_angles = setup.angles[picks]
-    steps = [AdaptiveStep(1, float(config_angles[0]), samples[0], None, None, None)]
-    for i, peak in enumerate(run.peaks[0]):
-        steps.append(AdaptiveStep(
-            i + 2, float(config_angles[i + 1]), samples[i + 1],
-            float(setup.grid_angles[peak]), float(run.gains[0, i]),
-            float(run.phases[0, i]), run.utilities[i][0],
-        ))
-    final = steps[-1]
+    aoas = setup.grid_angles[run.peaks[0]]
+    gains, phases = run.gains[0], run.phases[0]
+    utilities = np.concatenate(run.utilities)
+    for values in (config_angles, aoas, gains, phases, utilities):
+        values.setflags(write=False)
     campaign = PilotCampaign(
-        compensation * setup.conj_responses[picks], samples, pilot_power[0],
+        compensation * setup.conj_responses[picks], run.samples[0], pilot_power[0],
         bs_ris_channel,
     )
-    aoa, gain, phase = final.aoa_estimate, final.gain_estimate, final.phase_estimate
+    aoa, gain, phase = float(aoas[-1]), float(gains[-1]), float(phases[-1])
     result = EstimationResult(aoa, gain, phase, los_vector(array, gain, phase, aoa))
-    return AdaptiveRunRecord(tuple(steps), campaign, result, grid)
+    return AdaptiveRunRecord(
+        config_angles, aoas, gains, phases, utilities, campaign, result, grid
+    )

@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
 def estimate_once(config: ExperimentConfig, true_aoa: float, num_pilots: int) -> str:
     """Text summary of one seeded run: estimates, rate, chosen angles."""
     summary = run_single_estimate(config, true_aoa, num_pilots)
-    result = summary.record.result
+    record = summary.record
+    result = record.result
     lines = [
         f"seed: {config.rng_seed}",
         f"true aoa: {true_aoa:.6g} rad ({math.degrees(true_aoa):.6g} deg)",
@@ -94,15 +95,13 @@ def estimate_once(config: ExperimentConfig, true_aoa: float, num_pilots: int) ->
         f"capacity: {summary.capacity_value:.6g} bits/s/Hz",
         f"capacity ratio: {summary.ratio:.6g}",
     ]
-    for step in summary.record.steps:
-        mark = (
-            ""
-            if step.aoa_estimate is None
-            else f" -> estimate {math.degrees(step.aoa_estimate):.6g} deg"
-        )
+    # the first pilot alone gives no estimate
+    marks = [""] + [
+        f" -> estimate {math.degrees(aoa):.6g} deg" for aoa in record.aoa_estimates
+    ]
+    for pilot, (angle, mark) in enumerate(zip(record.config_angles, marks), start=1):
         lines.append(
-            f"pilot {step.pilot_index}: config angle "
-            f"{math.degrees(step.config_angle):.6g} deg{mark}"
+            f"pilot {pilot}: config angle {math.degrees(angle):.6g} deg{mark}"
         )
     return "\n".join(lines)
 
@@ -132,7 +131,7 @@ def _cmd_utility_trace(args: argparse.Namespace) -> int:
     config = parse_config(args.config, args.overrides)
     summary = run_single_estimate(config, math.radians(args.true_aoa_deg), args.l_max)
     emit_utility_csv(summary.record, args.out)
-    print(f"wrote {len(summary.record.steps) - 1} utility stages to {args.out}")
+    print(f"wrote {len(summary.record.utilities)} utility stages to {args.out}")
     return EXIT_OK
 
 

@@ -26,8 +26,8 @@ from .model import (
     ArrayModel,
     KnownBsRisChannel,
     _is_integral,
+    array_response,
     los_vector,
-    steering_matrix,
 )
 
 #: Relative singular-value cutoff used by the pseudoinverse.
@@ -219,9 +219,8 @@ def _accumulate(
             f"array has {array.num_elements} elements but the BS-RIS "
             f"channel has {campaign.num_elements}"
         )
-    directions = (
-        campaign.bs_ris_channel.coefficients[:, None] * steering_matrix(array, angles)
-    )
+    steering = array_response(array, angles).T
+    directions = campaign.bs_ris_channel.coefficients[:, None] * steering
     accumulator = UtilityAccumulator(directions.shape[1])
     for row, sample in zip(campaign.config_matrix, campaign.received):
         accumulator.add(row @ directions, sample)

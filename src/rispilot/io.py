@@ -25,12 +25,6 @@ RATE_CSV_HEADER = (
 UTILITY_CSV_HEADER = "L,angle_rad,utility_db,is_argmax"
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw.strip())
-
-def _parse_float(raw: str) -> float:
-    return float(raw.strip())
-
 def _parse_int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
 
@@ -44,16 +38,16 @@ def _parse_degree_pair(raw: str) -> tuple[float, float]:
 #: Value parser per configuration key. Degrees are converted here so the
 #: math core never sees them.
 FIELD_PARSERS: dict[str, Callable[[str], object]] = {
-    "num_elements": _parse_int,
-    "spacing_ratio": _parse_float,
-    "data_snr_db": _parse_float,
-    "pilot_snr_offset_db": _parse_float,
+    "num_elements": int,
+    "spacing_ratio": float,
+    "data_snr_db": float,
+    "pilot_snr_offset_db": float,
     "pilot_budgets": _parse_int_list,
-    "num_trials": _parse_int,
+    "num_trials": int,
     "ue_angle_range": _parse_degree_pair,
     "search_domain": _parse_degree_pair,
-    "grid_points": _parse_int,
-    "rng_seed": _parse_int,
+    "grid_points": int,
+    "rng_seed": int,
 }
 
 
@@ -68,7 +62,7 @@ def _parse_pair(text: str, where: str) -> tuple[str, object]:
             f"{where}: unknown key {key!r} (known: {', '.join(sorted(FIELD_PARSERS))})"
         )
     try:
-        return key, parser(raw)
+        return key, parser(raw.strip())
     except ValueError as exc:
         raise ConfigParseError(f"{where}: bad value for {key!r}: {exc}") from exc
 
@@ -86,7 +80,8 @@ def parse_config(
     values: dict[str, object] = {}
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            # utf-8-sig drops a leading byte-order mark instead of keying on it
+            text = Path(path).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ConfigParseError(f"{path}: not UTF-8 text ({exc})") from exc
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -122,18 +117,17 @@ def emit_rate_csv(points: Sequence[RateCurvePoint], path: str | Path) -> None:
 def emit_utility_csv(record: AdaptiveRunRecord, path: str | Path) -> None:
     """Write a run's grid utility in long format, one row per (L, angle).
 
-    Every step after the first gives its utility in dB (-inf where it is
-    0), with ``is_argmax`` 1 on the row of the estimate.
+    Each row of the record's utilities, L = 2 onward, gives the utility in
+    dB (-inf where it is 0), with ``is_argmax`` 1 on the row of the estimate.
     """
     lines = [UTILITY_CSV_HEADER]
-    for step in record.steps[1:]:
+    for pilots, utility in enumerate(record.utilities, start=2):
         with np.errstate(divide="ignore"):
-            utility_db = 10.0 * np.log10(step.utility)
-        peak = int(np.argmax(step.utility))
+            utility_db = 10.0 * np.log10(utility)
+        peak = int(np.argmax(utility))
         for idx, (angle, value) in enumerate(zip(record.grid.angles, utility_db)):
             marker = 1 if idx == peak else 0
             lines.append(
-                f"{step.pilot_index},{format(angle, '.9g')},"
-                f"{format(value, '.9g')},{marker}"
+                f"{pilots},{format(angle, '.9g')},{format(value, '.9g')},{marker}"
             )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

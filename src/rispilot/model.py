@@ -133,9 +133,6 @@ class KnownBsRisChannel:
             raise SingularChannelError("BS-RIS channel coefficients must be nonzero")
         object.__setattr__(self, "coefficients", vec)
 
-    def __len__(self) -> int:
-        return self.coefficients.size
-
     @property
     def num_elements(self) -> int:
         return self.coefficients.size
@@ -146,22 +143,16 @@ def array_response(array: ArrayModel, aoa) -> np.ndarray:
 
     Element n carries exp(-1j * 2*pi * spacing_ratio * n * sin(aoa)), so
     the reference element is exactly 1 and every entry has unit modulus.
-    An array of angles gives one response per angle along a new last axis,
-    each equal to that angle's own response.
+    This is the one steering formula: an array-like of angles gives each
+    angle's own response along a new last axis, and its transpose is the
+    steering matrix of the ML search and the adaptive tables.
     """
+    aoa = np.asarray(aoa, dtype=float)
     _check_front_half_plane(aoa)
     indices = np.arange(array.num_elements)
     return np.exp(
         -1j * TWO_PI * array.spacing_ratio * np.sin(aoa)[..., None] * indices
     )
-
-
-def steering_matrix(array: ArrayModel, aoas) -> np.ndarray:
-    """Array responses for many angles at once, one column per angle."""
-    angles = np.atleast_1d(np.asarray(aoas, dtype=float))
-    _check_front_half_plane(angles)
-    indices = np.arange(array.num_elements)[:, None]
-    return np.exp(-1j * TWO_PI * array.spacing_ratio * indices * np.sin(angles)[None, :])
 
 
 def los_vector(array: ArrayModel, gain, phase, aoa) -> np.ndarray:
@@ -185,10 +176,10 @@ def effective_channel(
 ) -> complex:
     """Scalar end-to-end channel sum_n h_n * g_n * exp(-1j*theta_n)."""
     g = np.asarray(g, dtype=np.complex128)
-    if g.ndim != 1 or not (len(ris) == len(h) == g.size):
+    if g.ndim != 1 or not (len(ris) == h.num_elements == g.size):
         raise DimensionError(
-            f"configuration ({len(ris)}), BS-RIS channel ({len(h)}) and channel "
-            f"vector ({g.size}) must share one length"
+            f"configuration ({len(ris)}), BS-RIS channel ({h.num_elements}) and "
+            f"channel vector ({g.size}) must share one length"
         )
     return complex(np.sum(ris.phases * h.coefficients * g))
 

@@ -32,7 +32,6 @@ from .estimators import AoaSearchGrid, least_squares_prefix_estimates
 from .model import (
     TWO_PI,
     ArrayModel,
-    KnownBsRisChannel,
     LosChannel,
     achievable_rate,
     capacity,
@@ -121,6 +120,12 @@ class ExperimentConfig:
         )
         object.__setattr__(self, "pilot_budgets", budgets)
         self._set_integer("num_trials", 1, math.inf, "must be a positive integer")
+        # the float64 rates and capacities of all trials get the same 1 GiB
+        _require(
+            self.num_trials * (2 * len(budgets) + 1) <= 2 * MAX_ARRAY_ENTRIES,
+            "num_trials * (2 * len(pilot_budgets) + 1)",
+            f"must be at most {2 * MAX_ARRAY_ENTRIES} (1 GiB of float64 results)",
+        )
         domain = tuple(float(v) for v in self.search_domain)
         _require(len(domain) == 2 and domain[0] < domain[1], "search_domain",
                  "must be an increasing pair")
@@ -287,18 +292,20 @@ def collect_trial_rates(
     dft_rows = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n).T
     chunk = _trial_chunk(n, config.grid_points)
     # budget L reads row L - 1 of the LS prefix estimates and the
-    # adaptive estimate from L pilots, column L - 2 of a run's steps
+    # adaptive estimate from L pilots, column L - 2 of the chunk's estimates
     last = np.array(budgets) - 1
 
     # the ML and the LS rate of each budget and trial
     rates = np.zeros((2, len(budgets), trials))
     caps = np.zeros(trials)
 
-    seeds = np.random.SeedSequence(config.rng_seed).spawn(trials)
+    # spawns continue one sequence of children: chunk by chunk, the seeds are
+    # those of one spawn(trials), but only a chunk's seeds are ever alive
+    root = np.random.SeedSequence(config.rng_seed)
     for begin in range(0, trials, chunk):
         members = slice(begin, min(begin + chunk, trials))
         draws = []
-        for seed in seeds[members]:
+        for seed in root.spawn(members.stop - begin):
             rng = np.random.default_rng(seed)
             aoa = rng.uniform(*config.ue_angle_range)
             omega = rng.uniform(0.0, TWO_PI)
@@ -381,8 +388,6 @@ class SingleRunSummary:
     """Outcome of one seeded adaptive run, scored against capacity."""
 
     record: AdaptiveRunRecord
-    true_channel: LosChannel
-    bs_ris_channel: KnownBsRisChannel
     achieved_rate: float
     capacity_value: float
 
@@ -420,4 +425,4 @@ def run_single_estimate(
         h.coefficients, g, record.result.channel_estimate, powers.data_power
     )
     cap = capacity(h.coefficients, g, powers.data_power)
-    return SingleRunSummary(record, channel, h, rate, cap)
+    return SingleRunSummary(record, rate, cap)

@@ -8,10 +8,10 @@ from rispilot import (
     KnownBsRisChannel,
     LosChannel,
     PilotCampaign,
+    array_response,
     expand_channel,
     ml_utility_profile,
     parametric_ml_estimate,
-    steering_matrix,
 )
 from rispilot.checks import circular_diff, pool_config_rows  # noqa: F401
 from rispilot.estimators import _accumulate
@@ -41,7 +41,7 @@ def make_campaign(
 def _pilot_directions(campaign: PilotCampaign, array: ArrayModel, angles) -> np.ndarray:
     """The whole matrix V = B D_h A at once, one column per angle."""
     return campaign.config_matrix @ (
-        campaign.bs_ris_channel.coefficients[:, None] * steering_matrix(array, angles)
+        campaign.bs_ris_channel.coefficients[:, None] * array_response(array, angles).T
     )
 
 
@@ -92,21 +92,26 @@ def assert_steps_match_batch(record, array: ArrayModel, grid) -> int:
     directions. Returns how many steps were compared that way.
     """
     compared = 0
-    for step in record.steps[1:]:
-        prefix = prefix_campaign(record.campaign, step.pilot_index)
+    estimates = zip(
+        record.utilities, record.aoa_estimates, record.gain_estimates,
+        record.phase_estimates, strict=True,
+    )
+    # row i of the record is the estimate from the first i + 2 pilots
+    for pilots, (utility, aoa, gain, phase) in enumerate(estimates, start=2):
+        prefix = prefix_campaign(record.campaign, pilots)
         energy = pilot_energy(prefix, array, grid.angles)
         lit = energy > NEAR_NULL * np.max(energy)
         batch_utility = ml_utility_profile(prefix, array, grid.angles)
         np.testing.assert_allclose(
-            step.utility[lit], batch_utility[lit],
+            utility[lit], batch_utility[lit],
             rtol=1e-12, atol=1e-12 * np.max(batch_utility[lit]),
         )
-        if not (lit[np.argmax(step.utility)] and lit[np.argmax(batch_utility)]):
+        if not (lit[np.argmax(utility)] and lit[np.argmax(batch_utility)]):
             continue
         batch = parametric_ml_estimate(prefix, array, grid)
-        assert batch.aoa_estimate == step.aoa_estimate
-        assert batch.gain_estimate == pytest.approx(step.gain_estimate, rel=1e-12)
-        assert circular_diff(batch.phase_estimate, step.phase_estimate) < 1e-12
+        assert batch.aoa_estimate == aoa
+        assert batch.gain_estimate == pytest.approx(gain, rel=1e-12)
+        assert circular_diff(batch.phase_estimate, phase) < 1e-12
         compared += 1
     return compared
 

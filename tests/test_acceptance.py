@@ -153,7 +153,7 @@ def test_criterion_09_fig3_utility_evolution():
         config = ExperimentConfig(num_trials=1, rng_seed=seed)
         record = run_single_estimate(config, truth, 10).record
         step = config.grid().step
-        first, last = record.steps[1].utility, record.steps[-1].utility
+        first, last = record.utilities[0], record.utilities[-1]
         near_truth = abs(record.grid.angles[np.argmax(last)] - truth) <= step
         gap_grew = gap_db_between_top_two_peaks(
             utility_db(last)

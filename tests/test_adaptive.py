@@ -17,6 +17,7 @@ from rispilot import (
     PoolExhaustedError,
     RisConfiguration,
     achievable_rate,
+    array_response,
     build_adaptive_setup,
     capacity,
     config_correlation,
@@ -28,7 +29,6 @@ from rispilot import (
     random_bs_ris_channel,
     run_adaptive_estimation,
     simulate_pilot_reception,
-    steering_matrix,
 )
 from rispilot.adaptive import advance_trials, pilot_noise, pilot_power_for_snr
 
@@ -120,9 +120,9 @@ class TestConfigurationPool:
         record = run_adaptive_estimation(
             LosChannel(1.0, 0.4, 0.3), h, array, n, 10.0, rng
         )
-        angles = [s.config_angle for s in record.steps]
+        angles = list(record.config_angles)
         assert sorted(angles) == list(plausible_angles(n))
-        for angle, row in zip(angles, record.campaign.config_matrix):
+        for angle, row in zip(angles, record.campaign.config_matrix, strict=True):
             expected = np.conj(
                 np.exp(-2j * np.pi * 0.25 * np.arange(n) * np.sin(angle))
             )
@@ -136,11 +136,11 @@ class TestConfigurationPool:
         h = random_bs_ris_channel(n, rng)
         channel = LosChannel(1.0, 0.5, -0.3)
         full = run_adaptive_estimation(channel, h, array, n, 10.0, 8)
-        picks = [s.config_angle for s in full.steps]
+        picks = list(full.config_angles)
         assert sorted(picks) == list(plausible_angles(n))
         for budget in range(2, n):
             record = run_adaptive_estimation(channel, h, array, budget, 10.0, 8)
-            assert [s.config_angle for s in record.steps] == picks[:budget]
+            assert list(record.config_angles) == picks[:budget]
 
     def test_take_best_match_prefers_reference_angle(self):
         # noise-free truth on candidate angle 10 and on grid point 0: the
@@ -154,8 +154,8 @@ class TestConfigurationPool:
             record = run_adaptive_estimation(
                 LosChannel(1.0, 0.7, target), h, array, 3, math.inf, seed, grid
             )
-            assert record.steps[1].aoa_estimate == target
-            assert record.steps[2].config_angle == target
+            assert record.aoa_estimates[0] == target
+            assert record.config_angles[2] == target
 
     def test_rows_match_per_candidate_optimal_configurations(self, rng):
         # reference: the configuration each candidate has as its own object
@@ -165,8 +165,9 @@ class TestConfigurationPool:
         record = run_adaptive_estimation(
             LosChannel(1.0, 2.0, 0.3), h, array, n, 10.0, rng
         )
-        for step, row in zip(record.steps, record.campaign.config_matrix):
-            expected = optimal_configuration(h, step.config_angle, array).phases
+        rows = zip(record.config_angles, record.campaign.config_matrix, strict=True)
+        for angle, row in rows:
+            expected = optimal_configuration(h, angle, array).phases
             assert np.array_equal(row, expected)
 
     def test_take_best_match_agrees_with_correlation_argmax(self, rng):
@@ -180,15 +181,16 @@ class TestConfigurationPool:
         channel = LosChannel(1.0, 1.1, -0.45)
         record = run_adaptive_estimation(channel, h, array, n, 10.0, rng)
         angles = plausible_angles(n)
-        for prev, step in zip(record.steps[1:], record.steps[2:]):
-            picked = {s.config_angle for s in record.steps[: step.pilot_index - 1]}
+        # pilot i + 1 follows the estimate from the first i pilots
+        for i in range(2, n):
+            picked = set(record.config_angles[:i])
             unused = [float(a) for a in angles if a not in picked]
-            reference = optimal_configuration(h, prev.aoa_estimate, array)
+            reference = optimal_configuration(h, record.aoa_estimates[i - 2], array)
             scores = [
                 config_correlation(reference, optimal_configuration(h, a, array))
                 for a in unused
             ]
-            assert step.config_angle == unused[int(np.argmax(scores))]
+            assert record.config_angles[i] == unused[int(np.argmax(scores))]
 
     def test_ties_go_to_smallest_remaining_angle(self):
         # nearest-sine tie: at N=10 the sines -0.6/-0.4 are equally far
@@ -198,7 +200,7 @@ class TestConfigurationPool:
         channel = LosChannel(1.0, 0.3, 0.2)
         record = run_adaptive_estimation(channel, h, array, 2, 10.0, 1)
         angles = plausible_angles(10)
-        assert [s.config_angle for s in record.steps] == [angles[1], angles[6]]
+        assert list(record.config_angles) == [angles[1], angles[6]]
         # best-match tie: at a vanishing spacing every candidate is the
         # all-ones beam, so all scores are exactly equal
         n = 8
@@ -209,7 +211,7 @@ class TestConfigurationPool:
         record = run_adaptive_estimation(
             channel, h, array, n, 10.0, 1, AoaSearchGrid(num_points=50)
         )
-        sines = [round(math.sin(s.config_angle), 12) for s in record.steps]
+        sines = [round(math.sin(a), 12) for a in record.config_angles]
         assert sines == [-0.5, 0.5, -0.75, -0.25, 0.0, 0.25, 0.75, 1.0]
 
     def test_rejects_mismatched_shapes(self, rng):
@@ -287,7 +289,7 @@ class TestInitialPair:
         record = run_adaptive_estimation(
             LosChannel(1.0, 0.0, 0.2), h, array, 2, 10.0, rng
         )
-        return record, np.sin([s.config_angle for s in record.steps])
+        return record, np.sin(record.config_angles)
 
     def test_forty_elements_picks_half_sines(self, rng):
         _, sines = self.starting_sines(40, rng)
@@ -295,8 +297,7 @@ class TestInitialPair:
 
     def test_two_elements_uses_both(self, rng):
         record, _ = self.starting_sines(2, rng)
-        angles = [s.config_angle for s in record.steps]
-        assert sorted(angles) == list(plausible_angles(2))
+        assert sorted(record.config_angles) == list(plausible_angles(2))
         first, second = record.campaign.config_matrix
         assert not np.array_equal(first, second)
 
@@ -355,11 +356,16 @@ class TestAdaptiveRun:
         h = random_bs_ris_channel(n, rng)
         channel = LosChannel(1.0, 1.0, 0.5)
         record = run_adaptive_estimation(channel, h, array, budget, 10.0, rng)
-        assert [s.pilot_index for s in record.steps] == list(range(1, budget + 1))
-        assert record.steps[0].aoa_estimate is None
-        assert all(s.aoa_estimate is not None for s in record.steps[1:])
+        # one config angle per pilot; one estimate per pilot from the second
+        assert record.config_angles.shape == (budget,)
+        for estimates in (
+            record.aoa_estimates, record.gain_estimates, record.phase_estimates
+        ):
+            assert estimates.shape == (budget - 1,)
+            assert np.all(np.isfinite(estimates))
+        assert record.utilities.shape == (budget - 1, record.grid.num_points)
         pool_angle_set = set(np.round(plausible_angles(n), 12))
-        used = [round(s.config_angle, 12) for s in record.steps]
+        used = [round(a, 12) for a in record.config_angles]
         assert len(set(used)) == budget  # never reissues a configuration
         assert set(used) <= pool_angle_set
         assert record.campaign.num_pilots == budget
@@ -378,13 +384,13 @@ class TestAdaptiveRun:
         assert assert_steps_match_batch(record, array, grid) == budget - 1
         for i in range(2, budget + 1):
             prefix = prefix_campaign(record.campaign, i)
-            step = record.step_for(i)
+            aoa = record.aoa_estimates[i - 2]
             batch = parametric_ml_estimate(prefix, array, grid)
-            assert batch.aoa_estimate == step.aoa_estimate
+            assert batch.aoa_estimate == aoa
             # the coefficient projected onto the one estimated angle alone
-            gain, phase = coefficient_at(prefix, array, step.aoa_estimate)
-            assert gain == pytest.approx(step.gain_estimate, rel=1e-12)
-            assert circular_diff(phase, step.phase_estimate) < 1e-12
+            gain, phase = coefficient_at(prefix, array, aoa)
+            assert gain == pytest.approx(record.gain_estimates[i - 2], rel=1e-12)
+            assert circular_diff(phase, record.phase_estimates[i - 2]) < 1e-12
 
     def test_monotone_information_at_true_angle(self, rng):
         # adding a pilot can only add energy along the true direction
@@ -402,7 +408,7 @@ class TestAdaptiveRun:
         h = random_bs_ris_channel(n, rng)
         channel = LosChannel(1.0, 0.3, 0.2)
         record = run_adaptive_estimation(channel, h, array, n, 10.0, rng, grid)
-        used = sorted(round(s.config_angle, 12) for s in record.steps)
+        used = sorted(round(a, 12) for a in record.config_angles)
         assert used == sorted(np.round(plausible_angles(n), 12))
         batch = parametric_ml_estimate(record.campaign, array, grid)
         assert batch.aoa_estimate == record.result.aoa_estimate
@@ -433,43 +439,16 @@ class TestAdaptiveRun:
         h = random_bs_ris_channel(n, rng)
         channel = LosChannel(1.0, 0.0, -0.6)
         record = run_adaptive_estimation(channel, h, array, 4, 10.0, rng, grid)
-        assert record.steps[0].utility is None
-        for step in record.steps[1:]:
-            assert step.utility is not None and step.utility.size == 300
-            assert grid.angles[np.argmax(step.utility)] == step.aoa_estimate
+        # the first pilot alone has no utility: one row per later pilot
+        assert record.utilities.shape == (3, 300)
+        for utility, aoa in zip(record.utilities, record.aoa_estimates, strict=True):
+            assert grid.angles[np.argmax(utility)] == aoa
+        for values in (
+            record.config_angles, record.aoa_estimates, record.gain_estimates,
+            record.phase_estimates, record.utilities,
+        ):
             with pytest.raises(ValueError):
-                step.utility[0] = 0.0
-
-    def test_shared_setup_matches_per_run_setup(self):
-        # one setup serves many runs; each must equal a run that builds its
-        # own setup, down to the last bit
-        n = 16
-        array = ArrayModel(n, 0.25)
-        grid = AoaSearchGrid(num_points=700)
-        setup = build_adaptive_setup(array, grid)
-        for seed in range(5):
-            gen = np.random.default_rng(seed)
-            h = random_bs_ris_channel(n, gen)
-            channel = LosChannel(
-                1.0, float(gen.uniform(0, 2 * np.pi)), float(gen.uniform(-1, 1))
-            )
-            fresh = run_adaptive_estimation(
-                channel, h, array, n, 10.0, seed + 100, grid
-            )
-            shared = run_adaptive_estimation(
-                channel, h, array, n, 10.0, seed + 100, grid, setup=setup
-            )
-            assert len(fresh.steps) == len(shared.steps)
-            for a, b in zip(fresh.steps, shared.steps):
-                assert a.config_angle == b.config_angle
-                assert a.received == b.received
-                assert a.aoa_estimate == b.aoa_estimate
-                assert a.gain_estimate == b.gain_estimate
-                assert a.phase_estimate == b.phase_estimate
-                if a.utility is None:
-                    assert b.utility is None
-                else:
-                    assert np.array_equal(a.utility, b.utility)
+                values[0] = 0.0
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -486,7 +465,6 @@ class TestAdaptiveRun:
         gen = np.random.default_rng(seed)
         array = ArrayModel(n, 0.25)
         grid = AoaSearchGrid(num_points=points)
-        setup = build_adaptive_setup(array, grid)
         channel = LosChannel(
             1.0, float(gen.uniform(0, 2 * np.pi)), float(gen.uniform(-1.0, 1.0))
         )
@@ -497,25 +475,26 @@ class TestAdaptiveRun:
             capacity(hs[1].coefficients, g, snr), rel=1e-12
         )
         runs = [
-            run_adaptive_estimation(
-                channel, h, array, n, snr, noise_seed, grid, setup=setup
-            )
+            run_adaptive_estimation(channel, h, array, n, snr, noise_seed, grid)
             for h in hs
         ]
-        for first, second in zip(runs[0].steps, runs[1].steps):
-            assert first.config_angle == second.config_angle
-            if first.utility is None:
-                continue
+        first, second = runs
+        assert first.config_angles[0] == second.config_angles[0]
+        # estimate i comes from the first i + 2 pilots and picks pilot i + 3
+        for i in range(n - 1):
+            assert first.config_angles[i + 1] == second.config_angles[i + 1]
             near_null = False
-            for run, step in zip(runs, (first, second)):
-                prefix = prefix_campaign(run.campaign, step.pilot_index)
+            for run in runs:
+                prefix = prefix_campaign(run.campaign, i + 2)
                 energy = pilot_energy(prefix, array, grid.angles)
-                peak = int(np.argmax(step.utility))
+                peak = int(np.argmax(run.utilities[i]))
                 near_null |= energy[peak] <= NEAR_NULL * np.max(energy)
             if near_null:
                 break
-            assert first.aoa_estimate == second.aoa_estimate
-            assert first.gain_estimate == pytest.approx(second.gain_estimate, rel=1e-9)
+            assert first.aoa_estimates[i] == second.aoa_estimates[i]
+            assert first.gain_estimates[i] == pytest.approx(
+                second.gain_estimates[i], rel=1e-9
+            )
 
     def test_setup_arrays_are_read_only(self):
         # one setup is shared by every trial of an experiment
@@ -528,28 +507,30 @@ class TestAdaptiveRun:
             with pytest.raises(ValueError):
                 values[0] = 0.0
 
-    def test_rejects_setup_for_another_grid(self, rng):
-        n = 8
-        array = ArrayModel(n, 0.25)
-        setup = build_adaptive_setup(array, AoaSearchGrid(num_points=300))
-        h = random_bs_ris_channel(n, rng)
-        channel = LosChannel(1.0, 0.0, 0.2)
-        with pytest.raises(ValueError):
-            run_adaptive_estimation(
-                channel, h, array, 4, 10.0, rng, AoaSearchGrid(num_points=301),
-                setup=setup,
-            )
-
 
 class TestProjectionTables:
     """The setup's trial-independent tables against per-channel constructions."""
+
+    def test_steering_is_the_array_response(self):
+        # one steering formula: the grid table is a(angle) per column, the
+        # same bits the estimate vectors are expanded along
+        array = ArrayModel(40, 0.25)
+        setup = build_adaptive_setup(array, AoaSearchGrid())
+        expected = array_response(array, setup.grid_angles).T
+        assert setup.steering.shape == (40, 2000)
+        assert setup.steering.tobytes() == expected.tobytes()
+        # each column equals the response to its angle alone
+        for j in (0, 777, 1999):
+            assert np.array_equal(
+                setup.steering[:, j], array_response(array, setup.grid_angles[j])
+            )
 
     def test_tables_match_reference_constructions(self, rng):
         n = 16
         array = ArrayModel(n, 0.25)
         grid = AoaSearchGrid(num_points=300)
         setup = build_adaptive_setup(array, grid)
-        steering = steering_matrix(array, grid.angles)
+        steering = array_response(array, grid.angles).T
         for _ in range(3):
             h = random_bs_ris_channel(n, rng)
             candidates = pool_config_rows(h, setup.angles, array)
@@ -572,16 +553,13 @@ class TestProjectionTables:
         n = 12
         array = ArrayModel(n, 0.25)
         grid = AoaSearchGrid(num_points=700)
-        setup = build_adaptive_setup(array, grid)
         for seed in range(3):
             gen = np.random.default_rng(seed)
             h = KnownBsRisChannel(
                 gen.uniform(0.5, 2.0, n) * np.exp(1j * gen.uniform(0, 2 * np.pi, n))
             )
             channel = LosChannel(1.0, float(gen.uniform(0, 2 * np.pi)), -0.4)
-            record = run_adaptive_estimation(
-                channel, h, array, n, 10.0, gen, grid, setup=setup
-            )
+            record = run_adaptive_estimation(channel, h, array, n, 10.0, gen, grid)
             assert assert_steps_match_batch(record, array, grid) >= n - 2
 
     def test_chunked_trials_match_single_runs_bit_for_bit(self):
@@ -610,18 +588,19 @@ class TestProjectionTables:
         )
         for t in range(trials):
             record = run_adaptive_estimation(
-                channels[t], hs[t], array, budget, snr, 100 + t, grid, setup=setup
+                channels[t], hs[t], array, budget, snr, 100 + t, grid
             )
-            assert [s.config_angle for s in record.steps] == list(
-                setup.angles[chunk.picks[t]]
-            )
-            received = np.array([s.received for s in record.steps])
-            assert received.tobytes() == chunk.samples[t].tobytes()
-            for i, step in enumerate(record.steps[1:]):
-                assert step.aoa_estimate == setup.grid_angles[chunk.peaks[t, i]]
-                assert step.gain_estimate == chunk.gains[t, i]
-                assert step.phase_estimate == chunk.phases[t, i]
-                assert np.array_equal(step.utility, chunk.utilities[i][t])
+            utilities = np.stack([utility[t] for utility in chunk.utilities])
+            for values, expected in (
+                (record.config_angles, setup.angles[chunk.picks[t]]),
+                (record.campaign.received, chunk.samples[t]),
+                (record.aoa_estimates, setup.grid_angles[chunk.peaks[t]]),
+                (record.gain_estimates, chunk.gains[t]),
+                (record.phase_estimates, chunk.phases[t]),
+                (record.utilities, utilities),
+            ):
+                assert values.shape == expected.shape
+                assert values.tobytes() == expected.tobytes()
 
 
 class TestPilotReception:
@@ -663,12 +642,14 @@ class TestPilotReception:
         )
         replay_rng = np.random.default_rng(11)
         campaign = record.campaign
-        for step, row in zip(record.steps, campaign.config_matrix, strict=True):
+        for received, row in zip(
+            campaign.received, campaign.config_matrix, strict=True
+        ):
             expected = simulate_pilot_reception(
                 RisConfiguration(row), h, g, campaign.pilot_power, noise_std,
                 replay_rng,
             )
-            assert np.complex128(step.received).tobytes() == (
+            assert np.complex128(received).tobytes() == (
                 np.complex128(expected).tobytes()
             )
         assert run_rng.bit_generator.state == replay_rng.bit_generator.state

@@ -188,6 +188,8 @@ def test_validate_fails_on_a_defect(name, owner, function, distort, capsys,
          "--set", "pilot_budgets=2", "--out", "x.csv"],
         ["utility-trace", "--set", "grid_points=1000000000000000",
          "--true-aoa-deg", "0", "--l-max", "5", "--out", "x.csv"],
+        # per-trial results of 23 float64 values a trial over 1 GiB
+        ["rate-curve", "--set", "num_trials=10000000000", "--out", "x.csv"],
     ],
 )
 def test_invalid_inputs_exit_2(argv, capsys):

@@ -15,6 +15,7 @@ from rispilot import (
     KnownBsRisChannel,
     LosChannel,
     PilotCampaign,
+    array_response,
     expand_channel,
     least_squares_estimate,
     least_squares_prefix_estimates,
@@ -22,7 +23,6 @@ from rispilot import (
     parametric_ml_estimate,
     plausible_angles,
     random_bs_ris_channel,
-    steering_matrix,
 )
 from rispilot.estimators import UtilityAccumulator
 
@@ -223,9 +223,8 @@ class TestUtilityAccumulator:
     @given(utility_inputs())
     def test_profile_matches_whole_matrix_reference(self, inputs):
         campaign, array, angles = inputs
-        directions = campaign.bs_ris_channel.coefficients[:, None] * steering_matrix(
-            array, angles
-        )
+        steering = array_response(array, angles).T
+        directions = campaign.bs_ris_channel.coefficients[:, None] * steering
         accumulator = UtilityAccumulator(angles.size)
         # a leading trial axis: row 0 is this campaign, row 1 the same rows
         # with the samples reversed; rows must not mix

@@ -60,6 +60,16 @@ class TestParseConfig:
         assert powers.data_power == pytest.approx(0.1)
         assert powers.pilot_power == pytest.approx(1.0)
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(
+            b"\xef\xbb\xbfnum_elements=8\npilot_budgets=2,4\nrng_seed=3\n"
+        )
+        config = parse_config(path)
+        assert config.num_elements == 8
+        assert config.pilot_budgets == (2, 4)
+        assert config.rng_seed == 3
+
     def test_angle_fields_are_degrees_at_the_boundary(self):
         config = parse_config(None, ["search_domain=-90,90", "ue_angle_range=-45,45"])
         assert config.search_domain == pytest.approx((-math.pi / 2, math.pi / 2))
@@ -157,22 +167,22 @@ class TestUtilityCsv:
         assert lines[0] == UTILITY_CSV_HEADER
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 3 * 50  # steps for L = 2, 3, 4
-        for step in record.steps[1:]:
-            markers = [r for r in rows if r[0] == str(step.pilot_index) and r[3] == "1"]
+        for pilots, aoa in enumerate(record.aoa_estimates, start=2):
+            markers = [r for r in rows if r[0] == str(pilots) and r[3] == "1"]
             assert len(markers) == 1
             # the marked row is the estimate's angle
-            assert float(markers[0][1]) == pytest.approx(step.aoa_estimate, abs=1e-8)
+            assert float(markers[0][1]) == pytest.approx(aoa, abs=1e-8)
 
     def test_db_values_match_linear_utilities(self, tmp_path, record):
         path = tmp_path / "trace.csv"
         emit_utility_csv(record, path)
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
         sampled = rows[37]
-        step = record.step_for(int(sampled[0]))
+        utility = record.utilities[int(sampled[0]) - 2]  # row 0 is L = 2
         idx = 37 % 50
         assert float(sampled[1]) == pytest.approx(record.grid.angles[idx], abs=1e-8)
         assert float(sampled[2]) == pytest.approx(
-            10.0 * math.log10(step.utility[idx]), abs=1e-6
+            10.0 * math.log10(utility[idx]), abs=1e-6
         )
         linear = 10.0 ** (float(sampled[2]) / 10.0)
         assert 10.0 * math.log10(linear) == pytest.approx(float(sampled[2]), abs=1e-9)

@@ -20,7 +20,6 @@ from rispilot import (
     effective_channel,
     expand_channel,
     random_bs_ris_channel,
-    steering_matrix,
 )
 from rispilot.model import los_vector
 
@@ -60,11 +59,26 @@ class TestArrayResponse:
             array_response(ArrayModel(4, 0.25), aoa)
 
     def test_steering_matrix_stacks_responses(self, rng):
+        # the transposed responses to many angles are the steering matrix,
+        # one column per angle, each that angle's own response
         array = ArrayModel(10, 0.25)
         angles = rng.uniform(-1.2, 1.2, size=7)
-        matrix = steering_matrix(array, angles)
+        matrix = array_response(array, angles).T
+        assert matrix.shape == (10, 7)
         for k, aoa in enumerate(angles):
-            assert np.allclose(matrix[:, k], array_response(array, aoa), atol=1e-15)
+            assert np.array_equal(matrix[:, k], array_response(array, aoa))
+
+    def test_list_of_angles_matches_array_of_angles(self, rng):
+        array = ArrayModel(12, 0.25)
+        angles = rng.uniform(-1.5, 1.5, size=(3, 5))
+        expected = array_response(array, angles)
+        assert expected.shape == (3, 5, 12)
+        assert array_response(array, angles.tolist()).tobytes() == expected.tobytes()
+        assert array_response(array, [0.3]).tobytes() == (
+            array_response(array, np.array([0.3])).tobytes()
+        )
+        with pytest.raises(AngleDomainError):
+            array_response(array, [0.0, 2.0])
 
     def test_array_model_validation(self):
         with pytest.raises(ValueError):

@@ -116,6 +116,10 @@ class TestExperimentConfig:
             {"grid_points": 10**15},
             {"num_elements": 2**13 + 1, "pilot_budgets": (2,)},
             {"num_elements": 10**15, "pilot_budgets": (2,)},
+            # per-trial results, 2 * len(pilot_budgets) + 1 float64 values a
+            # trial, beyond 1 GiB
+            {"num_trials": 2 * MAX_ARRAY_ENTRIES // 3 + 1, "pilot_budgets": (2,)},
+            {"num_trials": 10**10},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -127,6 +131,13 @@ class TestExperimentConfig:
         assert MAX_ARRAY_ENTRIES == 2**26
         ExperimentConfig(grid_points=MAX_ARRAY_ENTRIES // 40)
         ExperimentConfig(num_elements=2**13, pilot_budgets=(2,))
+
+    def test_result_bound_admits_its_limit(self):
+        # 3 float64 results a trial (ML and LS rate, capacity) for one budget
+        config = ExperimentConfig(
+            num_trials=2 * MAX_ARRAY_ENTRIES // 3, pilot_budgets=(2,)
+        )
+        assert 3 * 8 * config.num_trials <= 2**30
 
     def test_rate_point_rejects_capacity_violation(self):
         with pytest.raises(ValueError):
@@ -201,11 +212,12 @@ class TestTrialRates:
                 channel, h, array, max(budgets), powers.pilot_power, rng, grid
             )
             for b, budget in enumerate(budgets):
-                step = record.step_for(budget)
+                # entry budget - 2 is the estimate from the first budget pilots
+                step = budget - 2
                 estimate = (
-                    np.sqrt(step.gain_estimate)
-                    * np.exp(1j * step.phase_estimate)
-                    * array_response(array, step.aoa_estimate)
+                    np.sqrt(record.gain_estimates[step])
+                    * np.exp(1j * record.phase_estimates[step])
+                    * array_response(array, record.aoa_estimates[step])
                 )
                 rate_ml[b, t] = phase_matched_rate(h, g, estimate)
             noise = (
@@ -342,13 +354,13 @@ class TestUtilityTrace:
             grid_points=300, rng_seed=2,
         )
         record = run_single_estimate(config, 0.3, 6).record
-        assert [s.pilot_index for s in record.steps[1:]] == [2, 3, 4, 5, 6]
-        for step in record.steps[1:]:
-            assert step.utility.size == 300
-            db = utility_db(step.utility)
-            peak = int(np.argmax(step.utility))
+        # one stage per L = 2, ..., 6
+        assert record.utilities.shape == (5, 300)
+        for utility, aoa in zip(record.utilities, record.aoa_estimates, strict=True):
+            db = utility_db(utility)
+            peak = int(np.argmax(utility))
             # the estimate sits at the largest utility, in dB as well
-            assert record.grid.angles[peak] == step.aoa_estimate
+            assert record.grid.angles[peak] == aoa
             assert db[peak] == np.max(db)
 
     def test_rejects_truth_outside_ue_range(self):
@@ -367,15 +379,16 @@ class TestUtilityTrace:
         )
         angles = config.grid().angles
         truth = float(angles[np.argmin(np.abs(angles - (-np.pi / 4)))])
-        steps = run_single_estimate(config, truth, 8).record.steps
-        for step in steps[1:]:
-            assert angles[np.argmax(step.utility)] == truth
+        utilities = run_single_estimate(config, truth, 8).record.utilities
+        assert len(utilities) == 7
+        for utility in utilities:
+            assert angles[np.argmax(utility)] == truth
 
     def test_two_pilot_stage_has_near_equal_peaks(self):
         # with two pilots several angles explain the data almost equally well
         config = ExperimentConfig(rng_seed=3, num_trials=1)
         record = run_single_estimate(config, -np.pi / 4, 10).record
-        first = utility_db(record.steps[1].utility)
+        first = utility_db(record.utilities[0])
         peaks = np.sort(first[local_peak_indices(first)])[::-1]
         assert peaks.size >= 2
         assert peaks[0] - peaks[1] < 3.0
@@ -390,5 +403,5 @@ class TestSingleRun:
         second = run_single_estimate(config, 0.4, 5)
         assert first.achieved_rate == second.achieved_rate
         assert 0.0 <= first.achieved_rate <= first.capacity_value + 1e-12
-        assert len(first.record.steps) == 5
+        assert first.record.config_angles.size == 5
         assert first.ratio <= 1.0 + 1e-12
