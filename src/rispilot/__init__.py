@@ -12,7 +12,6 @@ from .adaptive import (
     optimal_configuration,
     plausible_angles,
     run_adaptive_estimation,
-    simulate_pilot_reception,
 )
 from .errors import (
     AngleDomainError,
@@ -96,6 +95,5 @@ __all__ = [
     "run_adaptive_estimation",
     "run_rate_experiment",
     "run_single_estimate",
-    "simulate_pilot_reception",
     "snr_to_powers",
 ]

@@ -39,21 +39,30 @@ def pool_config_rows(h, angles, array: model.ArrayModel) -> np.ndarray:
 
 
 def noise_free_recovery() -> CheckResult:
-    """Noise-free 5-pilot runs, truth on the grid: exact angle, gain, phase."""
+    """Noise-free 5-pilot runs, truth on the grid: exact angle, gain, phase.
+
+    The 100 cases are drawn first (target, gain, phase, BS-RIS channel, in
+    that order per case), then run as one chunk on one adaptive setup.
+    """
     rng = np.random.default_rng(2024)
     array, grid = model.ArrayModel(40, 0.25), estimators.AoaSearchGrid()
-    grid_angles, candidates = grid.angles, adaptive.plausible_angles(40)
-    cases, exact, worst_gain, worst_phase = 0, 0, 0.0, 0.0
-    for cases in range(1, 101):
-        target = rng.choice(candidates)
+    setup = adaptive.build_adaptive_setup(array, grid)
+    grid_angles = setup.grid_angles
+    draws = []
+    for _ in range(100):
+        target = rng.choice(setup.angles)
         truth = float(grid_angles[np.argmin(np.abs(grid_angles - target))])
         gain, phase = float(rng.uniform(0.25, 4.0)), float(rng.uniform(0, 2 * np.pi))
-        channel = model.LosChannel(gain, phase, truth)
-        h = model.random_bs_ris_channel(40, rng)
-        run = adaptive.run_adaptive_estimation(channel, h, array, 5, np.inf, rng, grid)
-        exact += run.result.aoa_estimate == truth
-        worst_gain = max(worst_gain, abs(run.result.gain_estimate - gain) / gain)
-        worst_phase = max(worst_phase, circular_diff(run.result.phase_estimate, phase))
+        h = model.random_bs_ris_channel(40, rng).coefficients
+        draws.append((truth, gain, phase, h))
+    truths, gains, phases, h_rows = map(np.array, zip(*draws))
+    g_rows = model.los_vector(array, gains, phases, truths)
+    pilot_power, _ = adaptive.pilot_power_for_snr(np.inf, 1.0, h_rows)
+    run = adaptive.advance_trials(setup, h_rows, g_rows, pilot_power, None, 5)
+    cases = len(draws)
+    exact = int(np.sum(grid_angles[run.peaks[:, -1]] == truths))
+    worst_gain = float(np.max(np.abs(run.gains[:, -1] - gains) / gains))
+    worst_phase = max(map(circular_diff, run.phases[:, -1].tolist(), phases.tolist()))
     detail = (f"exact angle {exact}/{cases}, worst gain rel err {worst_gain:.2e}, "
               f"worst phase err {worst_phase:.2e} rad")
     within = exact == cases and worst_gain <= 1e-9 and worst_phase <= 1e-9 * 2 * np.pi
@@ -66,7 +75,7 @@ def least_squares_recovery() -> CheckResult:
     rng = np.random.default_rng(77)
     n = 16
     array = model.ArrayModel(n, 0.25)
-    dft_rows = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n).T
+    dft_rows = estimators.dft_rows(n)
     unit_h = model.KnownBsRisChannel(np.ones(n))
     extra = pool_config_rows(unit_h, adaptive.plausible_angles(n)[:8], array)
     cases, worst = 0, 0.0

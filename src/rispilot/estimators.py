@@ -270,6 +270,12 @@ def least_squares_estimate(campaign: PilotCampaign) -> np.ndarray:
     return unscaled / (np.sqrt(campaign.pilot_power) * campaign.bs_ris_channel.coefficients)
 
 
+def dft_rows(num_elements: int) -> np.ndarray:
+    """The N x N DFT configurations of the least-squares baseline, B B^H = N I."""
+    n = np.arange(num_elements)
+    return np.exp(-2j * np.pi * np.outer(n, n) / num_elements)
+
+
 def least_squares_prefix_estimates(
     rows: np.ndarray, received: np.ndarray, coefficients: np.ndarray, pilot_power: float
 ) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .adaptive import (
     run_adaptive_estimation,
 )
 from .errors import AngleDomainError, ConfigValidationError
-from .estimators import AoaSearchGrid, least_squares_prefix_estimates
+from .estimators import AoaSearchGrid, dft_rows, least_squares_prefix_estimates
 from .model import (
     TWO_PI,
     ArrayModel,
@@ -162,13 +162,6 @@ class ExperimentConfig:
         return AoaSearchGrid(*self.search_domain, self.grid_points)
 
 
-class PowerScales(NamedTuple):
-    """Linear powers under the unit-noise, unit-gain normalization."""
-
-    data_power: float
-    pilot_power: float
-
-
 def _db_to_linear(db: float) -> float:
     """10**(db/10), with inf where the power overflows a float."""
     try:
@@ -177,16 +170,15 @@ def _db_to_linear(db: float) -> float:
         return math.inf
 
 
-def snr_to_powers(config: ExperimentConfig) -> PowerScales:
-    """Translate the configured SNRs into linear power scales.
+def snr_to_powers(config: ExperimentConfig) -> tuple[float, float]:
+    """The configured SNRs as linear (data_power, pilot_power).
 
     With noise power 1, unit-magnitude BS-RIS coefficients and unit
     channel gain, the per-element data SNR equals the data power, and
     the pilot power sits ``pilot_snr_offset_db`` above it.
     """
     data_power = _db_to_linear(config.data_snr_db)
-    pilot_power = data_power * _db_to_linear(config.pilot_snr_offset_db)
-    return PowerScales(data_power, pilot_power)
+    return data_power, data_power * _db_to_linear(config.pilot_snr_offset_db)
 
 
 @dataclass(frozen=True)
@@ -284,12 +276,12 @@ def collect_trial_rates(
     array = config.array()
     grid = config.grid()
     setup = build_adaptive_setup(array, grid)
-    powers = snr_to_powers(config)
+    data_power, pilot_power = snr_to_powers(config)
     budgets = config.pilot_budgets
     max_budget = max(budgets)
     trials = config.num_trials
     n = config.num_elements
-    dft_rows = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n).T
+    dft = dft_rows(n)
     chunk = _trial_chunk(n, config.grid_points)
     # budget L reads row L - 1 of the LS prefix estimates and the
     # adaptive estimate from L pilots, column L - 2 of the chunk's estimates
@@ -319,29 +311,29 @@ def collect_trial_rates(
             normals, [2 * max_budget, 3 * max_budget], axis=1
         )
         g_rows = los_vector(array, 1.0, omegas, aoas)
-        caps[members] = capacity(h_rows, g_rows, powers.data_power)
+        caps[members] = capacity(h_rows, g_rows, data_power)
 
         # the configured pilot power is finite, so every run is noisy
-        pilot_power, noise_std = pilot_power_for_snr(powers.pilot_power, 1.0, h_rows)
+        loop_power, noise_std = pilot_power_for_snr(pilot_power, 1.0, h_rows)
         loop_noise = pilot_noise(loop_normals, noise_std)
-        run = advance_trials(setup, h_rows, g_rows, pilot_power, loop_noise, max_budget)
+        run = advance_trials(setup, h_rows, g_rows, loop_power, loop_noise, max_budget)
         step = last - 1
         ml_estimates = los_vector(
             array, run.gains[:, step], run.phases[:, step],
             setup.grid_angles[run.peaks[:, step]],
         )
 
-        rows = dft_rows[columns]
-        signal = h_rows * g_rows * np.sqrt(powers.pilot_power)
+        rows = dft[columns]
+        signal = h_rows * g_rows * np.sqrt(pilot_power)
         ls_noise = (ls_real + 1j * ls_imag) / np.sqrt(2.0)
         received = (rows @ signal[..., None])[..., 0] + ls_noise
         ls_estimates = least_squares_prefix_estimates(
-            rows, received, h_rows, powers.pilot_power
+            rows, received, h_rows, pilot_power
         )[:, last]
 
         rates[..., members] = _phase_matched_rate(
             h_rows[:, None, :], g_rows[:, None, :],
-            np.stack([ml_estimates, ls_estimates]), powers.data_power,
+            np.stack([ml_estimates, ls_estimates]), data_power,
         ).transpose(0, 2, 1)
         if progress is not None:
             progress(members.stop, trials)
@@ -413,16 +405,16 @@ def run_single_estimate(
             f"range [{lo}, {hi}]"
         )
     rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed))
-    powers = snr_to_powers(config)
+    data_power, pilot_power = snr_to_powers(config)
     channel = LosChannel(1.0, rng.uniform(0.0, TWO_PI), float(true_aoa))
     h = random_bs_ris_channel(config.num_elements, rng)
     array = config.array()
     g = expand_channel(channel, array)
     record = run_adaptive_estimation(
-        channel, h, array, num_pilots, powers.pilot_power, rng, config.grid()
+        channel, h, array, num_pilots, pilot_power, rng, config.grid()
     )
     rate = _phase_matched_rate(
-        h.coefficients, g, record.result.channel_estimate, powers.data_power
+        h.coefficients, g, record.result.channel_estimate, data_power
     )
-    cap = capacity(h.coefficients, g, powers.data_power)
+    cap = capacity(h.coefficients, g, data_power)
     return SingleRunSummary(record, rate, cap)

@@ -8,13 +8,16 @@ from rispilot import (
     KnownBsRisChannel,
     LosChannel,
     PilotCampaign,
+    RisConfiguration,
     array_response,
+    effective_channel,
     expand_channel,
     ml_utility_profile,
     parametric_ml_estimate,
 )
 from rispilot.checks import circular_diff, pool_config_rows  # noqa: F401
 from rispilot.estimators import _accumulate
+from rispilot.io import UTILITY_CSV_HEADER
 
 
 def make_campaign(
@@ -126,6 +129,51 @@ def utility_db(utility: np.ndarray) -> np.ndarray:
     """10 log10 of a utility profile, -inf where it is 0, as the trace CSV has it."""
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(utility)
+
+
+def reference_utility_csv(record) -> str:
+    """The utility-trace CSV text, one ``format(v, '.9g')`` per value and row.
+
+    The reference for ``emit_utility_csv``, which renders whole stages at
+    once and must write exactly these bytes.
+    """
+    lines = [UTILITY_CSV_HEADER]
+    for pilots, utility in enumerate(record.utilities, start=2):
+        with np.errstate(divide="ignore"):
+            utility_db = 10.0 * np.log10(utility)
+        peak = int(np.argmax(utility))
+        for idx, (angle, value) in enumerate(zip(record.grid.angles, utility_db)):
+            marker = 1 if idx == peak else 0
+            lines.append(
+                f"{pilots},{format(angle, '.9g')},{format(value, '.9g')},{marker}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def simulate_pilot_reception(
+    config_row: RisConfiguration,
+    h: KnownBsRisChannel,
+    g,
+    pilot_power: float,
+    noise_std: float,
+    rng,
+) -> complex:
+    """One received pilot sample theta^T D_h g sqrt(P_p) + w, drawn on its own.
+
+    The noise w is circularly-symmetric complex Gaussian with variance
+    ``noise_std**2`` (independent real and imaginary parts of variance
+    ``noise_std**2 / 2``). With ``noise_std == 0`` nothing is drawn and
+    the noise-free value is returned. The reference that the adaptive
+    loop's up-front noise draws replay.
+    """
+    if noise_std < 0:
+        raise ValueError("noise_std must be nonnegative")
+    signal = effective_channel(config_row, h, g) * np.sqrt(pilot_power)
+    if noise_std == 0.0:
+        return signal
+    rng = np.random.default_rng(rng)
+    re, im = rng.standard_normal(2)
+    return signal + (re + 1j * im) * (noise_std / np.sqrt(2.0))
 
 
 def local_peak_indices(values) -> np.ndarray:

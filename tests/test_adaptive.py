@@ -28,7 +28,6 @@ from rispilot import (
     plausible_angles,
     random_bs_ris_channel,
     run_adaptive_estimation,
-    simulate_pilot_reception,
 )
 from rispilot.adaptive import advance_trials, pilot_noise, pilot_power_for_snr
 
@@ -42,6 +41,7 @@ from conftest import (
     pilot_energy,
     pool_config_rows,
     prefix_campaign,
+    simulate_pilot_reception,
 )
 
 
@@ -78,6 +78,19 @@ class TestPlausibleAngles:
         angles = plausible_angles(8)
         with pytest.raises(ValueError):
             angles[0] = 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 40])
+    def test_candidate_gram_is_diagonal_at_half_wavelength(self, n):
+        # at rho = 1/2 the candidates are the N columns of a DFT: their
+        # Gram is exactly N I; at rho = 1/4 neighbours 2/N apart in sine
+        # keep |sin(pi/2) / (N sin(pi/(2N)))| ~ 2/pi of the peak
+        responses = array_response(ArrayModel(n, 0.5), plausible_angles(n))
+        gram = responses @ responses.conj().T
+        np.testing.assert_allclose(gram, n * np.eye(n), rtol=0, atol=1e-12 * n)
+        if n > 2:
+            quarter = array_response(ArrayModel(n, 0.25), plausible_angles(n))
+            neighbour = abs(np.vdot(quarter[0], quarter[1])) / n
+            assert neighbour == pytest.approx(1.0 / (n * math.sin(math.pi / (2 * n))))
 
 
 class TestOptimalConfiguration:
@@ -308,6 +321,23 @@ class TestInitialPair:
     def test_exhausted_pool(self, rng):
         with pytest.raises(PoolExhaustedError):
             self.starting_sines(1, rng)
+
+    def test_reference_pair_has_exact_nulls_at_endfire(self, rng):
+        # at N = 40, rho = 1/4 a beam at sine u0 has nulls where
+        # N rho (u - u0) = 10 (u - u0) is a nonzero integer; from u0 = +-0.5
+        # that includes u = +-1, the grid's endpoints, for both beams
+        array, grid = ArrayModel(40, 0.25), AoaSearchGrid()
+        h = random_bs_ris_channel(40, rng)
+        record = run_adaptive_estimation(
+            LosChannel(1.0, 0.0, 0.2), h, array, 2, math.inf, rng, grid
+        )
+        assert list(np.sin(record.config_angles)) == [-0.5, 0.5]
+        energy = pilot_energy(record.campaign, array, grid.angles)
+        peak = np.max(energy)
+        # zero up to rounding at +-90 degrees, while the next grid points
+        # are small but resolved
+        assert np.all(energy[[0, -1]] <= 1e-24 * peak)
+        assert np.all(energy[[1, -2]] >= 1e-13 * peak)
 
 
 class TestPeakHelpers:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -71,6 +72,34 @@ def test_utility_trace_cli(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == UTILITY_CSV_HEADER
     assert len(lines) == 1 + 4 * 200  # stages for L = 2..5
+
+
+#: The benchmark's reference trace config (N=40, 2000-point grid, L up to 10).
+REFERENCE_TRACE = [
+    "--set", "num_elements=40", "--set", "spacing_ratio=0.25",
+    "--set", "grid_points=2000", "--set", "data_snr_db=0.0",
+    "--set", "pilot_snr_offset_db=10", "--set", "ue_angle_range=-60,60",
+    "--set", "search_domain=-90,90", "--l-max", "10",
+]
+
+
+@pytest.mark.parametrize("seed, aoa_deg, digest", [
+    (8917419684964321736, 31.686752088677537,
+     "6b3e0a2a26a2eef4e566db736c7340fbbb72c899a9bfc3837b3adae4fab03191"),
+    (8497490805353380566, -18.587694659263,
+     "197f4a88ebf92d9be25df66da644b9acfaf41f4f2d0a5b2935d3b2a7c73ed6c7"),
+    (7806094663086568147, 48.13856385936623,
+     "e3284a7ae48f3bd552b7fab72f4b7488e245c4cc73b22ef4297ea943a12685a7"),
+])
+def test_utility_trace_golden_bytes(seed, aoa_deg, digest, tmp_path):
+    # sha256 of the CSVs that the row-by-row emitter wrote for these inputs
+    # (numpy 2.4, x86-64); the near-null grid edges rest on the last bits
+    # of sin and exp, so another math library may write other bytes there
+    out = tmp_path / "trace.csv"
+    argv = ["utility-trace", *REFERENCE_TRACE, "--set", f"rng_seed={seed}",
+            "--true-aoa-deg", repr(aoa_deg), "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_estimate_once_prints_summary(capsys):

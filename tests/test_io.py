@@ -1,10 +1,17 @@
 """Tests for config parsing and CSV serialization."""
 
 import math
+import sys
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rispilot import (
+    AoaSearchGrid,
     ConfigParseError,
     ConfigValidationError,
     RateCurvePoint,
@@ -16,6 +23,8 @@ from rispilot import (
 )
 from rispilot.io import RATE_CSV_HEADER, UTILITY_CSV_HEADER
 from rispilot.simulate import ExperimentConfig
+
+from conftest import reference_utility_csv
 
 
 def make_point(budget: int, ml: float = 5.0, ls: float = 3.0) -> RateCurvePoint:
@@ -56,9 +65,9 @@ class TestParseConfig:
         assert config.grid_points == 700
         assert config.rng_seed == 9
         assert config.ue_angle_range == pytest.approx((-math.pi / 3, math.pi / 3))
-        powers = snr_to_powers(config)
-        assert powers.data_power == pytest.approx(0.1)
-        assert powers.pilot_power == pytest.approx(1.0)
+        data_power, pilot_power = snr_to_powers(config)
+        assert data_power == pytest.approx(0.1)
+        assert pilot_power == pytest.approx(1.0)
 
     def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
         path = tmp_path / "bom.cfg"
@@ -186,3 +195,59 @@ class TestUtilityCsv:
         )
         linear = 10.0 ** (float(sampled[2]) / 10.0)
         assert 10.0 * math.log10(linear) == pytest.approx(float(sampled[2]), abs=1e-9)
+
+    def test_reference_config_matches_row_by_row_reference(self, tmp_path):
+        config = ExperimentConfig(rng_seed=11)
+        record = run_single_estimate(config, math.radians(-20.0), 10).record
+        path = tmp_path / "trace.csv"
+        emit_utility_csv(record, path)
+        assert path.read_bytes() == reference_utility_csv(record).encode()
+
+
+#: Utilities that stress the formatting: exact zero (-inf dB), the smallest
+#: subnormal, a subnormal, the smallest normal, and huge values.
+SPECIAL_UTILITIES = (
+    0.0, 5e-324, 1e-310, sys.float_info.min, 1e300, sys.float_info.max,
+)
+
+
+@st.composite
+def utility_records(draw):
+    """A record-like object: (L-1) x G utilities over a random grid."""
+    points = draw(st.integers(2, 300))
+    num_elements = draw(st.integers(2, 40))
+    stages = draw(st.integers(1, num_elements - 1))
+    lower = draw(st.floats(-math.pi / 2, math.pi / 2))
+    upper = draw(st.floats(-math.pi / 2, math.pi / 2))
+    assume(lower < upper)
+    values = st.one_of(
+        st.sampled_from(SPECIAL_UTILITIES),
+        st.floats(min_value=0.0, max_value=sys.float_info.max),
+    )
+    utilities = draw(hnp.arrays(np.float64, (stages, points), elements=values))
+    # tie each row's maximum at a second index, and zero some rows out
+    for row in utilities:
+        row[draw(st.integers(0, points - 1))] = np.max(row)
+        if draw(st.booleans()) and draw(st.booleans()):
+            row[:] = 0.0
+    grid = AoaSearchGrid(lower, upper, points)
+    return SimpleNamespace(utilities=utilities, grid=grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(record=utility_records())
+def test_utility_csv_equals_row_by_row_reference(record, tmp_path_factory):
+    # whole-stage rendering writes exactly the per-value format bytes,
+    # ties going to the first index in both
+    path = tmp_path_factory.getbasetemp() / "property-trace.csv"
+    emit_utility_csv(record, path)
+    assert path.read_bytes() == reference_utility_csv(record).encode()
+
+
+@pytest.mark.parametrize(
+    "value", [-0.0, 0.0, math.nan, -math.inf, math.inf, 5e-324, 1e300, 123456789.5]
+)
+def test_percent_format_agrees_with_format(value):
+    # the emitter's templates rely on this for every dB value
+    assert "%.9g" % value == format(value, ".9g")
+    assert "%.9g" % np.float64(value) == format(np.float64(value), ".9g")

@@ -25,31 +25,30 @@ from rispilot import (
     run_adaptive_estimation,
     run_rate_experiment,
     run_single_estimate,
-    simulate_pilot_reception,
     snr_to_powers,
 )
 
 from rispilot.simulate import MAX_ARRAY_ENTRIES, _trial_chunk
 
-from conftest import local_peak_indices, utility_db
+from conftest import local_peak_indices, simulate_pilot_reception, utility_db
 
 
 class TestSnrToPowers:
     def test_reference_operating_point(self):
-        powers = snr_to_powers(ExperimentConfig(data_snr_db=0.0))
-        assert powers.data_power == pytest.approx(1.0)
-        assert powers.pilot_power == pytest.approx(10.0)
+        data_power, pilot_power = snr_to_powers(ExperimentConfig(data_snr_db=0.0))
+        assert data_power == pytest.approx(1.0)
+        assert pilot_power == pytest.approx(10.0)
 
     def test_low_snr_operating_point(self):
-        powers = snr_to_powers(ExperimentConfig(data_snr_db=-10.0))
-        assert powers.data_power == pytest.approx(0.1)
-        assert powers.pilot_power == pytest.approx(1.0)
+        data_power, pilot_power = snr_to_powers(ExperimentConfig(data_snr_db=-10.0))
+        assert data_power == pytest.approx(0.1)
+        assert pilot_power == pytest.approx(1.0)
 
     def test_zero_offset_means_equal_powers(self):
-        powers = snr_to_powers(
+        data_power, pilot_power = snr_to_powers(
             ExperimentConfig(data_snr_db=3.0, pilot_snr_offset_db=0.0)
         )
-        assert powers.pilot_power == pytest.approx(powers.data_power)
+        assert pilot_power == pytest.approx(data_power)
 
 
 class TestPilotReceptionStatistics:
@@ -186,14 +185,15 @@ class TestTrialRates:
         config = ExperimentConfig(
             pilot_budgets=(2, 5, 40), num_trials=80, rng_seed=42
         )
-        array, grid, powers = config.array(), config.grid(), snr_to_powers(config)
+        array, grid = config.array(), config.grid()
+        data_power, pilot_power = snr_to_powers(config)
         n, budgets = config.num_elements, config.pilot_budgets
         dft = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
 
         def phase_matched_rate(h, g, estimate):
             shifts = np.angle(h.coefficients) + np.angle(estimate)
             eff = complex(np.sum(h.coefficients * g * np.exp(-1j * shifts)))
-            return achievable_rate(eff, powers.data_power)
+            return achievable_rate(eff, data_power)
 
         rate_ml = np.zeros((len(budgets), config.num_trials))
         rate_ls = np.zeros((len(budgets), config.num_trials))
@@ -207,9 +207,9 @@ class TestTrialRates:
             channel = LosChannel(1.0, omega, aoa)
             h = random_bs_ris_channel(n, rng)
             g = expand_channel(channel, array)
-            caps[t] = capacity(h.coefficients, g, powers.data_power)
+            caps[t] = capacity(h.coefficients, g, data_power)
             record = run_adaptive_estimation(
-                channel, h, array, max(budgets), powers.pilot_power, rng, grid
+                channel, h, array, max(budgets), pilot_power, rng, grid
             )
             for b, budget in enumerate(budgets):
                 # entry budget - 2 is the estimate from the first budget pilots
@@ -225,18 +225,18 @@ class TestTrialRates:
                 + 1j * rng.standard_normal(max(budgets))
             ) / np.sqrt(2.0)
             columns = rng.permutation(n)
-            signal = h.coefficients * g * np.sqrt(powers.pilot_power)
+            signal = h.coefficients * g * np.sqrt(pilot_power)
             for b, budget in enumerate(budgets):
                 rows = dft[:, columns[:budget]].T
                 received = rows @ signal + noise[:budget]
-                campaign = PilotCampaign(rows, received, powers.pilot_power, h)
+                campaign = PilotCampaign(rows, received, pilot_power, h)
                 rate_ls[b, t] = phase_matched_rate(
                     h, g, least_squares_estimate(campaign)
                 )
             # the trial's own campaign at the largest budget, alone
             rows = dft[:, columns[:max(budgets)]].T
             prefixes = least_squares_prefix_estimates(
-                rows, rows @ signal + noise, h.coefficients, powers.pilot_power
+                rows, rows @ signal + noise, h.coefficients, pilot_power
             )
             for b, budget in enumerate(budgets):
                 rate_ls_prefix[b, t] = phase_matched_rate(h, g, prefixes[budget - 1])
@@ -301,7 +301,7 @@ class TestRateExperiment:
 
         oracle_rng = np.random.default_rng(1005)
         array = ArrayModel(n, config.spacing_ratio)
-        powers = snr_to_powers(config)
+        data_power, pilot_power = snr_to_powers(config)
         dft = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
         rates = np.zeros(4000)
         caps = np.zeros(4000)
@@ -315,13 +315,13 @@ class TestRateExperiment:
                 oracle_rng.standard_normal(L) + 1j * oracle_rng.standard_normal(L)
             ) / np.sqrt(2.0)
             estimate = g + (rows.conj().T @ w) / (
-                L * np.sqrt(powers.pilot_power) * h.coefficients
+                L * np.sqrt(pilot_power) * h.coefficients
             )
             shifts = np.angle(h.coefficients) + np.angle(estimate)
             eff = np.sum(h.coefficients * g * np.exp(-1j * shifts))
-            rates[t] = np.log2(1.0 + abs(eff) ** 2 * powers.data_power)
+            rates[t] = np.log2(1.0 + abs(eff) ** 2 * data_power)
             caps[t] = np.log2(
-                1.0 + np.sum(np.abs(h.coefficients * g)) ** 2 * powers.data_power
+                1.0 + np.sum(np.abs(h.coefficients * g)) ** 2 * data_power
             )
         oracle_ratio = rates.mean() / caps.mean()
         oracle_stderr = rates.std(ddof=1) / np.sqrt(rates.size) / caps.mean()
