@@ -21,11 +21,12 @@ against the configuration optimal at grid angle j.
 
 One core, ``advance_trials``, advances a chunk of trials one pilot at a
 time as (trials x grid) arrays. Per pick it makes no matrix product: it
-gathers the sent candidates' rows of P and |P|^2 into the estimators'
-``UtilityAccumulator``, takes the utility argmax with its gain and
-phase, and sends each trial's unused candidate with the largest entry
-in the estimate's score row. ``run_adaptive_estimation`` is its
-one-trial call; the Monte Carlo harness calls it once per chunk.
+adds each trial's sent row of P and |P|^2 to its sums in the estimators'
+``UtilityAccumulator``, takes the utility argmax and sends each trial's
+unused candidate with the largest entry in the estimate's score row.
+Gains and phases come from the peaks' sums once, after the last pilot.
+``run_adaptive_estimation`` is its one-trial call; the Monte Carlo
+harness calls it once per chunk.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .estimators import (
     EstimationResult,
     PilotCampaign,
     UtilityAccumulator,
+    closed_form_gain_and_phase,
 )
 from .model import (
     UNIT_MODULUS_TOL,
@@ -253,13 +255,14 @@ def advance_trials(
     (``None``: noise-free). ``tables`` replaces the setup's projections
     and energies, which hold for unit-magnitude BS-RIS channels only.
 
-    The starting pair is the same for every trial. After it, each pick
-    gathers table rows: the sent candidate's projection and energy go
-    into a (trials x grid) ``UtilityAccumulator``, the utility argmax
-    gives the estimate with its gain and phase, and the unused candidate
-    with the largest entry in the estimate's score row is sent next.
-    Every step is elementwise or reduces within a row, so a trial's
-    outcome does not depend on the chunk it runs in.
+    The starting pair is the same for every trial. After it, each pick adds
+    the sent candidate's table rows, read in place, to the trial's row of
+    a (trials x grid) ``UtilityAccumulator``; the utility argmax (in one
+    work buffer unless kept) gives the estimate, and the unused candidate
+    with the largest entry in its score row is sent next. The sums at the
+    peaks give every gain and phase after the loop. Every step is
+    elementwise or reduces within a row, so a trial's outcome does not
+    depend on the chunk it runs in.
     """
     projections, energies = tables or (setup.projections, setup.projection_energy)
     trials, n = coefficients.shape
@@ -277,9 +280,10 @@ def advance_trials(
     picks = np.empty((trials, num_pilots), dtype=np.intp)
     samples = np.empty((trials, num_pilots), dtype=np.complex128)
     peaks = np.empty((trials, num_pilots - 1), dtype=np.intp)
-    gains = np.empty((trials, num_pilots - 1))
-    phases = np.empty((trials, num_pilots - 1))
+    peak_inner = np.empty((trials, num_pilots - 1), dtype=np.complex128)
+    peak_energy = np.empty((trials, num_pilots - 1))
     utilities: list[np.ndarray] = []
+    work = None if keep_utility else np.empty(accumulator.energy.shape)
 
     def transmit(i: int, k: np.ndarray) -> None:
         """Send candidate k[t] as pilot i+1 of trial t."""
@@ -287,7 +291,7 @@ def advance_trials(
         sample = signals[rows, k]
         if noise is not None:
             sample = sample + noise[:, i]
-        accumulator.add(projections[k], sample, energies[k])
+        accumulator.add(projections, sample, energies, picks=k)
         picks[:, i] = k
         samples[:, i] = sample
 
@@ -301,12 +305,11 @@ def advance_trials(
         transmit(i, np.full(trials, k))
 
     for i in range(1, num_pilots):
-        utility = accumulator.utility()
+        utility = accumulator.utility(out=work)
         peak = np.argmax(utility, axis=1)
         peaks[:, i - 1] = peak
-        gains[:, i - 1], phases[:, i - 1] = accumulator.gain_and_phase(
-            peak, pilot_power
-        )
+        peak_inner[:, i - 1] = accumulator.inner[rows, peak]
+        peak_energy[:, i - 1] = accumulator.energy[rows, peak]
         if keep_utility:
             utility.setflags(write=False)
             utilities.append(utility)
@@ -315,6 +318,9 @@ def advance_trials(
             scores[used] = -np.inf
             transmit(i + 1, np.argmax(scores, axis=1))
 
+    gains, phases = closed_form_gain_and_phase(
+        peak_inner, peak_energy, pilot_power[:, None]
+    )
     return AdaptiveTrials(picks, samples, peaks, gains, phases, tuple(utilities))
 
 

@@ -134,6 +134,19 @@ class EstimationResult:
         object.__setattr__(self, "channel_estimate", vec)
 
 
+def closed_form_gain_and_phase(inner, energy, pilot_power):
+    """Gain |y^H B v|^2 / (P_p ||B v||^4) and phase -arg(y^H B v) in [0, 2*pi).
+
+    ``inner`` and ``energy`` are the sums y^H B v and ||B v||^2 at estimated
+    directions v; a zero inner product maps to (0, 0).
+    """
+    if np.any(energy == 0.0):
+        raise DegenerateDirectionError(
+            "the estimated direction carries no pilot energy"
+        )
+    return np.abs(inner) ** 2 / (pilot_power * energy**2), (-np.angle(inner)) % TWO_PI
+
+
 class UtilityAccumulator:
     """Running sums behind the ML objective, one pilot at a time.
 
@@ -144,37 +157,46 @@ class UtilityAccumulator:
     directions, or (trials, directions) for a leading axis of independent
     runs: the adaptive loop advances a chunk of trials at once this way,
     and the batch estimators feed one campaign. This is the one copy of
-    the utility and of the closed-form gain and phase.
+    the utility; the gain and phase come from ``closed_form_gain_and_phase``.
     """
 
     def __init__(self, shape):
         self.inner = np.zeros(shape, dtype=np.complex128)
         self.energy = np.zeros(shape, dtype=float)
 
-    def add(
-        self, projection: np.ndarray, sample, energy: np.ndarray | None = None
-    ) -> None:
+    def add(self, projection: np.ndarray, sample, energy=None, picks=None) -> None:
         """Add one pilot per run: projection rows, samples, and |projection|^2.
 
-        ``energy`` is |projection|^2 when the caller already holds it;
-        otherwise it is computed here.
+        Without ``picks`` the rows are given and their energy is computed
+        here; with it they are rows picks[t] of the tables ``projection`` and
+        ``energy``, read in place. Each run's sums are updated in place.
         """
-        self.inner += np.conj(sample)[..., None] * projection
-        self.energy += np.abs(projection) ** 2 if energy is None else energy
+        size = self.inner.shape[-1]
+        if picks is None:
+            projection = np.reshape(projection, (-1, size))
+            energy, picks = np.abs(projection) ** 2, range(len(projection))
+        # Python scalars index and multiply as numpy's would, at less cost
+        runs = zip(
+            self.inner.reshape(-1, size), self.energy.reshape(-1, size),
+            np.asarray(picks).tolist(), np.conj(sample).reshape(-1).tolist(),
+        )
+        for inner, total, k, conj_sample in runs:
+            inner += conj_sample * projection[k]
+            total += energy[k]
 
-    def utility(self) -> np.ndarray:
-        """ML objective |y^H B v|^2 / ||B v||^2 per direction, as a new array.
+    def utility(self, out: np.ndarray | None = None) -> np.ndarray:
+        """ML objective |y^H B v|^2 / ||B v||^2 per direction, into ``out`` if given.
 
         A direction with exactly zero pilot energy (a kernel null shared by
-        all rows) explains nothing and scores 0. If no direction of a run
-        carries any energy no angle can be ranked: degenerate-direction error.
+        all rows) explains nothing and scores 0, in a new array. If no
+        direction of a run carries energy: degenerate-direction error.
         """
         energy = self.energy
-        lit = energy > 0.0
-        value = np.abs(self.inner)
+        value = np.abs(self.inner, out=out)
         np.square(value, out=value)
-        if lit.all():  # the usual case: no masked division needed
+        if energy.min() > 0.0:  # the usual case: no masked division needed
             return np.divide(value, energy, out=value)
+        lit = energy > 0.0
         if not lit.any(axis=-1).all():
             raise DegenerateDirectionError(
                 "no probed direction carries pilot energy; the campaign cannot "
@@ -183,27 +205,16 @@ class UtilityAccumulator:
         return np.divide(value, energy, out=np.zeros_like(energy), where=lit)
 
     def gain_and_phase(self, index, pilot_power):
-        """Gain |y^H B v|^2 / (P_p ||B v||^4) and phase -arg(y^H B v).
+        """Closed-form gain and phase at direction ``index``, one per run.
 
-        ``v`` is direction ``index`` (one index per run for a leading
-        trial axis, then ``pilot_power`` may hold one power per run too).
-        The phase is wrapped to [0, 2*pi); a zero inner product maps to
-        (0, 0). A single run gives floats, a trial axis arrays.
+        ``pilot_power`` may hold one power per run too. A single run gives
+        floats, a trial axis arrays.
         """
-        index = np.asarray(index)
-        at = (np.arange(index.size), index.reshape(-1))
-        size = self.inner.shape[-1]
-        inner = self.inner.reshape(-1, size)[at].reshape(index.shape)
-        energy = self.energy.reshape(-1, size)[at].reshape(index.shape)
-        if np.any(energy == 0.0):
-            raise DegenerateDirectionError(
-                "the estimated direction carries no pilot energy"
-            )
-        gain = np.abs(inner) ** 2 / (pilot_power * energy**2)
-        phase = (-np.angle(inner)) % TWO_PI
-        if gain.ndim == 0:
-            return float(gain), float(phase)
-        return gain, phase
+        at = np.asarray(index)[..., None]
+        inner = np.take_along_axis(self.inner, at, axis=-1)[..., 0]
+        energy = np.take_along_axis(self.energy, at, axis=-1)[..., 0]
+        gain, phase = closed_form_gain_and_phase(inner, energy, pilot_power)
+        return (float(gain), float(phase)) if gain.ndim == 0 else (gain, phase)
 
 
 def _accumulate(

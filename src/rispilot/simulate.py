@@ -64,13 +64,14 @@ class ExperimentConfig:
     """Everything a rate-curve or utility-trace experiment needs.
 
     Angle intervals are radians here; the CLI converts from degrees.
+    Unset ``pilot_budgets`` are the ``DEFAULT_PILOT_BUDGETS`` up to N.
     """
 
     num_elements: int = 40
     spacing_ratio: float = 0.25
     data_snr_db: float = 0.0
     pilot_snr_offset_db: float = 10.0
-    pilot_budgets: tuple[int, ...] = DEFAULT_PILOT_BUDGETS
+    pilot_budgets: tuple[int, ...] | None = None
     num_trials: int = 2000
     ue_angle_range: tuple[float, float] = (-math.pi / 3, math.pi / 3)
     search_domain: tuple[float, float] = (-math.pi / 2, math.pi / 2)
@@ -83,7 +84,8 @@ class ExperimentConfig:
         object.__setattr__(self, name, int(value))
 
     def __post_init__(self) -> None:
-        self._set_integer("num_elements", 1, math.inf, "must be a positive integer")
+        # at least two pilots, each from its own candidate, make an estimate
+        self._set_integer("num_elements", 2, math.inf, "must be an integer, at least 2")
         _require(
             math.isfinite(self.spacing_ratio) and self.spacing_ratio > 0,
             "spacing_ratio",
@@ -103,12 +105,12 @@ class ExperimentConfig:
             "pilot_snr_offset_db",
             "must give a positive, finite pilot power",
         )
+        fitting = [v for v in DEFAULT_PILOT_BUDGETS if v <= self.num_elements]
+        budgets = fitting if self.pilot_budgets is None else self.pilot_budgets
         _require(
-            all(_is_integral(v) for v in self.pilot_budgets),
-            "pilot_budgets",
-            "must be integers",
+            all(_is_integral(v) for v in budgets), "pilot_budgets", "must be integers"
         )
-        budgets = tuple(int(v) for v in self.pilot_budgets)
+        budgets = tuple(int(v) for v in budgets)
         _require(len(budgets) > 0, "pilot_budgets", "must not be empty")
         _require(
             len(set(budgets)) == len(budgets), "pilot_budgets", "must be distinct"

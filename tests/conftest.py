@@ -15,8 +15,15 @@ from rispilot import (
     ml_utility_profile,
     parametric_ml_estimate,
 )
+from rispilot.adaptive import (
+    INITIAL_SINES,
+    AdaptiveSetup,
+    AdaptiveTrials,
+    _phase_compensation,
+)
 from rispilot.checks import circular_diff, pool_config_rows  # noqa: F401
-from rispilot.estimators import _accumulate
+from rispilot.errors import DegenerateDirectionError
+from rispilot.estimators import UtilityAccumulator, _accumulate
 from rispilot.io import UTILITY_CSV_HEADER
 
 
@@ -174,6 +181,99 @@ def simulate_pilot_reception(
     rng = np.random.default_rng(rng)
     re, im = rng.standard_normal(2)
     return signal + (re + 1j * im) * (noise_std / np.sqrt(2.0))
+
+
+def reference_utility(accumulator: UtilityAccumulator) -> np.ndarray:
+    """The accumulator's utility as a new array, lit directions by a full mask."""
+    energy = accumulator.energy
+    lit = energy > 0.0
+    value = np.abs(accumulator.inner)
+    np.square(value, out=value)
+    if lit.all():  # the usual case: no masked division needed
+        return np.divide(value, energy, out=value)
+    if not lit.any(axis=-1).all():
+        raise DegenerateDirectionError(
+            "no probed direction carries pilot energy; the campaign cannot "
+            "rank any angle"
+        )
+    return np.divide(value, energy, out=np.zeros_like(energy), where=lit)
+
+
+def reference_advance_trials(
+    setup: AdaptiveSetup,
+    coefficients: np.ndarray,
+    g: np.ndarray,
+    pilot_power: np.ndarray,
+    noise: np.ndarray | None,
+    num_pilots: int,
+    *,
+    tables: tuple[np.ndarray, np.ndarray] | None = None,
+    keep_utility: bool = False,
+) -> AdaptiveTrials:
+    """The adaptive loop with whole-chunk sums and a gain and phase per step.
+
+    The reference for ``advance_trials``, which must give exactly these
+    bytes: each pick gathers the sent candidates' table rows into (trials x
+    grid) copies and adds conj(sample)[:, None] times them to the sums in
+    one broadcast multiply, every step takes a new utility array, and the
+    gain and phase are taken at each step's peak as it is reached.
+    """
+    projections, energies = tables or (setup.projections, setup.projection_energy)
+    trials, n = coefficients.shape
+    rows = np.arange(trials)
+    # row k of candidates[t] is optimal_configuration(h_t, angles[k]).phases
+    # and signals[t, k] the noise-free sample theta^T D_h g sqrt(P_p) for it
+    candidates = _phase_compensation(coefficients, setup.array)[:, None, :] * (
+        setup.conj_responses
+    )
+    signals = np.sum(
+        candidates * coefficients[:, None, :] * g[:, None, :], axis=-1
+    ) * np.sqrt(pilot_power)[:, None]
+    accumulator = UtilityAccumulator((trials, projections.shape[1]))
+    used = np.zeros((trials, n), dtype=bool)
+    picks = np.empty((trials, num_pilots), dtype=np.intp)
+    samples = np.empty((trials, num_pilots), dtype=np.complex128)
+    peaks = np.empty((trials, num_pilots - 1), dtype=np.intp)
+    gains = np.empty((trials, num_pilots - 1))
+    phases = np.empty((trials, num_pilots - 1))
+    utilities: list[np.ndarray] = []
+
+    def transmit(i: int, k: np.ndarray) -> None:
+        """Send candidate k[t] as pilot i+1 of trial t."""
+        used[rows, k] = True
+        sample = signals[rows, k]
+        if noise is not None:
+            sample = sample + noise[:, i]
+        accumulator.inner += np.conj(sample)[..., None] * projections[k]
+        accumulator.energy += energies[k]
+        picks[:, i] = k
+        samples[:, i] = sample
+
+    sines = np.sin(setup.angles)
+    started = np.zeros(n, dtype=bool)
+    for i, start in enumerate(INITIAL_SINES):
+        distance = np.abs(sines - start)
+        distance[started] = np.inf
+        k = int(np.argmin(distance))
+        started[k] = True
+        transmit(i, np.full(trials, k))
+
+    for i in range(1, num_pilots):
+        utility = reference_utility(accumulator)
+        peak = np.argmax(utility, axis=1)
+        peaks[:, i - 1] = peak
+        gains[:, i - 1], phases[:, i - 1] = accumulator.gain_and_phase(
+            peak, pilot_power
+        )
+        if keep_utility:
+            utility.setflags(write=False)
+            utilities.append(utility)
+        if i + 1 < num_pilots:
+            scores = setup.scores[peak]
+            scores[used] = -np.inf
+            transmit(i + 1, np.argmax(scores, axis=1))
+
+    return AdaptiveTrials(picks, samples, peaks, gains, phases, tuple(utilities))
 
 
 def local_peak_indices(values) -> np.ndarray:

@@ -29,7 +29,13 @@ from rispilot import (
     random_bs_ris_channel,
     run_adaptive_estimation,
 )
-from rispilot.adaptive import advance_trials, pilot_noise, pilot_power_for_snr
+from rispilot.adaptive import (
+    _projection_tables,
+    advance_trials,
+    pilot_noise,
+    pilot_power_for_snr,
+)
+from rispilot.model import los_vector
 
 from conftest import (
     NEAR_NULL,
@@ -41,6 +47,7 @@ from conftest import (
     pilot_energy,
     pool_config_rows,
     prefix_campaign,
+    reference_advance_trials,
     simulate_pilot_reception,
 )
 
@@ -637,6 +644,62 @@ class TestProjectionTables:
             ):
                 assert values.shape == expected.shape
                 assert values.tobytes() == expected.tobytes()
+
+
+class TestCoreMatchesReference:
+    """``advance_trials`` against the whole-chunk loop it replaced, byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        trials=st.integers(1, 12),
+        n=st.integers(3, 40),
+        points=st.integers(50, 2000),
+        seed=st.integers(0, 2**32 - 1),
+        noisy=st.booleans(),
+        unit=st.booleans(),
+        keep=st.booleans(),
+        data=st.data(),
+    )
+    def test_outputs_equal_reference_loop(
+        self, trials, n, points, seed, noisy, unit, keep, data
+    ):
+        # the core updates each run's sums row by row and forms the gains
+        # once per run; the reference gathers rows, multiplies them in one
+        # broadcast and takes the gain and phase at every step. Outputs
+        # must not move at all, so the comparison is of bytes
+        budget = data.draw(st.integers(2, n), label="budget")
+        gen = np.random.default_rng(seed)
+        array = ArrayModel(n, 0.25)
+        setup = build_adaptive_setup(array, AoaSearchGrid(num_points=points))
+        magnitudes = np.ones(n) if unit else gen.uniform(0.5, 2.0, n)
+        coefficients = magnitudes * np.exp(1j * gen.uniform(0, 2 * np.pi, (trials, n)))
+        tables = None
+        if not unit:
+            tables = _projection_tables(
+                setup.conj_responses, magnitudes[:, None] * setup.steering
+            )
+        g = los_vector(
+            array, gen.uniform(0.25, 4.0, trials), gen.uniform(0, 2 * np.pi, trials),
+            gen.uniform(-1.2, 1.2, trials),
+        )
+        pilot_power, noise_std = pilot_power_for_snr(
+            10.0 if noisy else np.inf, 1.0, coefficients
+        )
+        noise = None
+        if noisy:
+            noise = pilot_noise(gen.standard_normal((trials, 2 * budget)), noise_std)
+        args = (setup, coefficients, g, pilot_power, noise, budget)
+        run = advance_trials(*args, tables=tables, keep_utility=keep)
+        expected = reference_advance_trials(*args, tables=tables, keep_utility=keep)
+        for name in ("picks", "samples", "peaks", "gains", "phases"):
+            values, reference = getattr(run, name), getattr(expected, name)
+            assert values.dtype == reference.dtype and values.shape == reference.shape
+            assert values.tobytes() == reference.tobytes(), name
+        kept = budget - 1 if keep else 0
+        assert len(run.utilities) == len(expected.utilities) == kept
+        for values, reference in zip(run.utilities, expected.utilities):
+            assert not values.flags.writeable
+            assert values.tobytes() == reference.tobytes()
 
 
 class TestPilotReception:

@@ -74,13 +74,31 @@ def test_utility_trace_cli(tmp_path):
     assert len(lines) == 1 + 4 * 200  # stages for L = 2..5
 
 
-#: The benchmark's reference trace config (N=40, 2000-point grid, L up to 10).
-REFERENCE_TRACE = [
+def test_utility_trace_runs_a_small_array_without_budgets(tmp_path):
+    # a trace reads no budget; unset, they default to those up to N = 16
+    out = tmp_path / "trace.csv"
+    argv = ["utility-trace", "--set", "num_elements=16", "--set", "grid_points=200",
+            "--true-aoa-deg", "-45", "--l-max", "8", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(out.read_text().splitlines()) == 1 + 7 * 200  # L = 2..8
+
+
+def test_estimate_once_runs_a_small_array_without_budgets(capsys):
+    argv = ["estimate-once", "--set", "num_elements=16", "--set", "grid_points=200",
+            "--true-aoa-deg", "-45", "--l", "8"]
+    assert main(argv) == 0
+    assert "pilot 8: config angle" in capsys.readouterr().out
+
+
+#: The benchmark's reference config (N=40, 2000-point grid).
+REFERENCE_CONFIG = [
     "--set", "num_elements=40", "--set", "spacing_ratio=0.25",
     "--set", "grid_points=2000", "--set", "data_snr_db=0.0",
     "--set", "pilot_snr_offset_db=10", "--set", "ue_angle_range=-60,60",
-    "--set", "search_domain=-90,90", "--l-max", "10",
+    "--set", "search_domain=-90,90",
 ]
+#: The benchmark's reference trace config, L up to 10.
+REFERENCE_TRACE = [*REFERENCE_CONFIG, "--l-max", "10"]
 
 
 @pytest.mark.parametrize("seed, aoa_deg, digest", [
@@ -98,6 +116,23 @@ def test_utility_trace_golden_bytes(seed, aoa_deg, digest, tmp_path):
     out = tmp_path / "trace.csv"
     argv = ["utility-trace", *REFERENCE_TRACE, "--set", f"rng_seed={seed}",
             "--true-aoa-deg", repr(aoa_deg), "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (1, "37c15898c1df934b4cae13b6354428914a1225ebbd59ff87ba061f9f19b0abe8"),
+    (2, "e0592626bff6fa3e516bd4b20fc78922c919b66bf4981290ce2b55b27e7c10fb"),
+    (3, "447579119d68731494c70f92c3ff0179c0057392cad8d5fd8485072341322087"),
+])
+def test_rate_curve_golden_bytes(seed, digest, tmp_path):
+    # sha256 of the 40-trial curves, 11 default budgets, that the loop with
+    # whole-chunk sums and a gain and phase per step wrote (numpy 2.4,
+    # x86-64); another math library may round sin and exp differently and
+    # move a near-null argmax, and with it these bytes
+    out = tmp_path / "rates.csv"
+    argv = ["rate-curve", *REFERENCE_CONFIG, "--set", "num_trials=40",
+            "--set", f"rng_seed={seed}", "--out", str(out)]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
@@ -162,9 +197,10 @@ def test_validate_failure_exits_nonzero(capsys, monkeypatch):
     assert "FAIL broken: synthetic failure" in capsys.readouterr().out
 
 
-# (check, owner, function, how the function's output is distorted)
+# (check, owner, function, how the function's output is distorted); the owner
+# is the module whose name the checked code calls
 DEFECTS = [
-    ("noise-free-recovery", estimators.UtilityAccumulator, "gain_and_phase",
+    ("noise-free-recovery", adaptive, "closed_form_gain_and_phase",
      lambda out, *_: (out[0] * (1 + 1e-6), out[1])),
     ("least-squares-recovery", estimators, "least_squares_estimate",
      lambda out, *_: out + 1e-6),
@@ -206,6 +242,9 @@ def test_validate_fails_on_a_defect(name, owner, function, distort, capsys,
          "--out", "x.csv"],  # outside the configured UE range
         ["utility-trace", *FAST, "--true-aoa-deg", "0", "--l-max", "40",
          "--out", "x.csv"],  # more pilots than pool configurations
+        # a given budget beyond N, though the trace reads none
+        ["utility-trace", "--set", "num_elements=16", "--set", "pilot_budgets=2,17",
+         "--true-aoa-deg", "0", "--l-max", "5", "--out", "x.csv"],
         # data powers whose capacity log2(1 + N^2 P_d) rounds to 0
         ["rate-curve", "--set", "data_snr_db=-300", "--set", "num_trials=5",
          "--set", "pilot_budgets=2,5", "--out", "x.csv"],

@@ -28,7 +28,7 @@ from rispilot import (
     snr_to_powers,
 )
 
-from rispilot.simulate import MAX_ARRAY_ENTRIES, _trial_chunk
+from rispilot.simulate import DEFAULT_PILOT_BUDGETS, MAX_ARRAY_ENTRIES, _trial_chunk
 
 from conftest import local_peak_indices, simulate_pilot_reception, utility_db
 
@@ -80,6 +80,18 @@ class TestExperimentConfig:
         assert config.ue_angle_range == pytest.approx((-np.pi / 3, np.pi / 3))
         assert config.search_domain == pytest.approx((-np.pi / 2, np.pi / 2))
         assert config.grid_points == 2000
+
+    def test_unset_budgets_are_the_defaults_up_to_the_array_size(self):
+        assert ExperimentConfig().pilot_budgets == DEFAULT_PILOT_BUDGETS
+        assert ExperimentConfig(num_elements=16).pilot_budgets == (
+            2, 3, 4, 5, 6, 8, 10, 15,
+        )
+        assert ExperimentConfig(num_elements=2).pilot_budgets == (2,)
+        with pytest.raises(ConfigValidationError, match="pilot_budgets"):
+            ExperimentConfig(num_elements=16, pilot_budgets=(2, 20))
+        # no budget fits one element, and the error names the field that was set
+        with pytest.raises(ConfigValidationError, match="num_elements"):
+            ExperimentConfig(num_elements=1)
 
     @pytest.mark.parametrize(
         "kwargs",
