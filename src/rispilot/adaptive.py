@@ -15,23 +15,20 @@ per experiment by ``build_adaptive_setup``: the grid steering matrix,
 the candidates' array responses and three tables. The configurations
 cancel the BS-RIS phases, so for unit-magnitude coefficients candidate
 k's projection onto grid direction j is the trial-independent
-P[k, j] = conj(a_k)^T a_j. The setup holds P, the energy |P|^2 a pilot
-adds, and the score table |P|^T whose row j rates every candidate
-against the configuration optimal at grid angle j.
+P[k, j] = conj(a_k)^T a_j. The setup holds P and the energy |P|^2 a
+pilot adds, from the estimators' ``_projection_tables``, and the score
+table |P|^T whose row j rates every candidate against the configuration
+optimal at grid angle j.
 
 One core, ``advance_trials``, advances a chunk of trials one pilot at a
-time as (trials x grid) arrays. Per pick it makes no matrix product: it
-adds each trial's sent row of P and |P|^2 to its sums in the estimators'
-``UtilityAccumulator``, takes the utility argmax and sends each trial's
-unused candidate with the largest entry in the estimate's score row.
-Gains and phases come from the peaks' sums once, after the last pilot.
+time as (trials x grid) arrays, with no matrix product per pick.
 ``run_adaptive_estimation`` is its one-trial call; the Monte Carlo
 harness calls it once per chunk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +38,7 @@ from .estimators import (
     EstimationResult,
     PilotCampaign,
     UtilityAccumulator,
+    _projection_tables,
     closed_form_gain_and_phase,
 )
 from .model import (
@@ -100,33 +98,17 @@ def optimal_configuration(
     return RisConfiguration(compensation * np.conj(array_response(array, aoa)))
 
 
-def _projection_tables(
-    conj_responses: np.ndarray, directions: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate projections ``conj_responses @ directions`` and |.|^2, read-only.
-
-    Candidate k's configuration is compensation * conj_responses[k], and
-    the compensation cancels the BS-RIS phases, so with the directions
-    |h|[:, None] * steering row k is what pilot k adds to y^H B D_h A.
-    """
-    projections = conj_responses @ directions
-    energies = np.abs(projections) ** 2
-    for values in (projections, energies):
-        values.setflags(write=False)
-    return projections, energies
-
-
 @dataclass(frozen=True, eq=False)
 class AdaptiveSetup:
     """Trial-independent arrays of the adaptive loop for one array and grid.
 
     Column j of ``steering`` is a(grid_angles[j]); row k of
-    ``conj_responses`` is conj(a(angles[k])) for plausible angle k. The
-    tables hold what every pick of a unit-magnitude BS-RIS channel needs:
-    ``projections[k, j]`` = conj(a_k)^T a(grid_angles[j]) is candidate k's
-    projection onto grid direction j, ``projection_energy`` its |.|^2, and
-    row j of ``scores`` (G x N) is |candidates @ conj(reference)| for the
-    reference configuration optimal at grid angle j.
+    ``conj_responses`` is conj(a(angles[k])) for plausible angle k.
+    ``projections`` and ``projection_energy`` belong to the run's |h|: the
+    ``_projection_tables`` of the candidates over |h| * steering (|h| = 1 in
+    ``build_adaptive_setup``), entry [k, j] for candidate k, grid direction j.
+    ``scores`` depends on the configurations only: row j (G x N) is
+    |candidates @ conj(reference)| for the reference optimal at grid angle j.
     """
 
     array: ArrayModel
@@ -244,7 +226,6 @@ def advance_trials(
     noise: np.ndarray | None,
     num_pilots: int,
     *,
-    tables: tuple[np.ndarray, np.ndarray] | None = None,
     keep_utility: bool = False,
 ) -> AdaptiveTrials:
     """Run the adaptive loop for a chunk of trials, one pilot at a time.
@@ -252,8 +233,7 @@ def advance_trials(
     Row t of ``coefficients`` and ``g`` holds trial t's BS-RIS channel and
     user channel vector, ``pilot_power[t]`` its pilot power and row t of
     ``noise`` the noise of its ``num_pilots`` pilots in transmission order
-    (``None``: noise-free). ``tables`` replaces the setup's projections
-    and energies, which hold for unit-magnitude BS-RIS channels only.
+    (``None``: noise-free). The setup's tables must belong to the trials' |h|.
 
     The starting pair is the same for every trial. After it, each pick adds
     the sent candidate's table rows, read in place, to the trial's row of
@@ -264,7 +244,6 @@ def advance_trials(
     elementwise or reduces within a row, so a trial's outcome does not
     depend on the chunk it runs in.
     """
-    projections, energies = tables or (setup.projections, setup.projection_energy)
     trials, n = coefficients.shape
     rows = np.arange(trials)
     # row k of candidates[t] is optimal_configuration(h_t, angles[k]).phases
@@ -275,7 +254,7 @@ def advance_trials(
     signals = np.sum(
         candidates * coefficients[:, None, :] * g[:, None, :], axis=-1
     ) * np.sqrt(pilot_power)[:, None]
-    accumulator = UtilityAccumulator((trials, projections.shape[1]))
+    accumulator = UtilityAccumulator((trials, setup.grid_angles.size))
     used = np.zeros((trials, n), dtype=bool)
     picks = np.empty((trials, num_pilots), dtype=np.intp)
     samples = np.empty((trials, num_pilots), dtype=np.complex128)
@@ -291,7 +270,7 @@ def advance_trials(
         sample = signals[rows, k]
         if noise is not None:
             sample = sample + noise[:, i]
-        accumulator.add(projections, sample, energies, picks=k)
+        accumulator.add(setup.projections, sample, setup.projection_energy, k)
         picks[:, i] = k
         samples[:, i] = sample
 
@@ -354,23 +333,19 @@ def run_adaptive_estimation(
     is the per-element pilot SNR in linear scale (``inf`` for noise-free
     runs).
 
-    This is the one-trial call of ``advance_trials``, which the Monte
-    Carlo harness runs on chunks of trials, on a setup built for ``array``
-    and ``grid``; the record holds the core's arrays for the one trial,
-    every step's grid utility included. All N noise-free samples are
-    computed once and the 2 * ``num_pilots`` normals of the per-pilot
-    noise are drawn up front from ``rng``, in transmission order, as two
-    per pilot drawn one pilot at a time would be (none when ``pilot_snr``
-    is infinite).
+    This is the one-trial call of ``advance_trials`` on a setup built for
+    ``array`` and ``grid``, whose tables are replaced by those of |h| when
+    some | |h_n| - 1 | exceeds ``UNIT_MODULUS_TOL``. The 2 * ``num_pilots``
+    normals of the per-pilot noise are drawn up front from ``rng``, in
+    transmission order, as two per pilot drawn one pilot at a time would
+    be (none when ``pilot_snr`` is infinite).
 
-    The setup's tables hold for unit-magnitude BS-RIS coefficients; when
-    some | |h_n| - 1 | exceeds ``UNIT_MODULUS_TOL`` the run builds its
-    own from |h| with the same table function. The estimate and utility
-    from the first i pilots match ``parametric_ml_estimate`` and
-    ``ml_utility_profile`` on those pilots of the returned campaign to
-    rounding, which shows only where the pilots barely illuminate a
-    direction. A run with budget i returns exactly the first i pilots and
-    i-1 estimates of a longer run under the same noise draws.
+    The estimate and utility from the first i pilots match
+    ``parametric_ml_estimate`` and ``ml_utility_profile`` on those pilots
+    of the returned campaign to rounding, which shows only where the
+    pilots barely illuminate a direction. A run with budget i returns
+    exactly the first i pilots and i-1 estimates of a longer run under
+    the same noise draws.
     """
     n = array.num_elements
     if num_pilots < 2:
@@ -393,15 +368,15 @@ def run_adaptive_estimation(
     if noise_std > 0:
         noise = pilot_noise(rng.standard_normal((1, 2 * num_pilots)), noise_std)
     magnitudes = np.abs(coefficients)
-    tables = None
     if np.max(np.abs(magnitudes - 1.0)) > UNIT_MODULUS_TOL:
-        tables = _projection_tables(
+        projections, energies = _projection_tables(
             setup.conj_responses, magnitudes[:, None] * setup.steering
         )
+        setup = replace(setup, projections=projections, projection_energy=energies)
     g = expand_channel(true_channel, array)
     run = advance_trials(
         setup, coefficients[None], g[None], pilot_power, noise, num_pilots,
-        tables=tables, keep_utility=True,
+        keep_utility=True,
     )
 
     picks = run.picks[0]

@@ -6,13 +6,15 @@ Subcommands: ``rate-curve`` (Monte Carlo rate-vs-pilot-count sweep),
 consistency checks in ``checks.py``, which acceptance criteria 4-8 also
 run, at the same seeds and sizes). Angles are degrees on this boundary.
 Exit codes: 0 success, 2 validation or parse error or a failed check, 3
-runtime numerical or I/O error. The seed is the ``rng_seed`` config field.
+runtime numerical or I/O error, 141 (128 + SIGPIPE) when stdout's reader
+has closed the pipe. The seed is the ``rng_seed`` config field.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -35,6 +37,7 @@ from .simulate import ExperimentConfig, run_rate_experiment, run_single_estimate
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,7 +165,13 @@ COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        status = COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the exit-time flush of what stdout still buffers must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (
         ConfigParseError,
         ConfigValidationError,

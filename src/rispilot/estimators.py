@@ -4,13 +4,13 @@ Two estimators are provided. The parametric maximum-likelihood (ML)
 estimator restricts the channel to the LOS family c * a(aoa) and
 reduces to a one-dimensional grid search over the angle followed by
 closed-form expressions for the complex coefficient. Its sums live in
-one ``UtilityAccumulator`` that takes the pilots one at a time: the
-batch estimators feed it a whole campaign, the adaptive loop each pilot
-as it is sent. The least-squares baseline inverts the pilot equation
-with a pseudoinverse and needs a pilot count on the order of the
-element count to work well. For mutually orthogonal rows (DFT columns)
-the pseudoinverse is B^H / N, so the estimates of all pilot prefixes
-come from one cumulative sum.
+one ``UtilityAccumulator`` fed pilot by pilot with rows of a
+``_projection_tables`` table: a whole campaign's for the batch
+estimators, the adaptive setup's as the loop sends pilots. The
+least-squares baseline inverts the pilot equation with a pseudoinverse
+and needs a pilot count on the order of the element count to work well.
+For mutually orthogonal rows (DFT columns) the pseudoinverse is B^H / N,
+so the estimates of all pilot prefixes come from one cumulative sum.
 """
 
 from __future__ import annotations
@@ -147,42 +147,52 @@ def closed_form_gain_and_phase(inner, energy, pilot_power):
     return np.abs(inner) ** 2 / (pilot_power * energy**2), (-np.angle(inner)) % TWO_PI
 
 
+def _projection_tables(
+    rows: np.ndarray, directions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Projections ``rows @ directions`` and their |.|^2, read-only.
+
+    Entry [i, j] is B_i v_j, what pilot row i adds to y^H B v_j per unit
+    sample, and |B_i v_j|^2 what it adds to ||B v_j||^2. The one table
+    route into the ML sums: a campaign's, the adaptive setup's and a run's.
+    """
+    projections = rows @ directions
+    energies = np.abs(projections) ** 2
+    for values in (projections, energies):
+        values.setflags(write=False)
+    return projections, energies
+
+
 class UtilityAccumulator:
     """Running sums behind the ML objective, one pilot at a time.
 
     For the pilots added so far in transmission order it keeps, per
     direction v_j = D_h a(angle_j), the inner product y^H B v_j and the
-    energy ||B v_j||^2. Each pilot arrives as its projection row
-    (B_i v_j over j) and its received sample. ``shape`` is the number of
-    directions, or (trials, directions) for a leading axis of independent
-    runs: the adaptive loop advances a chunk of trials at once this way,
-    and the batch estimators feed one campaign. This is the one copy of
-    the utility; the gain and phase come from ``closed_form_gain_and_phase``.
+    energy ||B v_j||^2. ``shape`` is the number of directions, or
+    (trials, directions) for a leading axis of independent runs: the
+    adaptive loop advances a chunk of trials at once this way, and the
+    batch estimators feed one campaign. This is the one copy of the
+    utility; ``closed_form_gain_and_phase`` turns the sums into a gain and phase.
     """
 
     def __init__(self, shape):
         self.inner = np.zeros(shape, dtype=np.complex128)
         self.energy = np.zeros(shape, dtype=float)
 
-    def add(self, projection: np.ndarray, sample, energy=None, picks=None) -> None:
-        """Add one pilot per run: projection rows, samples, and |projection|^2.
+    def add(self, projections: np.ndarray, samples, energies: np.ndarray, picks) -> None:
+        """Add one pilot per run t, row picks[t] of the tables and samples[t], in place.
 
-        Without ``picks`` the rows are given and their energy is computed
-        here; with it they are rows picks[t] of the tables ``projection`` and
-        ``energy``, read in place. Each run's sums are updated in place.
+        The tables come from ``_projection_tables`` and are read in place.
         """
         size = self.inner.shape[-1]
-        if picks is None:
-            projection = np.reshape(projection, (-1, size))
-            energy, picks = np.abs(projection) ** 2, range(len(projection))
         # Python scalars index and multiply as numpy's would, at less cost
         runs = zip(
             self.inner.reshape(-1, size), self.energy.reshape(-1, size),
-            np.asarray(picks).tolist(), np.conj(sample).reshape(-1).tolist(),
+            np.reshape(picks, -1).tolist(), np.conj(samples).reshape(-1).tolist(),
         )
         for inner, total, k, conj_sample in runs:
-            inner += conj_sample * projection[k]
-            total += energy[k]
+            inner += conj_sample * projections[k]
+            total += energies[k]
 
     def utility(self, out: np.ndarray | None = None) -> np.ndarray:
         """ML objective |y^H B v|^2 / ||B v||^2 per direction, into ``out`` if given.
@@ -204,37 +214,29 @@ class UtilityAccumulator:
             )
         return np.divide(value, energy, out=np.zeros_like(energy), where=lit)
 
-    def gain_and_phase(self, index, pilot_power):
-        """Closed-form gain and phase at direction ``index``, one per run.
-
-        ``pilot_power`` may hold one power per run too. A single run gives
-        floats, a trial axis arrays.
-        """
-        at = np.asarray(index)[..., None]
-        inner = np.take_along_axis(self.inner, at, axis=-1)[..., 0]
-        energy = np.take_along_axis(self.energy, at, axis=-1)[..., 0]
-        gain, phase = closed_form_gain_and_phase(inner, energy, pilot_power)
-        return (float(gain), float(phase)) if gain.ndim == 0 else (gain, phase)
-
 
 def _accumulate(
     campaign: PilotCampaign, array: ArrayModel, angles
 ) -> UtilityAccumulator:
     """An accumulator over ``angles`` fed the campaign's pilots in order.
 
-    Each row is projected onto the directions D_h a(angle): the general
-    path, for any BS-RIS magnitudes and any configuration rows.
+    Pilot i adds row i of the campaign's table over the directions D_h a(angle),
+    for any |h| and rows. A scalar is one angle; 2-D angles are refused.
     """
     if array.num_elements != campaign.num_elements:
         raise DimensionError(
             f"array has {array.num_elements} elements but the BS-RIS "
             f"channel has {campaign.num_elements}"
         )
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    if angles.ndim > 1:
+        raise DimensionError(f"angles must be 1-D, got shape {angles.shape}")
     steering = array_response(array, angles).T
     directions = campaign.bs_ris_channel.coefficients[:, None] * steering
-    accumulator = UtilityAccumulator(directions.shape[1])
-    for row, sample in zip(campaign.config_matrix, campaign.received):
-        accumulator.add(row @ directions, sample)
+    projections, energies = _projection_tables(campaign.config_matrix, directions)
+    accumulator = UtilityAccumulator(angles.size)
+    for i, sample in enumerate(campaign.received):
+        accumulator.add(projections, sample, energies, i)
     return accumulator
 
 
@@ -265,7 +267,9 @@ def parametric_ml_estimate(
     accumulator = _accumulate(campaign, array, angles)
     peak = int(np.argmax(accumulator.utility()))
     aoa = float(angles[peak])
-    gain, phase = accumulator.gain_and_phase(peak, campaign.pilot_power)
+    gain, phase = map(float, closed_form_gain_and_phase(
+        accumulator.inner[peak], accumulator.energy[peak], campaign.pilot_power
+    ))
     return EstimationResult(aoa, gain, phase, los_vector(array, gain, phase, aoa))
 
 

@@ -23,7 +23,11 @@ from rispilot.adaptive import (
 )
 from rispilot.checks import circular_diff, pool_config_rows  # noqa: F401
 from rispilot.errors import DegenerateDirectionError
-from rispilot.estimators import UtilityAccumulator, _accumulate
+from rispilot.estimators import (
+    UtilityAccumulator,
+    _accumulate,
+    closed_form_gain_and_phase,
+)
 from rispilot.io import UTILITY_CSV_HEADER
 
 
@@ -129,7 +133,10 @@ def assert_steps_match_batch(record, array: ArrayModel, grid) -> int:
 def coefficient_at(campaign: PilotCampaign, array: ArrayModel, aoa: float):
     """Closed-form (gain, phase) of the campaign at one fixed angle."""
     accumulator = _accumulate(campaign, array, [aoa])
-    return accumulator.gain_and_phase(0, campaign.pilot_power)
+    gain, phase = closed_form_gain_and_phase(
+        accumulator.inner[0], accumulator.energy[0], campaign.pilot_power
+    )
+    return float(gain), float(phase)
 
 
 def utility_db(utility: np.ndarray) -> np.ndarray:
@@ -207,7 +214,6 @@ def reference_advance_trials(
     noise: np.ndarray | None,
     num_pilots: int,
     *,
-    tables: tuple[np.ndarray, np.ndarray] | None = None,
     keep_utility: bool = False,
 ) -> AdaptiveTrials:
     """The adaptive loop with whole-chunk sums and a gain and phase per step.
@@ -218,7 +224,7 @@ def reference_advance_trials(
     one broadcast multiply, every step takes a new utility array, and the
     gain and phase are taken at each step's peak as it is reached.
     """
-    projections, energies = tables or (setup.projections, setup.projection_energy)
+    projections, energies = setup.projections, setup.projection_energy
     trials, n = coefficients.shape
     rows = np.arange(trials)
     # row k of candidates[t] is optimal_configuration(h_t, angles[k]).phases
@@ -262,8 +268,11 @@ def reference_advance_trials(
         utility = reference_utility(accumulator)
         peak = np.argmax(utility, axis=1)
         peaks[:, i - 1] = peak
-        gains[:, i - 1], phases[:, i - 1] = accumulator.gain_and_phase(
-            peak, pilot_power
+        at = np.asarray(peak)[..., None]
+        inner = np.take_along_axis(accumulator.inner, at, axis=-1)[..., 0]
+        energy = np.take_along_axis(accumulator.energy, at, axis=-1)[..., 0]
+        gains[:, i - 1], phases[:, i - 1] = closed_form_gain_and_phase(
+            inner, energy, pilot_power
         )
         if keep_utility:
             utility.setflags(write=False)

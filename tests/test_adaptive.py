@@ -1,5 +1,6 @@
 """Tests for the adaptive pilot-configuration loop and its candidate selection."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,12 +30,8 @@ from rispilot import (
     random_bs_ris_channel,
     run_adaptive_estimation,
 )
-from rispilot.adaptive import (
-    _projection_tables,
-    advance_trials,
-    pilot_noise,
-    pilot_power_for_snr,
-)
+from rispilot.adaptive import advance_trials, pilot_noise, pilot_power_for_snr
+from rispilot.estimators import _projection_tables
 from rispilot.model import los_vector
 
 from conftest import (
@@ -673,10 +670,12 @@ class TestCoreMatchesReference:
         setup = build_adaptive_setup(array, AoaSearchGrid(num_points=points))
         magnitudes = np.ones(n) if unit else gen.uniform(0.5, 2.0, n)
         coefficients = magnitudes * np.exp(1j * gen.uniform(0, 2 * np.pi, (trials, n)))
-        tables = None
         if not unit:
-            tables = _projection_tables(
+            projections, energies = _projection_tables(
                 setup.conj_responses, magnitudes[:, None] * setup.steering
+            )
+            setup = dataclasses.replace(
+                setup, projections=projections, projection_energy=energies
             )
         g = los_vector(
             array, gen.uniform(0.25, 4.0, trials), gen.uniform(0, 2 * np.pi, trials),
@@ -689,8 +688,8 @@ class TestCoreMatchesReference:
         if noisy:
             noise = pilot_noise(gen.standard_normal((trials, 2 * budget)), noise_std)
         args = (setup, coefficients, g, pilot_power, noise, budget)
-        run = advance_trials(*args, tables=tables, keep_utility=keep)
-        expected = reference_advance_trials(*args, tables=tables, keep_utility=keep)
+        run = advance_trials(*args, keep_utility=keep)
+        expected = reference_advance_trials(*args, keep_utility=keep)
         for name in ("picks", "samples", "peaks", "gains", "phases"):
             values, reference = getattr(run, name), getattr(expected, name)
             assert values.dtype == reference.dtype and values.shape == reference.shape

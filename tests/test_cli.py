@@ -2,9 +2,14 @@
 
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rispilot
 from rispilot import adaptive, checks, estimators, model
 from rispilot.cli import main
 from rispilot.io import RATE_CSV_HEADER, UTILITY_CSV_HEADER
@@ -186,6 +191,37 @@ def test_validate_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") == 5
+
+
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [
+        (["validate"], True),
+        (["estimate-once", "--set", "num_elements=16", "--true-aoa-deg", "-45",
+          "--l", "8"], False),
+    ],
+    ids=["validate", "estimate-once"],
+)
+def test_closed_stdout_pipe_exits_141_quietly(argv, unbuffered):
+    # a reader that stops early (``rispilot validate | head -1``) is not a
+    # runtime error: exit as a tool killed by SIGPIPE would, printing nothing.
+    # Unbuffered, the closed pipe shows at the first print (and validate
+    # stops there); buffered, at the flush after the command
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(rispilot.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rispilot.cli", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, env=env, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 141
 
 
 def test_validate_failure_exits_nonzero(capsys, monkeypatch):

@@ -24,7 +24,7 @@ from rispilot import (
     plausible_angles,
     random_bs_ris_channel,
 )
-from rispilot.estimators import UtilityAccumulator
+from rispilot.estimators import UtilityAccumulator, _projection_tables
 
 from conftest import (
     circular_diff,
@@ -225,17 +225,16 @@ class TestUtilityAccumulator:
         campaign, array, angles = inputs
         steering = array_response(array, angles).T
         directions = campaign.bs_ris_channel.coefficients[:, None] * steering
+        projections, energies = _projection_tables(campaign.config_matrix, directions)
         accumulator = UtilityAccumulator(angles.size)
         # a leading trial axis: row 0 is this campaign, row 1 the same rows
         # with the samples reversed; rows must not mix
         stacked = UtilityAccumulator((2, angles.size))
-        for i, (row, sample) in enumerate(
-            zip(campaign.config_matrix, campaign.received)
-        ):
-            accumulator.add(row @ directions, sample)
+        for i, sample in enumerate(campaign.received):
+            accumulator.add(projections, sample, energies, i)
             stacked.add(
-                np.stack([row @ directions, row @ directions]),
-                np.array([sample, campaign.received[-1 - i]]),
+                projections, np.array([sample, campaign.received[-1 - i]]),
+                energies, [i, i],
             )
         profile = accumulator.utility()
         reference = direct_utility(campaign, array, angles)
@@ -261,6 +260,25 @@ class TestUtilityAccumulator:
         campaign = PilotCampaign(np.ones((1, 4)), [1.0], 1.0, h)
         with pytest.raises(DimensionError):
             ml_utility_profile(campaign, ArrayModel(5, 0.25), [0.0])
+
+    def test_scalar_angle_is_one_angle(self, rng):
+        n = 6
+        array = ArrayModel(n, 0.25)
+        h = random_bs_ris_channel(n, rng)
+        rows = pool_config_rows(h, [-0.4, 0.3, 0.9], array)
+        campaign = make_campaign(
+            rows, h, LosChannel(1.2, 0.5, 0.2), array, 1.0, noise_std=0.7, rng=rng
+        )
+        profile = ml_utility_profile(campaign, array, 0.3)
+        assert profile.shape == (1,)
+        assert profile.tobytes() == ml_utility_profile(campaign, array, [0.3]).tobytes()
+
+    def test_rejects_angles_along_two_axes(self):
+        h = KnownBsRisChannel(np.ones(4))
+        campaign = PilotCampaign(np.ones((1, 4)), [1.0], 1.0, h)
+        with pytest.raises(DimensionError):
+            ml_utility_profile(campaign, ArrayModel(4, 0.25), [[0.0, 0.1], [0.2, 0.3]])
+
 
 class TestEstimateAoa:
     def test_noise_free_full_pool_recovers_grid_truth(self, rng):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rispilot import (
     AngleDomainError,
@@ -262,6 +264,41 @@ class TestTrialRates:
         assert np.array_equal(trials.rate_ls, rate_ls_prefix)
         assert np.array_equal(trials.capacity, caps)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(3, 16),
+        points=st.integers(50, 400),
+        trials=st.integers(1, 25),
+        seed=st.integers(0, 2**32 - 1),
+        data_snr_db=st.floats(-10.0, 20.0),
+        data=st.data(),
+    )
+    def test_rates_do_not_depend_on_chunk_size(
+        self, n, points, trials, seed, data_snr_db, data
+    ):
+        # every stage after the draws (core, LS Gram check and prefix sums,
+        # stacked products, capacity, rates) must give each trial the same
+        # bits in a chunk of 1, 2, 3 or all trials
+        budgets = data.draw(
+            st.lists(st.integers(2, n), min_size=1, max_size=6, unique=True),
+            label="budgets",
+        )
+        config = ExperimentConfig(
+            num_elements=n, pilot_budgets=tuple(budgets), num_trials=trials,
+            grid_points=points, data_snr_db=data_snr_db, rng_seed=seed,
+        )
+        per_trial = max(points, n * n)
+        assert _trial_chunk(n, points) >= trials  # the default is one chunk
+        expected = collect_trial_rates(config)
+        for size in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("rispilot.simulate.CHUNK_ENTRIES", size * per_trial)
+                assert _trial_chunk(n, points) == size
+                chunked = collect_trial_rates(config)
+            for name in ("rate_ml", "rate_ls", "capacity"):
+                assert np.array_equal(
+                    getattr(chunked, name), getattr(expected, name)
+                ), (name, size)
 
     def test_progress_counts_whole_chunks_to_the_end(self):
         # a trial count that is not a multiple of the chunk size ends on a
