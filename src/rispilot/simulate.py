@@ -2,9 +2,9 @@
 
 Power bookkeeping is normalized: unit noise power, unit channel gain,
 unit-magnitude BS-RIS coefficients. The per-element data SNR then equals
-the data power directly and the pilot power is a fixed dB offset above
-it. The BS-RIS channel is always ``random_bs_ris_channel``, whose unit
-magnitudes let every trial share the adaptive setup's projection tables.
+the data power and the pilot power is a fixed dB offset above it. The
+BS-RIS channel is always ``random_bs_ris_channel``, whose unit magnitudes
+let every trial share one capacity and the adaptive setup's tables.
 Every trial draws its own random generator from the master seed with a
 counter-based split and draws all its values from it up front; everything
 after the draws then runs a chunk of trials at once, and a trial's
@@ -43,8 +43,8 @@ from .model import (
 
 DEFAULT_PILOT_BUDGETS = (2, 3, 4, 5, 6, 8, 10, 15, 20, 30, 40)
 
-#: Most complex entries of the N x G and N x N arrays allocated before the
-#: first trial: 2**26 entries are 1 GiB; the reference config needs 80 000.
+#: Most complex entries of each N x G or N x N up-front array, of which the
+#: setup holds about 3: 2**26 entries are 1 GiB; the reference needs 80 000.
 MAX_ARRAY_ENTRIES = 2**26
 
 #: Most complex entries in one (trials x grid) or (trials x N x N) array of
@@ -122,11 +122,11 @@ class ExperimentConfig:
         )
         object.__setattr__(self, "pilot_budgets", budgets)
         self._set_integer("num_trials", 1, math.inf, "must be a positive integer")
-        # the float64 rates and capacities of all trials get the same 1 GiB
+        # the float64 rates of all trials get the same 1 GiB
         _require(
-            self.num_trials * (2 * len(budgets) + 1) <= 2 * MAX_ARRAY_ENTRIES,
-            "num_trials * (2 * len(pilot_budgets) + 1)",
-            f"must be at most {2 * MAX_ARRAY_ENTRIES} (1 GiB of float64 results)",
+            self.num_trials * 2 * len(budgets) <= 2 * MAX_ARRAY_ENTRIES,
+            "num_trials * 2 * len(pilot_budgets)",
+            f"must be at most {2 * MAX_ARRAY_ENTRIES} (1 GiB of float64 rates)",
         )
         domain = tuple(float(v) for v in self.search_domain)
         _require(len(domain) == 2 and domain[0] < domain[1], "search_domain",
@@ -153,7 +153,7 @@ class ExperimentConfig:
             self.num_elements * max(self.num_elements, self.grid_points)
             <= MAX_ARRAY_ENTRIES,
             "num_elements * max(num_elements, grid_points)",
-            f"must be at most {MAX_ARRAY_ENTRIES} (1 GiB of complex entries)",
+            f"must be at most {MAX_ARRAY_ENTRIES} (1 GiB of complex entries per array)",
         )
         self._set_integer("rng_seed", 0, 2**64, "must be an unsigned 64-bit integer")
 
@@ -218,14 +218,14 @@ class TrialRates:
     """Raw per-trial rates behind a rate curve.
 
     ``rate_ml`` and ``rate_ls`` have one row per pilot budget (in config
-    order) and one column per trial; ``capacity`` has one entry per
-    trial.
+    order) and one column per trial; ``capacity`` is a float, the one
+    capacity log2(1 + N^2 P_d) that every trial shares.
     """
 
     pilot_budgets: tuple[int, ...]
     rate_ml: np.ndarray
     rate_ls: np.ndarray
-    capacity: np.ndarray
+    capacity: float
 
 
 def _phase_matched_rate(
@@ -264,7 +264,7 @@ def collect_trial_rates(
     this order: user angle, reference phase, BS-RIS channel, the adaptive
     loop's pilot noise, the least-squares baseline's noise and DFT columns.
     The rest runs once per chunk of trials on (trials x ...) arrays:
-    channels, capacities, the adaptive estimation (``advance_trials``), the
+    channels, the adaptive estimation (``advance_trials``), the
     baseline and one phase-matched rate call for both estimates. A trial's
     rates are the ones computed for it alone. The adaptive estimation runs
     at the largest budget: earlier pilots do not depend on later ones, so
@@ -272,7 +272,7 @@ def collect_trial_rates(
     baseline uses the first L permuted DFT columns and noise samples, so
     the budgets see nested prefixes of one orthogonal campaign and
     ``least_squares_prefix_estimates`` gives every budget's estimate from a
-    cumulative sum.
+    cumulative sum. All trials share one capacity, computed once.
     ``progress(done, total)`` is called after every chunk.
     """
     array = config.array()
@@ -291,7 +291,6 @@ def collect_trial_rates(
 
     # the ML and the LS rate of each budget and trial
     rates = np.zeros((2, len(budgets), trials))
-    caps = np.zeros(trials)
 
     # spawns continue one sequence of children: chunk by chunk, the seeds are
     # those of one spawn(trials), but only a chunk's seeds are ever alive
@@ -313,7 +312,6 @@ def collect_trial_rates(
             normals, [2 * max_budget, 3 * max_budget], axis=1
         )
         g_rows = los_vector(array, 1.0, omegas, aoas)
-        caps[members] = capacity(h_rows, g_rows, data_power)
 
         # the configured pilot power is finite, so every run is noisy
         loop_power, noise_std = pilot_power_for_snr(pilot_power, 1.0, h_rows)
@@ -340,7 +338,8 @@ def collect_trial_rates(
         if progress is not None:
             progress(members.stop, trials)
 
-    return TrialRates(budgets, rates[0], rates[1], caps)
+    # |h_n| = |g_n| = 1, so every trial's aligned sum of paths is N
+    return TrialRates(budgets, rates[0], rates[1], achievable_rate(float(n), data_power))
 
 
 def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -356,7 +355,6 @@ def run_rate_experiment(
 ) -> list[RateCurvePoint]:
     """Average rates per pilot budget, sorted by ascending budget."""
     trials = collect_trial_rates(config, progress)
-    mean_cap = float(np.mean(trials.capacity))
     points = []
     for b, budget in enumerate(trials.pilot_budgets):
         mean_ml, stderr_ml = _mean_and_stderr(trials.rate_ml[b])
@@ -366,9 +364,9 @@ def run_rate_experiment(
                 pilot_budget=budget,
                 mean_rate_ml=mean_ml,
                 mean_rate_ls=mean_ls,
-                mean_capacity=mean_cap,
-                ratio_ml=mean_ml / mean_cap,
-                ratio_ls=mean_ls / mean_cap,
+                mean_capacity=trials.capacity,
+                ratio_ml=mean_ml / trials.capacity,
+                ratio_ls=mean_ls / trials.capacity,
                 trial_count=config.num_trials,
                 stderr_ml=stderr_ml,
                 stderr_ls=stderr_ls,

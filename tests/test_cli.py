@@ -286,13 +286,13 @@ def test_validate_fails_on_a_defect(name, owner, function, distort, capsys,
          "--set", "pilot_budgets=2,5", "--out", "x.csv"],
         ["rate-curve", "--set", "data_snr_db=-3200", "--set", "num_trials=5",
          "--set", "pilot_budgets=2,5", "--out", "x.csv"],
-        # up-front arrays of N x max(N, grid_points) complex entries over 1 GiB
+        # an up-front array of N x max(N, grid_points) complex entries over 1 GiB
         ["rate-curve", "--set", "grid_points=1000000000000000", "--out", "x.csv"],
         ["rate-curve", "--set", "num_elements=1000000000000000",
          "--set", "pilot_budgets=2", "--out", "x.csv"],
         ["utility-trace", "--set", "grid_points=1000000000000000",
          "--true-aoa-deg", "0", "--l-max", "5", "--out", "x.csv"],
-        # per-trial results of 23 float64 values a trial over 1 GiB
+        # per-trial rates of 22 float64 values a trial over 1 GiB
         ["rate-curve", "--set", "num_trials=10000000000", "--out", "x.csv"],
     ],
 )

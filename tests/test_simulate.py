@@ -17,6 +17,7 @@ from rispilot import (
     RateCurvePoint,
     achievable_rate,
     array_response,
+    build_adaptive_setup,
     capacity,
     collect_trial_rates,
     expand_channel,
@@ -129,9 +130,9 @@ class TestExperimentConfig:
             {"grid_points": 10**15},
             {"num_elements": 2**13 + 1, "pilot_budgets": (2,)},
             {"num_elements": 10**15, "pilot_budgets": (2,)},
-            # per-trial results, 2 * len(pilot_budgets) + 1 float64 values a
-            # trial, beyond 1 GiB
-            {"num_trials": 2 * MAX_ARRAY_ENTRIES // 3 + 1, "pilot_budgets": (2,)},
+            # per-trial rates, 2 * len(pilot_budgets) float64 values a trial,
+            # beyond 1 GiB
+            {"num_trials": MAX_ARRAY_ENTRIES + 1, "pilot_budgets": (2,)},
             {"num_trials": 10**10},
         ],
     )
@@ -145,12 +146,25 @@ class TestExperimentConfig:
         ExperimentConfig(grid_points=MAX_ARRAY_ENTRIES // 40)
         ExperimentConfig(num_elements=2**13, pilot_budgets=(2,))
 
-    def test_result_bound_admits_its_limit(self):
-        # 3 float64 results a trial (ML and LS rate, capacity) for one budget
-        config = ExperimentConfig(
-            num_trials=2 * MAX_ARRAY_ENTRIES // 3, pilot_budgets=(2,)
+    def test_setup_holds_about_three_bounded_arrays(self):
+        # MAX_ARRAY_ENTRIES bounds each N x G array; the setup's steering,
+        # projections, energies and scores weigh about 3 complex ones
+        config = ExperimentConfig()
+        setup = build_adaptive_setup(config.array(), config.grid())
+        held = sum(
+            value.nbytes for value in vars(setup).values()
+            if isinstance(value, np.ndarray)
         )
-        assert 3 * 8 * config.num_trials <= 2**30
+        assert held <= 3.05 * 16 * config.num_elements * config.grid_points
+
+    def test_result_bound_admits_its_limit(self):
+        # 2 float64 rates a trial (ML and LS) for one budget; the capacity
+        # is one float for the whole experiment
+        config = ExperimentConfig(num_trials=MAX_ARRAY_ENTRIES, pilot_budgets=(2,))
+        assert config.num_trials == 2**26
+        assert 2 * 8 * config.num_trials <= 2**30
+        with pytest.raises(ConfigValidationError, match="num_trials"):
+            ExperimentConfig(num_trials=MAX_ARRAY_ENTRIES + 1, pilot_budgets=(2,))
 
     def test_rate_point_rejects_capacity_violation(self):
         with pytest.raises(ValueError):
@@ -181,8 +195,9 @@ class TestTrialRates:
         trials = collect_trial_rates(ExperimentConfig(**SMALL))
         assert np.all(trials.rate_ml >= 0.0)
         assert np.all(trials.rate_ls >= 0.0)
-        assert np.all(trials.rate_ml <= trials.capacity[None, :] + 1e-12)
-        assert np.all(trials.rate_ls <= trials.capacity[None, :] + 1e-12)
+        assert isinstance(trials.capacity, float)
+        assert np.all(trials.rate_ml <= trials.capacity + 1e-12)
+        assert np.all(trials.rate_ls <= trials.capacity + 1e-12)
 
     def test_collection_is_deterministic(self):
         first = collect_trial_rates(ExperimentConfig(**SMALL))
@@ -209,10 +224,19 @@ class TestTrialRates:
             eff = complex(np.sum(h.coefficients * g * np.exp(-1j * shifts)))
             return achievable_rate(eff, data_power)
 
+        def closed_form_rate(aoa_estimate, aoa):
+            # with |h_n| = 1 and unit gain, the phase-matched configuration
+            # cancels every phase but the angle error's: the rate depends
+            # only on |sum_n exp(j 2 pi rho n (sin aoa_estimate - sin aoa))|
+            paths = array_response(array, aoa) / array_response(array, aoa_estimate)
+            return achievable_rate(np.sum(paths), data_power)
+
         rate_ml = np.zeros((len(budgets), config.num_trials))
         rate_ls = np.zeros((len(budgets), config.num_trials))
         rate_ls_prefix = np.zeros((len(budgets), config.num_trials))
+        rate_ml_closed = np.zeros((len(budgets), config.num_trials))
         caps = np.zeros(config.num_trials)
+        aligned_caps = np.zeros(config.num_trials)
         seeds = np.random.SeedSequence(config.rng_seed).spawn(config.num_trials)
         for t, seed in enumerate(seeds):
             rng = np.random.default_rng(seed)
@@ -222,6 +246,7 @@ class TestTrialRates:
             h = random_bs_ris_channel(n, rng)
             g = expand_channel(channel, array)
             caps[t] = capacity(h.coefficients, g, data_power)
+            aligned_caps[t] = closed_form_rate(aoa, aoa)
             record = run_adaptive_estimation(
                 channel, h, array, max(budgets), pilot_power, rng, grid
             )
@@ -234,6 +259,7 @@ class TestTrialRates:
                     * array_response(array, record.aoa_estimates[step])
                 )
                 rate_ml[b, t] = phase_matched_rate(h, g, estimate)
+                rate_ml_closed[b, t] = closed_form_rate(record.aoa_estimates[step], aoa)
             noise = (
                 rng.standard_normal(max(budgets))
                 + 1j * rng.standard_normal(max(budgets))
@@ -262,7 +288,14 @@ class TestTrialRates:
         np.testing.assert_allclose(trials.rate_ls, rate_ls, rtol=1e-12, atol=0)
         # chunked prefix sums equal each campaign's own, bit for bit
         assert np.array_equal(trials.rate_ls, rate_ls_prefix)
-        assert np.array_equal(trials.capacity, caps)
+        # every trial's own capacity is the experiment's, bit for bit
+        assert np.all(caps == trials.capacity)
+        # the ML rates follow the closed form of their angle error, and an
+        # exact angle attains the capacity
+        np.testing.assert_allclose(
+            rate_ml_closed, trials.rate_ml, rtol=0, atol=1e-12 * trials.capacity
+        )
+        np.testing.assert_allclose(aligned_caps, trials.capacity, rtol=1e-12, atol=0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -277,8 +310,8 @@ class TestTrialRates:
         self, n, points, trials, seed, data_snr_db, data
     ):
         # every stage after the draws (core, LS Gram check and prefix sums,
-        # stacked products, capacity, rates) must give each trial the same
-        # bits in a chunk of 1, 2, 3 or all trials
+        # stacked products, rates) must give each trial the same bits in a
+        # chunk of 1, 2, 3 or all trials
         budgets = data.draw(
             st.lists(st.integers(2, n), min_size=1, max_size=6, unique=True),
             label="budgets",
@@ -299,6 +332,26 @@ class TestTrialRates:
                 assert np.array_equal(
                     getattr(chunked, name), getattr(expected, name)
                 ), (name, size)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 64),
+        spacing=st.floats(0.1, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        aoa=st.floats(-math.pi / 2, math.pi / 2),
+        phase=st.floats(0.0, 2.0 * math.pi),
+        data_power=st.floats(1e-3, 1e3),
+    )
+    def test_a_trials_capacity_is_the_experiments(
+        self, n, spacing, seed, aoa, phase, data_power
+    ):
+        # unit-magnitude h and g make every trial's aligned sum N, so the one
+        # capacity collect_trial_rates keeps loses nothing but rounding
+        h = random_bs_ris_channel(n, seed)
+        g = expand_channel(LosChannel(1.0, phase, aoa), ArrayModel(n, spacing))
+        shared = achievable_rate(float(n), data_power)
+        own = capacity(h.coefficients, g, data_power)
+        assert abs(own - shared) <= 4 * 2.0**-52 * shared
 
     def test_progress_counts_whole_chunks_to_the_end(self):
         # a trial count that is not a multiple of the chunk size ends on a
