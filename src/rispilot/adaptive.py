@@ -4,21 +4,21 @@ Pilot-time configurations are drawn from N candidates, one per plausible
 angle. Their sines are spaced 2/N apart, which makes the beams orthogonal
 at half-wavelength spacing; at the reference quarter wavelength adjacent
 beams overlap and only about 2*N*rho of them are well conditioned in the
-visible region (see ``plausible_angles``). After an initial pair of
-pilots, each further pilot uses the unused candidate closest (largest
-inner-product magnitude) to the configuration that would be optimal if
-the current angle estimate were exact. The estimate is recomputed from
-all received pilots after every transmission.
+visible region (see ``plausible_angles``). Every pilot sends the unsent
+candidate with the largest entry in a score row: two constant rows pick
+the starting pair, and each later row rates closeness (inner-product
+magnitude) to the configuration optimal at the current angle estimate,
+which all received pilots refresh after every transmission.
 
 Everything that depends only on the array and the grid is built once
 per experiment by ``build_adaptive_setup``: the grid steering matrix,
-the candidates' array responses and three tables. The configurations
+the candidates' array responses and four tables. The configurations
 cancel the BS-RIS phases, so for unit-magnitude coefficients candidate
 k's projection onto grid direction j is the trial-independent
 P[k, j] = conj(a_k)^T a_j. The setup holds P and the energy |P|^2 a
 pilot adds, from the estimators' ``_projection_tables``, and the score
-table |P|^T whose row j rates every candidate against the configuration
-optimal at grid angle j.
+tables, the whole selection policy: |P|^T (row j rates every candidate
+against the configuration optimal at grid angle j) and two start rows.
 
 One core, ``advance_trials``, advances a chunk of trials one pilot at a
 time as (trials x grid) arrays, with no matrix product per pick.
@@ -98,6 +98,13 @@ def optimal_configuration(
     return RisConfiguration(compensation * np.conj(array_response(array, aoa)))
 
 
+#: Sines of the two starting beams: the quarter quantiles of [-1, 1],
+#: far apart without being endfire. A beam at sine u0 has nulls where
+#: N*rho*(u - u0) is a nonzero integer; at N = 40, rho = 1/4 both beams
+#: have one at u = +-1, so neither lights the +-90 degree directions.
+INITIAL_SINES = (-0.5, 0.5)
+
+
 @dataclass(frozen=True, eq=False)
 class AdaptiveSetup:
     """Trial-independent arrays of the adaptive loop for one array and grid.
@@ -107,8 +114,10 @@ class AdaptiveSetup:
     ``projections`` and ``projection_energy`` belong to the run's |h|: the
     ``_projection_tables`` of the candidates over |h| * steering (|h| = 1 in
     ``build_adaptive_setup``), entry [k, j] for candidate k, grid direction j.
-    ``scores`` depends on the configurations only: row j (G x N) is
-    |candidates @ conj(reference)| for the reference optimal at grid angle j.
+    ``scores`` and ``start_scores`` depend on the configurations only: row j
+    of ``scores`` (G x N) is |candidates @ conj(reference)| for the reference
+    optimal at grid angle j, and row i of ``start_scores`` (2 x N) scores
+    starting pilot i+1 as -|sin(angles) - INITIAL_SINES[i]|.
     """
 
     array: ArrayModel
@@ -119,6 +128,7 @@ class AdaptiveSetup:
     projections: np.ndarray
     projection_energy: np.ndarray
     scores: np.ndarray
+    start_scores: np.ndarray
 
 
 def build_adaptive_setup(array: ArrayModel, grid: AoaSearchGrid) -> AdaptiveSetup:
@@ -129,11 +139,12 @@ def build_adaptive_setup(array: ArrayModel, grid: AoaSearchGrid) -> AdaptiveSetu
     conj_responses = np.conj(array_response(array, angles))
     projections, projection_energy = _projection_tables(conj_responses, steering)
     scores = np.ascontiguousarray(np.abs(projections).T)
-    for values in (grid_angles, steering, conj_responses, scores):
+    start_scores = -np.abs(np.sin(angles) - np.array(INITIAL_SINES)[:, None])
+    for values in (grid_angles, steering, conj_responses, scores, start_scores):
         values.setflags(write=False)
     return AdaptiveSetup(
         array, grid_angles, steering, angles, conj_responses,
-        projections, projection_energy, scores,
+        projections, projection_energy, scores, start_scores,
     )
 
 
@@ -149,13 +160,6 @@ def config_correlation(a: RisConfiguration, b: RisConfiguration) -> float:
             f"configurations of length {len(a)} and {len(b)} cannot be compared"
         )
     return float(np.abs(np.vdot(a.phases, b.phases)))
-
-
-#: Sines of the two starting beams: the quarter quantiles of [-1, 1],
-#: far apart without being endfire. A beam at sine u0 has nulls where
-#: N*rho*(u - u0) is a nonzero integer; at N = 40, rho = 1/4 both beams
-#: have one at u = +-1, so neither lights the +-90 degree directions.
-INITIAL_SINES = (-0.5, 0.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,6 +222,16 @@ class AdaptiveTrials:
     utilities: tuple[np.ndarray, ...]
 
 
+def _check_budget(num_pilots: int, n: int) -> None:
+    """Reject a budget of fewer than two pilots or more than the N candidates."""
+    if num_pilots < 2:
+        raise InsufficientPilotsError("at least two pilots are required")
+    if num_pilots > n:
+        raise PoolExhaustedError(
+            f"budget {num_pilots} exceeds the {n} available configurations"
+        )
+
+
 def advance_trials(
     setup: AdaptiveSetup,
     coefficients: np.ndarray,
@@ -235,16 +249,17 @@ def advance_trials(
     ``noise`` the noise of its ``num_pilots`` pilots in transmission order
     (``None``: noise-free). The setup's tables must belong to the trials' |h|.
 
-    The starting pair is the same for every trial. After it, each pick adds
-    the sent candidate's table rows, read in place, to the trial's row of
-    a (trials x grid) ``UtilityAccumulator``; the utility argmax (in one
-    work buffer unless kept) gives the estimate, and the unused candidate
-    with the largest entry in its score row is sent next. The sums at the
-    peaks give every gain and phase after the loop. Every step is
-    elementwise or reduces within a row, so a trial's outcome does not
-    depend on the chunk it runs in.
+    Every pick is the argmax of a score row with the trial's sent
+    candidates at -inf: a row of ``setup.start_scores`` for the starting
+    pair, then the row of ``setup.scores`` at the current estimate. The
+    candidate's table rows are added, read in place, to the trial's row of
+    a (trials x grid) ``UtilityAccumulator``, whose utility argmax (in one
+    work buffer unless kept) is the estimate and whose sums at the peaks
+    give every gain and phase after the loop. Every step is elementwise or
+    reduces within a row, so a trial's outcome does not depend on the chunk.
     """
-    trials, n = coefficients.shape
+    _check_budget(num_pilots, coefficients.shape[1])
+    trials = coefficients.shape[0]
     rows = np.arange(trials)
     # row k of candidates[t] is optimal_configuration(h_t, angles[k]).phases
     # and signals[t, k] the noise-free sample theta^T D_h g sqrt(P_p) for it
@@ -255,7 +270,6 @@ def advance_trials(
         candidates * coefficients[:, None, :] * g[:, None, :], axis=-1
     ) * np.sqrt(pilot_power)[:, None]
     accumulator = UtilityAccumulator((trials, setup.grid_angles.size))
-    used = np.zeros((trials, n), dtype=bool)
     picks = np.empty((trials, num_pilots), dtype=np.intp)
     samples = np.empty((trials, num_pilots), dtype=np.complex128)
     peaks = np.empty((trials, num_pilots - 1), dtype=np.intp)
@@ -264,9 +278,10 @@ def advance_trials(
     utilities: list[np.ndarray] = []
     work = None if keep_utility else np.empty(accumulator.energy.shape)
 
-    def transmit(i: int, k: np.ndarray) -> None:
-        """Send candidate k[t] as pilot i+1 of trial t."""
-        used[rows, k] = True
+    def transmit(i: int, scores: np.ndarray) -> None:
+        """Send trial t's best-scored candidate not yet sent as its pilot i+1."""
+        scores[rows[:, None], picks[:, :i]] = -np.inf
+        k = np.argmax(scores, axis=1)
         sample = signals[rows, k]
         if noise is not None:
             sample = sample + noise[:, i]
@@ -274,14 +289,8 @@ def advance_trials(
         picks[:, i] = k
         samples[:, i] = sample
 
-    sines = np.sin(setup.angles)
-    started = np.zeros(n, dtype=bool)
-    for i, start in enumerate(INITIAL_SINES):
-        distance = np.abs(sines - start)
-        distance[started] = np.inf
-        k = int(np.argmin(distance))
-        started[k] = True
-        transmit(i, np.full(trials, k))
+    for i, row in enumerate(setup.start_scores):
+        transmit(i, np.tile(row, (trials, 1)))
 
     for i in range(1, num_pilots):
         utility = accumulator.utility(out=work)
@@ -293,9 +302,7 @@ def advance_trials(
             utility.setflags(write=False)
             utilities.append(utility)
         if i + 1 < num_pilots:
-            scores = setup.scores[peak]
-            scores[used] = -np.inf
-            transmit(i + 1, np.argmax(scores, axis=1))
+            transmit(i + 1, setup.scores[peak])
 
     gains, phases = closed_form_gain_and_phase(
         peak_inner, peak_energy, pilot_power[:, None]
@@ -323,15 +330,12 @@ def run_adaptive_estimation(
 ) -> AdaptiveRunRecord:
     """Run the adaptive estimation loop for ``num_pilots`` pilots.
 
-    The first two pilots use the candidates nearest in sine to
-    ``INITIAL_SINES``. After every pilot i >= 2 the angle and
-    coefficient estimates are refreshed from all data so far; while
-    pilots remain, the unused candidate maximizing |candidate^H
-    reference|, with the reference the would-be-optimal configuration,
-    is transmitted next. A used mask over the candidates keeps each
-    candidate to one pilot; ties go to the smallest angle. ``pilot_snr``
-    is the per-element pilot SNR in linear scale (``inf`` for noise-free
-    runs).
+    Every pilot sends the candidate not yet sent with the largest entry in a
+    score row (ties go to the smallest angle): the first two rows favour the
+    candidates nearest in sine to ``INITIAL_SINES``, and each later row
+    rates |candidate^H reference| for the configuration optimal at the angle
+    and coefficient estimates from all pilots so far. ``pilot_snr`` is the
+    per-element pilot SNR in linear scale (``inf`` for noise-free runs).
 
     This is the one-trial call of ``advance_trials`` on a setup built for
     ``array`` and ``grid``, whose tables are replaced by those of |h| when
@@ -347,13 +351,7 @@ def run_adaptive_estimation(
     exactly the first i pilots and i-1 estimates of a longer run under
     the same noise draws.
     """
-    n = array.num_elements
-    if num_pilots < 2:
-        raise InsufficientPilotsError("at least two pilots are required")
-    if num_pilots > n:
-        raise PoolExhaustedError(
-            f"budget {num_pilots} exceeds the {n} available configurations"
-        )
+    _check_budget(num_pilots, array.num_elements)
     if grid is None:
         grid = AoaSearchGrid()
     setup = build_adaptive_setup(array, grid)

@@ -22,7 +22,7 @@ class SingularChannelError(RisPilotError, ValueError):
 
 
 class PoolExhaustedError(RisPilotError, RuntimeError):
-    """More configurations were requested than the candidate pool holds."""
+    """A pilot budget exceeds the N candidate configurations, one per pilot."""
 
 
 class InsufficientPilotsError(RisPilotError, ValueError):

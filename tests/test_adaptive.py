@@ -543,6 +543,7 @@ class TestAdaptiveRun:
         for values in (
             setup.grid_angles, setup.steering, setup.angles, setup.conj_responses,
             setup.projections, setup.projection_energy, setup.scores,
+            setup.start_scores,
         ):
             with pytest.raises(ValueError):
                 values[0] = 0.0
@@ -649,7 +650,7 @@ class TestCoreMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(
         trials=st.integers(1, 12),
-        n=st.integers(3, 40),
+        n=st.integers(2, 64),
         points=st.integers(50, 2000),
         seed=st.integers(0, 2**32 - 1),
         noisy=st.booleans(),
@@ -699,6 +700,52 @@ class TestCoreMatchesReference:
         for values, reference in zip(run.utilities, expected.utilities):
             assert not values.flags.writeable
             assert values.tobytes() == reference.tobytes()
+
+
+class TestCorePicks:
+    """The core's picks come from the setup's score tables, within its budget."""
+
+    @staticmethod
+    def chunk(setup, trials, budget, seed):
+        """Noisy unit-|h| inputs of ``advance_trials`` for ``trials`` runs."""
+        gen = np.random.default_rng(seed)
+        n = setup.angles.size
+        coefficients = np.exp(1j * gen.uniform(0, 2 * np.pi, (trials, n)))
+        g = los_vector(
+            setup.array, np.ones(trials), gen.uniform(0, 2 * np.pi, trials),
+            gen.uniform(-1.2, 1.2, trials),
+        )
+        pilot_power, noise_std = pilot_power_for_snr(10.0, 1.0, coefficients)
+        noise = pilot_noise(gen.standard_normal((trials, 2 * budget)), noise_std)
+        return coefficients, g, pilot_power, noise
+
+    def test_picks_follow_the_setups_tables(self):
+        # the core has no selection policy of its own: with one ranking in
+        # both start rows and in every grid row, every trial sends the
+        # candidates in the ranking's order, whatever its estimates say
+        n, trials = 12, 5
+        setup = build_adaptive_setup(ArrayModel(n, 0.25), AoaSearchGrid(num_points=300))
+        order = np.random.default_rng(8).permutation(n)
+        ranking = np.empty(n)
+        ranking[order] = np.arange(n, 0, -1)  # order[0] scores highest
+        start_scores = np.tile(ranking, (2, 1))
+        scores = np.tile(ranking, (setup.grid_angles.size, 1))
+        for values in (start_scores, scores):
+            values.setflags(write=False)  # as built: the core must not write them
+        setup = dataclasses.replace(setup, start_scores=start_scores, scores=scores)
+        run = advance_trials(setup, *self.chunk(setup, trials, n, 8), n)
+        assert np.array_equal(run.picks, np.tile(order, (trials, 1)))
+
+    @pytest.mark.parametrize("budget, error, message", [
+        (1, InsufficientPilotsError, "at least two pilots are required"),
+        (5, PoolExhaustedError, "budget 5 exceeds the 4 available configurations"),
+    ])
+    def test_core_rejects_budgets_outside_two_to_n(self, budget, error, message):
+        # the core keeps the budget rule itself: one pilot cannot complete
+        # the starting pair, and N+1 pilots would have to resend a candidate
+        setup = build_adaptive_setup(ArrayModel(4, 0.25), AoaSearchGrid(num_points=100))
+        with pytest.raises(error, match=message):
+            advance_trials(setup, *self.chunk(setup, 3, budget, 0), budget)
 
 
 class TestPilotReception:
