@@ -20,6 +20,7 @@ from .errors import (
     DegenerateDirectionError,
     DimensionError,
     InsufficientPilotsError,
+    InvalidInputError,
     PoolExhaustedError,
     RisPilotError,
     SingularChannelError,
@@ -66,6 +67,7 @@ __all__ = [
     "DimensionError",
     "ExperimentConfig",
     "InsufficientPilotsError",
+    "InvalidInputError",
     "KnownBsRisChannel",
     "LosChannel",
     "PilotCampaign",

@@ -32,7 +32,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, InsufficientPilotsError, PoolExhaustedError
+from .errors import (DimensionError, InsufficientPilotsError, InvalidInputError,
+                     PoolExhaustedError)
 from .estimators import (
     AoaSearchGrid,
     EstimationResult,
@@ -66,7 +67,7 @@ def plausible_angles(num_elements: int) -> np.ndarray:
     increasing, read-only 1-D array.
     """
     if num_elements < 1:
-        raise ValueError("num_elements must be a positive integer")
+        raise InvalidInputError("num_elements must be a positive integer")
     m = np.arange(-((num_elements - 1) // 2), num_elements // 2 + 1)
     angles = np.arcsin(2.0 * m / num_elements)
     angles.setflags(write=False)
@@ -197,7 +198,7 @@ def pilot_power_for_snr(
     if np.isinf(pilot_snr) and pilot_snr > 0:
         return np.ones_like(mean_h2), 0.0
     if not pilot_snr > 0:
-        raise ValueError("pilot_snr must be positive (use inf for noise-free)")
+        raise InvalidInputError("pilot_snr must be positive (use inf for noise-free)")
     if gain > 0:
         return float(pilot_snr) / (gain * mean_h2), 1.0
     return np.full_like(mean_h2, pilot_snr), 1.0

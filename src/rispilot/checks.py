@@ -32,7 +32,7 @@ def circular_diff(a: float, b: float) -> float:
     return min(d, 2 * np.pi - d)
 
 
-def pool_config_rows(h, angles, array: model.ArrayModel) -> np.ndarray:
+def candidate_rows(h, angles, array: model.ArrayModel) -> np.ndarray:
     """Stack of candidate-configuration rows for the given angles."""
     rows = [adaptive.optimal_configuration(h, float(a), array).phases for a in angles]
     return np.vstack(rows)
@@ -77,7 +77,7 @@ def least_squares_recovery() -> CheckResult:
     array = model.ArrayModel(n, 0.25)
     dft_rows = estimators.dft_rows(n)
     unit_h = model.KnownBsRisChannel(np.ones(n))
-    extra = pool_config_rows(unit_h, adaptive.plausible_angles(n)[:8], array)
+    extra = candidate_rows(unit_h, adaptive.plausible_angles(n)[:8], array)
     cases, worst = 0, 0.0
     square_then_tall = [dft_rows] * 10 + [np.vstack([dft_rows, extra])] * 10
     for cases, rows in enumerate(square_then_tall, start=1):
@@ -130,7 +130,7 @@ def scale_invariance() -> CheckResult:
         h = model.random_bs_ris_channel(n, rng)
         num_rows = int(rng.integers(2, 7))
         chosen = rng.choice(candidates, size=num_rows, replace=False)
-        rows = pool_config_rows(h, chosen, array)
+        rows = candidate_rows(h, chosen, array)
         phase, aoa = float(rng.uniform(0, 2 * np.pi)), float(rng.uniform(-1.0, 1.0))
         g = model.expand_channel(model.LosChannel(1.0, phase, aoa), array)
         noise = rng.standard_normal(num_rows) + 1j * rng.standard_normal(num_rows)

@@ -5,8 +5,8 @@ Subcommands: ``rate-curve`` (Monte Carlo rate-vs-pilot-count sweep),
 (summary of the same seeded run, for debugging) and ``validate`` (the
 consistency checks in ``checks.py``, which acceptance criteria 4-8 also
 run, at the same seeds and sizes). Angles are degrees on this boundary.
-Exit codes: 0 success, 2 validation or parse error or a failed check, 3
-runtime numerical or I/O error, 141 (128 + SIGPIPE) when stdout's reader
+Exit codes: 0 success, 2 an ``InvalidInputError`` or a failed check, 3 any
+other package, numpy or I/O error, 141 (128 + SIGPIPE) when stdout's reader
 has closed the pipe. The seed is the ``rng_seed`` config field.
 """
 
@@ -21,16 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import checks
-from .errors import (
-    AngleDomainError,
-    ConfigParseError,
-    ConfigValidationError,
-    DegenerateDirectionError,
-    DimensionError,
-    InsufficientPilotsError,
-    PoolExhaustedError,
-    SingularChannelError,
-)
+from .errors import InvalidInputError, RisPilotError
 from .io import emit_rate_csv, emit_utility_csv, parse_config
 from .simulate import ExperimentConfig, run_rate_experiment, run_single_estimate
 
@@ -172,23 +163,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # the exit-time flush of what stdout still buffers must not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (
-        ConfigParseError,
-        ConfigValidationError,
-        AngleDomainError,
-        DimensionError,
-        InsufficientPilotsError,
-        PoolExhaustedError,
-    ) as exc:
+    except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (
-        DegenerateDirectionError,
-        SingularChannelError,
-        np.linalg.LinAlgError,
-        FloatingPointError,
-        OSError,
-    ) as exc:
+    except (RisPilotError, np.linalg.LinAlgError, FloatingPointError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

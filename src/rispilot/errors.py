@@ -1,15 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, in two families.
+
+``InvalidInputError`` (also a ``ValueError``) rejects an input that breaks
+a rule of its owner; any other ``RisPilotError`` is a runtime failure.
+"""
 
 
 class RisPilotError(Exception):
     """Base class for every error raised by this package."""
 
 
-class AngleDomainError(RisPilotError, ValueError):
+class InvalidInputError(RisPilotError, ValueError):
+    """An input breaks a rule of the function or class that owns it."""
+
+
+class AngleDomainError(InvalidInputError):
     """An angle lies outside the front half-plane [-pi/2, pi/2]."""
 
 
-class DimensionError(RisPilotError, ValueError):
+class DimensionError(InvalidInputError):
     """Vector or matrix dimensions do not match."""
 
 
@@ -17,21 +25,21 @@ class DegenerateDirectionError(RisPilotError, ArithmeticError):
     """The probed signal direction carries no energy (zero denominator)."""
 
 
-class SingularChannelError(RisPilotError, ValueError):
+class SingularChannelError(InvalidInputError):
     """A BS-RIS channel coefficient is zero, so its diagonal is not invertible."""
 
 
-class PoolExhaustedError(RisPilotError, RuntimeError):
+class PoolExhaustedError(InvalidInputError, RuntimeError):
     """A pilot budget exceeds the N candidate configurations, one per pilot."""
 
 
-class InsufficientPilotsError(RisPilotError, ValueError):
+class InsufficientPilotsError(InvalidInputError):
     """The pilot budget is too small for the adaptive estimation loop."""
 
 
-class ConfigParseError(RisPilotError, ValueError):
+class ConfigParseError(InvalidInputError):
     """A configuration file or override could not be parsed."""
 
 
-class ConfigValidationError(RisPilotError, ValueError):
+class ConfigValidationError(InvalidInputError):
     """A configuration value violates a field constraint."""

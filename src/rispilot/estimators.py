@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDirectionError, DimensionError
+from .errors import (AngleDomainError, DegenerateDirectionError, DimensionError,
+                     InvalidInputError)
 from .model import (
     TWO_PI,
-    UNIT_MODULUS_TOL,
     ArrayModel,
     KnownBsRisChannel,
+    _check_unit_modulus,
     _is_integral,
     array_response,
     los_vector,
@@ -54,7 +55,7 @@ class PilotCampaign:
         matrix = np.array(self.config_matrix, dtype=np.complex128)
         samples = np.array(self.received, dtype=np.complex128)
         if matrix.ndim != 2:
-            raise ValueError("config_matrix must be 2-D (pilots x elements)")
+            raise DimensionError("config_matrix must be 2-D (pilots x elements)")
         if samples.ndim != 1 or samples.size != matrix.shape[0]:
             raise DimensionError(
                 f"received length {samples.size} must equal the "
@@ -65,15 +66,9 @@ class PilotCampaign:
                 f"config_matrix has {matrix.shape[1]} columns but the BS-RIS "
                 f"channel has {self.bs_ris_channel.num_elements} coefficients"
             )
-        if matrix.size:
-            deviation = np.max(np.abs(np.abs(matrix) - 1.0))
-            if not deviation <= UNIT_MODULUS_TOL:
-                raise ValueError(
-                    f"config_matrix entries must have unit modulus "
-                    f"(worst deviation {deviation:.3e})"
-                )
+        _check_unit_modulus(matrix, "config_matrix")
         if not self.pilot_power > 0:
-            raise ValueError("pilot_power must be positive")
+            raise InvalidInputError("pilot_power must be positive")
         matrix.setflags(write=False)
         samples.setflags(write=False)
         object.__setattr__(self, "config_matrix", matrix)
@@ -103,11 +98,13 @@ class AoaSearchGrid:
 
     def __post_init__(self) -> None:
         if not self.lower < self.upper:
-            raise ValueError("grid lower bound must be below the upper bound")
+            raise InvalidInputError("grid lower bound must be below the upper bound")
         if not (_is_integral(self.num_points) and self.num_points >= 2):
-            raise ValueError("grid needs an integer number of at least two points")
+            raise InvalidInputError(
+                "grid needs an integer number of at least two points"
+            )
         if self.lower < -np.pi / 2 or self.upper > np.pi / 2:
-            raise ValueError("grid must lie within the front half-plane")
+            raise AngleDomainError("grid must lie within the front half-plane")
         object.__setattr__(self, "num_points", int(self.num_points))
 
     @property
@@ -302,8 +299,8 @@ def least_squares_prefix_estimates(
     of a result equals ``least_squares_estimate`` on the first L pilots:
     with B B^H = N I the pseudoinverse of any row subset is its conjugate
     transpose over N, so the estimates are the cumulative sums of
-    conj(B) * y over N sqrt(P_p) h. Raises ``ValueError`` when the rows of
-    any campaign are not mutually orthogonal.
+    conj(B) * y over N sqrt(P_p) h. Raises ``InvalidInputError`` when the
+    rows of any campaign are not mutually orthogonal.
     """
     n = rows.shape[-1]
     if received.shape != rows.shape[:-1] or coefficients.shape[-1] != n:
@@ -311,7 +308,7 @@ def least_squares_prefix_estimates(
     gram = rows @ np.conj(np.swapaxes(rows, -1, -2))
     deviation = np.max(np.abs(gram - n * np.eye(received.shape[-1])), initial=0.0)
     if not deviation <= ORTHOGONALITY_TOL * n:
-        raise ValueError(
+        raise InvalidInputError(
             f"configuration rows must be mutually orthogonal "
             f"(worst |B B^H - N I| entry {deviation:.3e})"
         )

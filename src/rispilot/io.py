@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .adaptive import AdaptiveRunRecord
-from .errors import ConfigParseError
+from .errors import ConfigParseError, InvalidInputError
 from .simulate import ExperimentConfig, RateCurvePoint
 
 RATE_CSV_HEADER = (
@@ -28,15 +28,12 @@ UTILITY_CSV_HEADER = "L,angle_rad,utility_db,is_argmax"
 def _parse_int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
 
-def _parse_degree_pair(raw: str) -> tuple[float, float]:
-    parts = [part.strip() for part in raw.split(",")]
-    if len(parts) != 2:
-        raise ValueError("expected two comma-separated degree values")
-    return (math.radians(float(parts[0])), math.radians(float(parts[1])))
+def _parse_degrees(raw: str) -> tuple[float, ...]:
+    return tuple(math.radians(float(part)) for part in raw.split(","))
 
 
 #: Value parser per configuration key. Degrees are converted here so the
-#: math core never sees them.
+#: math core never sees them; the config checks that an interval is a pair.
 FIELD_PARSERS: dict[str, Callable[[str], object]] = {
     "num_elements": int,
     "spacing_ratio": float,
@@ -44,8 +41,8 @@ FIELD_PARSERS: dict[str, Callable[[str], object]] = {
     "pilot_snr_offset_db": float,
     "pilot_budgets": _parse_int_list,
     "num_trials": int,
-    "ue_angle_range": _parse_degree_pair,
-    "search_domain": _parse_degree_pair,
+    "ue_angle_range": _parse_degrees,
+    "search_domain": _parse_degrees,
     "grid_points": int,
     "rng_seed": int,
 }
@@ -103,7 +100,7 @@ def _fmt(value: float) -> str:
 def emit_rate_csv(points: Sequence[RateCurvePoint], path: str | Path) -> None:
     """Write rate-curve points as CSV, one row per budget, ascending."""
     if not points:
-        raise ValueError("no rate points to write")
+        raise InvalidInputError("no rate points to write")
     lines = [RATE_CSV_HEADER]
     for p in sorted(points, key=lambda point: point.pilot_budget):
         lines.append(

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AngleDomainError, DimensionError, SingularChannelError
+from .errors import (AngleDomainError, DimensionError, InvalidInputError,
+                     SingularChannelError)
 
 TWO_PI = 2.0 * np.pi
 
@@ -42,11 +43,20 @@ def _is_integral(value) -> bool:
 def _readonly_complex_vector(values, what: str) -> np.ndarray:
     vec = np.array(values, dtype=np.complex128)
     if vec.ndim != 1 or vec.size == 0:
-        raise ValueError(f"{what} must be a nonempty 1-D complex vector")
+        raise DimensionError(f"{what} must be a nonempty 1-D complex vector")
     if not np.all(np.isfinite(vec)):
-        raise ValueError(f"{what} entries must be finite")
+        raise InvalidInputError(f"{what} entries must be finite")
     vec.setflags(write=False)
     return vec
+
+
+def _check_unit_modulus(values: np.ndarray, what: str) -> None:
+    """The phase-only rule of configurations; a NaN deviation breaks it too."""
+    deviation = np.max(np.abs(np.abs(values) - 1.0), initial=0.0)
+    if not deviation <= UNIT_MODULUS_TOL:
+        raise InvalidInputError(
+            f"{what} entries must have unit modulus (worst deviation {deviation:.3e})"
+        )
 
 
 @dataclass(frozen=True)
@@ -54,7 +64,8 @@ class ArrayModel:
     """Uniform linear array geometry.
 
     ``spacing_ratio`` is the element spacing divided by the carrier
-    wavelength; only this ratio enters the array response.
+    wavelength; only this ratio enters the array response. The largest
+    response phase, 2*pi * spacing_ratio * (N-1), must be finite.
     """
 
     num_elements: int
@@ -62,11 +73,13 @@ class ArrayModel:
 
     def __post_init__(self) -> None:
         if not (_is_integral(self.num_elements) and self.num_elements >= 1):
-            raise ValueError("num_elements must be a positive integer")
-        if not 0 < self.spacing_ratio < np.inf:
-            raise ValueError("spacing_ratio must be positive and finite")
+            raise InvalidInputError("num_elements must be a positive integer")
         object.__setattr__(self, "num_elements", int(self.num_elements))
         object.__setattr__(self, "spacing_ratio", float(self.spacing_ratio))
+        # Python floats overflow to inf here without a warning
+        if not 0 < TWO_PI * self.spacing_ratio * max(self.num_elements - 1, 1) < np.inf:
+            raise InvalidInputError("spacing_ratio must be positive and finite, as "
+                                    "must its largest array phase 2*pi*rho*(N-1)")
 
 
 @dataclass(frozen=True)
@@ -84,9 +97,9 @@ class LosChannel:
 
     def __post_init__(self) -> None:
         if not 0 <= self.gain < np.inf:
-            raise ValueError("gain must be nonnegative and finite")
+            raise InvalidInputError("gain must be nonnegative and finite")
         if not math.isfinite(self.phase):
-            raise ValueError("phase must be finite")
+            raise InvalidInputError("phase must be finite")
         _check_front_half_plane(self.aoa)
         object.__setattr__(self, "gain", float(self.gain))
         object.__setattr__(self, "phase", float(self.phase) % TWO_PI)
@@ -105,12 +118,7 @@ class RisConfiguration:
 
     def __post_init__(self) -> None:
         vec = _readonly_complex_vector(self.phases, "configuration")
-        deviation = np.max(np.abs(np.abs(vec) - 1.0))
-        if not deviation <= UNIT_MODULUS_TOL:
-            raise ValueError(
-                f"configuration entries must have unit modulus "
-                f"(worst deviation {deviation:.3e})"
-            )
+        _check_unit_modulus(vec, "configuration")
         object.__setattr__(self, "phases", vec)
 
     def __len__(self) -> int:
@@ -191,7 +199,7 @@ def achievable_rate(effective, data_snr_scale: float):
     A scalar gives a float, an array of effective channels an array.
     """
     if not data_snr_scale > 0:
-        raise ValueError("data_snr_scale must be positive")
+        raise InvalidInputError("data_snr_scale must be positive")
     rate = np.log1p(np.abs(effective) ** 2 * data_snr_scale) / np.log(2.0)
     return float(rate) if np.ndim(rate) == 0 else rate
 

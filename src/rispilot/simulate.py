@@ -21,13 +21,14 @@ import numpy as np
 
 from .adaptive import (
     AdaptiveRunRecord,
+    _check_budget,
     advance_trials,
     build_adaptive_setup,
     pilot_noise,
     pilot_power_for_snr,
     run_adaptive_estimation,
 )
-from .errors import AngleDomainError, ConfigValidationError
+from .errors import AngleDomainError, ConfigValidationError, InvalidInputError
 from .estimators import AoaSearchGrid, dft_rows, least_squares_prefix_estimates
 from .model import (
     TWO_PI,
@@ -59,6 +60,14 @@ def _require(condition: bool, name: str, message: str) -> None:
         raise ConfigValidationError(f"{name}: {message}")
 
 
+def _owned(keys: str, owner: Callable, *args):
+    """``owner(*args)``, its input error re-raised under the config ``keys``."""
+    try:
+        return owner(*args)
+    except InvalidInputError as exc:
+        raise ConfigValidationError(f"{keys}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a rate-curve or utility-trace experiment needs.
@@ -86,11 +95,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         # at least two pilots, each from its own candidate, make an estimate
         self._set_integer("num_elements", 2, math.inf, "must be an integer, at least 2")
-        _require(
-            math.isfinite(self.spacing_ratio) and self.spacing_ratio > 0,
-            "spacing_ratio",
-            "must be positive and finite",
-        )
+        _owned("num_elements, spacing_ratio", self.array)
         # inf or nan dB values fail here too, and so does a power so small that
         # 1 + N^2 P_d rounds to 1, where the capacity the ratios divide by
         # is no longer resolved
@@ -115,11 +120,8 @@ class ExperimentConfig:
         _require(
             len(set(budgets)) == len(budgets), "pilot_budgets", "must be distinct"
         )
-        _require(
-            all(2 <= v <= self.num_elements for v in budgets),
-            "pilot_budgets",
-            f"each budget must lie in [2, {self.num_elements}]",
-        )
+        for budget in budgets:
+            _owned("pilot_budgets", _check_budget, budget, self.num_elements)
         object.__setattr__(self, "pilot_budgets", budgets)
         self._set_integer("num_trials", 1, math.inf, "must be a positive integer")
         # the float64 rates of all trials get the same 1 GiB
@@ -129,14 +131,10 @@ class ExperimentConfig:
             f"must be at most {2 * MAX_ARRAY_ENTRIES} (1 GiB of float64 rates)",
         )
         domain = tuple(float(v) for v in self.search_domain)
-        _require(len(domain) == 2 and domain[0] < domain[1], "search_domain",
-                 "must be an increasing pair")
-        _require(
-            -math.pi / 2 <= domain[0] and domain[1] <= math.pi / 2,
-            "search_domain",
-            "must lie within [-pi/2, pi/2]",
-        )
+        _require(len(domain) == 2, "search_domain", "must be a pair")
         object.__setattr__(self, "search_domain", domain)
+        grid = _owned("search_domain, grid_points", self.grid)
+        object.__setattr__(self, "grid_points", grid.num_points)
         ue_range = tuple(float(v) for v in self.ue_angle_range)
         _require(len(ue_range) == 2 and ue_range[0] < ue_range[1], "ue_angle_range",
                  "must be an increasing pair")
@@ -146,9 +144,6 @@ class ExperimentConfig:
             "must be contained in the search domain",
         )
         object.__setattr__(self, "ue_angle_range", ue_range)
-        self._set_integer(
-            "grid_points", 2, math.inf, "must be an integer of at least 2"
-        )
         _require(
             self.num_elements * max(self.num_elements, self.grid_points)
             <= MAX_ARRAY_ENTRIES,
@@ -207,7 +202,7 @@ class RateCurvePoint:
             ("mean_rate_ls", self.mean_rate_ls, self.stderr_ls),
         ):
             if not 0.0 <= mean <= bound + 3.0 * stderr:
-                raise ValueError(
+                raise InvalidInputError(
                     f"{name}={mean} violates the capacity bound "
                     f"{self.mean_capacity} (+3 stderr)"
                 )

@@ -21,7 +21,7 @@ from rispilot.adaptive import (
     AdaptiveTrials,
     _phase_compensation,
 )
-from rispilot.checks import circular_diff, pool_config_rows  # noqa: F401
+from rispilot.checks import candidate_rows, circular_diff  # noqa: F401
 from rispilot.errors import DegenerateDirectionError
 from rispilot.estimators import (
     UtilityAccumulator,

@@ -37,12 +37,12 @@ from rispilot.model import los_vector
 from conftest import (
     NEAR_NULL,
     assert_steps_match_batch,
+    candidate_rows,
     circular_diff,
     coefficient_at,
     direct_utility,
     local_peak_indices,
     pilot_energy,
-    pool_config_rows,
     prefix_campaign,
     reference_advance_trials,
     simulate_pilot_reception,
@@ -223,7 +223,7 @@ class TestConfigurationPool:
         n = 8
         array = ArrayModel(n, 1e-300)
         h = KnownBsRisChannel(np.ones(n))
-        rows = pool_config_rows(h, plausible_angles(n), array)
+        rows = candidate_rows(h, plausible_angles(n), array)
         assert np.all(np.abs(rows @ np.conj(rows[0])) == n)
         record = run_adaptive_estimation(
             channel, h, array, n, 10.0, 1, AoaSearchGrid(num_points=50)
@@ -250,7 +250,7 @@ class TestConfigCorrelation:
         n = 10
         array = ArrayModel(n, 0.5)
         h = random_bs_ris_channel(n, rng)
-        rows = pool_config_rows(h, plausible_angles(n), array)
+        rows = candidate_rows(h, plausible_angles(n), array)
         for i, j in ((0, 3), (1, 8), (2, 5)):
             value = config_correlation(
                 RisConfiguration(rows[i]), RisConfiguration(rows[j])
@@ -264,7 +264,7 @@ class TestConfigCorrelation:
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
         angles = plausible_angles(n)
-        configs = [RisConfiguration(row) for row in pool_config_rows(h, angles, array)]
+        configs = [RisConfiguration(row) for row in candidate_rows(h, angles, array)]
         sines = np.sin(angles)
         null = config_correlation(configs[0], configs[2])
         assert sines[2] - sines[0] == pytest.approx(4.0 / n)
@@ -289,7 +289,7 @@ class TestConfigCorrelation:
         array = ArrayModel(n, rho)
         h = random_bs_ris_channel(n, rng)
         angles = plausible_angles(n)
-        configs = [RisConfiguration(row) for row in pool_config_rows(h, angles, array)]
+        configs = [RisConfiguration(row) for row in candidate_rows(h, angles, array)]
         for _ in range(25):
             i, j = rng.choice(n, size=2, replace=False)
             measured = config_correlation(configs[i], configs[j])
@@ -574,7 +574,7 @@ class TestProjectionTables:
         steering = array_response(array, grid.angles).T
         for _ in range(3):
             h = random_bs_ris_channel(n, rng)
-            candidates = pool_config_rows(h, setup.angles, array)
+            candidates = candidate_rows(h, setup.angles, array)
             projections = candidates @ (h.coefficients[:, None] * steering)
             scores = np.array([
                 np.abs(candidates @ np.conj(optimal_configuration(h, a, array).phases))

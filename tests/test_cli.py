@@ -5,12 +5,14 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rispilot
-from rispilot import adaptive, checks, estimators, model
+from rispilot import adaptive, checks, cli, errors, estimators, model
 from rispilot.cli import main
 from rispilot.io import RATE_CSV_HEADER, UTILITY_CSV_HEADER
 from rispilot.simulate import _trial_chunk
@@ -140,6 +142,24 @@ def test_rate_curve_golden_bytes(seed, digest, tmp_path):
             "--set", f"rng_seed={seed}", "--out", str(out)]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed, aoa_deg, digest", [
+    (8917419684964321736, 31.686752088677537,
+     "7cc89f98a6482a048cbc641b52ef5e1a60b959d2a1b4c0733d32fdfa4390214a"),
+    (8497490805353380566, -18.587694659263,
+     "b8ca909307d5ef31f3b1cb0f9a24995d8726a5d1b7cd1737b18f8e0a60d066c5"),
+    (7806094663086568147, 48.13856385936623,
+     "5e63fb89e87623d3df05962e85e3fb899d79a2c38fffd02b161932ab85f9fb14"),
+])
+def test_estimate_once_golden_bytes(seed, aoa_deg, digest, capsys):
+    # sha256 of the summaries printed for the utility-trace golden inputs
+    # (numpy 2.4, x86-64), ten pilots
+    argv = ["estimate-once", *REFERENCE_CONFIG, "--set", f"rng_seed={seed}",
+            "--true-aoa-deg", repr(aoa_deg), "--l", "10"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_estimate_once_prints_summary(capsys):
@@ -299,6 +319,68 @@ def test_validate_fails_on_a_defect(name, owner, function, distort, capsys,
 def test_invalid_inputs_exit_2(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ("spacing_ratio=0", "spacing_ratio"),
+        ("spacing_ratio=nan", "spacing_ratio"),
+        ("search_domain=-100,90", "search_domain"),
+        ("search_domain=30,-30", "search_domain"),
+        ("grid_points=1", "grid_points"),
+        ("search_domain=10,10", "search_domain"),
+        ("pilot_budgets=1,4", "pilot_budgets"),
+        ("pilot_budgets=2,41", "pilot_budgets"),
+    ],
+)
+def test_delegated_config_rules_name_the_key(override, key, capsys):
+    # ArrayModel, AoaSearchGrid and the budget check own these rules; the
+    # config re-raises their errors under the keys they read
+    assert main(["rate-curve", "--set", override, "--out", "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+def test_overflowing_spacing_exits_2_without_a_warning(capsys):
+    # 2*pi*1e308 overflows: the array phases would be NaN and no direction lit
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["rate-curve", "--set", "spacing_ratio=1e308", "--out", "x.csv"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "spacing_ratio" in err
+    assert "RuntimeWarning" not in err and caught == []
+
+
+INPUT_ERRORS = [
+    errors.InvalidInputError, errors.AngleDomainError, errors.DimensionError,
+    errors.SingularChannelError, errors.PoolExhaustedError,
+    errors.InsufficientPilotsError, errors.ConfigParseError,
+    errors.ConfigValidationError,
+]
+RUNTIME_ERRORS = [
+    errors.DegenerateDirectionError, errors.RisPilotError, np.linalg.LinAlgError,
+    FloatingPointError, OSError,
+]
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [(e, 2, "error: ") for e in INPUT_ERRORS]
+    + [(e, 3, "runtime error: ") for e in RUNTIME_ERRORS],
+    ids=[e.__name__ for e in INPUT_ERRORS + RUNTIME_ERRORS],
+)
+def test_exit_code_follows_the_error_family(error, code, prefix, capsys,
+                                            monkeypatch):
+    def fail(_args):
+        raise error("synthetic failure")
+
+    monkeypatch.setitem(cli.COMMANDS, "validate", fail)
+    assert main(["validate"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"{prefix}synthetic failure\n"
+    assert captured.out == ""
 
 
 def test_non_utf8_config_file_exits_2(tmp_path, capsys):

@@ -1,0 +1,114 @@
+"""The error contract: every rejection is a package error of one family."""
+
+import ast
+import importlib
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import rispilot
+from rispilot import (
+    AoaSearchGrid,
+    ArrayModel,
+    InvalidInputError,
+    KnownBsRisChannel,
+    LosChannel,
+    PilotCampaign,
+    RateCurvePoint,
+    RisConfiguration,
+    RisPilotError,
+    achievable_rate,
+    array_response,
+    emit_rate_csv,
+    least_squares_prefix_estimates,
+    plausible_angles,
+)
+from rispilot.adaptive import pilot_power_for_snr
+
+SOURCES = sorted(Path(rispilot.__file__).parent.glob("*.py"))
+
+
+def raised_classes(path: Path):
+    """(line, class) of every ``raise Name(...)`` in a module of the package."""
+    module = importlib.import_module(f"rispilot.{path.stem}")
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            func = node.exc.func
+            assert isinstance(func, ast.Name), ast.dump(func)
+            yield node.lineno, getattr(module, func.id)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_every_raise_is_a_package_error(path):
+    strays = [
+        (line, cls.__name__)
+        for line, cls in raised_classes(path)
+        if not issubclass(cls, RisPilotError)
+    ]
+    assert strays == []
+
+
+def test_the_scan_sees_the_raise_sites():
+    # the scan above passes vacuously if it finds nothing to check; the
+    # package has 41 raise sites
+    assert sum(len(list(raised_classes(path))) for path in SOURCES) >= 30
+
+
+def _unit_h(n=3):
+    return KnownBsRisChannel(np.ones(n))
+
+
+REJECTIONS = {
+    "ArrayModel-spacing": lambda: ArrayModel(4, 0.0),
+    "ArrayModel-elements": lambda: ArrayModel(0, 0.25),
+    "AoaSearchGrid-order": lambda: AoaSearchGrid(0.5, -0.5),
+    "AoaSearchGrid-points": lambda: AoaSearchGrid(num_points=1),
+    "AoaSearchGrid-half-plane": lambda: AoaSearchGrid(-2.0, 1.0),
+    "LosChannel-gain": lambda: LosChannel(-1.0, 0.0, 0.0),
+    "LosChannel-phase": lambda: LosChannel(1.0, math.nan, 0.0),
+    "LosChannel-angle": lambda: LosChannel(1.0, 0.0, 2.0),
+    "RisConfiguration-modulus": lambda: RisConfiguration(np.array([1.0, 0.5])),
+    "RisConfiguration-finite": lambda: RisConfiguration(np.array([1.0, np.inf])),
+    "RisConfiguration-shape": lambda: RisConfiguration(np.ones((2, 2))),
+    "KnownBsRisChannel-zero": lambda: KnownBsRisChannel(np.array([1.0, 0.0])),
+    "PilotCampaign-2d": lambda: PilotCampaign(np.ones(3), np.zeros(1), 1.0, _unit_h()),
+    "PilotCampaign-modulus": lambda: PilotCampaign(
+        2 * np.ones((1, 3)), np.zeros(1), 1.0, _unit_h()
+    ),
+    "PilotCampaign-power": lambda: PilotCampaign(
+        np.ones((1, 3)), np.zeros(1), 0.0, _unit_h()
+    ),
+    "achievable_rate": lambda: achievable_rate(1.0, 0.0),
+    "plausible_angles": lambda: plausible_angles(0),
+    "pilot_power_for_snr": lambda: pilot_power_for_snr(-1.0, 1.0, np.ones((1, 3))),
+    "non-orthogonal-rows": lambda: least_squares_prefix_estimates(
+        np.ones((2, 3), dtype=complex), np.zeros(2, dtype=complex),
+        np.ones(3, dtype=complex), 1.0,
+    ),
+    "RateCurvePoint": lambda: RateCurvePoint(2, 5.0, 1.0, 1.0, 5.0, 1.0, 10, 0.0, 0.0),
+    "emit_rate_csv-empty": lambda: emit_rate_csv([], "unused.csv"),
+}
+
+
+@pytest.mark.parametrize("reject", REJECTIONS.values(), ids=REJECTIONS.keys())
+def test_rejections_are_invalid_input_and_value_errors(reject):
+    with pytest.raises(InvalidInputError) as caught:
+        reject()
+    assert isinstance(caught.value, ValueError)
+
+
+def test_overflowing_array_phases_are_rejected_up_front():
+    # 2*pi*1e308 overflows, and inf * 0 at element 0 would make the response NaN
+    with pytest.raises(InvalidInputError, match="spacing_ratio"):
+        ArrayModel(40, 1e308)
+    # a numpy scalar is checked as a float, without an overflow RuntimeWarning
+    # (an error in this suite)
+    with pytest.raises(InvalidInputError, match="spacing_ratio"):
+        ArrayModel(40, np.float64(1e308))
+    # the rule is on the largest phase 2*pi*rho*(N-1), not on rho alone
+    with pytest.raises(InvalidInputError):
+        ArrayModel(40, 1e306)
+    response = array_response(ArrayModel(2, 1e306), np.linspace(-1.5, 1.5, 7))
+    assert np.all(np.isfinite(response))

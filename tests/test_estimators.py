@@ -27,11 +27,11 @@ from rispilot import (
 from rispilot.estimators import UtilityAccumulator, _projection_tables
 
 from conftest import (
+    candidate_rows,
     circular_diff,
     coefficient_at,
     direct_utility,
     make_campaign,
-    pool_config_rows,
 )
 
 
@@ -103,7 +103,7 @@ class TestMlUtility:
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
         channel = LosChannel(gain=1.9, phase=0.7, aoa=0.35)
-        rows = pool_config_rows(h, plausible_angles(n)[:4], array)
+        rows = candidate_rows(h, plausible_angles(n)[:4], array)
         campaign = make_campaign(rows, h, channel, array, pilot_power=2.0)
         direction = rows @ (
             h.coefficients * expand_channel(LosChannel(1.0, 0.0, 0.35), array)
@@ -120,7 +120,7 @@ class TestMlUtility:
         n = 6
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
-        rows = pool_config_rows(h, [-0.4, 0.7], array)
+        rows = candidate_rows(h, [-0.4, 0.7], array)
         aoa = 0.2
         direction = rows @ (h.coefficients * expand_channel(LosChannel(1, 0, aoa), array))
         received = np.array([np.conj(direction[1]), -np.conj(direction[0])])
@@ -133,7 +133,7 @@ class TestMlUtility:
         n = 5
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
-        rows = pool_config_rows(h, [0.1], array)
+        rows = candidate_rows(h, [0.1], array)
         received = np.array([2.0 - 1.0j])
         campaign = PilotCampaign(rows, received, 1.0, h)
         profile = ml_utility_profile(campaign, array, [-1.2, -0.3, 0.0, 0.4, 1.5])
@@ -171,7 +171,7 @@ class TestMlUtility:
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
         channel = LosChannel(1.0, 1.1, -0.5)
-        rows = pool_config_rows(h, plausible_angles(n)[2:6], array)
+        rows = candidate_rows(h, plausible_angles(n)[2:6], array)
         campaign = make_campaign(rows, h, channel, array, 1.0, noise_std=1.0, rng=rng)
         angles = np.linspace(-1.3, 1.3, 41)
         profile = ml_utility_profile(campaign, array, angles)
@@ -185,7 +185,7 @@ class TestMlUtility:
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
         channel = LosChannel(1.0, 0.3, 0.8)
-        rows = pool_config_rows(h, [-0.9, 0.2, 1.0], array)
+        rows = candidate_rows(h, [-0.9, 0.2, 1.0], array)
         campaign = make_campaign(rows, h, channel, array, 1.0, noise_std=0.5, rng=rng)
         rotation = np.exp(1j * 1.234)
         rotated = PilotCampaign(
@@ -265,7 +265,7 @@ class TestUtilityAccumulator:
         n = 6
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
-        rows = pool_config_rows(h, [-0.4, 0.3, 0.9], array)
+        rows = candidate_rows(h, [-0.4, 0.3, 0.9], array)
         campaign = make_campaign(
             rows, h, LosChannel(1.2, 0.5, 0.2), array, 1.0, noise_std=0.7, rng=rng
         )
@@ -289,7 +289,7 @@ class TestEstimateAoa:
         truth = float(grid.angles[517])
         h = random_bs_ris_channel(n, rng)
         channel = LosChannel(1.4, 0.9, truth)
-        rows = pool_config_rows(h, plausible_angles(n), array)
+        rows = candidate_rows(h, plausible_angles(n), array)
         campaign = make_campaign(rows, h, channel, array, 1.0)
         assert parametric_ml_estimate(campaign, array, grid).aoa_estimate == truth
         values = direct_utility(campaign, array, grid.angles)
@@ -302,7 +302,7 @@ class TestEstimateAoa:
         n = 4
         array = ArrayModel(n, 0.25)
         h = KnownBsRisChannel(np.ones(n))
-        rows = pool_config_rows(h, [-0.5, 0.5], array)
+        rows = candidate_rows(h, [-0.5, 0.5], array)
         campaign = PilotCampaign(rows, np.zeros(2), 1.0, h)
         grid = AoaSearchGrid(-1.0, 1.0, 21)
         assert parametric_ml_estimate(campaign, array, grid).aoa_estimate == -1.0
@@ -313,7 +313,7 @@ class TestEstimateAoa:
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
         channel = LosChannel(1.0, 0.2, 0.31417)
-        rows = pool_config_rows(h, [-0.52, 0.47], array)
+        rows = candidate_rows(h, [-0.52, 0.47], array)
         campaign = make_campaign(rows, h, channel, array, 1.0)
         coarse = AoaSearchGrid(num_points=201)
         fine = AoaSearchGrid(num_points=20001)
@@ -330,7 +330,7 @@ class TestEstimateAoa:
         grid = AoaSearchGrid(num_points=500)
         h = random_bs_ris_channel(n, rng)
         channel = LosChannel(1.0, 2.2, -0.8)
-        rows = pool_config_rows(h, [-0.8, -0.1, 0.6], array)
+        rows = candidate_rows(h, [-0.8, -0.1, 0.6], array)
         campaign = make_campaign(rows, h, channel, array, 1.0, noise_std=1.0, rng=rng)
         baseline = parametric_ml_estimate(campaign, array, grid).aoa_estimate
         for _ in range(10):
@@ -346,7 +346,7 @@ class TestScalarCoefficient:
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
         truth = LosChannel(gain=0.8, phase=2.9, aoa=-0.41)
-        rows = pool_config_rows(h, plausible_angles(n)[::2], array)
+        rows = candidate_rows(h, plausible_angles(n)[::2], array)
         campaign = make_campaign(rows, h, truth, array, pilot_power=3.0)
         gain, phase = coefficient_at(campaign, array, -0.41)
         assert gain == pytest.approx(0.8, rel=1e-9)
@@ -356,7 +356,7 @@ class TestScalarCoefficient:
         n = 4
         array = ArrayModel(n, 0.25)
         h = KnownBsRisChannel(np.ones(n))
-        rows = pool_config_rows(h, [-0.5, 0.5], array)
+        rows = candidate_rows(h, [-0.5, 0.5], array)
         campaign = PilotCampaign(rows, np.zeros(2), 1.0, h)
         gain, phase = coefficient_at(campaign, array, 0.3)
         assert gain == 0.0
@@ -367,7 +367,7 @@ class TestScalarCoefficient:
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
         channel = LosChannel(1.2, 0.5, 0.2)
-        rows = pool_config_rows(h, [-0.4, 0.3, 0.9], array)
+        rows = candidate_rows(h, [-0.4, 0.3, 0.9], array)
         campaign = make_campaign(rows, h, channel, array, 1.0, noise_std=0.7, rng=rng)
         gain, phase = coefficient_at(campaign, array, 0.21)
         scaled = PilotCampaign(rows, 3.0 * campaign.received, 1.0, h)
@@ -384,7 +384,7 @@ class TestParametricMl:
         truth_aoa = float(grid.angles[222])
         truth = LosChannel(gain=2.2, phase=4.0, aoa=truth_aoa)
         h = random_bs_ris_channel(n, rng)
-        rows = pool_config_rows(h, plausible_angles(n), array)
+        rows = candidate_rows(h, plausible_angles(n), array)
         campaign = make_campaign(rows, h, truth, array, 1.5)
         result = parametric_ml_estimate(campaign, array, grid)
         g = expand_channel(truth, array)
@@ -397,7 +397,7 @@ class TestParametricMl:
         grid = AoaSearchGrid(num_points=300)
         h = random_bs_ris_channel(n, rng)
         channel = LosChannel(1.0, 1.0, 0.5)
-        rows = pool_config_rows(h, [-0.5, 0.5, 1.0], array)
+        rows = candidate_rows(h, [-0.5, 0.5, 1.0], array)
         campaign = make_campaign(rows, h, channel, array, 1.0, noise_std=1.0, rng=rng)
         result = parametric_ml_estimate(campaign, array, grid)
         rebuilt = expand_channel(
@@ -412,7 +412,7 @@ class TestParametricMl:
         n = 4
         array = ArrayModel(n, 0.25)
         h = KnownBsRisChannel(np.ones(n))
-        rows = pool_config_rows(h, [-0.5, 0.5], array)
+        rows = candidate_rows(h, [-0.5, 0.5], array)
         campaign = PilotCampaign(rows, np.zeros(2), 1.0, h)
         result = parametric_ml_estimate(campaign, array, AoaSearchGrid(num_points=50))
         assert np.array_equal(result.channel_estimate, np.zeros(n, dtype=complex))
@@ -452,7 +452,7 @@ class TestLeastSquares:
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
         truth = LosChannel(0.9, 1.7, -0.3)
-        extra = pool_config_rows(h, [-0.7, 0.1, 0.8], array)
+        extra = candidate_rows(h, [-0.7, 0.1, 0.8], array)
         rows = np.vstack([dft_rows(n), extra])
         campaign = make_campaign(rows, h, truth, array, 1.0, noise_std=1.0, rng=rng)
         estimate = least_squares_estimate(campaign)
