@@ -11,14 +11,16 @@ magnitude) to the configuration optimal at the current angle estimate,
 which all received pilots refresh after every transmission.
 
 Everything that depends only on the array and the grid is built once
-per experiment by ``build_adaptive_setup``: the grid steering matrix,
-the candidates' array responses and four tables. The configurations
-cancel the BS-RIS phases, so for unit-magnitude coefficients candidate
-k's projection onto grid direction j is the trial-independent
-P[k, j] = conj(a_k)^T a_j. The setup holds P and the energy |P|^2 a
-pilot adds, from the estimators' ``_projection_tables``, and the score
-tables, the whole selection policy: |P|^T (row j rates every candidate
-against the configuration optimal at grid angle j) and two start rows.
+per experiment by ``build_adaptive_setup``: the candidates' array
+responses and four tables. The configurations cancel the BS-RIS phases,
+so for unit-magnitude coefficients candidate k's projection onto grid
+direction j is the trial-independent P[k, j] = conj(a_k)^T a_j. The
+setup holds P and the energy |P|^2 a pilot adds, from the estimators'
+``_projection_tables``, and the score tables, the whole selection
+policy: |P|^T (row j rates every candidate against the configuration
+optimal at grid angle j) and two start rows. The grid steering matrix
+lives only inside the table build, which is done in place: it peaks at
+about two N x G complex arrays, and the setup holds about two.
 
 One core, ``advance_trials``, advances a chunk of trials one pilot at a
 time as (trials x grid) arrays, with no matrix product per pick.
@@ -48,6 +50,7 @@ from .model import (
     KnownBsRisChannel,
     LosChannel,
     RisConfiguration,
+    _is_integral,
     array_response,
     expand_channel,
     los_vector,
@@ -66,8 +69,7 @@ def plausible_angles(num_elements: int) -> np.ndarray:
     N the last index reaches arcsin(1) = pi/2. The result is an
     increasing, read-only 1-D array.
     """
-    if num_elements < 1:
-        raise InvalidInputError("num_elements must be a positive integer")
+    num_elements = ArrayModel(num_elements).num_elements  # its positive-integer rule
     m = np.arange(-((num_elements - 1) // 2), num_elements // 2 + 1)
     angles = np.arcsin(2.0 * m / num_elements)
     angles.setflags(write=False)
@@ -110,11 +112,11 @@ INITIAL_SINES = (-0.5, 0.5)
 class AdaptiveSetup:
     """Trial-independent arrays of the adaptive loop for one array and grid.
 
-    Column j of ``steering`` is a(grid_angles[j]); row k of
-    ``conj_responses`` is conj(a(angles[k])) for plausible angle k.
+    Row k of ``conj_responses`` is conj(a(angles[k])) for plausible angle k.
     ``projections`` and ``projection_energy`` belong to the run's |h|: the
-    ``_projection_tables`` of the candidates over |h| * steering (|h| = 1 in
-    ``build_adaptive_setup``), entry [k, j] for candidate k, grid direction j.
+    ``_projection_tables`` of the candidates over the directions
+    |h| * a(grid_angles[j]) (|h| = 1 in ``build_adaptive_setup``), entry
+    [k, j] for candidate k, grid direction j. No steering matrix is kept.
     ``scores`` and ``start_scores`` depend on the configurations only: row j
     of ``scores`` (G x N) is |candidates @ conj(reference)| for the reference
     optimal at grid angle j, and row i of ``start_scores`` (2 x N) scores
@@ -123,7 +125,6 @@ class AdaptiveSetup:
 
     array: ArrayModel
     grid_angles: np.ndarray
-    steering: np.ndarray
     angles: np.ndarray
     conj_responses: np.ndarray
     projections: np.ndarray
@@ -133,19 +134,20 @@ class AdaptiveSetup:
 
 
 def build_adaptive_setup(array: ArrayModel, grid: AoaSearchGrid) -> AdaptiveSetup:
-    """Compute the steering matrix, candidate responses and tables once, read-only."""
+    """Compute the candidate responses and tables once, in place, read-only."""
     grid_angles = grid.angles
-    steering = array_response(array, grid_angles).T
     angles = plausible_angles(array.num_elements)
     conj_responses = np.conj(array_response(array, angles))
-    projections, projection_energy = _projection_tables(conj_responses, steering)
-    scores = np.ascontiguousarray(np.abs(projections).T)
+    projections, energies = _projection_tables(conj_responses, array, grid_angles)
+    # through scores.T, numpy buffers the strided float output, not complex P
+    scores = np.empty(projections.shape[::-1])
+    np.abs(projections, out=scores.T)
     start_scores = -np.abs(np.sin(angles) - np.array(INITIAL_SINES)[:, None])
-    for values in (grid_angles, steering, conj_responses, scores, start_scores):
+    for values in (grid_angles, conj_responses, scores, start_scores):
         values.setflags(write=False)
     return AdaptiveSetup(
-        array, grid_angles, steering, angles, conj_responses,
-        projections, projection_energy, scores, start_scores,
+        array, grid_angles, angles, conj_responses,
+        projections, energies, scores, start_scores,
     )
 
 
@@ -223,14 +225,17 @@ class AdaptiveTrials:
     utilities: tuple[np.ndarray, ...]
 
 
-def _check_budget(num_pilots: int, n: int) -> None:
-    """Reject a budget of fewer than two pilots or more than the N candidates."""
+def _check_budget(num_pilots: int, n: int) -> int:
+    """The budget as an int; reject a non-integral one, or one below 2 or above N."""
+    if not _is_integral(num_pilots):
+        raise InvalidInputError(f"budget {num_pilots!r} must be an integer")
     if num_pilots < 2:
         raise InsufficientPilotsError("at least two pilots are required")
     if num_pilots > n:
         raise PoolExhaustedError(
             f"budget {num_pilots} exceeds the {n} available configurations"
         )
+    return int(num_pilots)
 
 
 def advance_trials(
@@ -259,17 +264,18 @@ def advance_trials(
     give every gain and phase after the loop. Every step is elementwise or
     reduces within a row, so a trial's outcome does not depend on the chunk.
     """
-    _check_budget(num_pilots, coefficients.shape[1])
+    num_pilots = _check_budget(num_pilots, coefficients.shape[1])
     trials = coefficients.shape[0]
     rows = np.arange(trials)
-    # row k of candidates[t] is optimal_configuration(h_t, angles[k]).phases
-    # and signals[t, k] the noise-free sample theta^T D_h g sqrt(P_p) for it
-    candidates = _phase_compensation(coefficients, setup.array)[:, None, :] * (
+    # row k of paths[t] starts as optimal_configuration(h_t, angles[k]).phases
+    # and ends as its terms of signals[t, k], the noise-free sample
+    # theta^T D_h g sqrt(P_p); each product is formed in place
+    paths = _phase_compensation(coefficients, setup.array)[:, None, :] * (
         setup.conj_responses
     )
-    signals = np.sum(
-        candidates * coefficients[:, None, :] * g[:, None, :], axis=-1
-    ) * np.sqrt(pilot_power)[:, None]
+    np.multiply(paths, coefficients[:, None, :], out=paths)
+    np.multiply(paths, g[:, None, :], out=paths)
+    signals = np.sum(paths, axis=-1) * np.sqrt(pilot_power)[:, None]
     accumulator = UtilityAccumulator((trials, setup.grid_angles.size))
     picks = np.empty((trials, num_pilots), dtype=np.intp)
     samples = np.empty((trials, num_pilots), dtype=np.complex128)
@@ -352,7 +358,7 @@ def run_adaptive_estimation(
     exactly the first i pilots and i-1 estimates of a longer run under
     the same noise draws.
     """
-    _check_budget(num_pilots, array.num_elements)
+    num_pilots = _check_budget(num_pilots, array.num_elements)
     if grid is None:
         grid = AoaSearchGrid()
     setup = build_adaptive_setup(array, grid)
@@ -369,7 +375,7 @@ def run_adaptive_estimation(
     magnitudes = np.abs(coefficients)
     if np.max(np.abs(magnitudes - 1.0)) > UNIT_MODULUS_TOL:
         projections, energies = _projection_tables(
-            setup.conj_responses, magnitudes[:, None] * setup.steering
+            setup.conj_responses, array, setup.grid_angles, magnitudes
         )
         setup = replace(setup, projections=projections, projection_energy=energies)
     g = expand_channel(true_channel, array)

@@ -145,16 +145,24 @@ def closed_form_gain_and_phase(inner, energy, pilot_power):
 
 
 def _projection_tables(
-    rows: np.ndarray, directions: np.ndarray
+    rows: np.ndarray, array: ArrayModel, angles: np.ndarray, weights=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Projections ``rows @ directions`` and their |.|^2, read-only.
 
-    Entry [i, j] is B_i v_j, what pilot row i adds to y^H B v_j per unit
-    sample, and |B_i v_j|^2 what it adds to ||B v_j||^2. The one table
-    route into the ML sums: a campaign's, the adaptive setup's and a run's.
+    Column j of the directions is v_j = D_w a(angles[j]), with w the
+    per-element ``weights`` (none: all ones). Entry [i, j] is B_i v_j, what
+    pilot row i adds to y^H B v_j per unit sample, and |B_i v_j|^2 what it
+    adds to ||B v_j||^2. The one table route into the ML sums: a campaign's
+    (w = h), the adaptive setup's (none) and a non-unit run's (w = |h|). The
+    directions are built in place and freed before the energies exist.
     """
+    directions = array_response(array, angles).T
+    if weights is not None:
+        np.multiply(weights[:, None], directions, out=directions)
     projections = rows @ directions
-    energies = np.abs(projections) ** 2
+    del directions
+    energies = np.abs(projections)
+    np.square(energies, out=energies)
     for values in (projections, energies):
         values.setflags(write=False)
     return projections, energies
@@ -228,9 +236,9 @@ def _accumulate(
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     if angles.ndim > 1:
         raise DimensionError(f"angles must be 1-D, got shape {angles.shape}")
-    steering = array_response(array, angles).T
-    directions = campaign.bs_ris_channel.coefficients[:, None] * steering
-    projections, energies = _projection_tables(campaign.config_matrix, directions)
+    projections, energies = _projection_tables(
+        campaign.config_matrix, array, angles, campaign.bs_ris_channel.coefficients
+    )
     accumulator = UtilityAccumulator(angles.size)
     for i, sample in enumerate(campaign.received):
         accumulator.add(projections, sample, energies, i)

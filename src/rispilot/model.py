@@ -153,14 +153,14 @@ def array_response(array: ArrayModel, aoa) -> np.ndarray:
     the reference element is exactly 1 and every entry has unit modulus.
     This is the one steering formula: an array-like of angles gives each
     angle's own response along a new last axis, and its transpose is the
-    steering matrix of the ML search and the adaptive tables.
+    steering matrix of the ML search and the adaptive tables. The phases
+    are exponentiated in place, so a grid's matrix costs one array.
     """
     aoa = np.asarray(aoa, dtype=float)
     _check_front_half_plane(aoa)
     indices = np.arange(array.num_elements)
-    return np.exp(
-        -1j * TWO_PI * array.spacing_ratio * np.sin(aoa)[..., None] * indices
-    )
+    phase = -1j * TWO_PI * array.spacing_ratio * np.sin(aoa)[..., None] * indices
+    return np.exp(phase, out=phase)
 
 
 def los_vector(array: ArrayModel, gain, phase, aoa) -> np.ndarray:

@@ -45,7 +45,7 @@ from .model import (
 DEFAULT_PILOT_BUDGETS = (2, 3, 4, 5, 6, 8, 10, 15, 20, 30, 40)
 
 #: Most complex entries of each N x G or N x N up-front array, of which the
-#: setup holds about 3: 2**26 entries are 1 GiB; the reference needs 80 000.
+#: setup holds and peaks at about 2: 2**26 entries are 1 GiB (reference 80 000).
 MAX_ARRAY_ENTRIES = 2**26
 
 #: Most complex entries in one (trials x grid) or (trials x N x N) array of
@@ -112,16 +112,12 @@ class ExperimentConfig:
         )
         fitting = [v for v in DEFAULT_PILOT_BUDGETS if v <= self.num_elements]
         budgets = fitting if self.pilot_budgets is None else self.pilot_budgets
-        _require(
-            all(_is_integral(v) for v in budgets), "pilot_budgets", "must be integers"
-        )
-        budgets = tuple(int(v) for v in budgets)
+        n = self.num_elements
+        budgets = tuple(_owned("pilot_budgets", _check_budget, v, n) for v in budgets)
         _require(len(budgets) > 0, "pilot_budgets", "must not be empty")
         _require(
             len(set(budgets)) == len(budgets), "pilot_budgets", "must be distinct"
         )
-        for budget in budgets:
-            _owned("pilot_budgets", _check_budget, budget, self.num_elements)
         object.__setattr__(self, "pilot_budgets", budgets)
         self._set_integer("num_trials", 1, math.inf, "must be a positive integer")
         # the float64 rates of all trials get the same 1 GiB

@@ -13,6 +13,7 @@ from rispilot import (
     ArrayModel,
     DimensionError,
     InsufficientPilotsError,
+    InvalidInputError,
     KnownBsRisChannel,
     LosChannel,
     PoolExhaustedError,
@@ -373,6 +374,18 @@ class TestAdaptiveRun:
         with pytest.raises(PoolExhaustedError):
             run_adaptive_estimation(channel, h, array, 7, 10.0, rng)
 
+    def test_budget_must_be_an_integer(self, rng):
+        # a package error, not numpy's TypeError; a whole float is that integer
+        array = ArrayModel(8, 0.25)
+        h = random_bs_ris_channel(8, rng)
+        channel = LosChannel(1.0, 0.0, 0.1)
+        grid = AoaSearchGrid(num_points=200)
+        with pytest.raises(InvalidInputError, match="budget 2.5 must be an integer"):
+            run_adaptive_estimation(channel, h, array, 2.5, 10.0, rng, grid)
+        record = run_adaptive_estimation(channel, h, array, 3.0, 10.0, 7, grid)
+        assert record.config_angles.size == 3
+        assert record.aoa_estimates.size == 2
+
     def test_noise_free_recovery_on_grid_truth(self, rng):
         # oracle: exhaustive scalar utility evaluation shows a unique maximizer
         array, grid, channel, h, record = self.run_noise_free(rng)
@@ -541,7 +554,7 @@ class TestAdaptiveRun:
         array, grid = ArrayModel(8, 0.25), AoaSearchGrid(num_points=50)
         setup = build_adaptive_setup(array, grid)
         for values in (
-            setup.grid_angles, setup.steering, setup.angles, setup.conj_responses,
+            setup.grid_angles, setup.angles, setup.conj_responses,
             setup.projections, setup.projection_energy, setup.scores,
             setup.start_scores,
         ):
@@ -553,17 +566,18 @@ class TestProjectionTables:
     """The setup's trial-independent tables against per-channel constructions."""
 
     def test_steering_is_the_array_response(self):
-        # one steering formula: the grid table is a(angle) per column, the
-        # same bits the estimate vectors are expanded along
+        # one steering formula: the grid table is built over a(angle) per
+        # column, the same bits the estimate vectors are expanded along
         array = ArrayModel(40, 0.25)
         setup = build_adaptive_setup(array, AoaSearchGrid())
-        expected = array_response(array, setup.grid_angles).T
-        assert setup.steering.shape == (40, 2000)
-        assert setup.steering.tobytes() == expected.tobytes()
+        steering = array_response(array, setup.grid_angles).T
+        expected = setup.conj_responses @ steering
+        assert setup.projections.shape == (40, 2000)
+        assert setup.projections.tobytes() == expected.tobytes()
         # each column equals the response to its angle alone
         for j in (0, 777, 1999):
             assert np.array_equal(
-                setup.steering[:, j], array_response(array, setup.grid_angles[j])
+                steering[:, j], array_response(array, setup.grid_angles[j])
             )
 
     def test_tables_match_reference_constructions(self, rng):
@@ -673,7 +687,7 @@ class TestCoreMatchesReference:
         coefficients = magnitudes * np.exp(1j * gen.uniform(0, 2 * np.pi, (trials, n)))
         if not unit:
             projections, energies = _projection_tables(
-                setup.conj_responses, magnitudes[:, None] * setup.steering
+                setup.conj_responses, array, setup.grid_angles, magnitudes
             )
             setup = dataclasses.replace(
                 setup, projections=projections, projection_energy=energies

@@ -127,19 +127,38 @@ def test_utility_trace_golden_bytes(seed, aoa_deg, digest, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("seed, digest", [
-    (1, "37c15898c1df934b4cae13b6354428914a1225ebbd59ff87ba061f9f19b0abe8"),
-    (2, "e0592626bff6fa3e516bd4b20fc78922c919b66bf4981290ce2b55b27e7c10fb"),
-    (3, "447579119d68731494c70f92c3ff0179c0057392cad8d5fd8485072341322087"),
-])
-def test_rate_curve_golden_bytes(seed, digest, tmp_path):
+#: 40 trials of the reference config, all 11 default budgets.
+REFERENCE_CURVE = [*REFERENCE_CONFIG, "--set", "num_trials=40"]
+#: A 256-element surface on a 20 000-point grid: N^2 > CHUNK_ENTRIES, so
+#: every chunk is one trial, and the setup's complex table is 82 MB.
+LARGE_CURVE = [
+    "--set", "num_elements=256", "--set", "grid_points=20000",
+    "--set", "num_trials=4", "--set", "pilot_budgets=2,5,10",
+]
+RATE_CURVE_CASES = [
+    (1, "37c15898c1df934b4cae13b6354428914a1225ebbd59ff87ba061f9f19b0abe8",
+     REFERENCE_CURVE),
+    (2, "e0592626bff6fa3e516bd4b20fc78922c919b66bf4981290ce2b55b27e7c10fb",
+     REFERENCE_CURVE),
+    (3, "447579119d68731494c70f92c3ff0179c0057392cad8d5fd8485072341322087",
+     REFERENCE_CURVE),
+    (42, "218194e9928129e04cd7f899defab12519e15020af30533a5aeeee5f043ae069",
+     LARGE_CURVE),
+]
+
+
+@pytest.mark.parametrize(
+    "seed, digest, settings", RATE_CURVE_CASES,
+    ids=[f"{seed}-{digest}" for seed, digest, _ in RATE_CURVE_CASES],
+)
+def test_rate_curve_golden_bytes(seed, digest, settings, tmp_path):
     # sha256 of the 40-trial curves, 11 default budgets, that the loop with
-    # whole-chunk sums and a gain and phase per step wrote (numpy 2.4,
-    # x86-64); another math library may round sin and exp differently and
-    # move a near-null argmax, and with it these bytes
+    # whole-chunk sums and a gain and phase per step wrote, and of a large
+    # run of one-trial chunks (numpy 2.4, x86-64); another math library may
+    # round sin and exp differently and move a near-null argmax, and with
+    # it these bytes
     out = tmp_path / "rates.csv"
-    argv = ["rate-curve", *REFERENCE_CONFIG, "--set", "num_trials=40",
-            "--set", f"rng_seed={seed}", "--out", str(out)]
+    argv = ["rate-curve", *settings, "--set", f"rng_seed={seed}", "--out", str(out)]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

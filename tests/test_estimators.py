@@ -15,7 +15,6 @@ from rispilot import (
     KnownBsRisChannel,
     LosChannel,
     PilotCampaign,
-    array_response,
     expand_channel,
     least_squares_estimate,
     least_squares_prefix_estimates,
@@ -223,9 +222,9 @@ class TestUtilityAccumulator:
     @given(utility_inputs())
     def test_profile_matches_whole_matrix_reference(self, inputs):
         campaign, array, angles = inputs
-        steering = array_response(array, angles).T
-        directions = campaign.bs_ris_channel.coefficients[:, None] * steering
-        projections, energies = _projection_tables(campaign.config_matrix, directions)
+        projections, energies = _projection_tables(
+            campaign.config_matrix, array, angles, campaign.bs_ris_channel.coefficients
+        )
         accumulator = UtilityAccumulator(angles.size)
         # a leading trial axis: row 0 is this campaign, row 1 the same rows
         # with the samples reversed; rows must not mix

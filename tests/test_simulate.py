@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,16 +147,39 @@ class TestExperimentConfig:
         ExperimentConfig(grid_points=MAX_ARRAY_ENTRIES // 40)
         ExperimentConfig(num_elements=2**13, pilot_budgets=(2,))
 
-    def test_setup_holds_about_three_bounded_arrays(self):
-        # MAX_ARRAY_ENTRIES bounds each N x G array; the setup's steering,
-        # projections, energies and scores weigh about 3 complex ones
+    def test_setup_holds_about_two_bounded_arrays(self):
+        # MAX_ARRAY_ENTRIES bounds each N x G array; the setup's projections,
+        # energies and scores weigh about 2 complex ones, no steering matrix
         config = ExperimentConfig()
         setup = build_adaptive_setup(config.array(), config.grid())
         held = sum(
             value.nbytes for value in vars(setup).values()
             if isinstance(value, np.ndarray)
         )
-        assert held <= 3.05 * 16 * config.num_elements * config.grid_points
+        assert held <= 2.05 * 16 * config.num_elements * config.grid_points
+
+    def test_setup_build_peaks_at_about_two_bounded_arrays(self):
+        # every table is built in place, and the steering matrix is freed
+        # before the energies and scores exist: at no point of the build are
+        # more than about 2 complex N x G arrays alive
+        config = ExperimentConfig()
+        array, grid = config.array(), config.grid()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            build_adaptive_setup(array, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 16 * config.num_elements * config.grid_points
+
+    def test_budgets_must_be_integers_under_their_key(self):
+        # the budget's rule, integer and within [2, N], has one owner
+        message = r"^pilot_budgets: budget 2\.5 must be an integer"
+        with pytest.raises(ConfigValidationError, match=message):
+            ExperimentConfig(pilot_budgets=(2.5,))
+        budgets = ExperimentConfig(pilot_budgets=(2.0, 4.0)).pilot_budgets
+        assert budgets == (2, 4) and all(type(b) is int for b in budgets)
 
     def test_result_bound_admits_its_limit(self):
         # 2 float64 rates a trial (ML and LS) for one budget; the capacity
