@@ -7,20 +7,21 @@ beams overlap and only about 2*N*rho of them are well conditioned in the
 visible region (see ``plausible_angles``). Every pilot sends the unsent
 candidate with the largest entry in a score row: two constant rows pick
 the starting pair, and each later row rates closeness (inner-product
-magnitude) to the configuration optimal at the current angle estimate,
+energy) to the configuration optimal at the current angle estimate,
 which all received pilots refresh after every transmission.
 
 Everything that depends only on the array and the grid is built once
 per experiment by ``build_adaptive_setup``: the candidates' array
-responses and four tables. The configurations cancel the BS-RIS phases,
+responses and three tables. The configurations cancel the BS-RIS phases,
 so for unit-magnitude coefficients candidate k's projection onto grid
 direction j is the trial-independent P[k, j] = conj(a_k)^T a_j. The
 setup holds P and the energy |P|^2 a pilot adds, from the estimators'
-``_projection_tables``, and the score tables, the whole selection
-policy: |P|^T (row j rates every candidate against the configuration
-optimal at grid angle j) and two start rows. The grid steering matrix
-lives only inside the table build, which is done in place: it peaks at
-about two N x G complex arrays, and the setup holds about two.
+``_projection_tables``, and the selection policy: two start rows and the
+view (|P|^2)^T, whose row j rates every candidate against the
+configuration optimal at grid angle j. Squaring is strictly increasing
+on float magnitudes (sqrt(fl(x^2)) = x short of underflow), so this
+ranks, ties included, as |P| does. The build runs in place and keeps no
+steering matrix: it peaks at about 2 N x G complex arrays and holds about 1.5.
 
 One core, ``advance_trials``, advances a chunk of trials one pilot at a
 time as (trials x grid) arrays, with no matrix product per pick.
@@ -118,9 +119,11 @@ class AdaptiveSetup:
     |h| * a(grid_angles[j]) (|h| = 1 in ``build_adaptive_setup``), entry
     [k, j] for candidate k, grid direction j. No steering matrix is kept.
     ``scores`` and ``start_scores`` depend on the configurations only: row j
-    of ``scores`` (G x N) is |candidates @ conj(reference)| for the reference
-    optimal at grid angle j, and row i of ``start_scores`` (2 x N) scores
-    starting pilot i+1 as -|sin(angles) - INITIAL_SINES[i]|.
+    of ``scores`` (G x N) is |candidates @ conj(reference)|^2 at |h| = 1 for
+    the reference optimal at grid angle j, the read-only view
+    ``projection_energy.T`` as built, which a non-unit |h| run keeps. Row i
+    of ``start_scores`` (2 x N) scores starting pilot i+1 as
+    -|sin(angles) - INITIAL_SINES[i]|.
     """
 
     array: ArrayModel
@@ -139,15 +142,12 @@ def build_adaptive_setup(array: ArrayModel, grid: AoaSearchGrid) -> AdaptiveSetu
     angles = plausible_angles(array.num_elements)
     conj_responses = np.conj(array_response(array, angles))
     projections, energies = _projection_tables(conj_responses, array, grid_angles)
-    # through scores.T, numpy buffers the strided float output, not complex P
-    scores = np.empty(projections.shape[::-1])
-    np.abs(projections, out=scores.T)
     start_scores = -np.abs(np.sin(angles) - np.array(INITIAL_SINES)[:, None])
-    for values in (grid_angles, conj_responses, scores, start_scores):
+    for values in (grid_angles, conj_responses, start_scores):
         values.setflags(write=False)
     return AdaptiveSetup(
         array, grid_angles, angles, conj_responses,
-        projections, energies, scores, start_scores,
+        projections, energies, energies.T, start_scores,
     )
 
 
@@ -340,13 +340,13 @@ def run_adaptive_estimation(
     Every pilot sends the candidate not yet sent with the largest entry in a
     score row (ties go to the smallest angle): the first two rows favour the
     candidates nearest in sine to ``INITIAL_SINES``, and each later row
-    rates |candidate^H reference| for the configuration optimal at the angle
-    and coefficient estimates from all pilots so far. ``pilot_snr`` is the
-    per-element pilot SNR in linear scale (``inf`` for noise-free runs).
+    rates |candidate^H reference|^2 for the configuration optimal at the
+    angle and coefficient estimates from all pilots so far. ``pilot_snr`` is
+    the per-element pilot SNR in linear scale (``inf`` for noise-free runs).
 
     This is the one-trial call of ``advance_trials`` on a setup built for
-    ``array`` and ``grid``, whose tables are replaced by those of |h| when
-    some | |h_n| - 1 | exceeds ``UNIT_MODULUS_TOL``. The 2 * ``num_pilots``
+    ``array`` and ``grid``, whose P and |P|^2 are replaced by those of |h|
+    when some | |h_n| - 1 | exceeds ``UNIT_MODULUS_TOL``. The 2 * ``num_pilots``
     normals of the per-pilot noise are drawn up front from ``rng``, in
     transmission order, as two per pilot drawn one pilot at a time would
     be (none when ``pilot_snr`` is infinite).
@@ -374,6 +374,7 @@ def run_adaptive_estimation(
         noise = pilot_noise(rng.standard_normal((1, 2 * num_pilots)), noise_std)
     magnitudes = np.abs(coefficients)
     if np.max(np.abs(magnitudes - 1.0)) > UNIT_MODULUS_TOL:
+        setup = replace(setup, projections=None)  # unit |P|^2 stays as the scores
         projections, energies = _projection_tables(
             setup.conj_responses, array, setup.grid_angles, magnitudes
         )

@@ -223,6 +223,11 @@ def capacity(coefficients, g, data_snr_scale: float):
     return achievable_rate(np.sum(np.abs(coefficients * g), axis=-1), data_snr_scale)
 
 
+def _draw_unit_coefficients(num_elements: int, rng: np.random.Generator) -> np.ndarray:
+    """The draw of ``random_bs_ris_channel``: exp(1j * phase), phases uniform."""
+    return np.exp(1j * rng.uniform(0.0, TWO_PI, size=num_elements))
+
+
 def random_bs_ris_channel(num_elements: int, rng) -> KnownBsRisChannel:
     """Unit-magnitude BS-RIS channel with phases drawn uniformly.
 
@@ -230,5 +235,4 @@ def random_bs_ris_channel(num_elements: int, rng) -> KnownBsRisChannel:
     compensates the channel phases, so unit entries are the default.
     """
     rng = np.random.default_rng(rng)
-    phases = rng.uniform(0.0, TWO_PI, size=num_elements)
-    return KnownBsRisChannel(np.exp(1j * phases))
+    return KnownBsRisChannel(_draw_unit_coefficients(num_elements, rng))

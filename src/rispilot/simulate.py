@@ -3,8 +3,8 @@
 Power bookkeeping is normalized: unit noise power, unit channel gain,
 unit-magnitude BS-RIS coefficients. The per-element data SNR then equals
 the data power and the pilot power is a fixed dB offset above it. The
-BS-RIS channel is always ``random_bs_ris_channel``, whose unit magnitudes
-let every trial share one capacity and the adaptive setup's tables.
+BS-RIS channel is always ``random_bs_ris_channel``'s draw, whose unit
+magnitudes let every trial share one capacity and the adaptive setup's tables.
 Every trial draws its own random generator from the master seed with a
 counter-based split and draws all its values from it up front; everything
 after the draws then runs a chunk of trials at once, and a trial's
@@ -39,13 +39,14 @@ from .model import (
     expand_channel,
     los_vector,
     random_bs_ris_channel,
+    _draw_unit_coefficients,
     _is_integral,
 )
 
 DEFAULT_PILOT_BUDGETS = (2, 3, 4, 5, 6, 8, 10, 15, 20, 30, 40)
 
 #: Most complex entries of each N x G or N x N up-front array, of which the
-#: setup holds and peaks at about 2: 2**26 entries are 1 GiB (reference 80 000).
+#: setup holds ~1.5 and peaks at ~2: 2**26 entries are 1 GiB (reference 80 000).
 MAX_ARRAY_ENTRIES = 2**26
 
 #: Most complex entries in one (trials x grid) or (trials x N x N) array of
@@ -293,7 +294,7 @@ def collect_trial_rates(
             rng = np.random.default_rng(seed)
             aoa = rng.uniform(*config.ue_angle_range)
             omega = rng.uniform(0.0, TWO_PI)
-            h = random_bs_ris_channel(n, rng).coefficients
+            h = _draw_unit_coefficients(n, rng)
             # the loop's 2L pilot normals, then the baseline's L real and L
             # imaginary noise normals
             normals = rng.standard_normal(4 * max_budget)
@@ -333,11 +334,12 @@ def collect_trial_rates(
     return TrialRates(budgets, rates[0], rates[1], achievable_rate(float(n), data_power))
 
 
-def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(values))
-    if values.size < 2:
-        return mean, 0.0
-    return mean, float(np.std(values, ddof=1) / np.sqrt(values.size))
+def _mean_and_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's mean and stderr along the last (trial) axis, as on the row alone."""
+    mean, count = np.mean(values, axis=-1), values.shape[-1]
+    if count < 2:  # one trial: no spread to estimate
+        return mean, np.zeros_like(mean)
+    return mean, np.std(values, axis=-1, ddof=1) / np.sqrt(count)
 
 
 def run_rate_experiment(
@@ -346,23 +348,16 @@ def run_rate_experiment(
 ) -> list[RateCurvePoint]:
     """Average rates per pilot budget, sorted by ascending budget."""
     trials = collect_trial_rates(config, progress)
-    points = []
-    for b, budget in enumerate(trials.pilot_budgets):
-        mean_ml, stderr_ml = _mean_and_stderr(trials.rate_ml[b])
-        mean_ls, stderr_ls = _mean_and_stderr(trials.rate_ls[b])
-        points.append(
-            RateCurvePoint(
-                pilot_budget=budget,
-                mean_rate_ml=mean_ml,
-                mean_rate_ls=mean_ls,
-                mean_capacity=trials.capacity,
-                ratio_ml=mean_ml / trials.capacity,
-                ratio_ls=mean_ls / trials.capacity,
-                trial_count=config.num_trials,
-                stderr_ml=stderr_ml,
-                stderr_ls=stderr_ls,
-            )
-        )
+    means, stderrs = _mean_and_stderr(np.stack([trials.rate_ml, trials.rate_ls]))
+    ratios = means / trials.capacity
+    # one (ml, ls) column per budget, as Python floats
+    columns = zip(*means.tolist(), *ratios.tolist(), *stderrs.tolist())
+    points = [
+        RateCurvePoint(budget, mean_ml, mean_ls, trials.capacity, ratio_ml, ratio_ls,
+                       config.num_trials, stderr_ml, stderr_ls)
+        for budget, (mean_ml, mean_ls, ratio_ml, ratio_ls, stderr_ml, stderr_ls)
+        in zip(trials.pilot_budgets, columns)
+    ]
     return sorted(points, key=lambda point: point.pilot_budget)
 
 

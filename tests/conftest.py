@@ -222,9 +222,15 @@ def reference_advance_trials(
     bytes: each pick gathers the sent candidates' table rows into (trials x
     grid) copies and adds conj(sample)[:, None] times them to the sums in
     one broadcast multiply, every step takes a new utility array, and the
-    gain and phase are taken at each step's peak as it is reached.
+    gain and phase are taken at each step's peak as it is reached. Later
+    picks rank candidates by the unit magnitudes |P|^T, formed here from
+    the candidates and the grid, not by the setup's scores, so equal
+    bytes show that the scores pick what |P| picks.
     """
     projections, energies = setup.projections, setup.projection_energy
+    magnitudes = np.abs(
+        setup.conj_responses @ array_response(setup.array, setup.grid_angles).T
+    ).T
     trials, n = coefficients.shape
     rows = np.arange(trials)
     # row k of candidates[t] is optimal_configuration(h_t, angles[k]).phases
@@ -278,7 +284,7 @@ def reference_advance_trials(
             utility.setflags(write=False)
             utilities.append(utility)
         if i + 1 < num_pilots:
-            scores = setup.scores[peak]
+            scores = magnitudes[peak]
             scores[used] = -np.inf
             transmit(i + 1, np.argmax(scores, axis=1))
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -600,7 +601,33 @@ class TestProjectionTables:
                 np.abs(setup.projection_energy - np.abs(projections) ** 2)
             ) <= tol
             assert setup.scores.shape == (grid.num_points, n)
-            assert np.max(np.abs(setup.scores - scores)) <= tol
+            assert np.max(np.abs(np.sqrt(setup.scores) - scores)) <= tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 64),
+        spacing=st.floats(0.1, 1.0),
+        points=st.integers(50, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_energy_scores_rank_as_magnitudes(self, n, spacing, points, seed):
+        # squaring is strictly increasing on floating-point magnitudes
+        # (sqrt(fl(x^2)) == x short of underflow), so the energy table ranks
+        # candidates, ties included, exactly as |P|^T does
+        setup = build_adaptive_setup(
+            ArrayModel(n, spacing), AoaSearchGrid(num_points=points)
+        )
+        magnitudes = np.abs(setup.projections).T
+        assert np.sqrt(setup.scores).tobytes() == magnitudes.tobytes()
+        gen = np.random.default_rng(seed)
+        rows = gen.integers(0, points, 20)
+        sent = gen.random((20, n)) < gen.random((20, 1))
+        sent[:, gen.integers(0, n)] = False  # at least one candidate is left
+        energies, expected = setup.scores[rows], magnitudes[rows]
+        energies[sent] = expected[sent] = -np.inf
+        assert np.array_equal(
+            np.argmax(energies, axis=1), np.argmax(expected, axis=1)
+        )
 
     def test_non_unit_magnitudes_match_batch_estimators(self, rng):
         # a library caller's BS-RIS channel with |h| in [0.5, 2]: the run
@@ -616,6 +643,26 @@ class TestProjectionTables:
             channel = LosChannel(1.0, float(gen.uniform(0, 2 * np.pi)), -0.4)
             record = run_adaptive_estimation(channel, h, array, n, 10.0, gen, grid)
             assert assert_steps_match_batch(record, array, grid) >= n - 2
+
+    def test_non_unit_run_holds_one_table_pair_at_a_time(self):
+        # the unit projections are released before the |h| pair is built;
+        # the unit energies stay as the scores, so the run peaks at about
+        # 2.5 N x G complex arrays, not the two full pairs' 4
+        n, points = 40, 2000
+        array, grid = ArrayModel(n, 0.25), AoaSearchGrid(num_points=points)
+        gen = np.random.default_rng(3)
+        h = KnownBsRisChannel(
+            gen.uniform(0.5, 2.0, n) * np.exp(1j * gen.uniform(0, 2 * np.pi, n))
+        )
+        channel = LosChannel(1.0, 0.3, -0.4)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            run_adaptive_estimation(channel, h, array, 2, 10.0, gen, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * 16 * n * points
 
     def test_chunked_trials_match_single_runs_bit_for_bit(self):
         # the Monte Carlo advances trials in chunks; each row must be the

@@ -32,7 +32,12 @@ from rispilot import (
     snr_to_powers,
 )
 
-from rispilot.simulate import DEFAULT_PILOT_BUDGETS, MAX_ARRAY_ENTRIES, _trial_chunk
+from rispilot.simulate import (
+    DEFAULT_PILOT_BUDGETS,
+    MAX_ARRAY_ENTRIES,
+    _mean_and_stderr,
+    _trial_chunk,
+)
 
 from conftest import local_peak_indices, simulate_pilot_reception, utility_db
 
@@ -147,31 +152,37 @@ class TestExperimentConfig:
         ExperimentConfig(grid_points=MAX_ARRAY_ENTRIES // 40)
         ExperimentConfig(num_elements=2**13, pilot_budgets=(2,))
 
-    def test_setup_holds_about_two_bounded_arrays(self):
-        # MAX_ARRAY_ENTRIES bounds each N x G array; the setup's projections,
-        # energies and scores weigh about 2 complex ones, no steering matrix
+    def test_setup_holds_about_one_and_a_half_bounded_arrays(self):
+        # MAX_ARRAY_ENTRIES bounds each N x G array; the setup's projections
+        # and energies weigh about 1.5 complex ones, no steering matrix, and
+        # the scores are a view of the energies: each buffer counts once
         config = ExperimentConfig()
         setup = build_adaptive_setup(config.array(), config.grid())
-        held = sum(
-            value.nbytes for value in vars(setup).values()
-            if isinstance(value, np.ndarray)
-        )
-        assert held <= 2.05 * 16 * config.num_elements * config.grid_points
+        buffers = {}
+        for value in vars(setup).values():
+            if isinstance(value, np.ndarray):
+                while isinstance(value.base, np.ndarray):
+                    value = value.base
+                buffers[id(value)] = value.nbytes
+        held = sum(buffers.values())
+        assert held <= 1.55 * 16 * config.num_elements * config.grid_points
 
     def test_setup_build_peaks_at_about_two_bounded_arrays(self):
         # every table is built in place, and the steering matrix is freed
-        # before the energies and scores exist: at no point of the build are
-        # more than about 2 complex N x G arrays alive
+        # before the energies exist: at no point of the build are more than
+        # about 2 complex N x G arrays alive
         config = ExperimentConfig()
         array, grid = config.array(), config.grid()
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            build_adaptive_setup(array, grid)
+            setup = build_adaptive_setup(array, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 2.1 * 16 * config.num_elements * config.grid_points
+        # the scores are the energies read through a transpose, not a copy
+        assert np.shares_memory(setup.scores, setup.projection_energy)
 
     def test_budgets_must_be_integers_under_their_key(self):
         # the budget's rule, integer and within [2, N], has one owner
@@ -402,6 +413,30 @@ class TestRateExperiment:
         for p in points:
             assert p.trial_count == config.num_trials
             assert p.ratio_ml == pytest.approx(p.mean_rate_ml / p.mean_capacity)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        trials=st.integers(1, 50),
+        budgets=st.integers(1, 11),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_curve_statistics_equal_per_row_formulas(self, trials, budgets, seed):
+        # one mean and one std call along the trial axis give every budget's
+        # point the bits that a call on its own row gives
+        gen = np.random.default_rng(seed)
+        rates = gen.uniform(0.0, 1.0, (2, budgets, trials)) * 10.0 ** gen.uniform(
+            -3.0, 2.0, (2, budgets, 1)
+        )
+        means, stderrs = _mean_and_stderr(rates)
+        assert means.shape == stderrs.shape == (2, budgets)
+        for row, mean, stderr in zip(
+            rates.reshape(-1, trials), means.ravel(), stderrs.ravel()
+        ):
+            assert float(mean) == float(np.mean(row))
+            expected = 0.0 if trials < 2 else float(
+                np.std(row, ddof=1) / np.sqrt(row.size)
+            )
+            assert float(stderr) == expected
 
     def test_ml_ratio_nondecreasing_within_two_stderr(self):
         config = ExperimentConfig(
