@@ -24,7 +24,8 @@ ranks, ties included, as |P| does. The build runs in place and keeps no
 steering matrix: it peaks at about 2 N x G complex arrays and holds about 1.5.
 
 One core, ``advance_trials``, advances a chunk of trials one pilot at a
-time as (trials x grid) arrays, with no matrix product per pick.
+time as (trials x grid) arrays, with no matrix product per pick, on the
+|h| * g that every phase-cancelling configuration sees per element.
 ``run_adaptive_estimation`` is its one-trial call; the Monte Carlo
 harness calls it once per chunk.
 """
@@ -240,8 +241,7 @@ def _check_budget(num_pilots: int, n: int) -> int:
 
 def advance_trials(
     setup: AdaptiveSetup,
-    coefficients: np.ndarray,
-    g: np.ndarray,
+    channels: np.ndarray,
     pilot_power: np.ndarray,
     noise: np.ndarray | None,
     num_pilots: int,
@@ -250,10 +250,11 @@ def advance_trials(
 ) -> AdaptiveTrials:
     """Run the adaptive loop for a chunk of trials, one pilot at a time.
 
-    Row t of ``coefficients`` and ``g`` holds trial t's BS-RIS channel and
-    user channel vector, ``pilot_power[t]`` its pilot power and row t of
-    ``noise`` the noise of its ``num_pilots`` pilots in transmission order
-    (``None``: noise-free). The setup's tables must belong to the trials' |h|.
+    Row t of ``channels`` is trial t's |h| * g, which the configurations
+    see once they cancel the BS-RIS phases, ``pilot_power[t]`` its pilot
+    power and row t of ``noise`` the noise of its ``num_pilots`` pilots in
+    transmission order (``None``: noise-free). The setup's tables must
+    belong to the trials' |h|.
 
     Every pick is the argmax of a score row with the trial's sent
     candidates at -inf: a row of ``setup.start_scores`` for the starting
@@ -264,18 +265,14 @@ def advance_trials(
     give every gain and phase after the loop. Every step is elementwise or
     reduces within a row, so a trial's outcome does not depend on the chunk.
     """
-    num_pilots = _check_budget(num_pilots, coefficients.shape[1])
-    trials = coefficients.shape[0]
+    trials, n = channels.shape
+    if n != setup.angles.size:
+        raise DimensionError(f"array has {setup.angles.size} elements, channels {n}")
+    num_pilots = _check_budget(num_pilots, n)
     rows = np.arange(trials)
-    # row k of paths[t] starts as optimal_configuration(h_t, angles[k]).phases
-    # and ends as its terms of signals[t, k], the noise-free sample
-    # theta^T D_h g sqrt(P_p); each product is formed in place
-    paths = _phase_compensation(coefficients, setup.array)[:, None, :] * (
-        setup.conj_responses
-    )
-    np.multiply(paths, coefficients[:, None, :], out=paths)
-    np.multiply(paths, g[:, None, :], out=paths)
-    signals = np.sum(paths, axis=-1) * np.sqrt(pilot_power)[:, None]
+    # candidate k's noise-free sample sum_n |h_n| conj(a_k,n) g_n sqrt(P_p)
+    signals = np.sum(setup.conj_responses * channels[:, None, :], axis=-1)
+    signals *= np.sqrt(pilot_power)[:, None]
     accumulator = UtilityAccumulator((trials, setup.grid_angles.size))
     picks = np.empty((trials, num_pilots), dtype=np.intp)
     samples = np.empty((trials, num_pilots), dtype=np.complex128)
@@ -379,10 +376,9 @@ def run_adaptive_estimation(
             setup.conj_responses, array, setup.grid_angles, magnitudes
         )
         setup = replace(setup, projections=projections, projection_energy=energies)
-    g = expand_channel(true_channel, array)
+    channels = magnitudes * expand_channel(true_channel, array)
     run = advance_trials(
-        setup, coefficients[None], g[None], pilot_power, noise, num_pilots,
-        keep_utility=True,
+        setup, channels[None], pilot_power, noise, num_pilots, keep_utility=True
     )
 
     picks = run.picks[0]

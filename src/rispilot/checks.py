@@ -58,7 +58,7 @@ def noise_free_recovery() -> CheckResult:
     truths, gains, phases, h_rows = map(np.array, zip(*draws))
     g_rows = model.los_vector(array, gains, phases, truths)
     pilot_power, _ = adaptive.pilot_power_for_snr(np.inf, 1.0, h_rows)
-    run = adaptive.advance_trials(setup, h_rows, g_rows, pilot_power, None, 5)
+    run = adaptive.advance_trials(setup, np.abs(h_rows) * g_rows, pilot_power, None, 5)
     cases = len(draws)
     exact = int(np.sum(grid_angles[run.peaks[:, -1]] == truths))
     worst_gain = float(np.max(np.abs(run.gains[:, -1] - gains) / gains))

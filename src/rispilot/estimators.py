@@ -67,8 +67,10 @@ class PilotCampaign:
                 f"channel has {self.bs_ris_channel.num_elements} coefficients"
             )
         _check_unit_modulus(matrix, "config_matrix")
-        if not self.pilot_power > 0:
-            raise InvalidInputError("pilot_power must be positive")
+        if not np.all(np.isfinite(samples)):
+            raise InvalidInputError("received samples must be finite")
+        if not 0 < self.pilot_power < np.inf:
+            raise InvalidInputError("pilot_power must be positive and finite")
         matrix.setflags(write=False)
         samples.setflags(write=False)
         object.__setattr__(self, "config_matrix", matrix)
@@ -226,7 +228,7 @@ def _accumulate(
     """An accumulator over ``angles`` fed the campaign's pilots in order.
 
     Pilot i adds row i of the campaign's table over the directions D_h a(angle),
-    for any |h| and rows. A scalar is one angle; 2-D angles are refused.
+    for any |h| and rows. A scalar is one angle; 2-D or empty angles are refused.
     """
     if array.num_elements != campaign.num_elements:
         raise DimensionError(
@@ -234,8 +236,8 @@ def _accumulate(
             f"channel has {campaign.num_elements}"
         )
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    if angles.ndim > 1:
-        raise DimensionError(f"angles must be 1-D, got shape {angles.shape}")
+    if angles.ndim > 1 or angles.size == 0:
+        raise DimensionError(f"angles must be 1-D and nonempty, got {angles.shape}")
     projections, energies = _projection_tables(
         campaign.config_matrix, array, angles, campaign.bs_ris_channel.coefficients
     )
@@ -307,9 +309,11 @@ def least_squares_prefix_estimates(
     of a result equals ``least_squares_estimate`` on the first L pilots:
     with B B^H = N I the pseudoinverse of any row subset is its conjugate
     transpose over N, so the estimates are the cumulative sums of
-    conj(B) * y over N sqrt(P_p) h. Raises ``InvalidInputError`` when the
-    rows of any campaign are not mutually orthogonal.
+    conj(B) * y over N sqrt(P_p) h. Raises ``InvalidInputError`` for a pilot
+    power outside (0, inf) or rows of any campaign not mutually orthogonal.
     """
+    if not 0 < pilot_power < np.inf:
+        raise InvalidInputError("pilot_power must be positive and finite")
     n = rows.shape[-1]
     if received.shape != rows.shape[:-1] or coefficients.shape[-1] != n:
         raise DimensionError("samples and BS-RIS channel must match the rows")

@@ -4,7 +4,8 @@ Power bookkeeping is normalized: unit noise power, unit channel gain,
 unit-magnitude BS-RIS coefficients. The per-element data SNR then equals
 the data power and the pilot power is a fixed dB offset above it. The
 BS-RIS channel is always ``random_bs_ris_channel``'s draw, whose unit
-magnitudes let every trial share one capacity and the adaptive setup's tables.
+magnitudes let every trial share one capacity and the adaptive setup's tables;
+every configuration cancels its phases, so pilots and data see |h| * g.
 Every trial draws its own random generator from the master seed with a
 counter-based split and draws all its values from it up front; everything
 after the draws then runs a chunk of trials at once, and a trial's
@@ -35,6 +36,7 @@ from .model import (
     ArrayModel,
     LosChannel,
     achievable_rate,
+    array_response,
     capacity,
     expand_channel,
     los_vector,
@@ -220,16 +222,15 @@ class TrialRates:
     capacity: float
 
 
-def _phase_matched_rate(
-    coefficients: np.ndarray, g: np.ndarray, estimated: np.ndarray, data_power: float
-):
+def _phase_matched_rate(channels: np.ndarray, estimated: np.ndarray, data_power: float):
     """Rate when the surface is configured from the estimate's phases.
 
-    The channel vectors run along the last axis; leading axes broadcast
-    and give one rate each.
+    The configuration cancels the BS-RIS phases, so it sums ``channels``,
+    |h| * g, times exp(-1j*arg(estimated_n)); a gain or common phase of
+    the estimate drops out. The vectors run along the last axis; leading
+    axes broadcast and give one rate each.
     """
-    shifts = np.angle(coefficients) + np.angle(estimated)
-    eff = np.sum(coefficients * g * np.exp(-1j * shifts), axis=-1)
+    eff = np.sum(channels * np.exp(-1j * np.angle(estimated)), axis=-1)
     return achievable_rate(eff, data_power)
 
 
@@ -256,8 +257,9 @@ def collect_trial_rates(
     this order: user angle, reference phase, BS-RIS channel, the adaptive
     loop's pilot noise, the least-squares baseline's noise and DFT columns.
     The rest runs once per chunk of trials on (trials x ...) arrays:
-    channels, the adaptive estimation (``advance_trials``), the
-    baseline and one phase-matched rate call for both estimates. A trial's
+    channels, |h| * g, the adaptive estimation (``advance_trials``) on them,
+    the baseline and one phase-matched rate call on them for both estimates,
+    the ML one as the bare steering vector at its peak. A trial's
     rates are the ones computed for it alone. The adaptive estimation runs
     at the largest budget: earlier pilots do not depend on later ones, so
     its estimate after pilot L is the budget-L outcome. Budget L of the
@@ -304,16 +306,13 @@ def collect_trial_rates(
             normals, [2 * max_budget, 3 * max_budget], axis=1
         )
         g_rows = los_vector(array, 1.0, omegas, aoas)
+        channels = np.abs(h_rows) * g_rows
 
         # the configured pilot power is finite, so every run is noisy
         loop_power, noise_std = pilot_power_for_snr(pilot_power, 1.0, h_rows)
         loop_noise = pilot_noise(loop_normals, noise_std)
-        run = advance_trials(setup, h_rows, g_rows, loop_power, loop_noise, max_budget)
-        step = last - 1
-        ml_estimates = los_vector(
-            array, run.gains[:, step], run.phases[:, step],
-            setup.grid_angles[run.peaks[:, step]],
-        )
+        run = advance_trials(setup, channels, loop_power, loop_noise, max_budget)
+        ml_estimates = array_response(array, setup.grid_angles[run.peaks[:, last - 1]])
 
         rows = dft[columns]
         signal = h_rows * g_rows * np.sqrt(pilot_power)
@@ -324,8 +323,7 @@ def collect_trial_rates(
         )[:, last]
 
         rates[..., members] = _phase_matched_rate(
-            h_rows[:, None, :], g_rows[:, None, :],
-            np.stack([ml_estimates, ls_estimates]), data_power,
+            channels[:, None, :], np.stack([ml_estimates, ls_estimates]), data_power
         ).transpose(0, 2, 1)
         if progress is not None:
             progress(members.stop, trials)
@@ -400,7 +398,7 @@ def run_single_estimate(
         channel, h, array, num_pilots, pilot_power, rng, config.grid()
     )
     rate = _phase_matched_rate(
-        h.coefficients, g, record.result.channel_estimate, data_power
+        np.abs(h.coefficients) * g, record.result.channel_estimate, data_power
     )
     cap = capacity(h.coefficients, g, data_power)
     return SingleRunSummary(record, rate, cap)

@@ -15,12 +15,7 @@ from rispilot import (
     ml_utility_profile,
     parametric_ml_estimate,
 )
-from rispilot.adaptive import (
-    INITIAL_SINES,
-    AdaptiveSetup,
-    AdaptiveTrials,
-    _phase_compensation,
-)
+from rispilot.adaptive import INITIAL_SINES, AdaptiveSetup, AdaptiveTrials
 from rispilot.checks import candidate_rows, circular_diff  # noqa: F401
 from rispilot.errors import DegenerateDirectionError
 from rispilot.estimators import (
@@ -208,8 +203,7 @@ def reference_utility(accumulator: UtilityAccumulator) -> np.ndarray:
 
 def reference_advance_trials(
     setup: AdaptiveSetup,
-    coefficients: np.ndarray,
-    g: np.ndarray,
+    channels: np.ndarray,
     pilot_power: np.ndarray,
     noise: np.ndarray | None,
     num_pilots: int,
@@ -225,21 +219,20 @@ def reference_advance_trials(
     gain and phase are taken at each step's peak as it is reached. Later
     picks rank candidates by the unit magnitudes |P|^T, formed here from
     the candidates and the grid, not by the setup's scores, so equal
-    bytes show that the scores pick what |P| picks.
+    bytes show that the scores pick what |P| picks. The noise-free samples
+    are the core's own row-wise sums over ``channels`` (|h| * g): this
+    reference checks the loop, and ``TestPilotReception`` checks those
+    samples against the physical model theta^T D_h g sqrt(P_p).
     """
     projections, energies = setup.projections, setup.projection_energy
     magnitudes = np.abs(
         setup.conj_responses @ array_response(setup.array, setup.grid_angles).T
     ).T
-    trials, n = coefficients.shape
+    trials, n = channels.shape
     rows = np.arange(trials)
-    # row k of candidates[t] is optimal_configuration(h_t, angles[k]).phases
-    # and signals[t, k] the noise-free sample theta^T D_h g sqrt(P_p) for it
-    candidates = _phase_compensation(coefficients, setup.array)[:, None, :] * (
-        setup.conj_responses
-    )
+    # signals[t, k] is candidate k's noise-free sample for trial t
     signals = np.sum(
-        candidates * coefficients[:, None, :] * g[:, None, :], axis=-1
+        setup.conj_responses * channels[:, None, :], axis=-1
     ) * np.sqrt(pilot_power)[:, None]
     accumulator = UtilityAccumulator((trials, projections.shape[1]))
     used = np.zeros((trials, n), dtype=bool)

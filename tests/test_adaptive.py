@@ -550,6 +550,45 @@ class TestAdaptiveRun:
                 second.gain_estimates[i], rel=1e-9
             )
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(3, 40),
+        points=st.integers(50, 2000),
+        seed=st.integers(0, 2**32 - 1),
+        snr=st.sampled_from([1.0, 10.0, 100.0, math.inf]),
+        unit=st.booleans(),
+    )
+    def test_quarter_turns_of_bs_ris_phases_keep_runs_byte_identical(
+        self, n, points, seed, snr, unit
+    ):
+        # a run sees the BS-RIS channel only as |h|, and a quarter turn of any
+        # coefficient (times 1, j, -1 or -j) leaves |h| bit for bit the same,
+        # so the whole run must be too: no near-null or tie carve-out
+        gen = np.random.default_rng(seed)
+        array = ArrayModel(n, 0.25)
+        grid = AoaSearchGrid(num_points=points)
+        channel = LosChannel(
+            1.0, float(gen.uniform(0, 2 * np.pi)), float(gen.uniform(-1.0, 1.0))
+        )
+        magnitudes = np.ones(n) if unit else gen.uniform(0.5, 2.0, n)
+        h = magnitudes * np.exp(1j * gen.uniform(0, 2 * np.pi, n))
+        turned = h * np.array([1, 1j, -1, -1j])[gen.integers(0, 4, n)]
+        assert np.abs(turned).tobytes() == np.abs(h).tobytes()
+        budget = int(gen.integers(2, n + 1))
+        first, second = (
+            run_adaptive_estimation(
+                channel, KnownBsRisChannel(coefficients), array, budget, snr, seed,
+                grid,
+            )
+            for coefficients in (h, turned)
+        )
+        for name in (
+            "config_angles", "aoa_estimates", "gain_estimates", "phase_estimates",
+            "utilities",
+        ):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+        assert first.campaign.received.tobytes() == second.campaign.received.tobytes()
+
     def test_setup_arrays_are_read_only(self):
         # one setup is shared by every trial of an experiment
         array, grid = ArrayModel(8, 0.25), AoaSearchGrid(num_points=50)
@@ -684,9 +723,10 @@ class TestProjectionTables:
             for t in range(trials)
         ])
         pilot_power, noise_std = pilot_power_for_snr(snr, 1.0, coefficients)
+        noise = pilot_noise(draws, noise_std)
         chunk = advance_trials(
-            setup, coefficients, g, pilot_power, pilot_noise(draws, noise_std),
-            budget, keep_utility=True,
+            setup, np.abs(coefficients) * g, pilot_power, noise, budget,
+            keep_utility=True,
         )
         for t in range(trials):
             record = run_adaptive_estimation(
@@ -749,7 +789,7 @@ class TestCoreMatchesReference:
         noise = None
         if noisy:
             noise = pilot_noise(gen.standard_normal((trials, 2 * budget)), noise_std)
-        args = (setup, coefficients, g, pilot_power, noise, budget)
+        args = (setup, np.abs(coefficients) * g, pilot_power, noise, budget)
         run = advance_trials(*args, keep_utility=keep)
         expected = reference_advance_trials(*args, keep_utility=keep)
         for name in ("picks", "samples", "peaks", "gains", "phases"):
@@ -778,7 +818,7 @@ class TestCorePicks:
         )
         pilot_power, noise_std = pilot_power_for_snr(10.0, 1.0, coefficients)
         noise = pilot_noise(gen.standard_normal((trials, 2 * budget)), noise_std)
-        return coefficients, g, pilot_power, noise
+        return np.abs(coefficients) * g, pilot_power, noise
 
     def test_picks_follow_the_setups_tables(self):
         # the core has no selection policy of its own: with one ranking in
@@ -832,9 +872,16 @@ class TestPilotReception:
 
     @pytest.mark.parametrize("pilot_snr, noise_std", [(10.0, 1.0), (math.inf, 0.0)])
     def test_loop_samples_replay_reference_reception(self, pilot_snr, noise_std):
-        # the loop draws its noise up front; every sample must still equal
-        # simulate_pilot_reception on the sent row, bit for bit, with the
-        # generator advanced in transmission order, and draw nothing more
+        # the loop draws its noise up front; every sample must still be
+        # simulate_pilot_reception on the sent row, with the generator
+        # advanced in transmission order, and draw nothing more. The loop
+        # sums |h_n| conj(a_n) g_n and the reference theta_n h_n g_n: the same
+        # N exact terms of magnitude |h_n g_n|, each rounded by a few unit
+        # roundoffs u = eps/2 (its products and phase), then summed, which
+        # adds at most (N - 1) u of their total. So each path is within
+        # (N + c) u * sum |h_n g_n| sqrt(P_p) of the exact sample, c < N, and
+        # one more rounding adds the noise: the two differ by less than
+        # 2 N eps of that total
         n, budget = 16, 7
         array = ArrayModel(n, 0.25)
         gen = np.random.default_rng(5)
@@ -848,6 +895,10 @@ class TestPilotReception:
         )
         replay_rng = np.random.default_rng(11)
         campaign = record.campaign
+        bound = (
+            2 * n * np.finfo(float).eps * np.sum(np.abs(h.coefficients * g))
+            * np.sqrt(campaign.pilot_power)
+        )
         for received, row in zip(
             campaign.received, campaign.config_matrix, strict=True
         ):
@@ -855,9 +906,7 @@ class TestPilotReception:
                 RisConfiguration(row), h, g, campaign.pilot_power, noise_std,
                 replay_rng,
             )
-            assert np.complex128(received).tobytes() == (
-                np.complex128(expected).tobytes()
-            )
+            assert abs(received - expected) <= bound
         assert run_rng.bit_generator.state == replay_rng.bit_generator.state
         if noise_std == 0.0:
             untouched = np.random.default_rng(11).bit_generator.state

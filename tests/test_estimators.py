@@ -12,6 +12,7 @@ from rispilot import (
     ArrayModel,
     DegenerateDirectionError,
     DimensionError,
+    InvalidInputError,
     KnownBsRisChannel,
     LosChannel,
     PilotCampaign,
@@ -69,6 +70,20 @@ class TestCampaignTypes:
         h = KnownBsRisChannel(np.ones(2))
         with pytest.raises(ValueError):
             PilotCampaign(np.ones((1, 2)), np.zeros(1), 0.0, h)
+
+    @pytest.mark.parametrize("sample", [np.nan, np.inf, complex(1.0, np.nan)])
+    def test_rejects_non_finite_samples(self, sample):
+        # a NaN sample used to give angle -pi/2 with NaN gain and phase
+        h = KnownBsRisChannel(np.ones(2))
+        with pytest.raises(InvalidInputError, match="received samples must be finite"):
+            PilotCampaign(np.ones((2, 2)), [1.0, sample], 1.0, h)
+
+    @pytest.mark.parametrize("power", [np.inf, np.nan])
+    def test_rejects_non_finite_power(self, power):
+        # an infinite power used to reach least_squares_estimate's division
+        h = KnownBsRisChannel(np.ones(2))
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            PilotCampaign(np.ones((1, 2)), np.zeros(1), power, h)
 
     def test_grid_angles_are_uniform_with_endpoints(self):
         grid = AoaSearchGrid(-1.0, 1.0, 5)
@@ -277,6 +292,12 @@ class TestUtilityAccumulator:
         campaign = PilotCampaign(np.ones((1, 4)), [1.0], 1.0, h)
         with pytest.raises(DimensionError):
             ml_utility_profile(campaign, ArrayModel(4, 0.25), [[0.0, 0.1], [0.2, 0.3]])
+
+    def test_rejects_empty_angles(self):
+        h = KnownBsRisChannel(np.ones(4))
+        campaign = PilotCampaign(np.ones((1, 4)), [1.0], 1.0, h)
+        with pytest.raises(DimensionError, match="nonempty"):
+            ml_utility_profile(campaign, ArrayModel(4, 0.25), [])
 
 
 class TestEstimateAoa:
@@ -626,6 +647,12 @@ class TestLeastSquaresPrefixes:
             least_squares_prefix_estimates(rows, np.ones((1, 3)), np.ones((1, 4)), 1.0)
         with pytest.raises(DimensionError):
             least_squares_prefix_estimates(rows, np.ones((1, 4)), np.ones((1, 5)), 1.0)
+
+    @pytest.mark.parametrize("power", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_power_outside_zero_to_inf(self, power):
+        rows, ones = dft_rows(4)[None], np.ones((1, 4))
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            least_squares_prefix_estimates(rows, ones, ones, power)
 
     def test_full_dft_recovers_channel(self, rng):
         n = 8

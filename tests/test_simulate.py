@@ -255,6 +255,14 @@ class TestTrialRates:
         dft = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
 
         def phase_matched_rate(h, g, estimate):
+            # the configuration from h and the estimate cancels the BS-RIS
+            # phases: the data see |h_n| g_n exp(-j arg(estimate_n))
+            channel = np.abs(h.coefficients) * g
+            eff = complex(np.sum(channel * np.exp(-1j * np.angle(estimate))))
+            return achievable_rate(eff, data_power)
+
+        def physical_rate(h, g, estimate):
+            # the same configuration built from h's phases and applied to D_h g
             shifts = np.angle(h.coefficients) + np.angle(estimate)
             eff = complex(np.sum(h.coefficients * g * np.exp(-1j * shifts)))
             return achievable_rate(eff, data_power)
@@ -270,6 +278,7 @@ class TestTrialRates:
         rate_ls = np.zeros((len(budgets), config.num_trials))
         rate_ls_prefix = np.zeros((len(budgets), config.num_trials))
         rate_ml_closed = np.zeros((len(budgets), config.num_trials))
+        rate_ml_physical = np.zeros((len(budgets), config.num_trials))
         caps = np.zeros(config.num_trials)
         aligned_caps = np.zeros(config.num_trials)
         seeds = np.random.SeedSequence(config.rng_seed).spawn(config.num_trials)
@@ -288,12 +297,13 @@ class TestTrialRates:
             for b, budget in enumerate(budgets):
                 # entry budget - 2 is the estimate from the first budget pilots
                 step = budget - 2
+                steering = array_response(array, record.aoa_estimates[step])
+                rate_ml[b, t] = phase_matched_rate(h, g, steering)
                 estimate = (
                     np.sqrt(record.gain_estimates[step])
-                    * np.exp(1j * record.phase_estimates[step])
-                    * array_response(array, record.aoa_estimates[step])
+                    * np.exp(1j * record.phase_estimates[step]) * steering
                 )
-                rate_ml[b, t] = phase_matched_rate(h, g, estimate)
+                rate_ml_physical[b, t] = physical_rate(h, g, estimate)
                 rate_ml_closed[b, t] = closed_form_rate(record.aoa_estimates[step], aoa)
             noise = (
                 rng.standard_normal(max(budgets))
@@ -331,6 +341,13 @@ class TestTrialRates:
             rate_ml_closed, trials.rate_ml, rtol=0, atol=1e-12 * trials.capacity
         )
         np.testing.assert_allclose(aligned_caps, trials.capacity, rtol=1e-12, atol=0)
+        # scoring the bare steering vector through |h| * g is the physical
+        # rate of the configuration built from h and the whole estimate: the
+        # two sum the same N paths, rounded differently in their last bits
+        np.testing.assert_allclose(
+            rate_ml_physical, trials.rate_ml,
+            rtol=0, atol=n * np.finfo(float).eps * trials.capacity,
+        )
 
     @settings(max_examples=30, deadline=None)
     @given(
