@@ -197,14 +197,15 @@ def pilot_power_for_snr(
     SNR maps to zero noise with unit pilot power. ``coefficients`` holds
     one BS-RIS channel per row, and the pilot power has one entry per row.
     """
-    mean_h2 = np.mean(np.abs(coefficients) ** 2, axis=-1)
+    with np.errstate(all="ignore"):  # a power that is not positive and finite fails
+        mean_h2 = np.mean(np.abs(coefficients) ** 2, axis=-1)
+        power = pilot_snr / (gain * mean_h2 if gain > 0 else np.ones_like(mean_h2))
     if np.isinf(pilot_snr) and pilot_snr > 0:
         return np.ones_like(mean_h2), 0.0
-    if not pilot_snr > 0:
-        raise InvalidInputError("pilot_snr must be positive (use inf for noise-free)")
-    if gain > 0:
-        return float(pilot_snr) / (gain * mean_h2), 1.0
-    return np.full_like(mean_h2, pilot_snr), 1.0
+    if not (pilot_snr > 0 and np.all((0 < power) & (power < np.inf))):
+        raise InvalidInputError("pilot_snr must be positive (use inf for noise-free) "
+                                "and give a positive, finite pilot power")
+    return power, 1.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,7 @@ Power bookkeeping is normalized: unit noise power, unit channel gain,
 unit-magnitude BS-RIS coefficients. The per-element data SNR then equals
 the data power and the pilot power is a fixed dB offset above it. The
 BS-RIS channel is always ``random_bs_ris_channel``'s draw, whose unit
-magnitudes let every trial share one capacity and the adaptive setup's tables;
+magnitudes let all runs share one capacity and the adaptive setup's tables;
 every configuration cancels its phases, so pilots and data see |h| * g.
 Every trial draws its own random generator from the master seed with a
 counter-based split and draws all its values from it up front; everything
@@ -37,7 +37,6 @@ from .model import (
     LosChannel,
     achievable_rate,
     array_response,
-    capacity,
     expand_channel,
     los_vector,
     random_bs_ris_channel,
@@ -223,7 +222,7 @@ class TrialRates:
 
 
 def _phase_matched_rate(channels: np.ndarray, estimated: np.ndarray, data_power: float):
-    """Rate when the surface is configured from the estimate's phases.
+    """Rate of any estimate, ML or LS: the surface takes the estimate's phases.
 
     The configuration cancels the BS-RIS phases, so it sums ``channels``,
     |h| * g, times exp(-1j*arg(estimated_n)); a gain or common phase of
@@ -380,7 +379,7 @@ def run_single_estimate(
     The run draws the reference phase and the BS-RIS channel from
     ``SeedSequence(rng_seed)``, then the pilot noise. Its record keeps
     the grid utility of every step after the first, so ``utility-trace``
-    and ``estimate-once`` show the same run.
+    and ``estimate-once`` show the same run, scored as the Monte Carlo's are.
     """
     lo, hi = config.ue_angle_range
     if not lo <= true_aoa <= hi:
@@ -400,5 +399,5 @@ def run_single_estimate(
     rate = _phase_matched_rate(
         np.abs(h.coefficients) * g, record.result.channel_estimate, data_power
     )
-    cap = capacity(h.coefficients, g, data_power)
+    cap = achievable_rate(float(config.num_elements), data_power)
     return SingleRunSummary(record, rate, cap)

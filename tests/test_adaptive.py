@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -850,6 +851,19 @@ class TestCorePicks:
 
 
 class TestPilotReception:
+    @pytest.mark.parametrize("gain, magnitude", [(1e-320, 1.0), (1.0, 1e200)])
+    def test_unrepresentable_pilot_power_is_an_input_error(self, gain, magnitude):
+        # a subnormal gain overflows the pilot power, and a huge |h| squares
+        # to inf and zeroes it: both are rejected, with no numpy warning
+        h = KnownBsRisChannel(magnitude * random_bs_ris_channel(8, 1).coefficients)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="finite pilot power"):
+                run_adaptive_estimation(
+                    LosChannel(gain, 0, 0.1), h, ArrayModel(8, 0.25), 3, 10.0, 1,
+                    AoaSearchGrid(num_points=100),
+                )
+
     def test_noise_free_returns_effective_value(self, rng):
         n = 6
         array = ArrayModel(n, 0.25)

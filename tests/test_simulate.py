@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rispilot import (
@@ -583,3 +583,49 @@ class TestSingleRun:
         assert 0.0 <= first.achieved_rate <= first.capacity_value + 1e-12
         assert first.record.config_angles.size == 5
         assert first.ratio <= 1.0 + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 64),
+        spacing=st.floats(0.1, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        data_snr_db=st.floats(-10.0, 20.0),
+        true_aoa=st.floats(-math.pi / 3, math.pi / 3),
+        draw=st.integers(0, 2**16),
+    )
+    # sum_n |h_n g_n| of this run rounds below 3
+    @example(n=3, spacing=0.25, seed=13, data_snr_db=0.0, true_aoa=0.3, draw=0)
+    def test_scores_against_the_shared_capacity(
+        self, n, spacing, seed, data_snr_db, true_aoa, draw
+    ):
+        # the single run shares the Monte Carlo's capacity and scorer: its
+        # rate is phase-matched through |h| * g, and that effective channel
+        # is, to rounding, the physical one of the configuration built from
+        # h's phases and the whole estimate, applied to D_h g
+        budget = 2 + draw % (n - 1)
+        config = ExperimentConfig(
+            num_elements=n, spacing_ratio=spacing, data_snr_db=data_snr_db,
+            pilot_budgets=(budget,), num_trials=1, rng_seed=seed,
+        )
+        summary = run_single_estimate(config, true_aoa, budget)
+        data_power, _ = snr_to_powers(config)
+        assert summary.capacity_value == achievable_rate(float(n), data_power)
+        record = summary.record
+        estimate = record.result.channel_estimate
+        # the run's draws: reference phase, then the BS-RIS channel
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        channel = LosChannel(1.0, rng.uniform(0.0, 2.0 * np.pi), true_aoa)
+        h = random_bs_ris_channel(n, rng).coefficients
+        assert np.array_equal(h, record.campaign.bs_ris_channel.coefficients)
+        g = expand_channel(channel, config.array())
+        matched = np.sum(np.abs(h) * g * np.exp(-1j * np.angle(estimate)))
+        assert summary.achieved_rate == achievable_rate(matched, data_power)
+        shifts = np.angle(h) + np.angle(estimate)
+        physical = np.sum(h * g * np.exp(-1j * shifts))
+        # the two sides sum the same N unit paths; each computed path is
+        # within 8 eps of its exact value (a few products, angles and one
+        # exp), and each sum adds at most (N - 1) eps of its N. A rate bound
+        # of N eps of the capacity does not follow: at low SNR a rate moves
+        # by 2 |eff| delta P_d / ln 2, up to 2 delta / N of the capacity
+        bound = 2 * (8 + n - 1) * n * np.finfo(float).eps
+        assert abs(abs(physical) - abs(matched)) <= bound
