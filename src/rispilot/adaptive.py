@@ -40,7 +40,6 @@ from .errors import (DimensionError, InsufficientPilotsError, InvalidInputError,
                      PoolExhaustedError)
 from .estimators import (
     AoaSearchGrid,
-    EstimationResult,
     PilotCampaign,
     UtilityAccumulator,
     _projection_tables,
@@ -55,7 +54,6 @@ from .model import (
     _is_integral,
     array_response,
     expand_channel,
-    los_vector,
 )
 
 
@@ -174,7 +172,8 @@ class AdaptiveRunRecord:
     holds its row and sample. One pilot cannot identify the angle, so entry i
     of ``aoa_estimates``, ``gain_estimates`` and ``phase_estimates`` (L-1) is
     the estimate from the first i+2 pilots, and row i of ``utilities``
-    ((L-1) x grid) the ML objective over ``grid`` behind it.
+    ((L-1) x grid) the ML objective over ``grid`` behind it. ``result`` is
+    the last of those estimates as a ``LosChannel``.
     """
 
     config_angles: np.ndarray
@@ -183,7 +182,7 @@ class AdaptiveRunRecord:
     phase_estimates: np.ndarray
     utilities: np.ndarray
     campaign: PilotCampaign
-    result: EstimationResult
+    result: LosChannel
     grid: AoaSearchGrid
 
 
@@ -393,8 +392,7 @@ def run_adaptive_estimation(
         compensation * setup.conj_responses[picks], run.samples[0], pilot_power[0],
         bs_ris_channel,
     )
-    aoa, gain, phase = float(aoas[-1]), float(gains[-1]), float(phases[-1])
-    result = EstimationResult(aoa, gain, phase, los_vector(array, gain, phase, aoa))
     return AdaptiveRunRecord(
-        config_angles, aoas, gains, phases, utilities, campaign, result, grid
+        config_angles, aoas, gains, phases, utilities, campaign,
+        LosChannel(gains[-1], phases[-1], aoas[-1]), grid,
     )

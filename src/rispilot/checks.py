@@ -136,13 +136,13 @@ def scale_invariance() -> CheckResult:
         noise = rng.standard_normal(num_rows) + 1j * rng.standard_normal(num_rows)
         received = rows @ (h.coefficients * g) * np.sqrt(10.0) + noise / np.sqrt(2)
         campaign = estimators.PilotCampaign(rows, received, 10.0, h)
-        baseline = estimators.parametric_ml_estimate(campaign, array, grid).aoa_estimate
+        baseline = estimators.parametric_ml_estimate(campaign, array, grid).aoa
         scale = 0.0
         while scale == 0.0:
             scale = complex(rng.normal(), rng.normal())
         scaled = estimators.PilotCampaign(rows, scale * received, 10.0, h)
         estimate = estimators.parametric_ml_estimate(scaled, array, grid)
-        mismatches += estimate.aoa_estimate != baseline
+        mismatches += estimate.aoa != baseline
     detail = f"{mismatches} argmax changes over {cases} scaled campaigns"
     return CheckResult(mismatches == 0, cases, detail, dict(mismatches=mismatches))
 

@@ -81,10 +81,9 @@ def estimate_once(config: ExperimentConfig, true_aoa: float, num_pilots: int) ->
     lines = [
         f"seed: {config.rng_seed}",
         f"true aoa: {true_aoa:.6g} rad ({math.degrees(true_aoa):.6g} deg)",
-        f"estimated aoa: {result.aoa_estimate:.6g} rad "
-        f"({math.degrees(result.aoa_estimate):.6g} deg)",
-        f"gain estimate: {result.gain_estimate:.6g}",
-        f"phase estimate: {result.phase_estimate:.6g} rad",
+        f"estimated aoa: {result.aoa:.6g} rad ({math.degrees(result.aoa):.6g} deg)",
+        f"gain estimate: {result.gain:.6g}",
+        f"phase estimate: {result.phase:.6g} rad",
         f"achieved rate: {summary.achieved_rate:.6g} bits/s/Hz",
         f"capacity: {summary.capacity_value:.6g} bits/s/Hz",
         f"capacity ratio: {summary.ratio:.6g}",

@@ -25,10 +25,10 @@ from .model import (
     TWO_PI,
     ArrayModel,
     KnownBsRisChannel,
+    LosChannel,
     _check_unit_modulus,
     _is_integral,
     array_response,
-    los_vector,
 )
 
 #: Relative singular-value cutoff used by the pseudoinverse.
@@ -116,21 +116,6 @@ class AoaSearchGrid:
     @property
     def step(self) -> float:
         return (self.upper - self.lower) / (self.num_points - 1)
-
-
-@dataclass(frozen=True, eq=False)
-class EstimationResult:
-    """Parametric estimate: angle, gain, phase, and the expanded channel."""
-
-    aoa_estimate: float
-    gain_estimate: float
-    phase_estimate: float
-    channel_estimate: np.ndarray
-
-    def __post_init__(self) -> None:
-        vec = np.array(self.channel_estimate, dtype=np.complex128)
-        vec.setflags(write=False)
-        object.__setattr__(self, "channel_estimate", vec)
 
 
 def closed_form_gain_and_phase(inner, energy, pilot_power):
@@ -264,8 +249,8 @@ def parametric_ml_estimate(
     campaign: PilotCampaign,
     array: ArrayModel,
     grid: AoaSearchGrid,
-) -> EstimationResult:
-    """Grid-search ML estimate of the LOS channel.
+) -> LosChannel:
+    """Grid-search ML estimate of the LOS channel, as a ``LosChannel``.
 
     Composes the angle search with the closed-form coefficient at the
     grid peak, from one accumulator over the grid.
@@ -273,11 +258,10 @@ def parametric_ml_estimate(
     angles = grid.angles
     accumulator = _accumulate(campaign, array, angles)
     peak = int(np.argmax(accumulator.utility()))
-    aoa = float(angles[peak])
-    gain, phase = map(float, closed_form_gain_and_phase(
+    gain, phase = closed_form_gain_and_phase(
         accumulator.inner[peak], accumulator.energy[peak], campaign.pilot_power
-    ))
-    return EstimationResult(aoa, gain, phase, los_vector(array, gain, phase, aoa))
+    )
+    return LosChannel(gain, phase, angles[peak])
 
 
 def least_squares_estimate(campaign: PilotCampaign) -> np.ndarray:

@@ -25,11 +25,15 @@ RATE_CSV_HEADER = (
 UTILITY_CSV_HEADER = "L,angle_rad,utility_db,is_argmax"
 
 
-def _parse_int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
+def _parse_list(raw: str, parse: Callable[[str], object] = int) -> tuple:
+    """The comma-separated items of a list value, parsed; an empty item is refused."""
+    if any(not part.strip() for part in raw.split(",")):
+        raise ConfigParseError(f"empty item in {raw!r}")
+    return tuple(map(parse, raw.split(",")))
+
 
 def _parse_degrees(raw: str) -> tuple[float, ...]:
-    return tuple(math.radians(float(part)) for part in raw.split(","))
+    return tuple(map(math.radians, _parse_list(raw, float)))
 
 
 #: Value parser per configuration key. Degrees are converted here so the
@@ -39,7 +43,7 @@ FIELD_PARSERS: dict[str, Callable[[str], object]] = {
     "spacing_ratio": float,
     "data_snr_db": float,
     "pilot_snr_offset_db": float,
-    "pilot_budgets": _parse_int_list,
+    "pilot_budgets": _parse_list,
     "num_trials": int,
     "ue_angle_range": _parse_degrees,
     "search_domain": _parse_degrees,

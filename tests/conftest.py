@@ -118,9 +118,9 @@ def assert_steps_match_batch(record, array: ArrayModel, grid) -> int:
         if not (lit[np.argmax(utility)] and lit[np.argmax(batch_utility)]):
             continue
         batch = parametric_ml_estimate(prefix, array, grid)
-        assert batch.aoa_estimate == aoa
-        assert batch.gain_estimate == pytest.approx(gain, rel=1e-12)
-        assert circular_diff(batch.phase_estimate, phase) < 1e-12
+        assert batch.aoa == aoa
+        assert batch.gain == pytest.approx(gain, rel=1e-12)
+        assert circular_diff(batch.phase, phase) < 1e-12
         compared += 1
     return compared
 

@@ -391,9 +391,9 @@ class TestAdaptiveRun:
     def test_noise_free_recovery_on_grid_truth(self, rng):
         # oracle: exhaustive scalar utility evaluation shows a unique maximizer
         array, grid, channel, h, record = self.run_noise_free(rng)
-        assert record.result.aoa_estimate == channel.aoa
-        assert record.result.gain_estimate == pytest.approx(channel.gain, rel=1e-9)
-        assert circular_diff(record.result.phase_estimate, channel.phase) < 1e-9
+        assert record.result.aoa == channel.aoa
+        assert record.result.gain == pytest.approx(channel.gain, rel=1e-9)
+        assert circular_diff(record.result.phase, channel.phase) < 1e-9
         values = direct_utility(record.campaign, array, grid.angles)
         best = int(np.argmax(values))
         assert grid.angles[best] == channel.aoa
@@ -435,7 +435,7 @@ class TestAdaptiveRun:
             prefix = prefix_campaign(record.campaign, i)
             aoa = record.aoa_estimates[i - 2]
             batch = parametric_ml_estimate(prefix, array, grid)
-            assert batch.aoa_estimate == aoa
+            assert batch.aoa == aoa
             # the coefficient projected onto the one estimated angle alone
             gain, phase = coefficient_at(prefix, array, aoa)
             assert gain == pytest.approx(record.gain_estimates[i - 2], rel=1e-12)
@@ -460,13 +460,12 @@ class TestAdaptiveRun:
         used = sorted(round(a, 12) for a in record.config_angles)
         assert used == sorted(np.round(plausible_angles(n), 12))
         batch = parametric_ml_estimate(record.campaign, array, grid)
-        assert batch.aoa_estimate == record.result.aoa_estimate
-        assert batch.gain_estimate == pytest.approx(
-            record.result.gain_estimate, rel=1e-12
-        )
-        assert circular_diff(batch.phase_estimate, record.result.phase_estimate) < 1e-12
+        assert batch.aoa == record.result.aoa
+        assert batch.gain == pytest.approx(record.result.gain, rel=1e-12)
+        assert circular_diff(batch.phase, record.result.phase) < 1e-12
         np.testing.assert_allclose(
-            batch.channel_estimate, record.result.channel_estimate, rtol=1e-12
+            expand_channel(batch, array), expand_channel(record.result, array),
+            rtol=1e-12,
         )
         assert assert_steps_match_batch(record, array, grid) == n - 1
 
@@ -478,8 +477,8 @@ class TestAdaptiveRun:
         first = run_adaptive_estimation(channel, h, array, 6, 10.0, rng=99)
         second = run_adaptive_estimation(channel, h, array, 6, 10.0, rng=99)
         assert np.array_equal(first.campaign.received, second.campaign.received)
-        assert first.result.aoa_estimate == second.result.aoa_estimate
-        assert first.result.gain_estimate == second.result.gain_estimate
+        assert first.result.aoa == second.result.aoa
+        assert first.result.gain == second.result.gain
 
     def test_record_utility_traces(self, rng):
         n = 8

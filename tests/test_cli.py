@@ -281,8 +281,9 @@ DEFECTS = [
      lambda out, *_: out + 1e-6),
     ("capacity-bound", model, "capacity", lambda out, *_: out * (1 + 1e-6)),
     ("scale-invariance", estimators, "parametric_ml_estimate",
+     # shrunk toward 0, so the distorted angle stays a valid LosChannel's
      lambda out, campaign, *_: dataclasses.replace(
-         out, aoa_estimate=out.aoa_estimate + 1e-3 * abs(campaign.received[0])
+         out, aoa=out.aoa / (1 + 1e-3 * abs(campaign.received[0]))
      )),
     ("beam-correlation", adaptive, "config_correlation",
      lambda out, *_: out * (1 + 1e-6)),

@@ -56,6 +56,49 @@ def test_the_scan_sees_the_raise_sites():
     assert sum(len(list(raised_classes(path))) for path in SOURCES) >= 30
 
 
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every name a module imports and never reads.
+
+    Names listed in ``__all__`` count as read; ``__future__`` imports are
+    compiler directives and are skipped.
+    """
+    tree = ast.parse(source)
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_import_scan_sees_unused_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "from .model import array_response, los_vector\n"
+        "from .estimators import AoaSearchGrid\n"
+        "__all__ = ['AoaSearchGrid']\n"
+        "def f(array) -> np.ndarray:\n"
+        "    return array_response(array, 0.0)\n"
+    )
+    assert unused_imports(source) == [(3, "los_vector")]
+
+
 def _unit_h(n=3):
     return KnownBsRisChannel(np.ones(n))
 

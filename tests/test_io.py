@@ -102,6 +102,22 @@ class TestParseConfig:
         with pytest.raises(ConfigParseError, match="num_trials"):
             parse_config(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("pilot_budgets", "2,,4"),
+        ("pilot_budgets", "2,4,"),
+        ("pilot_budgets", ",2"),
+        ("pilot_budgets", ""),
+        ("ue_angle_range", "-60,,60"),
+        ("search_domain", "-90, ,90"),
+    ])
+    def test_empty_list_item_rejected_naming_the_key(self, key, value, tmp_path):
+        # an empty item is an error on both routes, never dropped
+        path = tmp_path / "lists.cfg"
+        path.write_text(f"{key}={value}\n")
+        for overrides, source in (([f"{key}={value}"], None), ([], path)):
+            with pytest.raises(ConfigParseError, match=f"{key}.*empty item"):
+                parse_config(source, overrides)
+
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigParseError, match="wavelength"):
             parse_config(None, ["wavelength=3"])
