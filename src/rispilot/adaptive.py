@@ -170,16 +170,13 @@ class AdaptiveRunRecord:
 
     Entry i of ``config_angles`` (L) is the angle of pilot i+1; the campaign
     holds its row and sample. One pilot cannot identify the angle, so entry i
-    of ``aoa_estimates``, ``gain_estimates`` and ``phase_estimates`` (L-1) is
-    the estimate from the first i+2 pilots, and row i of ``utilities``
-    ((L-1) x grid) the ML objective over ``grid`` behind it. ``result`` is
-    the last of those estimates as a ``LosChannel``.
+    of ``aoa_estimates`` (L-1) is the angle from the first i+2 pilots, and
+    row i of ``utilities`` ((L-1) x grid) the ML objective over ``grid``
+    behind it. ``result`` is the last angle with the one gain and phase there.
     """
 
     config_angles: np.ndarray
     aoa_estimates: np.ndarray
-    gain_estimates: np.ndarray
-    phase_estimates: np.ndarray
     utilities: np.ndarray
     campaign: PilotCampaign
     result: LosChannel
@@ -212,10 +209,10 @@ class AdaptiveTrials:
     """A chunk of adaptive runs advanced together, one row per trial.
 
     Column i of ``picks`` and ``samples`` is pilot i+1's candidate index and
-    received sample. Column i of ``peaks``, ``gains`` and ``phases`` is the
-    estimate from the first i+2 pilots: its grid index, gain and phase.
-    ``utilities`` holds those steps' read-only (trials x grid) utilities
-    when they were kept, and is empty otherwise.
+    received sample, and column i of ``peaks`` the grid index of the angle
+    from the first i+2 pilots. ``utilities`` holds those steps' read-only
+    (trials x grid) utilities when kept (else nothing), and ``gains`` and
+    ``phases`` one estimate per trial, from all pilots at the last peak.
     """
 
     picks: np.ndarray
@@ -261,8 +258,8 @@ def advance_trials(
     pair, then the row of ``setup.scores`` at the current estimate. The
     candidate's table rows are added, read in place, to the trial's row of
     a (trials x grid) ``UtilityAccumulator``, whose utility argmax (in one
-    work buffer unless kept) is the estimate and whose sums at the peaks
-    give every gain and phase after the loop. Every step is elementwise or
+    work buffer unless kept) is the angle and whose sums at the last peak
+    give each trial's gain and phase. Every step is elementwise or
     reduces within a row, so a trial's outcome does not depend on the chunk.
     """
     trials, n = channels.shape
@@ -277,8 +274,6 @@ def advance_trials(
     picks = np.empty((trials, num_pilots), dtype=np.intp)
     samples = np.empty((trials, num_pilots), dtype=np.complex128)
     peaks = np.empty((trials, num_pilots - 1), dtype=np.intp)
-    peak_inner = np.empty((trials, num_pilots - 1), dtype=np.complex128)
-    peak_energy = np.empty((trials, num_pilots - 1))
     utilities: list[np.ndarray] = []
     work = None if keep_utility else np.empty(accumulator.energy.shape)
 
@@ -300,8 +295,6 @@ def advance_trials(
         utility = accumulator.utility(out=work)
         peak = np.argmax(utility, axis=1)
         peaks[:, i - 1] = peak
-        peak_inner[:, i - 1] = accumulator.inner[rows, peak]
-        peak_energy[:, i - 1] = accumulator.energy[rows, peak]
         if keep_utility:
             utility.setflags(write=False)
             utilities.append(utility)
@@ -309,7 +302,7 @@ def advance_trials(
             transmit(i + 1, setup.scores[peak])
 
     gains, phases = closed_form_gain_and_phase(
-        peak_inner, peak_energy, pilot_power[:, None]
+        accumulator.inner[rows, peak], accumulator.energy[rows, peak], pilot_power
     )
     return AdaptiveTrials(picks, samples, peaks, gains, phases, tuple(utilities))
 
@@ -348,12 +341,12 @@ def run_adaptive_estimation(
     transmission order, as two per pilot drawn one pilot at a time would
     be (none when ``pilot_snr`` is infinite).
 
-    The estimate and utility from the first i pilots match
+    The angle and utility from the first i pilots match
     ``parametric_ml_estimate`` and ``ml_utility_profile`` on those pilots
     of the returned campaign to rounding, which shows only where the
     pilots barely illuminate a direction. A run with budget i returns
-    exactly the first i pilots and i-1 estimates of a longer run under
-    the same noise draws.
+    exactly the first i pilots and i-1 angles of a longer run under the
+    same noise draws: its result is that run's estimate from i pilots.
     """
     num_pilots = _check_budget(num_pilots, array.num_elements)
     if grid is None:
@@ -384,15 +377,14 @@ def run_adaptive_estimation(
     picks = run.picks[0]
     config_angles = setup.angles[picks]
     aoas = setup.grid_angles[run.peaks[0]]
-    gains, phases = run.gains[0], run.phases[0]
     utilities = np.concatenate(run.utilities)
-    for values in (config_angles, aoas, gains, phases, utilities):
+    for values in (config_angles, aoas, utilities):
         values.setflags(write=False)
     campaign = PilotCampaign(
         compensation * setup.conj_responses[picks], run.samples[0], pilot_power[0],
         bs_ris_channel,
     )
     return AdaptiveRunRecord(
-        config_angles, aoas, gains, phases, utilities, campaign,
-        LosChannel(gains[-1], phases[-1], aoas[-1]), grid,
+        config_angles, aoas, utilities, campaign,
+        LosChannel(run.gains[0], run.phases[0], aoas[-1]), grid,
     )

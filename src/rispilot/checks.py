@@ -61,8 +61,8 @@ def noise_free_recovery() -> CheckResult:
     run = adaptive.advance_trials(setup, np.abs(h_rows) * g_rows, pilot_power, None, 5)
     cases = len(draws)
     exact = int(np.sum(grid_angles[run.peaks[:, -1]] == truths))
-    worst_gain = float(np.max(np.abs(run.gains[:, -1] - gains) / gains))
-    worst_phase = max(map(circular_diff, run.phases[:, -1].tolist(), phases.tolist()))
+    worst_gain = float(np.max(np.abs(run.gains - gains) / gains))
+    worst_phase = max(map(circular_diff, run.phases.tolist(), phases.tolist()))
     detail = (f"exact angle {exact}/{cases}, worst gain rel err {worst_gain:.2e}, "
               f"worst phase err {worst_phase:.2e} rad")
     within = exact == cases and worst_gain <= 1e-9 and worst_phase <= 1e-9 * 2 * np.pi

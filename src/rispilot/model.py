@@ -234,5 +234,6 @@ def random_bs_ris_channel(num_elements: int, rng) -> KnownBsRisChannel:
     The magnitude profile is irrelevant once the configuration fully
     compensates the channel phases, so unit entries are the default.
     """
+    num_elements = ArrayModel(num_elements).num_elements  # its positive-integer rule
     rng = np.random.default_rng(rng)
     return KnownBsRisChannel(_draw_unit_coefficients(num_elements, rng))

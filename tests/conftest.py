@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from rispilot import (
     expand_channel,
     ml_utility_profile,
     parametric_ml_estimate,
+    run_adaptive_estimation,
 )
 from rispilot.adaptive import INITIAL_SINES, AdaptiveSetup, AdaptiveTrials
 from rispilot.checks import candidate_rows, circular_diff  # noqa: F401
@@ -89,24 +92,39 @@ def prefix_campaign(campaign: PilotCampaign, num_pilots: int) -> PilotCampaign:
     )
 
 
-def assert_steps_match_batch(record, array: ArrayModel, grid) -> int:
+def prefix_results(channel, h, array, num_pilots, pilot_snr, rng, grid) -> list:
+    """The results of the budget-2 to ``num_pilots`` runs, on copies of ``rng``.
+
+    A budget-i run under the same noise draws is the first i pilots of a
+    longer run, so entry i-2 is the estimate that the budget-``num_pilots``
+    run on ``rng`` itself makes from its first i pilots. ``rng`` is not
+    advanced.
+    """
+    return [
+        run_adaptive_estimation(
+            channel, h, array, pilots, pilot_snr, copy.deepcopy(rng), grid
+        ).result
+        for pilots in range(2, num_pilots + 1)
+    ]
+
+
+def assert_steps_match_batch(record, array: ArrayModel, grid, results) -> int:
     """Check every step of an adaptive run against the batch estimators.
 
-    The loop projects through trial-independent tables, the batch
-    estimators through D_h A per campaign, so the two agree to rounding:
-    on each prefix the utilities agree to rtol 1e-12 (plus 1e-12 of the
-    largest such utility, for values that cancel to ~0) on every direction
-    with more than ``NEAR_NULL`` of the largest energy, and the angle,
-    gain and phase agree at every step whose two argmaxes both lie on such
-    directions. Returns how many steps were compared that way.
+    ``results`` holds the run's ``prefix_results``: entry i is the estimate,
+    gain and phase included, from its first i+2 pilots. The loop projects
+    through trial-independent tables, the batch estimators through D_h A
+    per campaign, so the two agree to rounding: on each prefix the
+    utilities agree to rtol 1e-12 (plus 1e-12 of the largest such utility,
+    for values that cancel to ~0) on every direction with more than
+    ``NEAR_NULL`` of the largest energy, and the angle, gain and phase
+    agree at every step whose two argmaxes both lie on such directions.
+    Returns how many steps were compared that way.
     """
     compared = 0
-    estimates = zip(
-        record.utilities, record.aoa_estimates, record.gain_estimates,
-        record.phase_estimates, strict=True,
-    )
+    estimates = zip(record.utilities, record.aoa_estimates, results, strict=True)
     # row i of the record is the estimate from the first i + 2 pilots
-    for pilots, (utility, aoa, gain, phase) in enumerate(estimates, start=2):
+    for pilots, (utility, aoa, result) in enumerate(estimates, start=2):
         prefix = prefix_campaign(record.campaign, pilots)
         energy = pilot_energy(prefix, array, grid.angles)
         lit = energy > NEAR_NULL * np.max(energy)
@@ -118,9 +136,9 @@ def assert_steps_match_batch(record, array: ArrayModel, grid) -> int:
         if not (lit[np.argmax(utility)] and lit[np.argmax(batch_utility)]):
             continue
         batch = parametric_ml_estimate(prefix, array, grid)
-        assert batch.aoa == aoa
-        assert batch.gain == pytest.approx(gain, rel=1e-12)
-        assert circular_diff(batch.phase, phase) < 1e-12
+        assert batch.aoa == aoa == result.aoa
+        assert batch.gain == pytest.approx(result.gain, rel=1e-12)
+        assert circular_diff(batch.phase, result.phase) < 1e-12
         compared += 1
     return compared
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from rispilot import (
     AoaSearchGrid,
     ArrayModel,
+    DegenerateDirectionError,
     DimensionError,
     InsufficientPilotsError,
     InvalidInputError,
@@ -47,6 +48,7 @@ from conftest import (
     local_peak_indices,
     pilot_energy,
     prefix_campaign,
+    prefix_results,
     reference_advance_trials,
     simulate_pilot_reception,
 )
@@ -404,14 +406,15 @@ class TestAdaptiveRun:
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
         channel = LosChannel(1.0, 1.0, 0.5)
-        record = run_adaptive_estimation(channel, h, array, budget, 10.0, rng)
+        grid = AoaSearchGrid()
+        results = prefix_results(channel, h, array, budget, 10.0, rng, grid)
+        record = run_adaptive_estimation(channel, h, array, budget, 10.0, rng, grid)
         # one config angle per pilot; one estimate per pilot from the second
         assert record.config_angles.shape == (budget,)
-        for estimates in (
-            record.aoa_estimates, record.gain_estimates, record.phase_estimates
-        ):
-            assert estimates.shape == (budget - 1,)
-            assert np.all(np.isfinite(estimates))
+        assert record.aoa_estimates.shape == (budget - 1,)
+        assert np.all(np.isfinite(record.aoa_estimates))
+        for result in results:
+            assert math.isfinite(result.gain) and math.isfinite(result.phase)
         assert record.utilities.shape == (budget - 1, record.grid.num_points)
         pool_angle_set = set(np.round(plausible_angles(n), 12))
         used = [round(a, 12) for a in record.config_angles]
@@ -429,8 +432,9 @@ class TestAdaptiveRun:
         grid = AoaSearchGrid(num_points=700)
         h = random_bs_ris_channel(n, rng)
         channel = LosChannel(1.0, 2.0, -0.4)
+        results = prefix_results(channel, h, array, budget, 10.0, rng, grid)
         record = run_adaptive_estimation(channel, h, array, budget, 10.0, rng, grid)
-        assert assert_steps_match_batch(record, array, grid) == budget - 1
+        assert assert_steps_match_batch(record, array, grid, results) == budget - 1
         for i in range(2, budget + 1):
             prefix = prefix_campaign(record.campaign, i)
             aoa = record.aoa_estimates[i - 2]
@@ -438,8 +442,8 @@ class TestAdaptiveRun:
             assert batch.aoa == aoa
             # the coefficient projected onto the one estimated angle alone
             gain, phase = coefficient_at(prefix, array, aoa)
-            assert gain == pytest.approx(record.gain_estimates[i - 2], rel=1e-12)
-            assert circular_diff(phase, record.phase_estimates[i - 2]) < 1e-12
+            assert gain == pytest.approx(results[i - 2].gain, rel=1e-12)
+            assert circular_diff(phase, results[i - 2].phase) < 1e-12
 
     def test_monotone_information_at_true_angle(self, rng):
         # adding a pilot can only add energy along the true direction
@@ -456,6 +460,7 @@ class TestAdaptiveRun:
         grid = AoaSearchGrid(num_points=500)
         h = random_bs_ris_channel(n, rng)
         channel = LosChannel(1.0, 0.3, 0.2)
+        results = prefix_results(channel, h, array, n, 10.0, rng, grid)
         record = run_adaptive_estimation(channel, h, array, n, 10.0, rng, grid)
         used = sorted(round(a, 12) for a in record.config_angles)
         assert used == sorted(np.round(plausible_angles(n), 12))
@@ -467,7 +472,7 @@ class TestAdaptiveRun:
             expand_channel(batch, array), expand_channel(record.result, array),
             rtol=1e-12,
         )
-        assert assert_steps_match_batch(record, array, grid) == n - 1
+        assert assert_steps_match_batch(record, array, grid, results) == n - 1
 
     def test_deterministic_given_seed(self):
         n = 10
@@ -491,10 +496,7 @@ class TestAdaptiveRun:
         assert record.utilities.shape == (3, 300)
         for utility, aoa in zip(record.utilities, record.aoa_estimates, strict=True):
             assert grid.angles[np.argmax(utility)] == aoa
-        for values in (
-            record.config_angles, record.aoa_estimates, record.gain_estimates,
-            record.phase_estimates, record.utilities,
-        ):
+        for values in (record.config_angles, record.aoa_estimates, record.utilities):
             with pytest.raises(ValueError):
                 values[0] = 0.0
 
@@ -546,9 +548,14 @@ class TestAdaptiveRun:
             if ambiguous:
                 break
             assert first.aoa_estimates[i] == second.aoa_estimates[i]
-            assert first.gain_estimates[i] == pytest.approx(
-                second.gain_estimates[i], rel=1e-9
+            # the budget-(i + 2) runs' results are these runs' estimates there
+            first_gain, second_gain = (
+                run_adaptive_estimation(
+                    channel, h, array, i + 2, snr, noise_seed, grid
+                ).result.gain
+                for h in hs
             )
+            assert first_gain == pytest.approx(second_gain, rel=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -582,12 +589,62 @@ class TestAdaptiveRun:
             )
             for coefficients in (h, turned)
         )
-        for name in (
-            "config_angles", "aoa_estimates", "gain_estimates", "phase_estimates",
-            "utilities",
-        ):
+        for name in ("config_angles", "aoa_estimates", "utilities"):
             assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
         assert first.campaign.received.tobytes() == second.campaign.received.tobytes()
+        # every step's gain and phase: the budget-i runs' results
+        first_results, second_results = (
+            prefix_results(
+                channel, KnownBsRisChannel(coefficients), array, budget, snr, seed,
+                grid,
+            )
+            for coefficients in (h, turned)
+        )
+        for one, other in zip(first_results, second_results, strict=True):
+            pair = np.array([[one.gain, one.phase], [other.gain, other.phase]])
+            assert pair[0].tobytes() == pair[1].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        points=st.integers(50, 2000),
+        seed=st.integers(0, 2**32 - 1),
+        snr=st.sampled_from([1.0, 10.0, 100.0, math.inf]),
+        unit=st.booleans(),
+        data=st.data(),
+    )
+    def test_shorter_budget_is_the_prefix_of_a_longer_run(
+        self, n, points, seed, snr, unit, data
+    ):
+        # a budget-i run draws the first 2i normals of a budget-L run and
+        # every step reads only the pilots before it, so it is the first i
+        # pilots and i-1 estimates of the longer run, bit for bit; its
+        # result is the longer run's estimate from those i pilots
+        longest = data.draw(st.integers(2, n), label="longest")
+        budget = data.draw(st.integers(2, longest), label="budget")
+        gen = np.random.default_rng(seed)
+        array = ArrayModel(n, 0.25)
+        grid = AoaSearchGrid(num_points=points)
+        channel = LosChannel(
+            float(gen.uniform(0.5, 2.0)), float(gen.uniform(0, 2 * np.pi)),
+            float(gen.uniform(-1.0, 1.0)),
+        )
+        magnitudes = np.ones(n) if unit else gen.uniform(0.5, 2.0, n)
+        h = KnownBsRisChannel(magnitudes * np.exp(1j * gen.uniform(0, 2 * np.pi, n)))
+        short, long = (
+            run_adaptive_estimation(channel, h, array, pilots, snr, seed, grid)
+            for pilots in (budget, longest)
+        )
+        for values, expected in (
+            (short.config_angles, long.config_angles[:budget]),
+            (short.campaign.config_matrix, long.campaign.config_matrix[:budget]),
+            (short.campaign.received, long.campaign.received[:budget]),
+            (short.aoa_estimates, long.aoa_estimates[:budget - 1]),
+            (short.utilities, long.utilities[:budget - 1]),
+        ):
+            assert values.shape == expected.shape
+            assert values.tobytes() == expected.tobytes()
+        assert short.result.aoa == long.aoa_estimates[budget - 2]
 
     def test_setup_arrays_are_read_only(self):
         # one setup is shared by every trial of an experiment
@@ -680,8 +737,9 @@ class TestProjectionTables:
                 gen.uniform(0.5, 2.0, n) * np.exp(1j * gen.uniform(0, 2 * np.pi, n))
             )
             channel = LosChannel(1.0, float(gen.uniform(0, 2 * np.pi)), -0.4)
+            results = prefix_results(channel, h, array, n, 10.0, gen, grid)
             record = run_adaptive_estimation(channel, h, array, n, 10.0, gen, grid)
-            assert assert_steps_match_batch(record, array, grid) >= n - 2
+            assert assert_steps_match_batch(record, array, grid, results) >= n - 2
 
     def test_non_unit_run_holds_one_table_pair_at_a_time(self):
         # the unit projections are released before the |h| pair is built;
@@ -737,8 +795,8 @@ class TestProjectionTables:
                 (record.config_angles, setup.angles[chunk.picks[t]]),
                 (record.campaign.received, chunk.samples[t]),
                 (record.aoa_estimates, setup.grid_angles[chunk.peaks[t]]),
-                (record.gain_estimates, chunk.gains[t]),
-                (record.phase_estimates, chunk.phases[t]),
+                (np.float64(record.result.gain), chunk.gains[t]),
+                (np.float64(record.result.phase), chunk.phases[t]),
                 (record.utilities, utilities),
             ):
                 assert values.shape == expected.shape
@@ -762,10 +820,11 @@ class TestCoreMatchesReference:
     def test_outputs_equal_reference_loop(
         self, trials, n, points, seed, noisy, unit, keep, data
     ):
-        # the core updates each run's sums row by row and forms the gains
-        # once per run; the reference gathers rows, multiplies them in one
-        # broadcast and takes the gain and phase at every step. Outputs
-        # must not move at all, so the comparison is of bytes
+        # the core updates each run's sums row by row and forms one gain and
+        # phase per run, at its last peak; the reference gathers rows,
+        # multiplies them in one broadcast and takes the gain and phase at
+        # every step, the last of which is the core's. Outputs must not move
+        # at all, so the comparison is of bytes
         budget = data.draw(st.integers(2, n), label="budget")
         gen = np.random.default_rng(seed)
         array = ArrayModel(n, 0.25)
@@ -794,6 +853,8 @@ class TestCoreMatchesReference:
         expected = reference_advance_trials(*args, keep_utility=keep)
         for name in ("picks", "samples", "peaks", "gains", "phases"):
             values, reference = getattr(run, name), getattr(expected, name)
+            if name in ("gains", "phases"):  # the core's one, at the last step
+                reference = reference[:, -1]
             assert values.dtype == reference.dtype and values.shape == reference.shape
             assert values.tobytes() == reference.tobytes(), name
         kept = budget - 1 if keep else 0
@@ -847,6 +908,21 @@ class TestCorePicks:
         setup = build_adaptive_setup(ArrayModel(4, 0.25), AoaSearchGrid(num_points=100))
         with pytest.raises(error, match=message):
             advance_trials(setup, *self.chunk(setup, 3, budget, 0), budget)
+
+    def test_core_rejects_an_estimate_on_an_unlit_direction(self):
+        # tables under which no pilot projects onto any direction and grid
+        # direction 0 gets no energy: every utility is 0, the peak is that
+        # unlit index 0, and its gain would divide by zero
+        setup = build_adaptive_setup(ArrayModel(4, 0.25), AoaSearchGrid(num_points=50))
+        energies = np.ones(setup.projection_energy.shape)
+        energies[:, 0] = 0.0
+        setup = dataclasses.replace(
+            setup, projections=np.zeros(setup.projections.shape, dtype=complex),
+            projection_energy=energies,
+        )
+        channels, pilot_power, _ = self.chunk(setup, 2, 3, 4)
+        with pytest.raises(DegenerateDirectionError, match="no pilot energy"):
+            advance_trials(setup, channels, pilot_power, None, 3)
 
 
 class TestPilotReception:

@@ -10,6 +10,7 @@ from rispilot import (
     AngleDomainError,
     ArrayModel,
     DimensionError,
+    InvalidInputError,
     KnownBsRisChannel,
     LosChannel,
     RisConfiguration,
@@ -271,6 +272,18 @@ class TestRates:
     def test_capacity_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             capacity(np.ones(3), np.ones(4), 1.0)
+
+
+@pytest.mark.parametrize("size", [2.5, -1, 0, "3"])
+def test_random_bs_ris_channel_size_is_a_positive_integer(size):
+    # the array's own rule, not numpy's TypeError or ValueError
+    with pytest.raises(InvalidInputError, match="positive integer"):
+        random_bs_ris_channel(size, 1)
+
+
+def test_random_bs_ris_channel_takes_a_whole_float_size():
+    expected = random_bs_ris_channel(3, 1).coefficients
+    assert random_bs_ris_channel(3.0, 1).coefficients.tobytes() == expected.tobytes()
 
 
 def test_random_bs_ris_channel_unit_magnitude_and_seeded():

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo harness."""
 
+import copy
 import math
 import tracemalloc
 
@@ -292,6 +293,7 @@ class TestTrialRates:
             g = expand_channel(channel, array)
             caps[t] = capacity(h.coefficients, g, data_power)
             aligned_caps[t] = closed_form_rate(aoa, aoa)
+            draws = copy.deepcopy(rng)
             record = run_adaptive_estimation(
                 channel, h, array, max(budgets), pilot_power, rng, grid
             )
@@ -300,10 +302,12 @@ class TestTrialRates:
                 step = budget - 2
                 steering = array_response(array, record.aoa_estimates[step])
                 rate_ml[b, t] = phase_matched_rate(h, g, steering)
-                estimate = (
-                    np.sqrt(record.gain_estimates[step])
-                    * np.exp(1j * record.phase_estimates[step]) * steering
-                )
+                # the budget run under the same draws is those first pilots:
+                # its result carries their gain and phase
+                result = run_adaptive_estimation(
+                    channel, h, array, budget, pilot_power, copy.deepcopy(draws), grid
+                ).result
+                estimate = np.sqrt(result.gain) * np.exp(1j * result.phase) * steering
                 rate_ml_physical[b, t] = physical_rate(h, g, estimate)
                 rate_ml_closed[b, t] = closed_form_rate(record.aoa_estimates[step], aoa)
             noise = (
