@@ -121,21 +121,25 @@ def emit_utility_csv(record: AdaptiveRunRecord, path: str | Path) -> None:
     Each row of the record's utilities, L = 2 onward, gives the utility in
     dB (-inf where it is 0), with ``is_argmax`` 1 on the row of the estimate.
 
-    The angles are formatted once per record. Each stage is then one
-    ``%`` over a template of ``"L,angle,%.9g,0\\n"`` rows, the peak's
-    ending in ``,1``. ``'%.9g' % v`` and ``format(v, '.9g')`` both format
-    through CPython's ``float`` repr code, ``-inf``, ``nan`` and ``-0``
-    included, so every field has the bytes of a per-value ``format``.
+    The angle column is formatted once per record, by one ``%`` over
+    ``"%.9g,%%.9g,0\\n"`` rows; a ``%.9g`` angle holds no ``%`` and no
+    line break, so the result splits back into one ``"angle,%.9g,0\\n"``
+    row per angle. Each stage is then one ``%`` over those rows, each
+    prefixed with ``L,`` and the peak's ending in ``,1``, and is written
+    to the open file as it is formatted. ``'%.9g' % v`` and
+    ``format(v, '.9g')`` both format through CPython's ``float`` repr
+    code, ``-inf``, ``nan`` and ``-0`` included, so every field has the
+    bytes of a per-value ``format``.
     """
     with np.errstate(divide="ignore"):
         utility_db = 10.0 * np.log10(record.utilities)
     peaks = np.argmax(record.utilities, axis=1).tolist()
     angles = record.grid.angles.tolist()
-    cells = [f"{format(angle, '.9g')},%.9g,0\n" for angle in angles]
-    parts = [UTILITY_CSV_HEADER + "\n"]
-    for pilots, (peak, values) in enumerate(zip(peaks, utility_db), start=2):
-        stage = cells.copy()
-        stage[peak] = stage[peak][:-2] + "1\n"
-        prefix = f"{pilots},"
-        parts.append((prefix + prefix.join(stage)) % tuple(values.tolist()))
-    Path(path).write_text("".join(parts), encoding="utf-8", newline="\n")
+    cells = (("%.9g,%%.9g,0\n" * len(angles)) % tuple(angles)).splitlines(keepends=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write(UTILITY_CSV_HEADER + "\n")
+        for pilots, (peak, values) in enumerate(zip(peaks, utility_db), start=2):
+            stage = cells.copy()
+            stage[peak] = stage[peak][:-2] + "1\n"
+            prefix = f"{pilots},"
+            out.write((prefix + prefix.join(stage)) % tuple(values.tolist()))

@@ -17,6 +17,9 @@ from rispilot.cli import main
 from rispilot.io import RATE_CSV_HEADER, UTILITY_CSV_HEADER
 from rispilot.simulate import _trial_chunk
 
+#: The directory that holds the package under test, for child interpreters.
+SRC = str(Path(rispilot.__file__).parents[1])
+
 FAST = [
     "--set", "num_elements=8",
     "--set", "pilot_budgets=2,4",
@@ -129,38 +132,65 @@ def test_utility_trace_golden_bytes(seed, aoa_deg, digest, tmp_path):
 
 #: 40 trials of the reference config, all 11 default budgets.
 REFERENCE_CURVE = [*REFERENCE_CONFIG, "--set", "num_trials=40"]
-#: A 256-element surface on a 20 000-point grid: N^2 > CHUNK_ENTRIES, so
-#: every chunk is one trial, and the setup's complex table is 82 MB.
-LARGE_CURVE = [
-    "--set", "num_elements=256", "--set", "grid_points=20000",
-    "--set", "num_trials=4", "--set", "pilot_budgets=2,5,10",
-]
-RATE_CURVE_CASES = [
-    (1, "37c15898c1df934b4cae13b6354428914a1225ebbd59ff87ba061f9f19b0abe8",
-     REFERENCE_CURVE),
-    (2, "e0592626bff6fa3e516bd4b20fc78922c919b66bf4981290ce2b55b27e7c10fb",
-     REFERENCE_CURVE),
-    (3, "447579119d68731494c70f92c3ff0179c0057392cad8d5fd8485072341322087",
-     REFERENCE_CURVE),
-    (42, "218194e9928129e04cd7f899defab12519e15020af30533a5aeeee5f043ae069",
-     LARGE_CURVE),
-]
 
 
-@pytest.mark.parametrize(
-    "seed, digest, settings", RATE_CURVE_CASES,
-    ids=[f"{seed}-{digest}" for seed, digest, _ in RATE_CURVE_CASES],
-)
-def test_rate_curve_golden_bytes(seed, digest, settings, tmp_path):
+@pytest.mark.parametrize("seed, digest", [
+    (1, "37c15898c1df934b4cae13b6354428914a1225ebbd59ff87ba061f9f19b0abe8"),
+    (2, "e0592626bff6fa3e516bd4b20fc78922c919b66bf4981290ce2b55b27e7c10fb"),
+    (3, "447579119d68731494c70f92c3ff0179c0057392cad8d5fd8485072341322087"),
+])
+def test_rate_curve_golden_bytes(seed, digest, tmp_path):
     # sha256 of the 40-trial curves, 11 default budgets, that the loop with
-    # whole-chunk sums and a gain and phase per step wrote, and of a large
-    # run of one-trial chunks (numpy 2.4, x86-64); another math library may
-    # round sin and exp differently and move a near-null argmax, and with
-    # it these bytes
+    # whole-chunk sums and a gain and phase per step wrote (numpy 2.4,
+    # x86-64); another math library may round sin and exp differently and
+    # move a near-null argmax, and with it these bytes
     out = tmp_path / "rates.csv"
-    argv = ["rate-curve", *settings, "--set", f"rng_seed={seed}", "--out", str(out)]
+    argv = ["rate-curve", *REFERENCE_CURVE, "--set", f"rng_seed={seed}", "--out", str(out)]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+#: Runs the CLI on its arguments, then prints the process's peak resident
+#: size in KiB, which ``ru_maxrss`` gives on Linux only.
+PEAK_RSS_SCRIPT = """
+import sys
+from rispilot.cli import main
+code = main(sys.argv[1:])
+if sys.platform == "linux":
+    import resource
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
+
+
+def test_large_rate_curve_bytes_and_peak_rss(tmp_path):
+    # a 256-element surface on a 20 000-point grid: N^2 > CHUNK_ENTRIES, so
+    # every chunk is one trial, and the setup's N x G tables set the peak
+    # (about 190 MB; the complex table alone is 82 MB). A fresh interpreter
+    # makes the peak this run's alone; 260 MB catches a build that holds a
+    # steering matrix and its temporaries again, as the one before the
+    # in-place setup did (about 306 MB). The digest is the bytes that the
+    # loop of one-trial chunks wrote (numpy 2.4, x86-64)
+    out = tmp_path / "large.csv"
+    argv = [
+        "rate-curve", "--set", "num_elements=256", "--set", "grid_points=20000",
+        "--set", "num_trials=4", "--set", "pilot_budgets=2,5,10", "--out", str(out),
+    ]
+    env = {
+        **os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1", "PYTHONWARNINGS": "error::RuntimeWarning",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_SCRIPT, *argv], capture_output=True,
+        text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "218194e9928129e04cd7f899defab12519e15020af30533a5aeeee5f043ae069"
+    )
+    if sys.platform == "linux":
+        peak_mb = int(proc.stdout.splitlines()[-1]) / 1024
+        assert peak_mb <= 260, f"peak RSS {peak_mb:.1f} MB (limit 260 MB)"
 
 
 @pytest.mark.parametrize("seed, aoa_deg, digest", [
@@ -248,7 +278,7 @@ def test_closed_stdout_pipe_exits_141_quietly(argv, unbuffered):
     # stops there); buffered, at the flush after the command
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = {**os.environ, "PYTHONPATH": str(Path(rispilot.__file__).parents[1])}
+    env = {**os.environ, "PYTHONPATH": SRC}
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
