@@ -253,23 +253,22 @@ def advance_trials(
     transmission order (``None``: noise-free). The setup's tables must
     belong to the trials' |h|.
 
-    Every pick is the argmax of a score row with the trial's sent
-    candidates at -inf: a row of ``setup.start_scores`` for the starting
-    pair, then the row of ``setup.scores`` at the current estimate. The
-    candidate's table rows are added, read in place, to the trial's row of
-    a (trials x grid) ``UtilityAccumulator``, whose utility argmax (in one
-    work buffer unless kept) is the angle and whose sums at the last peak
-    give each trial's gain and phase. Every step is elementwise or
-    reduces within a row, so a trial's outcome does not depend on the chunk.
+    Pilot i+1 of each trial sends the argmax of a score row with the
+    trial's sent candidates at -inf: row i of ``setup.start_scores`` for
+    the starting pair, then the row of ``setup.scores`` at the current
+    estimate. Only that candidate's noise-free sample is formed, and its
+    table rows are added, read in place, to the trial's row of a (trials x
+    grid) ``UtilityAccumulator``, whose utility argmax (in one work buffer
+    unless kept) is the angle and whose sums at the last peak give each
+    trial's gain and phase. Every step is elementwise or reduces within a
+    row, so a trial's outcome does not depend on the chunk.
     """
     trials, n = channels.shape
     if n != setup.angles.size:
         raise DimensionError(f"array has {setup.angles.size} elements, channels {n}")
     num_pilots = _check_budget(num_pilots, n)
     rows = np.arange(trials)
-    # candidate k's noise-free sample sum_n |h_n| conj(a_k,n) g_n sqrt(P_p)
-    signals = np.sum(setup.conj_responses * channels[:, None, :], axis=-1)
-    signals *= np.sqrt(pilot_power)[:, None]
+    amplitude = np.sqrt(pilot_power)
     accumulator = UtilityAccumulator((trials, setup.grid_angles.size))
     picks = np.empty((trials, num_pilots), dtype=np.intp)
     samples = np.empty((trials, num_pilots), dtype=np.complex128)
@@ -277,29 +276,27 @@ def advance_trials(
     utilities: list[np.ndarray] = []
     work = None if keep_utility else np.empty(accumulator.energy.shape)
 
-    def transmit(i: int, scores: np.ndarray) -> None:
-        """Send trial t's best-scored candidate not yet sent as its pilot i+1."""
+    for i in range(num_pilots):
+        if i < len(setup.start_scores):
+            scores = np.tile(setup.start_scores[i], (trials, 1))
+        else:
+            scores = setup.scores[peak]
         scores[rows[:, None], picks[:, :i]] = -np.inf
         k = np.argmax(scores, axis=1)
-        sample = signals[rows, k]
+        # candidate k's noise-free sample sum_n |h_n| conj(a_k,n) g_n sqrt(P_p)
+        sample = np.sum(setup.conj_responses[k] * channels, axis=-1) * amplitude
         if noise is not None:
             sample = sample + noise[:, i]
         accumulator.add(setup.projections, sample, setup.projection_energy, k)
         picks[:, i] = k
         samples[:, i] = sample
-
-    for i, row in enumerate(setup.start_scores):
-        transmit(i, np.tile(row, (trials, 1)))
-
-    for i in range(1, num_pilots):
-        utility = accumulator.utility(out=work)
-        peak = np.argmax(utility, axis=1)
-        peaks[:, i - 1] = peak
-        if keep_utility:
-            utility.setflags(write=False)
-            utilities.append(utility)
-        if i + 1 < num_pilots:
-            transmit(i + 1, setup.scores[peak])
+        if i >= 1:
+            utility = accumulator.utility(out=work)
+            peak = np.argmax(utility, axis=1)
+            peaks[:, i - 1] = peak
+            if keep_utility:
+                utility.setflags(write=False)
+                utilities.append(utility)
 
     gains, phases = closed_form_gain_and_phase(
         accumulator.inner[rows, peak], accumulator.energy[rows, peak], pilot_power

@@ -237,10 +237,11 @@ def reference_advance_trials(
     gain and phase are taken at each step's peak as it is reached. Later
     picks rank candidates by the unit magnitudes |P|^T, formed here from
     the candidates and the grid, not by the setup's scores, so equal
-    bytes show that the scores pick what |P| picks. The noise-free samples
-    are the core's own row-wise sums over ``channels`` (|h| * g): this
-    reference checks the loop, and ``TestPilotReception`` checks those
-    samples against the physical model theta^T D_h g sqrt(P_p).
+    bytes show that the scores pick what |P| picks. The reference keeps the
+    all-candidates ``signals`` table, every candidate's noise-free sample
+    as a row-wise sum over ``channels`` (|h| * g), so the core's per-pick
+    sums are checked against it byte for byte; ``TestPilotReception``
+    checks those samples against the physical model theta^T D_h g sqrt(P_p).
     """
     projections, energies = setup.projections, setup.projection_energy
     magnitudes = np.abs(

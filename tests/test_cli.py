@@ -297,9 +297,16 @@ def test_validate_failure_exits_nonzero(capsys, monkeypatch):
     def broken():
         return checks.CheckResult(False, 1, "synthetic failure", {})
 
-    monkeypatch.setattr(checks, "CHECKS", (broken,) + checks.CHECKS)
+    def passing():
+        return checks.CheckResult(True, 1, "synthetic pass", {})
+
+    # one failing and one passing check keep the mixed report path without
+    # rerunning the real checks, which test_validate_passes runs
+    monkeypatch.setattr(checks, "CHECKS", (broken, passing))
     assert main(["validate"]) == 2
-    assert "FAIL broken: synthetic failure" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL broken: synthetic failure" in out
+    assert "PASS passing: synthetic pass" in out
 
 
 # (check, owner, function, how the function's output is distorted); the owner
