@@ -8,7 +8,6 @@ Carlo harness with CSV output.
 
 from .adaptive import (
     build_adaptive_setup,
-    config_correlation,
     optimal_configuration,
     plausible_angles,
     run_adaptive_estimation,
@@ -27,11 +26,7 @@ from .errors import (
 )
 from .estimators import (
     AoaSearchGrid,
-    PilotCampaign,
-    least_squares_estimate,
     least_squares_prefix_estimates,
-    ml_utility_profile,
-    parametric_ml_estimate,
 )
 from .io import emit_rate_csv, emit_utility_csv, parse_config
 from .model import (
@@ -41,8 +36,6 @@ from .model import (
     RisConfiguration,
     achievable_rate,
     array_response,
-    capacity,
-    effective_channel,
     expand_channel,
     random_bs_ris_channel,
 )
@@ -70,7 +63,6 @@ __all__ = [
     "InvalidInputError",
     "KnownBsRisChannel",
     "LosChannel",
-    "PilotCampaign",
     "PoolExhaustedError",
     "RateCurvePoint",
     "RisConfiguration",
@@ -79,18 +71,12 @@ __all__ = [
     "achievable_rate",
     "array_response",
     "build_adaptive_setup",
-    "capacity",
     "collect_trial_rates",
-    "config_correlation",
-    "effective_channel",
     "emit_rate_csv",
     "emit_utility_csv",
     "expand_channel",
-    "least_squares_estimate",
     "least_squares_prefix_estimates",
-    "ml_utility_profile",
     "optimal_configuration",
-    "parametric_ml_estimate",
     "parse_config",
     "plausible_angles",
     "random_bs_ris_channel",

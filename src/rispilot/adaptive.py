@@ -40,7 +40,6 @@ from .errors import (DimensionError, InsufficientPilotsError, InvalidInputError,
                      PoolExhaustedError)
 from .estimators import (
     AoaSearchGrid,
-    PilotCampaign,
     UtilityAccumulator,
     _projection_tables,
     closed_form_gain_and_phase,
@@ -76,16 +75,21 @@ def plausible_angles(num_elements: int) -> np.ndarray:
     return angles
 
 
-def _phase_compensation(coefficients: np.ndarray, array: ArrayModel) -> np.ndarray:
-    """exp(-1j*arg(h_n)), after checking that h matches the array.
-
-    ``coefficients`` may carry leading axes, one BS-RIS channel per row.
-    """
+def _check_channel_size(coefficients: np.ndarray, array: ArrayModel) -> None:
+    """Reject BS-RIS coefficients whose last axis does not match the array."""
     if coefficients.shape[-1] != array.num_elements:
         raise DimensionError(
             f"array has {array.num_elements} elements but the BS-RIS channel "
             f"has {coefficients.shape[-1]}"
         )
+
+
+def _phase_compensation(coefficients: np.ndarray, array: ArrayModel) -> np.ndarray:
+    """exp(-1j*arg(h_n)), after checking that h matches the array.
+
+    ``coefficients`` may carry leading axes, one BS-RIS channel per row.
+    """
+    _check_channel_size(coefficients, array)
     return np.exp(-1j * np.angle(coefficients))
 
 
@@ -150,35 +154,22 @@ def build_adaptive_setup(array: ArrayModel, grid: AoaSearchGrid) -> AdaptiveSetu
     )
 
 
-def config_correlation(a: RisConfiguration, b: RisConfiguration) -> float:
-    """Magnitude of the inner product |a^H b| between two configurations.
-
-    For candidate configurations over a ULA this is the Dirichlet kernel
-    |sin(N*pi*rho*d) / sin(pi*rho*d)| in the sine difference d of their
-    angles, with rho the spacing-to-wavelength ratio.
-    """
-    if len(a) != len(b):
-        raise DimensionError(
-            f"configurations of length {len(a)} and {len(b)} cannot be compared"
-        )
-    return float(np.abs(np.vdot(a.phases, b.phases)))
-
-
 @dataclass(frozen=True, eq=False)
 class AdaptiveRunRecord:
     """Transcript of one adaptive run of L pilots, as the core's read-only arrays.
 
-    Entry i of ``config_angles`` (L) is the angle of pilot i+1; the campaign
-    holds its row and sample. One pilot cannot identify the angle, so entry i
-    of ``aoa_estimates`` (L-1) is the angle from the first i+2 pilots, and
-    row i of ``utilities`` ((L-1) x grid) the ML objective over ``grid``
-    behind it. ``result`` is the last angle with the one gain and phase there.
+    Entry i of ``config_angles`` (L) is the angle of pilot i+1 and entry i
+    of ``samples`` (L) its received sample. One pilot cannot identify the
+    angle, so entry i of ``aoa_estimates`` (L-1) is the angle from the first
+    i+2 pilots, and row i of ``utilities`` ((L-1) x grid) the ML objective
+    over ``grid`` behind it. ``result`` is the last angle with the one gain
+    and phase there.
     """
 
     config_angles: np.ndarray
     aoa_estimates: np.ndarray
     utilities: np.ndarray
-    campaign: PilotCampaign
+    samples: np.ndarray
     result: LosChannel
     grid: AoaSearchGrid
 
@@ -338,12 +329,12 @@ def run_adaptive_estimation(
     transmission order, as two per pilot drawn one pilot at a time would
     be (none when ``pilot_snr`` is infinite).
 
-    The angle and utility from the first i pilots match
-    ``parametric_ml_estimate`` and ``ml_utility_profile`` on those pilots
-    of the returned campaign to rounding, which shows only where the
-    pilots barely illuminate a direction. A run with budget i returns
-    exactly the first i pilots and i-1 angles of a longer run under the
-    same noise draws: its result is that run's estimate from i pilots.
+    The angle and utility from the first i pilots match a grid-search ML
+    estimate over those pilots' rows exp(-1j*arg(h)) * conj(a(config angle))
+    and samples to rounding, which shows only where the pilots barely
+    illuminate a direction. A run with budget i returns exactly the first i
+    pilots and i-1 angles of a longer run under the same noise draws: its
+    result is that run's estimate from i pilots.
     """
     num_pilots = _check_budget(num_pilots, array.num_elements)
     if grid is None:
@@ -352,7 +343,7 @@ def run_adaptive_estimation(
     rng = np.random.default_rng(rng)
 
     coefficients = bs_ris_channel.coefficients
-    compensation = _phase_compensation(coefficients, array)
+    _check_channel_size(coefficients, array)
     pilot_power, noise_std = pilot_power_for_snr(
         pilot_snr, true_channel.gain, coefficients[None]
     )
@@ -371,17 +362,13 @@ def run_adaptive_estimation(
         setup, channels[None], pilot_power, noise, num_pilots, keep_utility=True
     )
 
-    picks = run.picks[0]
-    config_angles = setup.angles[picks]
+    config_angles = setup.angles[run.picks[0]]
     aoas = setup.grid_angles[run.peaks[0]]
     utilities = np.concatenate(run.utilities)
-    for values in (config_angles, aoas, utilities):
+    samples = run.samples[0]
+    for values in (config_angles, aoas, utilities, samples):
         values.setflags(write=False)
-    campaign = PilotCampaign(
-        compensation * setup.conj_responses[picks], run.samples[0], pilot_power[0],
-        bs_ris_channel,
-    )
     return AdaptiveRunRecord(
-        config_angles, aoas, utilities, campaign,
+        config_angles, aoas, utilities, samples,
         LosChannel(run.gains[0], run.phases[0], aoas[-1]), grid,
     )

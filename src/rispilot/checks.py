@@ -1,8 +1,9 @@
 """Consistency checks of the exact properties the method rests on.
 
 ``rispilot validate`` runs ``CHECKS``; acceptance criteria 4-8 call the same
-checks and assert their own bounds on the measured values. Checked functions
-are looked up through their modules at call time.
+checks and assert their own bounds on the measured values. Every check runs
+the functions that the Monte Carlo and the single run call, looked up through
+their modules at call time.
 """
 
 import math
@@ -10,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import adaptive, estimators, model
+from . import adaptive, estimators, model, simulate
 
 
 class CheckResult(NamedTuple):
@@ -30,12 +31,6 @@ def circular_diff(a: float, b: float) -> float:
     """Distance between two phases on the circle."""
     d = abs(a - b) % (2 * np.pi)
     return min(d, 2 * np.pi - d)
-
-
-def candidate_rows(h, angles, array: model.ArrayModel) -> np.ndarray:
-    """Stack of candidate-configuration rows for the given angles."""
-    rows = [adaptive.optimal_configuration(h, float(a), array).phases for a in angles]
-    return np.vstack(rows)
 
 
 def noise_free_recovery() -> CheckResult:
@@ -71,46 +66,48 @@ def noise_free_recovery() -> CheckResult:
 
 
 def least_squares_recovery() -> CheckResult:
-    """Noise-free LS on 16 DFT rows, then on 24 rows, returns g elementwise."""
+    """Noise-free LS on all 16 permuted DFT rows returns g elementwise.
+
+    The 20 campaigns go through the Monte Carlo's prefix sums as one stack,
+    read at L = N.
+    """
     rng = np.random.default_rng(77)
-    n = 16
+    n, cases = 16, 20
     array = model.ArrayModel(n, 0.25)
-    dft_rows = estimators.dft_rows(n)
-    unit_h = model.KnownBsRisChannel(np.ones(n))
-    extra = candidate_rows(unit_h, adaptive.plausible_angles(n)[:8], array)
-    cases, worst = 0, 0.0
-    square_then_tall = [dft_rows] * 10 + [np.vstack([dft_rows, extra])] * 10
-    for cases, rows in enumerate(square_then_tall, start=1):
-        gain, phase = float(rng.uniform(0.2, 3.0)), float(rng.uniform(0, 2 * np.pi))
-        channel = model.LosChannel(gain, phase, float(rng.uniform(-1.3, 1.3)))
-        h = model.random_bs_ris_channel(n, rng)
-        g = model.expand_channel(channel, array)
-        received = rows @ (h.coefficients * g) * np.sqrt(5.0)
-        campaign = estimators.PilotCampaign(rows, received, 5.0, h)
-        error = estimators.least_squares_estimate(campaign) - g
-        worst = max(worst, float(np.max(np.abs(error))))
+    dft = estimators.dft_rows(n)
+    draws = []
+    for _ in range(cases):
+        gain, phase = rng.uniform(0.2, 3.0), rng.uniform(0, 2 * np.pi)
+        aoa = rng.uniform(-1.3, 1.3)
+        h = model.random_bs_ris_channel(n, rng).coefficients
+        draws.append((gain, phase, aoa, h, dft[rng.permutation(n)]))
+    gains, phases, aoas, h_rows, rows = map(np.array, zip(*draws))
+    g_rows = model.los_vector(array, gains, phases, aoas)
+    received = (rows @ (h_rows * g_rows)[..., None])[..., 0] * np.sqrt(5.0)
+    estimates = estimators.least_squares_prefix_estimates(rows, received, h_rows, 5.0)
+    worst = float(np.max(np.abs(estimates[:, -1] - g_rows)))
     detail = f"worst elementwise recovery error {worst:.2e} over {cases} campaigns"
     return CheckResult(worst <= 1e-9, cases, detail, dict(worst=worst))
 
 
 def capacity_bound() -> CheckResult:
-    """No random configuration beats capacity; the phase-aligned one attains it."""
+    """No random-phase estimate beats capacity; g itself attains it.
+
+    Rates are the Monte Carlo's phase-matched ones of |h| * g, the capacity
+    the ``achievable_rate`` of the aligned sum of |h_n g_n|.
+    """
     rng = np.random.default_rng(31)
     cases, violations, worst_equality = 0, 0, 0.0
     for cases in range(1, 10_001):
         n = int(rng.integers(2, 33))
         magnitudes = rng.uniform(0.2, 2.0, n)
-        phases = rng.uniform(0, 2 * np.pi, n)
-        h = model.KnownBsRisChannel(magnitudes * np.exp(1j * phases))
         g = rng.normal(size=n) + 1j * rng.normal(size=n)
+        channels = magnitudes * g
         snr = float(rng.uniform(0.1, 5.0))
-        cap = model.capacity(h.coefficients, g, snr)
-        theta = model.RisConfiguration(np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
-        rate = model.achievable_rate(model.effective_channel(theta, h, g), snr)
-        aligned = np.exp(-1j * (np.angle(h.coefficients) + np.angle(g)))
-        aligned_channel = model.effective_channel(model.RisConfiguration(aligned), h, g)
-        violations += rate > cap
-        best = model.achievable_rate(aligned_channel, snr)
+        cap = model.achievable_rate(np.sum(np.abs(channels)), snr)
+        estimate = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        violations += simulate._phase_matched_rate(channels, estimate, snr) > cap
+        best = simulate._phase_matched_rate(channels, g, snr)
         worst_equality = max(worst_equality, abs(best - cap) / cap)
     detail = (f"{violations} bound violations, worst optimal-config equality "
               f"error {worst_equality:.2e} (relative)")
@@ -120,47 +117,51 @@ def capacity_bound() -> CheckResult:
 
 
 def scale_invariance() -> CheckResult:
-    """Scaling a noisy y by a nonzero complex number keeps the angle estimate."""
+    """Scaling noisy samples by a nonzero complex number keeps the angle estimate.
+
+    Each case sends 2-6 distinct candidates of the adaptive setup and feeds
+    y and c * y to one accumulator as two runs.
+    """
     rng = np.random.default_rng(55)
     n = 16
     array, grid = model.ArrayModel(n, 0.25), estimators.AoaSearchGrid(num_points=1200)
-    candidates = adaptive.plausible_angles(n)
+    setup = adaptive.build_adaptive_setup(array, grid)
     cases = mismatches = 0
     for cases in range(1, 101):
-        h = model.random_bs_ris_channel(n, rng)
         num_rows = int(rng.integers(2, 7))
-        chosen = rng.choice(candidates, size=num_rows, replace=False)
-        rows = candidate_rows(h, chosen, array)
-        phase, aoa = float(rng.uniform(0, 2 * np.pi)), float(rng.uniform(-1.0, 1.0))
-        g = model.expand_channel(model.LosChannel(1.0, phase, aoa), array)
+        picks = rng.choice(n, size=num_rows, replace=False)
+        phase, aoa = rng.uniform(0, 2 * np.pi), rng.uniform(-1.0, 1.0)
+        g = model.los_vector(array, 1.0, phase, aoa)
         noise = rng.standard_normal(num_rows) + 1j * rng.standard_normal(num_rows)
-        received = rows @ (h.coefficients * g) * np.sqrt(10.0) + noise / np.sqrt(2)
-        campaign = estimators.PilotCampaign(rows, received, 10.0, h)
-        baseline = estimators.parametric_ml_estimate(campaign, array, grid).aoa
+        received = setup.conj_responses[picks] @ g * np.sqrt(10.0) + noise / np.sqrt(2)
         scale = 0.0
         while scale == 0.0:
             scale = complex(rng.normal(), rng.normal())
-        scaled = estimators.PilotCampaign(rows, scale * received, 10.0, h)
-        estimate = estimators.parametric_ml_estimate(scaled, array, grid)
-        mismatches += estimate.aoa != baseline
+        accumulator = estimators.UtilityAccumulator((2, grid.num_points))
+        for k, sample in zip(picks, received):
+            accumulator.add(setup.projections, np.array([sample, scale * sample]),
+                            setup.projection_energy, [k, k])
+        baseline, scaled = np.argmax(accumulator.utility(), axis=1)
+        mismatches += scaled != baseline
     detail = f"{mismatches} argmax changes over {cases} scaled campaigns"
     return CheckResult(mismatches == 0, cases, detail, dict(mismatches=mismatches))
 
 
 def beam_correlation() -> CheckResult:
-    """Candidate-beam |a^H b| is |sin(N x)/sin(x)| of the sine difference."""
+    """Candidate-beam |a_k^H a(angle)| is |sin(N x)/sin(x)| of the sine difference.
+
+    Measured on the adaptive setup's table |P|^2, which the loop ranks by.
+    """
     rng = np.random.default_rng(101)
     n, rho = 40, 0.25
-    array = model.ArrayModel(n, rho)
-    h = model.random_bs_ris_channel(n, rng)
-    angles = adaptive.plausible_angles(n)
-    configs = [adaptive.optimal_configuration(h, float(a), array) for a in angles]
+    setup = adaptive.build_adaptive_setup(model.ArrayModel(n, rho),
+                                          estimators.AoaSearchGrid())
     cases, worst = 0, 0.0
     for cases in range(1, 51):
-        i, j = rng.choice(n, size=2, replace=False)
-        measured = adaptive.config_correlation(configs[i], configs[j])
-        x = math.pi * rho * (math.sin(angles[j]) - math.sin(angles[i]))
-        analytic = abs(math.sin(n * x) / math.sin(x))
+        k, j = int(rng.integers(n)), int(rng.integers(setup.grid_angles.size))
+        measured = math.sqrt(setup.projection_energy[k, j])
+        x = math.pi * rho * (math.sin(setup.grid_angles[j]) - math.sin(setup.angles[k]))
+        analytic = abs(math.sin(n * x) / math.sin(x)) if x else float(n)
         # relative error above 1, absolute at the exact nulls
         worst = max(worst, abs(measured - analytic) / max(analytic, 1.0))
     detail = f"worst kernel mismatch {worst:.2e} over {cases} beam pairs"

@@ -1,14 +1,12 @@
-"""Channel estimators operating on a recorded pilot campaign.
+"""Channel estimators for the pilots of one or many campaigns.
 
 Two estimators are provided. The parametric maximum-likelihood (ML)
 estimator restricts the channel to the LOS family c * a(aoa) and
 reduces to a one-dimensional grid search over the angle followed by
 closed-form expressions for the complex coefficient. Its sums live in
-one ``UtilityAccumulator`` fed pilot by pilot with rows of a
-``_projection_tables`` table: a whole campaign's for the batch
-estimators, the adaptive setup's as the loop sends pilots. The
-least-squares baseline inverts the pilot equation with a pseudoinverse
-and needs a pilot count on the order of the element count to work well.
+one ``UtilityAccumulator`` fed pilot by pilot with rows of the adaptive
+setup's ``_projection_tables`` as the loop sends pilots. The
+least-squares baseline inverts the pilot equation B D_h g sqrt(P_p) = y.
 For mutually orthogonal rows (DFT columns) the pseudoinverse is B^H / N,
 so the estimates of all pilot prefixes come from one cumulative sum.
 """
@@ -21,69 +19,10 @@ import numpy as np
 
 from .errors import (AngleDomainError, DegenerateDirectionError, DimensionError,
                      InvalidInputError)
-from .model import (
-    TWO_PI,
-    ArrayModel,
-    KnownBsRisChannel,
-    LosChannel,
-    _check_unit_modulus,
-    _is_integral,
-    array_response,
-)
-
-#: Relative singular-value cutoff used by the pseudoinverse.
-PINV_CUTOFF = 1e-12
+from .model import TWO_PI, ArrayModel, _is_integral, array_response
 
 #: Tolerance on max |B B^H - N I| / N for rows taken as mutually orthogonal.
 ORTHOGONALITY_TOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class PilotCampaign:
-    """Pilot observations: configuration matrix, received samples, power.
-
-    ``config_matrix`` stacks one unit-modulus configuration vector per
-    row, in transmission order; ``received`` holds the matching samples.
-    """
-
-    config_matrix: np.ndarray
-    received: np.ndarray
-    pilot_power: float
-    bs_ris_channel: KnownBsRisChannel
-
-    def __post_init__(self) -> None:
-        matrix = np.array(self.config_matrix, dtype=np.complex128)
-        samples = np.array(self.received, dtype=np.complex128)
-        if matrix.ndim != 2:
-            raise DimensionError("config_matrix must be 2-D (pilots x elements)")
-        if samples.ndim != 1 or samples.size != matrix.shape[0]:
-            raise DimensionError(
-                f"received length {samples.size} must equal the "
-                f"{matrix.shape[0]} configuration rows"
-            )
-        if matrix.shape[1] != self.bs_ris_channel.num_elements:
-            raise DimensionError(
-                f"config_matrix has {matrix.shape[1]} columns but the BS-RIS "
-                f"channel has {self.bs_ris_channel.num_elements} coefficients"
-            )
-        _check_unit_modulus(matrix, "config_matrix")
-        if not np.all(np.isfinite(samples)):
-            raise InvalidInputError("received samples must be finite")
-        if not 0 < self.pilot_power < np.inf:
-            raise InvalidInputError("pilot_power must be positive and finite")
-        matrix.setflags(write=False)
-        samples.setflags(write=False)
-        object.__setattr__(self, "config_matrix", matrix)
-        object.__setattr__(self, "received", samples)
-        object.__setattr__(self, "pilot_power", float(self.pilot_power))
-
-    @property
-    def num_pilots(self) -> int:
-        return self.received.size
-
-    @property
-    def num_elements(self) -> int:
-        return self.config_matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -113,10 +52,6 @@ class AoaSearchGrid:
     def angles(self) -> np.ndarray:
         return np.linspace(self.lower, self.upper, self.num_points)
 
-    @property
-    def step(self) -> float:
-        return (self.upper - self.lower) / (self.num_points - 1)
-
 
 def closed_form_gain_and_phase(inner, energy, pilot_power):
     """Gain |y^H B v|^2 / (P_p ||B v||^4) and phase -arg(y^H B v) in [0, 2*pi).
@@ -139,9 +74,9 @@ def _projection_tables(
     Column j of the directions is v_j = D_w a(angles[j]), with w the
     per-element ``weights`` (none: all ones). Entry [i, j] is B_i v_j, what
     pilot row i adds to y^H B v_j per unit sample, and |B_i v_j|^2 what it
-    adds to ||B v_j||^2. The one table route into the ML sums: a campaign's
-    (w = h), the adaptive setup's (none) and a non-unit run's (w = |h|). The
-    directions are built in place and freed before the energies exist.
+    adds to ||B v_j||^2. The one table route into the ML sums: the adaptive
+    setup's (w = none) and a non-unit run's (w = |h|). The directions are
+    built in place and freed before the energies exist.
     """
     directions = array_response(array, angles).T
     if weights is not None:
@@ -162,9 +97,9 @@ class UtilityAccumulator:
     direction v_j = D_h a(angle_j), the inner product y^H B v_j and the
     energy ||B v_j||^2. ``shape`` is the number of directions, or
     (trials, directions) for a leading axis of independent runs: the
-    adaptive loop advances a chunk of trials at once this way, and the
-    batch estimators feed one campaign. This is the one copy of the
-    utility; ``closed_form_gain_and_phase`` turns the sums into a gain and phase.
+    adaptive loop advances a chunk of trials at once this way. This is
+    the one copy of the utility; ``closed_form_gain_and_phase`` turns the
+    sums into a gain and phase.
     """
 
     def __init__(self, shape):
@@ -207,75 +142,6 @@ class UtilityAccumulator:
         return np.divide(value, energy, out=np.zeros_like(energy), where=lit)
 
 
-def _accumulate(
-    campaign: PilotCampaign, array: ArrayModel, angles
-) -> UtilityAccumulator:
-    """An accumulator over ``angles`` fed the campaign's pilots in order.
-
-    Pilot i adds row i of the campaign's table over the directions D_h a(angle),
-    for any |h| and rows. A scalar is one angle; 2-D or empty angles are refused.
-    """
-    if array.num_elements != campaign.num_elements:
-        raise DimensionError(
-            f"array has {array.num_elements} elements but the BS-RIS "
-            f"channel has {campaign.num_elements}"
-        )
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    if angles.ndim > 1 or angles.size == 0:
-        raise DimensionError(f"angles must be 1-D and nonempty, got {angles.shape}")
-    projections, energies = _projection_tables(
-        campaign.config_matrix, array, angles, campaign.bs_ris_channel.coefficients
-    )
-    accumulator = UtilityAccumulator(angles.size)
-    for i, sample in enumerate(campaign.received):
-        accumulator.add(projections, sample, energies, i)
-    return accumulator
-
-
-def ml_utility_profile(
-    campaign: PilotCampaign, array: ArrayModel, angles
-) -> np.ndarray:
-    """ML objective |y^H B D_h a(angle)|^2 / ||B D_h a(angle)||^2 per angle.
-
-    The objective is the received energy explained by each candidate
-    direction. A direction with exactly zero pilot energy scores 0; if
-    no probed direction carries energy, a degenerate-direction error is
-    raised.
-    """
-    return _accumulate(campaign, array, angles).utility()
-
-
-def parametric_ml_estimate(
-    campaign: PilotCampaign,
-    array: ArrayModel,
-    grid: AoaSearchGrid,
-) -> LosChannel:
-    """Grid-search ML estimate of the LOS channel, as a ``LosChannel``.
-
-    Composes the angle search with the closed-form coefficient at the
-    grid peak, from one accumulator over the grid.
-    """
-    angles = grid.angles
-    accumulator = _accumulate(campaign, array, angles)
-    peak = int(np.argmax(accumulator.utility()))
-    gain, phase = closed_form_gain_and_phase(
-        accumulator.inner[peak], accumulator.energy[peak], campaign.pilot_power
-    )
-    return LosChannel(gain, phase, angles[peak])
-
-
-def least_squares_estimate(campaign: PilotCampaign) -> np.ndarray:
-    """Non-parametric estimate D_h^{-1} B^+ y / sqrt(P_p).
-
-    Uses the minimum-norm pseudoinverse with singular values below
-    ``PINV_CUTOFF`` times the largest one treated as zero, so it also
-    covers rank-deficient campaigns with fewer pilots than elements.
-    """
-    pinv = np.linalg.pinv(campaign.config_matrix, rcond=PINV_CUTOFF)
-    unscaled = pinv @ campaign.received
-    return unscaled / (np.sqrt(campaign.pilot_power) * campaign.bs_ris_channel.coefficients)
-
-
 def dft_rows(num_elements: int) -> np.ndarray:
     """The N x N DFT configurations of the least-squares baseline, B B^H = N I."""
     n = np.arange(num_elements)
@@ -287,10 +153,10 @@ def least_squares_prefix_estimates(
 ) -> np.ndarray:
     """Least-squares estimates of every pilot prefix of orthogonal campaigns.
 
-    A campaign is a ``PilotCampaign``'s configuration rows B, samples y and
-    BS-RIS coefficients h; leading axes stack campaigns that share one
-    pilot power, and each gives its own call's result bit for bit. Row L-1
-    of a result equals ``least_squares_estimate`` on the first L pilots:
+    A campaign is configuration rows B, samples y and BS-RIS coefficients
+    h; leading axes stack campaigns that share one pilot power, and each
+    gives its own call's result bit for bit. Row L-1 of a result is the
+    minimum-norm estimate D_h^{-1} B^+ y / sqrt(P_p) from the first L pilots:
     with B B^H = N I the pseudoinverse of any row subset is its conjugate
     transpose over N, so the estimates are the cumulative sums of
     conj(B) * y over N sqrt(P_p) h. Raises ``InvalidInputError`` for a pilot

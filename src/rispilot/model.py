@@ -121,9 +121,6 @@ class RisConfiguration:
         _check_unit_modulus(vec, "configuration")
         object.__setattr__(self, "phases", vec)
 
-    def __len__(self) -> int:
-        return self.phases.size
-
 
 @dataclass(frozen=True, eq=False)
 class KnownBsRisChannel:
@@ -179,19 +176,6 @@ def expand_channel(channel: LosChannel, array: ArrayModel) -> np.ndarray:
     return los_vector(array, channel.gain, channel.phase, channel.aoa)
 
 
-def effective_channel(
-    ris: RisConfiguration, h: KnownBsRisChannel, g
-) -> complex:
-    """Scalar end-to-end channel sum_n h_n * g_n * exp(-1j*theta_n)."""
-    g = np.asarray(g, dtype=np.complex128)
-    if g.ndim != 1 or not (len(ris) == h.num_elements == g.size):
-        raise DimensionError(
-            f"configuration ({len(ris)}), BS-RIS channel ({h.num_elements}) and "
-            f"channel vector ({g.size}) must share one length"
-        )
-    return complex(np.sum(ris.phases * h.coefficients * g))
-
-
 def achievable_rate(effective, data_snr_scale: float):
     """Rate log2(1 + |effective|^2 * P_d / sigma^2) in bits/s/Hz.
 
@@ -202,25 +186,6 @@ def achievable_rate(effective, data_snr_scale: float):
         raise InvalidInputError("data_snr_scale must be positive")
     rate = np.log1p(np.abs(effective) ** 2 * data_snr_scale) / np.log(2.0)
     return float(rate) if np.ndim(rate) == 0 else rate
-
-
-def capacity(coefficients, g, data_snr_scale: float):
-    """Rate upper bound log2(1 + (sum_n |h_n g_n|)^2 * P_d / sigma^2).
-
-    The ``achievable_rate`` of the aligned sum, attained by the
-    configuration theta_n = arg(h_n) + arg(g_n) that phase-aligns all
-    reflected paths. ``coefficients`` holds the BS-RIS channel's h_n. Both
-    vectors run along the last axis; leading trial axes broadcast to one
-    capacity per trial, equal to that trial's own. One pair gives a float.
-    """
-    coefficients = np.asarray(coefficients, dtype=np.complex128)
-    g = np.asarray(g, dtype=np.complex128)
-    if g.ndim == 0 or g.shape[-1:] != coefficients.shape[-1:]:
-        raise DimensionError(
-            f"channel vector {g.shape} and BS-RIS channel {coefficients.shape} "
-            f"must share their last axis"
-        )
-    return achievable_rate(np.sum(np.abs(coefficients * g), axis=-1), data_snr_scale)
 
 
 def _draw_unit_coefficients(num_elements: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,6 +1,12 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite.
+
+It also holds the reference implementations that package code is checked
+against: the batch ML, the pseudoinverse LS, the physical end-to-end channel
+and the capacity.
+"""
 
 import copy
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -9,24 +15,55 @@ from rispilot import (
     ArrayModel,
     KnownBsRisChannel,
     LosChannel,
-    PilotCampaign,
     RisConfiguration,
+    achievable_rate,
     array_response,
-    effective_channel,
     expand_channel,
-    ml_utility_profile,
-    parametric_ml_estimate,
+    optimal_configuration,
+    plausible_angles,
     run_adaptive_estimation,
 )
-from rispilot.adaptive import INITIAL_SINES, AdaptiveSetup, AdaptiveTrials
-from rispilot.checks import candidate_rows, circular_diff  # noqa: F401
+from rispilot.adaptive import (
+    INITIAL_SINES,
+    AdaptiveSetup,
+    AdaptiveTrials,
+    _phase_compensation,
+    pilot_power_for_snr,
+)
+from rispilot.checks import circular_diff
 from rispilot.errors import DegenerateDirectionError
 from rispilot.estimators import (
     UtilityAccumulator,
-    _accumulate,
+    _projection_tables,
     closed_form_gain_and_phase,
 )
 from rispilot.io import UTILITY_CSV_HEADER
+
+
+class PilotCampaign(NamedTuple):
+    """Pilot observations: configuration rows B, samples y, power, BS-RIS channel.
+
+    Row i of ``config_matrix`` and entry i of ``received`` are pilot i+1's.
+    """
+
+    config_matrix: np.ndarray
+    received: np.ndarray
+    pilot_power: float
+    bs_ris_channel: KnownBsRisChannel
+
+    @property
+    def num_pilots(self) -> int:
+        return len(self.received)
+
+    @property
+    def num_elements(self) -> int:
+        return self.config_matrix.shape[1]
+
+
+def candidate_rows(h, angles, array: ArrayModel) -> np.ndarray:
+    """Stack of candidate-configuration rows for the given angles."""
+    rows = [optimal_configuration(h, float(a), array).phases for a in angles]
+    return np.vstack(rows)
 
 
 def make_campaign(
@@ -48,6 +85,83 @@ def make_campaign(
         )
         received = received + noise * (noise_std / np.sqrt(2.0))
     return PilotCampaign(rows, received, pilot_power, h)
+
+
+def run_with_campaign(channel, h, array, num_pilots, pilot_snr, rng=None, grid=None):
+    """``run_adaptive_estimation``'s record and the campaign of its pilots.
+
+    The campaign's rows are built as the run sends them, exp(-1j*arg(h))
+    times the sent candidates' conj(a(angle)), rebuilt from the record's
+    config angles; its samples are the record's, at the run's pilot power.
+    """
+    record = run_adaptive_estimation(
+        channel, h, array, num_pilots, pilot_snr, rng, grid
+    )
+    angles = plausible_angles(array.num_elements)
+    picks = np.searchsorted(angles, record.config_angles)
+    conj_responses = np.conj(array_response(array, angles))
+    rows = _phase_compensation(h.coefficients, array) * conj_responses[picks]
+    pilot_power, _ = pilot_power_for_snr(pilot_snr, channel.gain, h.coefficients[None])
+    return record, PilotCampaign(rows, record.samples, pilot_power[0], h)
+
+
+def accumulate(campaign: PilotCampaign, array: ArrayModel, angles):
+    """An accumulator over ``angles`` fed the campaign's pilots in order.
+
+    The batch route of the ML sums: pilot i adds row i of the campaign's
+    table over the directions D_h a(angle), for any |h| and rows.
+    """
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    projections, energies = _projection_tables(
+        campaign.config_matrix, array, angles, campaign.bs_ris_channel.coefficients
+    )
+    accumulator = UtilityAccumulator(angles.size)
+    for i, sample in enumerate(campaign.received):
+        accumulator.add(projections, sample, energies, i)
+    return accumulator
+
+
+def ml_utility_profile(campaign: PilotCampaign, array: ArrayModel, angles):
+    """ML objective |y^H B D_h a(angle)|^2 / ||B D_h a(angle)||^2 per angle, batch."""
+    return accumulate(campaign, array, angles).utility()
+
+
+def parametric_ml_estimate(campaign: PilotCampaign, array: ArrayModel, grid):
+    """Batch grid-search ML estimate: the grid peak and the gain and phase there."""
+    angles = grid.angles
+    accumulator = accumulate(campaign, array, angles)
+    peak = int(np.argmax(accumulator.utility()))
+    gain, phase = closed_form_gain_and_phase(
+        accumulator.inner[peak], accumulator.energy[peak], campaign.pilot_power
+    )
+    return LosChannel(gain, phase, angles[peak])
+
+
+def least_squares_estimate(campaign: PilotCampaign) -> np.ndarray:
+    """Non-parametric estimate D_h^{-1} B^+ y / sqrt(P_p), by pseudoinverse.
+
+    Singular values below 1e-12 of the largest count as zero, so it also
+    covers rank-deficient campaigns with fewer pilots than elements. The
+    reference for ``least_squares_prefix_estimates``.
+    """
+    pinv = np.linalg.pinv(campaign.config_matrix, rcond=1e-12)
+    unscaled = pinv @ campaign.received
+    scale = np.sqrt(campaign.pilot_power) * campaign.bs_ris_channel.coefficients
+    return unscaled / scale
+
+
+def effective_channel(ris: RisConfiguration, h: KnownBsRisChannel, g) -> complex:
+    """Physical end-to-end channel sum_n h_n * g_n * exp(-1j*theta_n)."""
+    return complex(np.sum(ris.phases * h.coefficients * g))
+
+
+def capacity(coefficients, g, data_snr_scale: float):
+    """Rate bound log2(1 + (sum_n |h_n g_n|)^2 * P_d / sigma^2), per trial row.
+
+    The ``achievable_rate`` of the aligned sum, attained by the configuration
+    theta_n = arg(h_n) + arg(g_n); leading axes give one capacity each.
+    """
+    return achievable_rate(np.sum(np.abs(coefficients * g), axis=-1), data_snr_scale)
 
 
 def _pilot_directions(campaign: PilotCampaign, array: ArrayModel, angles) -> np.ndarray:
@@ -84,11 +198,9 @@ NEAR_NULL = 1e-9
 
 def prefix_campaign(campaign: PilotCampaign, num_pilots: int) -> PilotCampaign:
     """The first ``num_pilots`` pilots of a campaign."""
-    return PilotCampaign(
-        campaign.config_matrix[:num_pilots],
-        campaign.received[:num_pilots],
-        campaign.pilot_power,
-        campaign.bs_ris_channel,
+    return campaign._replace(
+        config_matrix=campaign.config_matrix[:num_pilots],
+        received=campaign.received[:num_pilots],
     )
 
 
@@ -108,11 +220,12 @@ def prefix_results(channel, h, array, num_pilots, pilot_snr, rng, grid) -> list:
     ]
 
 
-def assert_steps_match_batch(record, array: ArrayModel, grid, results) -> int:
+def assert_steps_match_batch(record, campaign, array, grid, results) -> int:
     """Check every step of an adaptive run against the batch estimators.
 
-    ``results`` holds the run's ``prefix_results``: entry i is the estimate,
-    gain and phase included, from its first i+2 pilots. The loop projects
+    ``campaign`` is the run's from ``run_with_campaign``, and ``results``
+    its ``prefix_results``: entry i is the estimate, gain and phase
+    included, from its first i+2 pilots. The loop projects
     through trial-independent tables, the batch estimators through D_h A
     per campaign, so the two agree to rounding: on each prefix the
     utilities agree to rtol 1e-12 (plus 1e-12 of the largest such utility,
@@ -125,7 +238,7 @@ def assert_steps_match_batch(record, array: ArrayModel, grid, results) -> int:
     estimates = zip(record.utilities, record.aoa_estimates, results, strict=True)
     # row i of the record is the estimate from the first i + 2 pilots
     for pilots, (utility, aoa, result) in enumerate(estimates, start=2):
-        prefix = prefix_campaign(record.campaign, pilots)
+        prefix = prefix_campaign(campaign, pilots)
         energy = pilot_energy(prefix, array, grid.angles)
         lit = energy > NEAR_NULL * np.max(energy)
         batch_utility = ml_utility_profile(prefix, array, grid.angles)
@@ -145,7 +258,7 @@ def assert_steps_match_batch(record, array: ArrayModel, grid, results) -> int:
 
 def coefficient_at(campaign: PilotCampaign, array: ArrayModel, aoa: float):
     """Closed-form (gain, phase) of the campaign at one fixed angle."""
-    accumulator = _accumulate(campaign, array, [aoa])
+    accumulator = accumulate(campaign, array, [aoa])
     gain, phase = closed_form_gain_and_phase(
         accumulator.inner[0], accumulator.energy[0], campaign.pilot_power
     )

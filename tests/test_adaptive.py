@@ -24,12 +24,8 @@ from rispilot import (
     achievable_rate,
     array_response,
     build_adaptive_setup,
-    capacity,
-    config_correlation,
-    effective_channel,
     expand_channel,
     optimal_configuration,
-    parametric_ml_estimate,
     plausible_angles,
     random_bs_ris_channel,
     run_adaptive_estimation,
@@ -42,14 +38,18 @@ from conftest import (
     NEAR_NULL,
     assert_steps_match_batch,
     candidate_rows,
+    capacity,
     circular_diff,
     coefficient_at,
     direct_utility,
+    effective_channel,
     local_peak_indices,
+    parametric_ml_estimate,
     pilot_energy,
     prefix_campaign,
     prefix_results,
     reference_advance_trials,
+    run_with_campaign,
     simulate_pilot_reception,
 )
 
@@ -139,12 +139,12 @@ class TestConfigurationPool:
         n = 4
         array = ArrayModel(n, 0.25)
         h = KnownBsRisChannel(np.ones(n))
-        record = run_adaptive_estimation(
+        record, campaign = run_with_campaign(
             LosChannel(1.0, 0.4, 0.3), h, array, n, 10.0, rng
         )
         angles = list(record.config_angles)
         assert sorted(angles) == list(plausible_angles(n))
-        for angle, row in zip(angles, record.campaign.config_matrix, strict=True):
+        for angle, row in zip(angles, campaign.config_matrix, strict=True):
             expected = np.conj(
                 np.exp(-2j * np.pi * 0.25 * np.arange(n) * np.sin(angle))
             )
@@ -184,19 +184,19 @@ class TestConfigurationPool:
         n = 40
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
-        record = run_adaptive_estimation(
+        record, campaign = run_with_campaign(
             LosChannel(1.0, 2.0, 0.3), h, array, n, 10.0, rng
         )
-        rows = zip(record.config_angles, record.campaign.config_matrix, strict=True)
+        rows = zip(record.config_angles, campaign.config_matrix, strict=True)
         for angle, row in rows:
             expected = optimal_configuration(h, angle, array).phases
             assert np.array_equal(row, expected)
 
     def test_take_best_match_agrees_with_correlation_argmax(self, rng):
-        # oracle: each pick after the starting pair is the argmax of
-        # config_correlation against the configuration optimal for the
-        # current estimate, over the unused candidates in angle order, so
-        # ties resolve to the smallest unused angle
+        # oracle: each pick after the starting pair is the argmax of the
+        # correlation |a^H b| with the configuration optimal for the current
+        # estimate, over the unused candidates in angle order, so ties
+        # resolve to the smallest unused angle
         n = 40
         array = ArrayModel(n, 0.25)
         h = random_bs_ris_channel(n, rng)
@@ -209,8 +209,8 @@ class TestConfigurationPool:
             unused = [float(a) for a in angles if a not in picked]
             reference = optimal_configuration(h, record.aoa_estimates[i - 2], array)
             scores = [
-                config_correlation(reference, optimal_configuration(h, a, array))
-                for a in unused
+                abs(np.vdot(reference.phases, row))
+                for row in candidate_rows(h, unused, array)
             ]
             assert record.config_angles[i] == unused[int(np.argmax(scores))]
 
@@ -246,62 +246,66 @@ class TestConfigurationPool:
 
 
 class TestConfigCorrelation:
-    def test_identical_configs_give_element_count(self, rng):
-        n = 9
-        config = RisConfiguration(np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
-        assert config_correlation(config, config) == pytest.approx(float(n))
+    """Candidate-beam correlations |a_i^H a(angle)|, read from the setup's table.
 
-    def test_half_wavelength_pool_pairs_are_orthogonal(self, rng):
+    The configurations cancel the BS-RIS phases, so |P| at |h| = 1 is the
+    correlation of candidate i with the configuration optimal at each grid
+    angle; a two-point grid puts the grid angles on chosen candidates.
+    """
+
+    @staticmethod
+    def correlations(array, lower, upper):
+        """sqrt(|P|^2) of the setup whose grid is just ``lower`` and ``upper``."""
+        setup = build_adaptive_setup(array, AoaSearchGrid(lower, upper, 2))
+        return np.sqrt(setup.projection_energy)
+
+    def test_identical_configs_give_element_count(self):
+        n = 9
+        angles = plausible_angles(n)
+        table = self.correlations(ArrayModel(n, 0.25), angles[3], angles[4])
+        assert table[3, 0] == pytest.approx(float(n))
+        assert table[4, 1] == pytest.approx(float(n))
+
+    def test_half_wavelength_pool_pairs_are_orthogonal(self):
         n = 10
         array = ArrayModel(n, 0.5)
-        h = random_bs_ris_channel(n, rng)
-        rows = candidate_rows(h, plausible_angles(n), array)
+        angles = plausible_angles(n)
         for i, j in ((0, 3), (1, 8), (2, 5)):
-            value = config_correlation(
-                RisConfiguration(rows[i]), RisConfiguration(rows[j])
-            )
+            value = self.correlations(array, angles[i], angles[j])[i, 1]
             assert value == pytest.approx(0.0, abs=1e-9)
 
-    def test_quarter_wavelength_nulls_at_doubled_spacing(self, rng):
+    def test_quarter_wavelength_nulls_at_doubled_spacing(self):
         # with quarter-wavelength spacing the kernel nulls sit at sine
         # differences of 4k/N instead of 2k/N
         n = 12
         array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
         angles = plausible_angles(n)
-        configs = [RisConfiguration(row) for row in candidate_rows(h, angles, array)]
         sines = np.sin(angles)
-        null = config_correlation(configs[0], configs[2])
+        null = self.correlations(array, angles[0], angles[2])[0, 1]
         assert sines[2] - sines[0] == pytest.approx(4.0 / n)
         assert null == pytest.approx(0.0, abs=1e-9)
-        nonnull = config_correlation(configs[0], configs[1])
+        nonnull = self.correlations(array, angles[0], angles[1])[0, 1]
         assert nonnull > 1.0
 
     def test_orthogonal_two_element_configs(self):
-        a = RisConfiguration(np.array([1.0, 1.0]))
-        b = RisConfiguration(np.array([1.0, -1.0]))
-        assert config_correlation(a, b) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            config_correlation(
-                RisConfiguration(np.ones(3)), RisConfiguration(np.ones(4))
-            )
+        # the candidates [1, 1] and [1, -1] at broadside and endfire
+        angles = plausible_angles(2)
+        table = self.correlations(ArrayModel(2, 0.5), angles[0], angles[1])
+        assert table[0, 1] <= 1e-15 and table[1, 0] <= 1e-15
 
     def test_matches_dirichlet_kernel_formula(self, rng):
         # oracle: |sin(N pi rho d) / sin(pi rho d)| in the sine difference d
         n, rho = 40, 0.25
         array = ArrayModel(n, rho)
-        h = random_bs_ris_channel(n, rng)
         angles = plausible_angles(n)
-        configs = [RisConfiguration(row) for row in candidate_rows(h, angles, array)]
         for _ in range(25):
-            i, j = rng.choice(n, size=2, replace=False)
-            measured = config_correlation(configs[i], configs[j])
+            i, j = np.sort(rng.choice(n, size=2, replace=False))
+            table = self.correlations(array, angles[i], angles[j])
             delta = math.sin(angles[j]) - math.sin(angles[i])
             x = math.pi * rho * delta
             expected = abs(math.sin(n * x) / math.sin(x))
-            assert abs(measured - expected) <= 1e-9 * max(expected, 1.0)
+            for measured in (table[i, 1], table[j, 0]):
+                assert abs(measured - expected) <= 1e-9 * max(expected, 1.0)
 
 
 class TestInitialPair:
@@ -318,9 +322,12 @@ class TestInitialPair:
         assert list(sines) == pytest.approx([-0.5, 0.5])
 
     def test_two_elements_uses_both(self, rng):
-        record, _ = self.starting_sines(2, rng)
+        h = random_bs_ris_channel(2, rng)
+        record, campaign = run_with_campaign(
+            LosChannel(1.0, 0.0, 0.2), h, ArrayModel(2, 0.25), 2, 10.0, rng
+        )
         assert sorted(record.config_angles) == list(plausible_angles(2))
-        first, second = record.campaign.config_matrix
+        first, second = campaign.config_matrix
         assert not np.array_equal(first, second)
 
     def test_four_elements_picks_inner_pair(self, rng):
@@ -337,11 +344,11 @@ class TestInitialPair:
         # that includes u = +-1, the grid's endpoints, for both beams
         array, grid = ArrayModel(40, 0.25), AoaSearchGrid()
         h = random_bs_ris_channel(40, rng)
-        record = run_adaptive_estimation(
+        record, campaign = run_with_campaign(
             LosChannel(1.0, 0.0, 0.2), h, array, 2, math.inf, rng, grid
         )
         assert list(np.sin(record.config_angles)) == [-0.5, 0.5]
-        energy = pilot_energy(record.campaign, array, grid.angles)
+        energy = pilot_energy(campaign, array, grid.angles)
         peak = np.max(energy)
         # zero up to rounding at +-90 degrees, while the next grid points
         # are small but resolved
@@ -364,10 +371,10 @@ class TestAdaptiveRun:
             float(rng.uniform(0.5, 2.0)), float(rng.uniform(0, 2 * np.pi)), truth_angle
         )
         h = random_bs_ris_channel(n, rng)
-        record = run_adaptive_estimation(
+        record, campaign = run_with_campaign(
             channel, h, array, budget, math.inf, rng, grid
         )
-        return array, grid, channel, h, record
+        return array, grid, channel, record, campaign
 
     def test_rejects_bad_budgets(self, rng):
         array = ArrayModel(6, 0.25)
@@ -392,11 +399,11 @@ class TestAdaptiveRun:
 
     def test_noise_free_recovery_on_grid_truth(self, rng):
         # oracle: exhaustive scalar utility evaluation shows a unique maximizer
-        array, grid, channel, h, record = self.run_noise_free(rng)
+        array, grid, channel, record, campaign = self.run_noise_free(rng)
         assert record.result.aoa == channel.aoa
         assert record.result.gain == pytest.approx(channel.gain, rel=1e-9)
         assert circular_diff(record.result.phase, channel.phase) < 1e-9
-        values = direct_utility(record.campaign, array, grid.angles)
+        values = direct_utility(campaign, array, grid.angles)
         best = int(np.argmax(values))
         assert grid.angles[best] == channel.aoa
         assert np.all(np.delete(values, best) < values[best])
@@ -420,8 +427,7 @@ class TestAdaptiveRun:
         used = [round(a, 12) for a in record.config_angles]
         assert len(set(used)) == budget  # never reissues a configuration
         assert set(used) <= pool_angle_set
-        assert record.campaign.num_pilots == budget
-        assert np.max(np.abs(np.abs(record.campaign.config_matrix) - 1.0)) < 1e-12
+        assert record.samples.shape == (budget,)
 
     def test_interim_estimates_match_batch_estimators(self, rng):
         # dual route: the table-driven loop must agree with the one-shot
@@ -433,10 +439,14 @@ class TestAdaptiveRun:
         h = random_bs_ris_channel(n, rng)
         channel = LosChannel(1.0, 2.0, -0.4)
         results = prefix_results(channel, h, array, budget, 10.0, rng, grid)
-        record = run_adaptive_estimation(channel, h, array, budget, 10.0, rng, grid)
-        assert assert_steps_match_batch(record, array, grid, results) == budget - 1
+        record, campaign = run_with_campaign(
+            channel, h, array, budget, 10.0, rng, grid
+        )
+        assert assert_steps_match_batch(
+            record, campaign, array, grid, results
+        ) == budget - 1
         for i in range(2, budget + 1):
-            prefix = prefix_campaign(record.campaign, i)
+            prefix = prefix_campaign(campaign, i)
             aoa = record.aoa_estimates[i - 2]
             batch = parametric_ml_estimate(prefix, array, grid)
             assert batch.aoa == aoa
@@ -447,10 +457,12 @@ class TestAdaptiveRun:
 
     def test_monotone_information_at_true_angle(self, rng):
         # adding a pilot can only add energy along the true direction
-        array, grid, channel, h, record = self.run_noise_free(rng, n=10, budget=8)
+        array, grid, channel, record, campaign = self.run_noise_free(
+            rng, n=10, budget=8
+        )
         utilities = []
         for i in range(2, 9):
-            prefix = prefix_campaign(record.campaign, i)
+            prefix = prefix_campaign(campaign, i)
             utilities.append(direct_utility(prefix, array, [channel.aoa])[0])
         assert all(b >= a * (1 - 1e-12) for a, b in zip(utilities, utilities[1:]))
 
@@ -461,10 +473,10 @@ class TestAdaptiveRun:
         h = random_bs_ris_channel(n, rng)
         channel = LosChannel(1.0, 0.3, 0.2)
         results = prefix_results(channel, h, array, n, 10.0, rng, grid)
-        record = run_adaptive_estimation(channel, h, array, n, 10.0, rng, grid)
+        record, campaign = run_with_campaign(channel, h, array, n, 10.0, rng, grid)
         used = sorted(round(a, 12) for a in record.config_angles)
         assert used == sorted(np.round(plausible_angles(n), 12))
-        batch = parametric_ml_estimate(record.campaign, array, grid)
+        batch = parametric_ml_estimate(campaign, array, grid)
         assert batch.aoa == record.result.aoa
         assert batch.gain == pytest.approx(record.result.gain, rel=1e-12)
         assert circular_diff(batch.phase, record.result.phase) < 1e-12
@@ -472,7 +484,7 @@ class TestAdaptiveRun:
             expand_channel(batch, array), expand_channel(record.result, array),
             rtol=1e-12,
         )
-        assert assert_steps_match_batch(record, array, grid, results) == n - 1
+        assert assert_steps_match_batch(record, campaign, array, grid, results) == n - 1
 
     def test_deterministic_given_seed(self):
         n = 10
@@ -481,7 +493,7 @@ class TestAdaptiveRun:
         channel = LosChannel(1.0, 0.9, -0.2)
         first = run_adaptive_estimation(channel, h, array, 6, 10.0, rng=99)
         second = run_adaptive_estimation(channel, h, array, 6, 10.0, rng=99)
-        assert np.array_equal(first.campaign.received, second.campaign.received)
+        assert np.array_equal(first.samples, second.samples)
         assert first.result.aoa == second.result.aoa
         assert first.result.gain == second.result.gain
 
@@ -496,7 +508,10 @@ class TestAdaptiveRun:
         assert record.utilities.shape == (3, 300)
         for utility, aoa in zip(record.utilities, record.aoa_estimates, strict=True):
             assert grid.angles[np.argmax(utility)] == aoa
-        for values in (record.config_angles, record.aoa_estimates, record.utilities):
+        for values in (
+            record.config_angles, record.samples, record.aoa_estimates,
+            record.utilities,
+        ):
             with pytest.raises(ValueError):
                 values[0] = 0.0
 
@@ -529,17 +544,17 @@ class TestAdaptiveRun:
             capacity(hs[1].coefficients, g, snr), rel=1e-12
         )
         runs = [
-            run_adaptive_estimation(channel, h, array, n, snr, noise_seed, grid)
+            run_with_campaign(channel, h, array, n, snr, noise_seed, grid)
             for h in hs
         ]
-        first, second = runs
+        (first, _), (second, _) = runs
         assert first.config_angles[0] == second.config_angles[0]
         # estimate i comes from the first i + 2 pilots and picks pilot i + 3
         for i in range(n - 1):
             assert first.config_angles[i + 1] == second.config_angles[i + 1]
             ambiguous = False
-            for run in runs:
-                prefix = prefix_campaign(run.campaign, i + 2)
+            for run, campaign in runs:
+                prefix = prefix_campaign(campaign, i + 2)
                 energy = pilot_energy(prefix, array, grid.angles)
                 peak = int(np.argmax(run.utilities[i]))
                 ambiguous |= energy[peak] <= NEAR_NULL * np.max(energy)
@@ -589,9 +604,8 @@ class TestAdaptiveRun:
             )
             for coefficients in (h, turned)
         )
-        for name in ("config_angles", "aoa_estimates", "utilities"):
+        for name in ("config_angles", "samples", "aoa_estimates", "utilities"):
             assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
-        assert first.campaign.received.tobytes() == second.campaign.received.tobytes()
         # every step's gain and phase: the budget-i runs' results
         first_results, second_results = (
             prefix_results(
@@ -637,8 +651,7 @@ class TestAdaptiveRun:
         )
         for values, expected in (
             (short.config_angles, long.config_angles[:budget]),
-            (short.campaign.config_matrix, long.campaign.config_matrix[:budget]),
-            (short.campaign.received, long.campaign.received[:budget]),
+            (short.samples, long.samples[:budget]),
             (short.aoa_estimates, long.aoa_estimates[:budget - 1]),
             (short.utilities, long.utilities[:budget - 1]),
         ):
@@ -738,8 +751,9 @@ class TestProjectionTables:
             )
             channel = LosChannel(1.0, float(gen.uniform(0, 2 * np.pi)), -0.4)
             results = prefix_results(channel, h, array, n, 10.0, gen, grid)
-            record = run_adaptive_estimation(channel, h, array, n, 10.0, gen, grid)
-            assert assert_steps_match_batch(record, array, grid, results) >= n - 2
+            record, campaign = run_with_campaign(channel, h, array, n, 10.0, gen, grid)
+            steps = assert_steps_match_batch(record, campaign, array, grid, results)
+            assert steps >= n - 2
 
     def test_non_unit_run_holds_one_table_pair_at_a_time(self):
         # the unit projections are released before the |h| pair is built;
@@ -793,7 +807,7 @@ class TestProjectionTables:
             utilities = np.stack([utility[t] for utility in chunk.utilities])
             for values, expected in (
                 (record.config_angles, setup.angles[chunk.picks[t]]),
-                (record.campaign.received, chunk.samples[t]),
+                (record.samples, chunk.samples[t]),
                 (record.aoa_estimates, setup.grid_angles[chunk.peaks[t]]),
                 (np.float64(record.result.gain), chunk.gains[t]),
                 (np.float64(record.result.phase), chunk.phases[t]),
@@ -978,12 +992,11 @@ class TestPilotReception:
         channel = LosChannel(0.8, float(gen.uniform(0, 2 * np.pi)), 0.3)
         g = expand_channel(channel, array)
         run_rng = np.random.default_rng(11)
-        record = run_adaptive_estimation(
+        _, campaign = run_with_campaign(
             channel, h, array, budget, pilot_snr, run_rng,
             AoaSearchGrid(num_points=300),
         )
         replay_rng = np.random.default_rng(11)
-        campaign = record.campaign
         bound = (
             2 * n * np.finfo(float).eps * np.sum(np.abs(h.coefficients * g))
             * np.sqrt(campaign.pilot_power)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rispilot
-from rispilot import adaptive, checks, cli, errors, estimators, model
+from rispilot import adaptive, checks, cli, errors, estimators, simulate
 from rispilot.cli import main
 from rispilot.io import RATE_CSV_HEADER, UTILITY_CSV_HEADER
 from rispilot.simulate import _trial_chunk
@@ -255,11 +255,52 @@ def test_estimate_once_converges_near_true_angle(capsys):
     assert abs(estimated_deg - (-45.0)) < 1.0
 
 
-def test_validate_passes(capsys):
-    assert main(["validate"]) == 0
+def package_calls(run) -> set[str]:
+    """``module.qualname`` of every package function that ``run()`` calls.
+
+    Before Python 3.11 a code object has no qualname, so methods show as
+    ``module.name``.
+    """
+    package = str(Path(rispilot.__file__).parent) + os.sep
+    called = set()
+
+    def record(frame, event, _arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(package):
+            name = getattr(code, "co_qualname", code.co_name)
+            called.add(f"{Path(code.co_filename).stem}.{name}")
+
+    sys.setprofile(record)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return called
+
+
+def test_validate_passes(capsys, tmp_path):
+    statuses = []
+    validated = package_calls(lambda: statuses.append(main(["validate"])))
+    assert statuses == [0]
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") == 5
+    # apart from their own code, the checks call only package functions
+    # that a command calls too
+    commands = set()
+    for argv in (
+        ["rate-curve", *FAST, "--out", str(tmp_path / "rates.csv")],
+        ["utility-trace", *FAST, "--true-aoa-deg", "-30", "--l-max", "4",
+         "--out", str(tmp_path / "trace.csv")],
+        ["estimate-once", *FAST, "--true-aoa-deg", "-30", "--l", "4"],
+    ):
+        commands |= package_calls(lambda: statuses.append(main(argv)))
+    assert statuses == [0] * 4
+    stray = {
+        name for name in validated - commands
+        if not name.startswith("checks.") and name != "cli._cmd_validate"
+    }
+    assert stray == set()
 
 
 @pytest.mark.parametrize(
@@ -310,20 +351,21 @@ def test_validate_failure_exits_nonzero(capsys, monkeypatch):
 
 
 # (check, owner, function, how the function's output is distorted); the owner
-# is the module whose name the checked code calls
+# is the module or class through which the checked code calls the function
 DEFECTS = [
     ("noise-free-recovery", adaptive, "closed_form_gain_and_phase",
      lambda out, *_: (out[0] * (1 + 1e-6), out[1])),
-    ("least-squares-recovery", estimators, "least_squares_estimate",
+    ("least-squares-recovery", estimators, "least_squares_prefix_estimates",
      lambda out, *_: out + 1e-6),
-    ("capacity-bound", model, "capacity", lambda out, *_: out * (1 + 1e-6)),
-    ("scale-invariance", estimators, "parametric_ml_estimate",
-     # shrunk toward 0, so the distorted angle stays a valid LosChannel's
-     lambda out, campaign, *_: dataclasses.replace(
-         out, aoa=out.aoa / (1 + 1e-3 * abs(campaign.received[0]))
-     )),
-    ("beam-correlation", adaptive, "config_correlation",
+    ("capacity-bound", simulate, "_phase_matched_rate",
      lambda out, *_: out * (1 + 1e-6)),
+    ("scale-invariance", estimators.UtilityAccumulator, "utility",
+     # a fixed ramp over the grid, which scaling the samples does not scale
+     lambda out, *_: out + 1e-3 * np.arange(out.shape[-1])),
+    ("beam-correlation", adaptive, "build_adaptive_setup",
+     lambda out, *_: dataclasses.replace(
+         out, projection_energy=out.projection_energy * (1 + 1e-6)
+     )),
 ]
 
 

@@ -14,16 +14,14 @@ from rispilot import (
     ArrayModel,
     ConfigValidationError,
     ExperimentConfig,
+    KnownBsRisChannel,
     LosChannel,
-    PilotCampaign,
     RateCurvePoint,
     achievable_rate,
     array_response,
     build_adaptive_setup,
-    capacity,
     collect_trial_rates,
     expand_channel,
-    least_squares_estimate,
     least_squares_prefix_estimates,
     optimal_configuration,
     random_bs_ris_channel,
@@ -41,7 +39,14 @@ from rispilot.simulate import (
     _trial_chunk,
 )
 
-from conftest import local_peak_indices, simulate_pilot_reception, utility_db
+from conftest import (
+    PilotCampaign,
+    capacity,
+    least_squares_estimate,
+    local_peak_indices,
+    simulate_pilot_reception,
+    utility_db,
+)
 
 
 class TestSnrToPowers:
@@ -636,7 +641,6 @@ class TestSingleRun:
         data_power, _ = snr_to_powers(config)
         assert summary.capacity_value == achievable_rate(float(n), data_power)
         record = summary.record
-        assert np.array_equal(h, record.campaign.bs_ris_channel.coefficients)
         estimate = array_response(config.array(), record.result.aoa)
         matched = np.sum(np.abs(h) * g * np.exp(-1j * np.angle(estimate)))
         assert summary.achieved_rate == achievable_rate(matched, data_power)
@@ -684,6 +688,7 @@ def single_run(n, spacing, seed, data_snr_db, true_aoa, draw):
     """A seeded single run at a drawn budget, with its BS-RIS channel h and g.
 
     h and g are replayed from the run's draws: the reference phase, then h.
+    The run on them and the draws after them sends the run's samples again.
     """
     budget = 2 + draw % (n - 1)
     config = ExperimentConfig(
@@ -694,4 +699,10 @@ def single_run(n, spacing, seed, data_snr_db, true_aoa, draw):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     channel = LosChannel(1.0, rng.uniform(0.0, 2.0 * np.pi), true_aoa)
     h = random_bs_ris_channel(n, rng).coefficients
+    _, pilot_power = snr_to_powers(config)
+    replay = run_adaptive_estimation(
+        channel, KnownBsRisChannel(h), config.array(), budget, pilot_power, rng,
+        config.grid(),
+    )
+    assert replay.samples.tobytes() == summary.record.samples.tobytes()
     return config, summary, h, expand_channel(channel, config.array())
