@@ -176,23 +176,22 @@ class AdaptiveRunRecord:
 
 def pilot_power_for_snr(
     pilot_snr: float, gain: float, coefficients: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """(pilot_power, noise_std) realizing a per-element pilot SNR.
+) -> float:
+    """The one pilot power realizing a per-element pilot SNR over unit noise.
 
-    Noise power is normalized to 1 and the pilot power is scaled so that
-    pilot_power * gain * mean(|h_n|^2) equals ``pilot_snr``. An infinite
-    SNR maps to zero noise with unit pilot power. ``coefficients`` holds
-    one BS-RIS channel per row, and the pilot power has one entry per row.
+    The power is scaled so that pilot_power * gain * mean(|h_n|^2) equals
+    ``pilot_snr`` for the one BS-RIS channel ``coefficients``. An infinite
+    SNR (a noise-free run) maps to unit pilot power.
     """
     with np.errstate(all="ignore"):  # a power that is not positive and finite fails
-        mean_h2 = np.mean(np.abs(coefficients) ** 2, axis=-1)
-        power = pilot_snr / (gain * mean_h2 if gain > 0 else np.ones_like(mean_h2))
+        mean_h2 = np.mean(np.abs(coefficients) ** 2)
+        power = pilot_snr / (gain * mean_h2 if gain > 0 else 1.0)
     if np.isinf(pilot_snr) and pilot_snr > 0:
-        return np.ones_like(mean_h2), 0.0
-    if not (pilot_snr > 0 and np.all((0 < power) & (power < np.inf))):
+        return 1.0
+    if not (pilot_snr > 0 and 0 < power < np.inf):
         raise InvalidInputError("pilot_snr must be positive (use inf for noise-free) "
                                 "and give a positive, finite pilot power")
-    return power, 1.0
+    return power
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +229,7 @@ def _check_budget(num_pilots: int, n: int) -> int:
 def advance_trials(
     setup: AdaptiveSetup,
     channels: np.ndarray,
-    pilot_power: np.ndarray,
+    pilot_power: float,
     noise: np.ndarray | None,
     num_pilots: int,
     *,
@@ -239,10 +238,10 @@ def advance_trials(
     """Run the adaptive loop for a chunk of trials, one pilot at a time.
 
     Row t of ``channels`` is trial t's |h| * g, which the configurations
-    see once they cancel the BS-RIS phases, ``pilot_power[t]`` its pilot
-    power and row t of ``noise`` the noise of its ``num_pilots`` pilots in
-    transmission order (``None``: noise-free). The setup's tables must
-    belong to the trials' |h|.
+    see once they cancel the BS-RIS phases, and row t of ``noise`` the unit
+    noise of its ``num_pilots`` pilots in transmission order (``None``:
+    noise-free). Every trial sends at the one ``pilot_power``: the setup's
+    tables belong to one |h|, which fixes the power for a given SNR.
 
     Pilot i+1 of each trial sends the argmax of a score row with the
     trial's sent candidates at -inf: row i of ``setup.start_scores`` for
@@ -295,13 +294,14 @@ def advance_trials(
     return AdaptiveTrials(picks, samples, peaks, gains, phases, tuple(utilities))
 
 
-def pilot_noise(draws: np.ndarray, noise_std: float) -> np.ndarray:
-    """Complex pilot noise from pairs of standard normals, one pilot per pair.
+def pilot_noise(draws: np.ndarray) -> np.ndarray:
+    """Unit-power complex pilot noise from standard normals, one pilot per pair.
 
     Pilot i takes draws 2i and 2i+1 along the last axis as its real and
-    imaginary parts, each scaled to variance ``noise_std**2 / 2``.
+    imaginary parts, each scaled to variance 1/2: the noise power is the
+    unit that every pilot SNR is counted in.
     """
-    return (draws[..., 0::2] + 1j * draws[..., 1::2]) * (noise_std / np.sqrt(2.0))
+    return (draws[..., 0::2] + 1j * draws[..., 1::2]) * (1.0 / np.sqrt(2.0))
 
 
 def run_adaptive_estimation(
@@ -324,10 +324,11 @@ def run_adaptive_estimation(
 
     This is the one-trial call of ``advance_trials`` on a setup built for
     ``array`` and ``grid``, whose P and |P|^2 are replaced by those of |h|
-    when some | |h_n| - 1 | exceeds ``UNIT_MODULUS_TOL``. The 2 * ``num_pilots``
-    normals of the per-pilot noise are drawn up front from ``rng``, in
-    transmission order, as two per pilot drawn one pilot at a time would
-    be (none when ``pilot_snr`` is infinite).
+    when some | |h_n| - 1 | exceeds ``UNIT_MODULUS_TOL``; the budget, the
+    channel's length and the pilot power are checked before the setup is
+    built. The 2 * ``num_pilots`` normals of the per-pilot noise are drawn up
+    front from ``rng``, in transmission order, as two per pilot drawn one
+    pilot at a time would be (none when ``pilot_snr`` is infinite).
 
     The angle and utility from the first i pilots match a grid-search ML
     estimate over those pilots' rows exp(-1j*arg(h)) * conj(a(config angle))
@@ -337,19 +338,17 @@ def run_adaptive_estimation(
     result is that run's estimate from i pilots.
     """
     num_pilots = _check_budget(num_pilots, array.num_elements)
+    coefficients = bs_ris_channel.coefficients
+    _check_channel_size(coefficients, array)
+    pilot_power = pilot_power_for_snr(pilot_snr, true_channel.gain, coefficients)
     if grid is None:
         grid = AoaSearchGrid()
     setup = build_adaptive_setup(array, grid)
     rng = np.random.default_rng(rng)
 
-    coefficients = bs_ris_channel.coefficients
-    _check_channel_size(coefficients, array)
-    pilot_power, noise_std = pilot_power_for_snr(
-        pilot_snr, true_channel.gain, coefficients[None]
-    )
     noise = None
-    if noise_std > 0:
-        noise = pilot_noise(rng.standard_normal((1, 2 * num_pilots)), noise_std)
+    if np.isfinite(pilot_snr):
+        noise = pilot_noise(rng.standard_normal((1, 2 * num_pilots)))
     magnitudes = np.abs(coefficients)
     if np.max(np.abs(magnitudes - 1.0)) > UNIT_MODULUS_TOL:
         setup = replace(setup, projections=None)  # unit |P|^2 stays as the scores

@@ -138,10 +138,6 @@ class KnownBsRisChannel:
             raise SingularChannelError("BS-RIS channel coefficients must be nonzero")
         object.__setattr__(self, "coefficients", vec)
 
-    @property
-    def num_elements(self) -> int:
-        return self.coefficients.size
-
 
 def array_response(array: ArrayModel, aoa) -> np.ndarray:
     """Response of the ULA to a plane wave arriving from ``aoa``.

@@ -26,7 +26,6 @@ from .adaptive import (
     advance_trials,
     build_adaptive_setup,
     pilot_noise,
-    pilot_power_for_snr,
     run_adaptive_estimation,
 )
 from .errors import AngleDomainError, ConfigValidationError, InvalidInputError
@@ -307,10 +306,9 @@ def collect_trial_rates(
         g_rows = los_vector(array, 1.0, omegas, aoas)
         channels = np.abs(h_rows) * g_rows
 
-        # the configured pilot power is finite, so every run is noisy
-        loop_power, noise_std = pilot_power_for_snr(pilot_power, 1.0, h_rows)
-        loop_noise = pilot_noise(loop_normals, noise_std)
-        run = advance_trials(setup, channels, loop_power, loop_noise, max_budget)
+        # unit |h| and gain: both estimators send at the configured P_p
+        loop_noise = pilot_noise(loop_normals)
+        run = advance_trials(setup, channels, pilot_power, loop_noise, max_budget)
         ml_estimates = array_response(array, setup.grid_angles[run.peaks[:, last - 1]])
 
         rows = dft[columns]

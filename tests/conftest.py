@@ -101,8 +101,8 @@ def run_with_campaign(channel, h, array, num_pilots, pilot_snr, rng=None, grid=N
     picks = np.searchsorted(angles, record.config_angles)
     conj_responses = np.conj(array_response(array, angles))
     rows = _phase_compensation(h.coefficients, array) * conj_responses[picks]
-    pilot_power, _ = pilot_power_for_snr(pilot_snr, channel.gain, h.coefficients[None])
-    return record, PilotCampaign(rows, record.samples, pilot_power[0], h)
+    pilot_power = pilot_power_for_snr(pilot_snr, channel.gain, h.coefficients)
+    return record, PilotCampaign(rows, record.samples, pilot_power, h)
 
 
 def accumulate(campaign: PilotCampaign, array: ArrayModel, angles):
@@ -335,7 +335,7 @@ def reference_utility(accumulator: UtilityAccumulator) -> np.ndarray:
 def reference_advance_trials(
     setup: AdaptiveSetup,
     channels: np.ndarray,
-    pilot_power: np.ndarray,
+    pilot_power: float,
     noise: np.ndarray | None,
     num_pilots: int,
     *,
@@ -365,7 +365,7 @@ def reference_advance_trials(
     # signals[t, k] is candidate k's noise-free sample for trial t
     signals = np.sum(
         setup.conj_responses * channels[:, None, :], axis=-1
-    ) * np.sqrt(pilot_power)[:, None]
+    ) * np.sqrt(pilot_power)
     accumulator = UtilityAccumulator((trials, projections.shape[1]))
     used = np.zeros((trials, n), dtype=bool)
     picks = np.empty((trials, num_pilots), dtype=np.intp)

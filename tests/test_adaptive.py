@@ -30,6 +30,7 @@ from rispilot import (
     random_bs_ris_channel,
     run_adaptive_estimation,
 )
+from rispilot import adaptive
 from rispilot.adaptive import advance_trials, pilot_noise, pilot_power_for_snr
 from rispilot.estimators import _projection_tables
 from rispilot.model import los_vector
@@ -150,7 +151,7 @@ class TestConfigurationPool:
             )
             assert np.allclose(row, expected, atol=1e-12)
 
-    def test_take_accounting(self, rng):
+    def test_each_pilot_sends_one_unsent_candidate(self, rng):
         # every pilot consumes one unused candidate, and the picks of a
         # shorter budget are the first picks of the full budget
         n = 6
@@ -164,7 +165,7 @@ class TestConfigurationPool:
             record = run_adaptive_estimation(channel, h, array, budget, 10.0, 8)
             assert list(record.config_angles) == picks[:budget]
 
-    def test_take_best_match_prefers_reference_angle(self):
+    def test_third_pilot_is_the_estimated_angles_beam(self):
         # noise-free truth on candidate angle 10 and on grid point 0: the
         # two-pilot estimate is that angle, so the third pilot is its beam
         n = 16
@@ -192,7 +193,7 @@ class TestConfigurationPool:
             expected = optimal_configuration(h, angle, array).phases
             assert np.array_equal(row, expected)
 
-    def test_take_best_match_agrees_with_correlation_argmax(self, rng):
+    def test_picks_agree_with_correlation_argmax(self, rng):
         # oracle: each pick after the starting pair is the argmax of the
         # correlation |a^H b| with the configuration optimal for the current
         # estimate, over the unused candidates in angle order, so ties
@@ -396,6 +397,33 @@ class TestAdaptiveRun:
         record = run_adaptive_estimation(channel, h, array, 3.0, 10.0, 7, grid)
         assert record.config_angles.size == 3
         assert record.aoa_estimates.size == 2
+
+    def test_inputs_are_checked_before_the_setup_is_built(self, monkeypatch):
+        # the setup's N x G tables are the run's largest allocation (about
+        # 157 MiB at N = 256, G = 20 000): a wrong-length BS-RIS channel and
+        # an unrepresentable pilot power must fail before it is built
+        built = []
+        build = adaptive.build_adaptive_setup
+
+        def recording(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(adaptive, "build_adaptive_setup", recording)
+        array, grid = ArrayModel(8, 0.25), AoaSearchGrid(num_points=200)
+        h = random_bs_ris_channel(8, 1)
+        with pytest.raises(DimensionError):
+            run_adaptive_estimation(
+                LosChannel(1.0, 0.0, 0.1), random_bs_ris_channel(7, 1), array, 3,
+                10.0, 1, grid,
+            )
+        with pytest.raises(InvalidInputError, match="finite pilot power"):
+            run_adaptive_estimation(
+                LosChannel(1e-320, 0.0, 0.1), h, array, 3, 10.0, 1, grid
+            )
+        assert built == []
+        run_adaptive_estimation(LosChannel(1.0, 0.0, 0.1), h, array, 3, 10.0, 1, grid)
+        assert built == [(array, grid)]
 
     def test_noise_free_recovery_on_grid_truth(self, rng):
         # oracle: exhaustive scalar utility evaluation shows a unique maximizer
@@ -794,10 +822,11 @@ class TestProjectionTables:
             np.random.default_rng(100 + t).standard_normal(2 * budget)
             for t in range(trials)
         ])
-        pilot_power, noise_std = pilot_power_for_snr(snr, 1.0, coefficients)
-        noise = pilot_noise(draws, noise_std)
+        # unit |h|: every trial's own run sends at the chunk's one power
+        powers = {pilot_power_for_snr(snr, 1.0, h.coefficients) for h in hs}
+        assert len(powers) == 1
         chunk = advance_trials(
-            setup, np.abs(coefficients) * g, pilot_power, noise, budget,
+            setup, np.abs(coefficients) * g, powers.pop(), pilot_noise(draws), budget,
             keep_utility=True,
         )
         for t in range(trials):
@@ -856,12 +885,13 @@ class TestCoreMatchesReference:
             array, gen.uniform(0.25, 4.0, trials), gen.uniform(0, 2 * np.pi, trials),
             gen.uniform(-1.2, 1.2, trials),
         )
-        pilot_power, noise_std = pilot_power_for_snr(
-            10.0 if noisy else np.inf, 1.0, coefficients
+        # every trial shares the one |h|, and so one pilot power
+        pilot_power = pilot_power_for_snr(
+            10.0 if noisy else np.inf, 1.0, coefficients[0]
         )
         noise = None
         if noisy:
-            noise = pilot_noise(gen.standard_normal((trials, 2 * budget)), noise_std)
+            noise = pilot_noise(gen.standard_normal((trials, 2 * budget)))
         args = (setup, np.abs(coefficients) * g, pilot_power, noise, budget)
         run = advance_trials(*args, keep_utility=keep)
         expected = reference_advance_trials(*args, keep_utility=keep)
@@ -891,9 +921,8 @@ class TestCorePicks:
             setup.array, np.ones(trials), gen.uniform(0, 2 * np.pi, trials),
             gen.uniform(-1.2, 1.2, trials),
         )
-        pilot_power, noise_std = pilot_power_for_snr(10.0, 1.0, coefficients)
-        noise = pilot_noise(gen.standard_normal((trials, 2 * budget)), noise_std)
-        return np.abs(coefficients) * g, pilot_power, noise
+        noise = pilot_noise(gen.standard_normal((trials, 2 * budget)))
+        return np.abs(coefficients) * g, 10.0, noise
 
     def test_picks_follow_the_setups_tables(self):
         # the core has no selection policy of its own: with one ranking in

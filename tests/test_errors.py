@@ -118,7 +118,7 @@ REJECTIONS = {
     "achievable_rate": lambda: achievable_rate(1.0, 0.0),
     "plausible_angles": lambda: plausible_angles(0),
     "plausible_angles-fraction": lambda: plausible_angles(2.5),
-    "pilot_power_for_snr": lambda: pilot_power_for_snr(-1.0, 1.0, np.ones((1, 3))),
+    "pilot_power_for_snr": lambda: pilot_power_for_snr(-1.0, 1.0, np.ones(3)),
     "non-orthogonal-rows": lambda: least_squares_prefix_estimates(
         np.ones((2, 3), dtype=complex), np.zeros(2, dtype=complex),
         np.ones(3, dtype=complex), 1.0,

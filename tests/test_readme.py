@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+import rispilot
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -14,3 +16,9 @@ def test_quick_start_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme"})
     assert capsys.readouterr().out
+
+
+def test_export_count_is_the_packages():
+    # the stated size of the public API follows __all__ without a hand edit
+    text = README.read_text(encoding="utf-8")
+    assert re.findall(r"exports (\d+) names", text) == [str(len(rispilot.__all__))]

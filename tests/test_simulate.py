@@ -31,6 +31,7 @@ from rispilot import (
     snr_to_powers,
 )
 
+from rispilot import simulate
 from rispilot.simulate import (
     DEFAULT_PILOT_BUDGETS,
     MAX_ARRAY_ENTRIES,
@@ -455,6 +456,31 @@ class TestTrialRates:
         assert [done for done, _ in calls] == sorted(done for done, _ in calls)
         assert all(total == trials for _, total in calls)
         assert calls[-1] == (trials, trials)
+
+    def test_adaptive_loop_sends_at_the_configured_pilot_power(self, monkeypatch):
+        # unit |h| fixes P_p / mean|h|^2 at P_p, but at N = 13 the mean of
+        # the unit magnitudes' squares rounds off 1 for some draws: every
+        # chunk's loop must get the configured P_p itself, as one float
+        assert any(
+            np.mean(np.abs(random_bs_ris_channel(13, seed).coefficients) ** 2) != 1.0
+            for seed in range(200)
+        )
+        config = ExperimentConfig(
+            num_elements=13, pilot_budgets=(2, 5), num_trials=50, rng_seed=7
+        )
+        powers = []
+        advance = simulate.advance_trials
+
+        def recording(setup, channels, pilot_power, *args, **kwargs):
+            powers.append(pilot_power)
+            return advance(setup, channels, pilot_power, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "advance_trials", recording)
+        collect_trial_rates(config)
+        assert len(powers) == -(-config.num_trials // _trial_chunk(13, 2000))
+        for power in powers:
+            assert np.ndim(power) == 0 and isinstance(power, float)
+            assert power == snr_to_powers(config)[1]
 
 
 class TestRateExperiment:
