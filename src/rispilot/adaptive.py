@@ -26,8 +26,8 @@ steering matrix: it peaks at about 2 N x G complex arrays and holds about 1.5.
 One core, ``advance_trials``, advances a chunk of trials one pilot at a
 time as (trials x grid) arrays, with no matrix product per pick, on the
 |h| * g that every phase-cancelling configuration sees per element.
-``run_adaptive_estimation`` is its one-trial call; the Monte Carlo
-harness calls it once per chunk.
+``run_adaptive_estimation`` is its one-trial library call; the commands
+call the core through one chunk function, ``simulate._run_trials``.
 """
 
 from __future__ import annotations
@@ -357,10 +357,13 @@ def run_adaptive_estimation(
         )
         setup = replace(setup, projections=projections, projection_energy=energies)
     channels = magnitudes * expand_channel(true_channel, array)
-    run = advance_trials(
-        setup, channels[None], pilot_power, noise, num_pilots, keep_utility=True
-    )
+    run = advance_trials(setup, channels[None], pilot_power, noise, num_pilots,
+                         keep_utility=True)
+    return _one_trial_record(setup, run, grid)
 
+
+def _one_trial_record(setup: AdaptiveSetup, run: AdaptiveTrials, grid):
+    """The ``AdaptiveRunRecord`` of a one-trial ``run`` of ``setup``, utilities kept."""
     config_angles = setup.angles[run.picks[0]]
     aoas = setup.grid_angles[run.peaks[0]]
     utilities = np.concatenate(run.utilities)

@@ -48,7 +48,7 @@ def noise_free_recovery() -> CheckResult:
         target = rng.choice(setup.angles)
         truth = float(grid_angles[np.argmin(np.abs(grid_angles - target))])
         gain, phase = float(rng.uniform(0.25, 4.0)), float(rng.uniform(0, 2 * np.pi))
-        h = model.random_bs_ris_channel(40, rng).coefficients
+        h = model._draw_unit_coefficients(40, rng)
         draws.append((truth, gain, phase, h))
     truths, gains, phases, h_rows = map(np.array, zip(*draws))
     g_rows = model.los_vector(array, gains, phases, truths)
@@ -78,7 +78,7 @@ def least_squares_recovery() -> CheckResult:
     for _ in range(cases):
         gain, phase = rng.uniform(0.2, 3.0), rng.uniform(0, 2 * np.pi)
         aoa = rng.uniform(-1.3, 1.3)
-        h = model.random_bs_ris_channel(n, rng).coefficients
+        h = model._draw_unit_coefficients(n, rng)
         draws.append((gain, phase, aoa, h, dft[rng.permutation(n)]))
     gains, phases, aoas, h_rows, rows = map(np.array, zip(*draws))
     g_rows = model.los_vector(array, gains, phases, aoas)

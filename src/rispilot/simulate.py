@@ -1,44 +1,42 @@
 """Monte Carlo experiment harness.
 
-Power bookkeeping is normalized: unit noise power, unit channel gain,
-unit-magnitude BS-RIS coefficients. The per-element data SNR then equals
-the data power and the pilot power is a fixed dB offset above it. The
-BS-RIS channel is always ``random_bs_ris_channel``'s draw, whose unit
-magnitudes let all runs share one capacity and the adaptive setup's tables;
-every configuration cancels its phases, so pilots and data see |h| * g.
-Every trial draws its own random generator from the master seed with a
-counter-based split and draws all its values from it up front; everything
-after the draws then runs a chunk of trials at once, and a trial's
-outcome depends neither on execution order nor on its chunk.
+Power bookkeeping is normalized: unit noise power, unit channel gain and
+unit-magnitude BS-RIS coefficients, so the per-element data SNR equals the
+data power, the pilot power sits a fixed dB offset above it, and all runs
+share one capacity and the adaptive setup's tables. Every configuration
+cancels the BS-RIS phases, so pilots and data see |h| * g. Every trial,
+the single run too, is ``_run_trials`` on its own seed: it draws all its
+values up front, and everything after the draws runs a chunk of trials at
+once, so a trial's outcome depends neither on execution order nor on its
+chunk. The Monte Carlo seeds trial K with a counter-based split.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .adaptive import (
     AdaptiveRunRecord,
+    AdaptiveSetup,
+    AdaptiveTrials,
     _check_budget,
+    _one_trial_record,
     advance_trials,
     build_adaptive_setup,
     pilot_noise,
-    run_adaptive_estimation,
 )
 from .errors import AngleDomainError, ConfigValidationError, InvalidInputError
 from .estimators import AoaSearchGrid, dft_rows, least_squares_prefix_estimates
 from .model import (
     TWO_PI,
     ArrayModel,
-    LosChannel,
     achievable_rate,
     array_response,
-    expand_channel,
     los_vector,
-    random_bs_ris_channel,
     _draw_unit_coefficients,
     _is_integral,
 )
@@ -245,88 +243,94 @@ def _trial_chunk(num_elements: int, grid_points: int) -> int:
     return max(1, CHUNK_ENTRIES // per_trial)
 
 
+def _capacity(config: ExperimentConfig) -> float:
+    """log2(1 + N^2 P_d): |h_n| = |g_n| = 1, so every trial's aligned sum is N."""
+    return achievable_rate(float(config.num_elements), snr_to_powers(config)[0])
+
+
+def _run_trials(
+    config: ExperimentConfig, setup: AdaptiveSetup, dft: np.ndarray, seeds,
+    aoa: float | None = None, keep_utility: bool = False,
+) -> tuple[np.ndarray, AdaptiveTrials]:
+    """Run one trial per seed on the experiment's setup and DFT rows.
+
+    A trial draws from its own generator, in this order: user angle (unless
+    ``aoa`` fixes it), reference phase, BS-RIS channel, 4L normals (the
+    adaptive loop's 2L pilot normals, then the least-squares noise's L real
+    and L imaginary parts) and a permutation whose first L entries pick its
+    DFT columns, L the largest budget. The rest runs on (trials x ...) arrays,
+    each trial's row its own: ``advance_trials`` on |h| * g at the configured
+    P_p, the baseline's prefix estimates (budget L takes the first L columns
+    and noise samples of one campaign) and one phase-matched rate call for
+    both, the ML estimate as the bare steering vector at its budget's peak.
+    Returns the ML and LS rates, (2 x budgets x trials), and the run.
+    """
+    data_power, pilot_power = snr_to_powers(config)
+    budgets = config.pilot_budgets
+    max_budget = max(budgets)
+    n = config.num_elements
+    # budget L reads row L - 1 of the LS prefix estimates and the
+    # adaptive estimate from L pilots, column L - 2 of the run's peaks
+    last = np.array(budgets) - 1
+
+    draws = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        angle = rng.uniform(*config.ue_angle_range) if aoa is None else aoa
+        omega = rng.uniform(0.0, TWO_PI)
+        h = _draw_unit_coefficients(n, rng)
+        normals = rng.standard_normal(4 * max_budget)
+        draws.append((angle, omega, h, normals, rng.permutation(n)[:max_budget]))
+    aoas, omegas, h_rows, normals, columns = map(np.array, zip(*draws))
+    bounds = [2 * max_budget, 3 * max_budget]
+    loop_normals, ls_real, ls_imag = np.split(normals, bounds, axis=1)
+    g_rows = los_vector(setup.array, 1.0, omegas, aoas)
+    channels = np.abs(h_rows) * g_rows
+
+    # unit |h| and gain: both estimators send at the configured P_p
+    run = advance_trials(setup, channels, pilot_power, pilot_noise(loop_normals),
+                         max_budget, keep_utility=keep_utility)
+    ml_angles = setup.grid_angles[run.peaks[:, last - 1]]
+    ml_estimates = array_response(setup.array, ml_angles)
+
+    rows = dft[columns]
+    signal = h_rows * g_rows * np.sqrt(pilot_power)
+    ls_noise = (ls_real + 1j * ls_imag) / np.sqrt(2.0)
+    received = (rows @ signal[..., None])[..., 0] + ls_noise
+    ls_estimates = least_squares_prefix_estimates(rows, received, h_rows, pilot_power)
+
+    estimates = np.stack([ml_estimates, ls_estimates[:, last]])
+    rates = _phase_matched_rate(channels[:, None, :], estimates, data_power)
+    return rates.transpose(0, 2, 1), run
+
+
 def collect_trial_rates(
     config: ExperimentConfig,
     progress: Callable[[int, int], None] | None = None,
 ) -> TrialRates:
     """Run all Monte Carlo trials and keep the per-trial rates.
 
-    Only the draws run trial by trial, from the trial's own generator and in
-    this order: user angle, reference phase, BS-RIS channel, the adaptive
-    loop's pilot noise, the least-squares baseline's noise and DFT columns.
-    The rest runs once per chunk of trials on (trials x ...) arrays:
-    channels, |h| * g, the adaptive estimation (``advance_trials``) on them,
-    the baseline and one phase-matched rate call on them for both estimates,
-    the ML one as the bare steering vector at its peak. A trial's
-    rates are the ones computed for it alone. The adaptive estimation runs
-    at the largest budget: earlier pilots do not depend on later ones, so
-    its estimate after pilot L is the budget-L outcome. Budget L of the
-    baseline uses the first L permuted DFT columns and noise samples, so
-    the budgets see nested prefixes of one orthogonal campaign and
-    ``least_squares_prefix_estimates`` gives every budget's estimate from a
-    cumulative sum. All trials share one capacity, computed once.
-    ``progress(done, total)`` is called after every chunk.
+    Trial K is ``_run_trials`` on ``spawn()[K]`` of the master seed, run a chunk
+    at a time on one setup and one set of DFT rows; all trials share one
+    capacity. ``progress(done, total)`` is called after every chunk.
     """
-    array = config.array()
-    grid = config.grid()
-    setup = build_adaptive_setup(array, grid)
-    data_power, pilot_power = snr_to_powers(config)
-    budgets = config.pilot_budgets
-    max_budget = max(budgets)
+    setup = build_adaptive_setup(config.array(), config.grid())
+    dft = dft_rows(config.num_elements)
     trials = config.num_trials
-    n = config.num_elements
-    dft = dft_rows(n)
-    chunk = _trial_chunk(n, config.grid_points)
-    # budget L reads row L - 1 of the LS prefix estimates and the
-    # adaptive estimate from L pilots, column L - 2 of the chunk's estimates
-    last = np.array(budgets) - 1
-
+    chunk = _trial_chunk(config.num_elements, config.grid_points)
     # the ML and the LS rate of each budget and trial
-    rates = np.zeros((2, len(budgets), trials))
+    rates = np.zeros((2, len(config.pilot_budgets), trials))
 
     # spawns continue one sequence of children: chunk by chunk, the seeds are
     # those of one spawn(trials), but only a chunk's seeds are ever alive
     root = np.random.SeedSequence(config.rng_seed)
     for begin in range(0, trials, chunk):
         members = slice(begin, min(begin + chunk, trials))
-        draws = []
-        for seed in root.spawn(members.stop - begin):
-            rng = np.random.default_rng(seed)
-            aoa = rng.uniform(*config.ue_angle_range)
-            omega = rng.uniform(0.0, TWO_PI)
-            h = _draw_unit_coefficients(n, rng)
-            # the loop's 2L pilot normals, then the baseline's L real and L
-            # imaginary noise normals
-            normals = rng.standard_normal(4 * max_budget)
-            draws.append((aoa, omega, h, normals, rng.permutation(n)[:max_budget]))
-        aoas, omegas, h_rows, normals, columns = map(np.array, zip(*draws))
-        loop_normals, ls_real, ls_imag = np.split(
-            normals, [2 * max_budget, 3 * max_budget], axis=1
-        )
-        g_rows = los_vector(array, 1.0, omegas, aoas)
-        channels = np.abs(h_rows) * g_rows
-
-        # unit |h| and gain: both estimators send at the configured P_p
-        loop_noise = pilot_noise(loop_normals)
-        run = advance_trials(setup, channels, pilot_power, loop_noise, max_budget)
-        ml_estimates = array_response(array, setup.grid_angles[run.peaks[:, last - 1]])
-
-        rows = dft[columns]
-        signal = h_rows * g_rows * np.sqrt(pilot_power)
-        ls_noise = (ls_real + 1j * ls_imag) / np.sqrt(2.0)
-        received = (rows @ signal[..., None])[..., 0] + ls_noise
-        ls_estimates = least_squares_prefix_estimates(
-            rows, received, h_rows, pilot_power
-        )[:, last]
-
-        rates[..., members] = _phase_matched_rate(
-            channels[:, None, :], np.stack([ml_estimates, ls_estimates]), data_power
-        ).transpose(0, 2, 1)
+        seeds = root.spawn(members.stop - begin)
+        rates[..., members], _ = _run_trials(config, setup, dft, seeds)
         if progress is not None:
             progress(members.stop, trials)
-
-    # |h_n| = |g_n| = 1, so every trial's aligned sum of paths is N
-    return TrialRates(budgets, rates[0], rates[1], achievable_rate(float(n), data_power))
+    return TrialRates(config.pilot_budgets, rates[0], rates[1], _capacity(config))
 
 
 def _mean_and_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -372,30 +376,23 @@ class SingleRunSummary:
 def run_single_estimate(
     config: ExperimentConfig, true_aoa: float, num_pilots: int
 ) -> SingleRunSummary:
-    """Run one seeded adaptive estimation and score the final estimate.
+    """Run one Monte Carlo trial from ``true_aoa`` and score its estimate.
 
-    The run draws the reference phase and the BS-RIS channel from
-    ``SeedSequence(rng_seed)``, then the pilot noise. Its record keeps
-    the grid utility of every step after the first, so ``utility-trace``
-    and ``estimate-once`` show the same run, scored as the Monte Carlo's
-    are: the bare steering vector at the estimated angle.
+    The trial is ``_run_trials`` at budget ``num_pilots`` on the seed
+    ``SeedSequence(rng_seed)``, its utilities kept for ``utility-trace``. The
+    angle and budget are checked before the setup is built.
     """
     lo, hi = config.ue_angle_range
     if not lo <= true_aoa <= hi:
-        raise AngleDomainError(
-            f"true angle {true_aoa!r} rad lies outside the configured UE "
-            f"range [{lo}, {hi}]"
-        )
-    rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed))
-    data_power, pilot_power = snr_to_powers(config)
-    channel = LosChannel(1.0, rng.uniform(0.0, TWO_PI), float(true_aoa))
-    h = random_bs_ris_channel(config.num_elements, rng)
-    array = config.array()
-    g = expand_channel(channel, array)
-    record = run_adaptive_estimation(
-        channel, h, array, num_pilots, pilot_power, rng, config.grid()
+        raise AngleDomainError(f"true angle {true_aoa!r} rad lies outside the "
+                               f"configured UE range [{lo}, {hi}]")
+    num_pilots = _check_budget(num_pilots, config.num_elements)
+    grid = config.grid()
+    setup = build_adaptive_setup(config.array(), grid)
+    rates, run = _run_trials(
+        replace(config, pilot_budgets=(num_pilots,)), setup,
+        dft_rows(config.num_elements), [np.random.SeedSequence(config.rng_seed)],
+        aoa=true_aoa, keep_utility=True,
     )
-    steering = array_response(array, record.result.aoa)
-    rate = _phase_matched_rate(np.abs(h.coefficients) * g, steering, data_power)
-    cap = achievable_rate(float(config.num_elements), data_power)
-    return SingleRunSummary(record, rate, cap)
+    record = _one_trial_record(setup, run, grid)
+    return SingleRunSummary(record, float(rates[0, 0, 0]), _capacity(config))

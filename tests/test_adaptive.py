@@ -11,10 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rispilot import (
+    AngleDomainError,
     AoaSearchGrid,
     ArrayModel,
+    ConfigValidationError,
     DegenerateDirectionError,
     DimensionError,
+    ExperimentConfig,
     InsufficientPilotsError,
     InvalidInputError,
     KnownBsRisChannel,
@@ -29,8 +32,9 @@ from rispilot import (
     plausible_angles,
     random_bs_ris_channel,
     run_adaptive_estimation,
+    run_single_estimate,
 )
-from rispilot import adaptive
+from rispilot import adaptive, simulate
 from rispilot.adaptive import advance_trials, pilot_noise, pilot_power_for_snr
 from rispilot.estimators import _projection_tables
 from rispilot.model import los_vector
@@ -133,10 +137,10 @@ class TestOptimalConfiguration:
             assert abs(config.phases[k] - expected) < 1e-12
 
 
-class TestConfigurationPool:
-    """The N candidate configurations and their used mask, seen through runs."""
+class TestCandidateConfigurations:
+    """The N candidate configurations, each sent at most once, seen through runs."""
 
-    def test_pool_holds_one_config_per_angle(self, rng):
+    def test_full_budget_sends_one_config_per_angle(self, rng):
         n = 4
         array = ArrayModel(n, 0.25)
         h = KnownBsRisChannel(np.ones(n))
@@ -421,9 +425,25 @@ class TestAdaptiveRun:
             run_adaptive_estimation(
                 LosChannel(1e-320, 0.0, 0.1), h, array, 3, 10.0, 1, grid
             )
+        # the single run builds its setup through simulate: a short or long
+        # budget and an angle outside the UE range fail with their own
+        # errors, not with the ConfigValidationError of a config rebuilt
+        # with that budget
+        monkeypatch.setattr(simulate, "build_adaptive_setup", recording)
+        config = ExperimentConfig(num_elements=8, pilot_budgets=(2,), grid_points=200)
+        for aoa, budget, error in [
+            (0.1, 1, InsufficientPilotsError),
+            (0.1, 9, PoolExhaustedError),
+            (1.2, 3, AngleDomainError),
+        ]:
+            with pytest.raises(error) as raised:
+                run_single_estimate(config, aoa, budget)
+            assert not isinstance(raised.value, ConfigValidationError)
         assert built == []
         run_adaptive_estimation(LosChannel(1.0, 0.0, 0.1), h, array, 3, 10.0, 1, grid)
         assert built == [(array, grid)]
+        run_single_estimate(config, 0.1, 3)
+        assert built == [(array, grid)] * 2
 
     def test_noise_free_recovery_on_grid_truth(self, rng):
         # oracle: exhaustive scalar utility evaluation shows a unique maximizer

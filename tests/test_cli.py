@@ -287,20 +287,27 @@ def test_validate_passes(capsys, tmp_path):
     assert out.count("PASS") == 5
     # apart from their own code, the checks call only package functions
     # that a command calls too
-    commands = set()
+    calls = {}
     for argv in (
         ["rate-curve", *FAST, "--out", str(tmp_path / "rates.csv")],
         ["utility-trace", *FAST, "--true-aoa-deg", "-30", "--l-max", "4",
          "--out", str(tmp_path / "trace.csv")],
         ["estimate-once", *FAST, "--true-aoa-deg", "-30", "--l", "4"],
     ):
-        commands |= package_calls(lambda: statuses.append(main(argv)))
+        calls[argv[0]] = package_calls(lambda: statuses.append(main(argv)))
     assert statuses == [0] * 4
+    commands = set().union(*calls.values())
     stray = {
         name for name in validated - commands
         if not name.startswith("checks.") and name != "cli._cmd_validate"
     }
     assert stray == set()
+    # the single runs are Monte Carlo trials: the chunk function of
+    # rate-curve, not the one-trial API and its power rescaling
+    one_trial = {"adaptive.run_adaptive_estimation", "adaptive.pilot_power_for_snr"}
+    for name in ("utility-trace", "estimate-once"):
+        assert ("simulate._run_trials" in calls[name] & calls["rate-curve"]
+                and not one_trial & calls[name]), name
 
 
 @pytest.mark.parametrize(

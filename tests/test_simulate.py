@@ -14,7 +14,6 @@ from rispilot import (
     ArrayModel,
     ConfigValidationError,
     ExperimentConfig,
-    KnownBsRisChannel,
     LosChannel,
     RateCurvePoint,
     achievable_rate,
@@ -32,6 +31,7 @@ from rispilot import (
 )
 
 from rispilot import simulate
+from rispilot.adaptive import advance_trials, pilot_noise
 from rispilot.simulate import (
     DEFAULT_PILOT_BUDGETS,
     MAX_ARRAY_ENTRIES,
@@ -689,6 +689,8 @@ class TestSingleRun:
         true_aoa=st.floats(-math.pi / 3, math.pi / 3),
         draw=st.integers(0, 2**16),
     )
+    # mean |h|^2 of this draw rounds to 1 + 2^-52, so P_p / mean|h|^2 is not P_p
+    @example(n=3, spacing=0.25, seed=65, data_snr_db=0.0, true_aoa=0.0, draw=0)
     def test_scores_the_steering_vector_as_the_monte_carlo_does(
         self, n, spacing, seed, data_snr_db, true_aoa, draw
     ):
@@ -711,10 +713,12 @@ class TestSingleRun:
 
 
 def single_run(n, spacing, seed, data_snr_db, true_aoa, draw):
-    """A seeded single run at a drawn budget, with its BS-RIS channel h and g.
+    """A seeded single run at a drawn budget L, with its BS-RIS channel h and g.
 
-    h and g are replayed from the run's draws: the reference phase, then h.
-    The run on them and the draws after them sends the run's samples again.
+    The run is replayed from its documented recipe: ``SeedSequence(seed)``
+    draws the reference phase, then N uniform phases for h, then 4L normals,
+    the first 2L of which are the pilot noise. ``advance_trials`` at the
+    configured P_p on those draws must send the run's samples again.
     """
     budget = 2 + draw % (n - 1)
     config = ExperimentConfig(
@@ -723,12 +727,15 @@ def single_run(n, spacing, seed, data_snr_db, true_aoa, draw):
     )
     summary = run_single_estimate(config, true_aoa, budget)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    channel = LosChannel(1.0, rng.uniform(0.0, 2.0 * np.pi), true_aoa)
-    h = random_bs_ris_channel(n, rng).coefficients
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    h = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+    normals = rng.standard_normal(4 * budget)
+    array = config.array()
+    g = expand_channel(LosChannel(1.0, phase, true_aoa), array)
     _, pilot_power = snr_to_powers(config)
-    replay = run_adaptive_estimation(
-        channel, KnownBsRisChannel(h), config.array(), budget, pilot_power, rng,
-        config.grid(),
+    replay = advance_trials(
+        build_adaptive_setup(array, config.grid()), (np.abs(h) * g)[None],
+        pilot_power, pilot_noise(normals[None, :2 * budget]), budget,
     )
-    assert replay.samples.tobytes() == summary.record.samples.tobytes()
-    return config, summary, h, expand_channel(channel, config.array())
+    assert replay.samples[0].tobytes() == summary.record.samples.tobytes()
+    return config, summary, h, g
