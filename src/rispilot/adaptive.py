@@ -84,15 +84,6 @@ def _check_channel_size(coefficients: np.ndarray, array: ArrayModel) -> None:
         )
 
 
-def _phase_compensation(coefficients: np.ndarray, array: ArrayModel) -> np.ndarray:
-    """exp(-1j*arg(h_n)), after checking that h matches the array.
-
-    ``coefficients`` may carry leading axes, one BS-RIS channel per row.
-    """
-    _check_channel_size(coefficients, array)
-    return np.exp(-1j * np.angle(coefficients))
-
-
 def optimal_configuration(
     bs_ris_channel: KnownBsRisChannel, aoa: float, array: ArrayModel
 ) -> RisConfiguration:
@@ -101,7 +92,9 @@ def optimal_configuration(
     Entry n is exp(-1j*arg(h_n)) * conj(a(aoa)_n): it cancels the BS-RIS
     phase and the arrival phase so all element paths add coherently.
     """
-    compensation = _phase_compensation(bs_ris_channel.coefficients, array)
+    coefficients = bs_ris_channel.coefficients
+    _check_channel_size(coefficients, array)
+    compensation = np.exp(-1j * np.angle(coefficients))
     return RisConfiguration(compensation * np.conj(array_response(array, aoa)))
 
 
@@ -200,9 +193,11 @@ class AdaptiveTrials:
 
     Column i of ``picks`` and ``samples`` is pilot i+1's candidate index and
     received sample, and column i of ``peaks`` the grid index of the angle
-    from the first i+2 pilots. ``utilities`` holds those steps' read-only
-    (trials x grid) utilities when kept (else nothing), and ``gains`` and
-    ``phases`` one estimate per trial, from all pilots at the last peak.
+    from the first i+2 pilots. ``utilities`` is the one read-only (steps x
+    trials x grid) buffer the utilities were written to: entry i is the
+    step behind column i of ``peaks`` when kept, else the one step holds
+    the last. ``gains`` and ``phases`` hold one estimate per trial, from
+    all pilots at the last peak.
     """
 
     picks: np.ndarray
@@ -210,7 +205,7 @@ class AdaptiveTrials:
     peaks: np.ndarray
     gains: np.ndarray
     phases: np.ndarray
-    utilities: tuple[np.ndarray, ...]
+    utilities: np.ndarray
 
 
 def _check_budget(num_pilots: int, n: int) -> int:
@@ -230,7 +225,7 @@ def advance_trials(
     setup: AdaptiveSetup,
     channels: np.ndarray,
     pilot_power: float,
-    noise: np.ndarray | None,
+    noise: np.ndarray,
     num_pilots: int,
     *,
     keep_utility: bool = False,
@@ -238,20 +233,23 @@ def advance_trials(
     """Run the adaptive loop for a chunk of trials, one pilot at a time.
 
     Row t of ``channels`` is trial t's |h| * g, which the configurations
-    see once they cancel the BS-RIS phases, and row t of ``noise`` the unit
-    noise of its ``num_pilots`` pilots in transmission order (``None``:
-    noise-free). Every trial sends at the one ``pilot_power``: the setup's
-    tables belong to one |h|, which fixes the power for a given SNR.
+    see once they cancel the BS-RIS phases, and row t of the (trials x
+    ``num_pilots``) ``noise`` the unit noise of its pilots in transmission
+    order (zeros for a noise-free run). Every trial sends at the one
+    ``pilot_power``: the setup's tables belong to one |h|, which fixes the
+    power for a given SNR.
 
     Pilot i+1 of each trial sends the argmax of a score row with the
     trial's sent candidates at -inf: row i of ``setup.start_scores`` for
     the starting pair, then the row of ``setup.scores`` at the current
-    estimate. Only that candidate's noise-free sample is formed, and its
-    table rows are added, read in place, to the trial's row of a (trials x
-    grid) ``UtilityAccumulator``, whose utility argmax (in one work buffer
-    unless kept) is the angle and whose sums at the last peak give each
-    trial's gain and phase. Every step is elementwise or reduces within a
-    row, so a trial's outcome does not depend on the chunk.
+    estimate. Only that candidate's noise-free sample is formed, its noise
+    added, and its table rows are added, read in place, to the trial's row
+    of a (trials x grid) ``UtilityAccumulator``. From the second pilot on,
+    each step writes its utility into one (steps x trials x grid) buffer,
+    a step per entry when kept, else one entry reused; its argmax is the
+    angle, and the sums at the last peak give each trial's gain and phase.
+    Every step is elementwise or reduces within a row, so a trial's
+    outcome does not depend on the chunk.
     """
     trials, n = channels.shape
     if n != setup.angles.size:
@@ -263,8 +261,8 @@ def advance_trials(
     picks = np.empty((trials, num_pilots), dtype=np.intp)
     samples = np.empty((trials, num_pilots), dtype=np.complex128)
     peaks = np.empty((trials, num_pilots - 1), dtype=np.intp)
-    utilities: list[np.ndarray] = []
-    work = None if keep_utility else np.empty(accumulator.energy.shape)
+    steps = num_pilots - 1 if keep_utility else 1
+    utilities = np.empty((steps, *accumulator.energy.shape))
 
     for i in range(num_pilots):
         if i < len(setup.start_scores):
@@ -273,25 +271,22 @@ def advance_trials(
             scores = setup.scores[peak]
         scores[rows[:, None], picks[:, :i]] = -np.inf
         k = np.argmax(scores, axis=1)
-        # candidate k's noise-free sample sum_n |h_n| conj(a_k,n) g_n sqrt(P_p)
+        # candidate k's noisy sample sum_n |h_n| conj(a_k,n) g_n sqrt(P_p) + w
         sample = np.sum(setup.conj_responses[k] * channels, axis=-1) * amplitude
-        if noise is not None:
-            sample = sample + noise[:, i]
+        sample += noise[:, i]
         accumulator.add(setup.projections, sample, setup.projection_energy, k)
         picks[:, i] = k
         samples[:, i] = sample
         if i >= 1:
-            utility = accumulator.utility(out=work)
+            utility = accumulator.utility(out=utilities[(i - 1) % steps])
             peak = np.argmax(utility, axis=1)
             peaks[:, i - 1] = peak
-            if keep_utility:
-                utility.setflags(write=False)
-                utilities.append(utility)
 
+    utilities.setflags(write=False)
     gains, phases = closed_form_gain_and_phase(
         accumulator.inner[rows, peak], accumulator.energy[rows, peak], pilot_power
     )
-    return AdaptiveTrials(picks, samples, peaks, gains, phases, tuple(utilities))
+    return AdaptiveTrials(picks, samples, peaks, gains, phases, utilities)
 
 
 def pilot_noise(draws: np.ndarray) -> np.ndarray:
@@ -328,7 +323,8 @@ def run_adaptive_estimation(
     channel's length and the pilot power are checked before the setup is
     built. The 2 * ``num_pilots`` normals of the per-pilot noise are drawn up
     front from ``rng``, in transmission order, as two per pilot drawn one
-    pilot at a time would be (none when ``pilot_snr`` is infinite).
+    pilot at a time would be (none when ``pilot_snr`` is infinite: the
+    noise is then zeros).
 
     The angle and utility from the first i pilots match a grid-search ML
     estimate over those pilots' rows exp(-1j*arg(h)) * conj(a(config angle))
@@ -346,7 +342,7 @@ def run_adaptive_estimation(
     setup = build_adaptive_setup(array, grid)
     rng = np.random.default_rng(rng)
 
-    noise = None
+    noise = np.zeros((1, num_pilots), dtype=np.complex128)
     if np.isfinite(pilot_snr):
         noise = pilot_noise(rng.standard_normal((1, 2 * num_pilots)))
     magnitudes = np.abs(coefficients)
@@ -366,11 +362,10 @@ def _one_trial_record(setup: AdaptiveSetup, run: AdaptiveTrials, grid):
     """The ``AdaptiveRunRecord`` of a one-trial ``run`` of ``setup``, utilities kept."""
     config_angles = setup.angles[run.picks[0]]
     aoas = setup.grid_angles[run.peaks[0]]
-    utilities = np.concatenate(run.utilities)
     samples = run.samples[0]
-    for values in (config_angles, aoas, utilities, samples):
+    for values in (config_angles, aoas, samples):
         values.setflags(write=False)
     return AdaptiveRunRecord(
-        config_angles, aoas, utilities, samples,
+        config_angles, aoas, run.utilities[:, 0], samples,
         LosChannel(run.gains[0], run.phases[0], aoas[-1]), grid,
     )

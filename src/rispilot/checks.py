@@ -52,8 +52,9 @@ def noise_free_recovery() -> CheckResult:
         draws.append((truth, gain, phase, h))
     truths, gains, phases, h_rows = map(np.array, zip(*draws))
     g_rows = model.los_vector(array, gains, phases, truths)
-    run = adaptive.advance_trials(setup, np.abs(h_rows) * g_rows, 1.0, None, 5)
     cases = len(draws)
+    noise_free = np.zeros((cases, 5), dtype=np.complex128)
+    run = adaptive.advance_trials(setup, np.abs(h_rows) * g_rows, 1.0, noise_free, 5)
     exact = int(np.sum(grid_angles[run.peaks[:, -1]] == truths))
     worst_gain = float(np.max(np.abs(run.gains - gains) / gains))
     worst_phase = max(map(circular_diff, run.phases.tolist(), phases.tolist()))

@@ -125,8 +125,8 @@ class UtilityAccumulator:
         """ML objective |y^H B v|^2 / ||B v||^2 per direction, into ``out`` if given.
 
         A direction with exactly zero pilot energy (a kernel null shared by
-        all rows) explains nothing and scores 0, in a new array. If no
-        direction of a run carries energy: degenerate-direction error.
+        all rows) explains nothing and scores 0. If no direction of a run
+        carries energy: degenerate-direction error.
         """
         energy = self.energy
         value = np.abs(self.inner, out=out)
@@ -139,7 +139,9 @@ class UtilityAccumulator:
                 "no probed direction carries pilot energy; the campaign cannot "
                 "rank any angle"
             )
-        return np.divide(value, energy, out=np.zeros_like(energy), where=lit)
+        np.divide(value, energy, out=value, where=lit)
+        value[~lit] = 0.0  # |P|^2 can underflow to 0 where the inner sum does not
+        return value
 
 
 def dft_rows(num_elements: int) -> np.ndarray:

@@ -97,10 +97,6 @@ def parse_config(
     return ExperimentConfig(**values)
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".6g")
-
-
 def emit_rate_csv(points: Sequence[RateCurvePoint], path: str | Path) -> None:
     """Write rate-curve points as CSV, one row per budget, ascending."""
     if not points:
@@ -108,9 +104,9 @@ def emit_rate_csv(points: Sequence[RateCurvePoint], path: str | Path) -> None:
     lines = [RATE_CSV_HEADER]
     for p in sorted(points, key=lambda point: point.pilot_budget):
         lines.append(
-            f"{p.pilot_budget},{_fmt(p.mean_rate_ml)},{_fmt(p.mean_rate_ls)},"
-            f"{_fmt(p.mean_capacity)},{_fmt(p.ratio_ml)},{_fmt(p.ratio_ls)},"
-            f"{_fmt(p.stderr_ml)},{_fmt(p.stderr_ls)},{p.trial_count}"
+            f"{p.pilot_budget},{p.mean_rate_ml:.6g},{p.mean_rate_ls:.6g},"
+            f"{p.mean_capacity:.6g},{p.ratio_ml:.6g},{p.ratio_ls:.6g},"
+            f"{p.stderr_ml:.6g},{p.stderr_ls:.6g},{p.trial_count}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 

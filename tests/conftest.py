@@ -27,7 +27,6 @@ from rispilot.adaptive import (
     INITIAL_SINES,
     AdaptiveSetup,
     AdaptiveTrials,
-    _phase_compensation,
     pilot_power_for_snr,
 )
 from rispilot.checks import circular_diff
@@ -93,6 +92,7 @@ def run_with_campaign(channel, h, array, num_pilots, pilot_snr, rng=None, grid=N
     The campaign's rows are built as the run sends them, exp(-1j*arg(h))
     times the sent candidates' conj(a(angle)), rebuilt from the record's
     config angles; its samples are the record's, at the run's pilot power.
+    The phase compensation is a test-side copy of ``optimal_configuration``'s.
     """
     record = run_adaptive_estimation(
         channel, h, array, num_pilots, pilot_snr, rng, grid
@@ -100,7 +100,7 @@ def run_with_campaign(channel, h, array, num_pilots, pilot_snr, rng=None, grid=N
     angles = plausible_angles(array.num_elements)
     picks = np.searchsorted(angles, record.config_angles)
     conj_responses = np.conj(array_response(array, angles))
-    rows = _phase_compensation(h.coefficients, array) * conj_responses[picks]
+    rows = np.exp(-1j * np.angle(h.coefficients)) * conj_responses[picks]
     pilot_power = pilot_power_for_snr(pilot_snr, channel.gain, h.coefficients)
     return record, PilotCampaign(rows, record.samples, pilot_power, h)
 
@@ -317,18 +317,20 @@ def simulate_pilot_reception(
 
 
 def reference_utility(accumulator: UtilityAccumulator) -> np.ndarray:
-    """The accumulator's utility as a new array, lit directions by a full mask."""
+    """The accumulator's utility as a new array, by one masked division.
+
+    The reference for both of ``UtilityAccumulator.utility``'s paths: 0
+    wherever the energy is exactly 0, and a degenerate-direction error
+    when no direction of a run carries energy.
+    """
     energy = accumulator.energy
     lit = energy > 0.0
-    value = np.abs(accumulator.inner)
-    np.square(value, out=value)
-    if lit.all():  # the usual case: no masked division needed
-        return np.divide(value, energy, out=value)
     if not lit.any(axis=-1).all():
         raise DegenerateDirectionError(
             "no probed direction carries pilot energy; the campaign cannot "
             "rank any angle"
         )
+    value = np.abs(accumulator.inner) ** 2
     return np.divide(value, energy, out=np.zeros_like(energy), where=lit)
 
 
@@ -336,23 +338,22 @@ def reference_advance_trials(
     setup: AdaptiveSetup,
     channels: np.ndarray,
     pilot_power: float,
-    noise: np.ndarray | None,
+    noise: np.ndarray,
     num_pilots: int,
-    *,
-    keep_utility: bool = False,
 ) -> AdaptiveTrials:
     """The adaptive loop with whole-chunk sums and a gain and phase per step.
 
     The reference for ``advance_trials``, which must give exactly these
     bytes: each pick gathers the sent candidates' table rows into (trials x
     grid) copies and adds conj(sample)[:, None] times them to the sums in
-    one broadcast multiply, every step takes a new utility array, and the
-    gain and phase are taken at each step's peak as it is reached. Later
-    picks rank candidates by the unit magnitudes |P|^T, formed here from
-    the candidates and the grid, not by the setup's scores, so equal
-    bytes show that the scores pick what |P| picks. The reference keeps the
-    all-candidates ``signals`` table, every candidate's noise-free sample
-    as a row-wise sum over ``channels`` (|h| * g), so the core's per-pick
+    one broadcast multiply, every step takes a new utility array (all are
+    stacked into ``utilities``), and the gain and phase are taken at each
+    step's peak as it is reached. Later picks rank candidates by the unit
+    magnitudes |P|^T, formed here from the candidates and the grid, not by
+    the setup's scores, so equal bytes show that the scores pick what |P|
+    picks. The reference keeps the all-candidates ``signals`` table, every
+    candidate's noise-free sample as a row-wise sum over ``channels`` (|h|
+    * g), to which each pick adds its noise, so the core's per-pick
     sums are checked against it byte for byte; ``TestPilotReception``
     checks those samples against the physical model theta^T D_h g sqrt(P_p).
     """
@@ -378,9 +379,7 @@ def reference_advance_trials(
     def transmit(i: int, k: np.ndarray) -> None:
         """Send candidate k[t] as pilot i+1 of trial t."""
         used[rows, k] = True
-        sample = signals[rows, k]
-        if noise is not None:
-            sample = sample + noise[:, i]
+        sample = signals[rows, k] + noise[:, i]
         accumulator.inner += np.conj(sample)[..., None] * projections[k]
         accumulator.energy += energies[k]
         picks[:, i] = k
@@ -405,15 +404,13 @@ def reference_advance_trials(
         gains[:, i - 1], phases[:, i - 1] = closed_form_gain_and_phase(
             inner, energy, pilot_power
         )
-        if keep_utility:
-            utility.setflags(write=False)
-            utilities.append(utility)
+        utilities.append(utility)
         if i + 1 < num_pilots:
             scores = magnitudes[peak]
             scores[used] = -np.inf
             transmit(i + 1, np.argmax(scores, axis=1))
 
-    return AdaptiveTrials(picks, samples, peaks, gains, phases, tuple(utilities))
+    return AdaptiveTrials(picks, samples, peaks, gains, phases, np.stack(utilities))
 
 
 def local_peak_indices(values) -> np.ndarray:

@@ -250,7 +250,7 @@ class TestCandidateConfigurations:
                 run_adaptive_estimation(channel, h, array, 3, 10.0, rng)
 
 
-class TestConfigCorrelation:
+class TestCandidateCorrelationTable:
     """Candidate-beam correlations |a_i^H a(angle)|, read from the setup's table.
 
     The configurations cancel the BS-RIS phases, so |P| at |h| = 1 is the
@@ -853,14 +853,13 @@ class TestProjectionTables:
             record = run_adaptive_estimation(
                 channels[t], hs[t], array, budget, snr, 100 + t, grid
             )
-            utilities = np.stack([utility[t] for utility in chunk.utilities])
             for values, expected in (
                 (record.config_angles, setup.angles[chunk.picks[t]]),
                 (record.samples, chunk.samples[t]),
                 (record.aoa_estimates, setup.grid_angles[chunk.peaks[t]]),
                 (np.float64(record.result.gain), chunk.gains[t]),
                 (np.float64(record.result.phase), chunk.phases[t]),
-                (record.utilities, utilities),
+                (record.utilities, chunk.utilities[:, t]),
             ):
                 assert values.shape == expected.shape
                 assert values.tobytes() == expected.tobytes()
@@ -909,23 +908,23 @@ class TestCoreMatchesReference:
         pilot_power = pilot_power_for_snr(
             10.0 if noisy else np.inf, 1.0, coefficients[0]
         )
-        noise = None
+        noise = np.zeros((trials, budget), dtype=np.complex128)
         if noisy:
             noise = pilot_noise(gen.standard_normal((trials, 2 * budget)))
         args = (setup, np.abs(coefficients) * g, pilot_power, noise, budget)
         run = advance_trials(*args, keep_utility=keep)
-        expected = reference_advance_trials(*args, keep_utility=keep)
-        for name in ("picks", "samples", "peaks", "gains", "phases"):
+        expected = reference_advance_trials(*args)
+        # the core keeps every step's utility, or only the last one's
+        expected = dataclasses.replace(
+            expected, utilities=expected.utilities[(0 if keep else -1):]
+        )
+        for name in ("picks", "samples", "peaks", "gains", "phases", "utilities"):
             values, reference = getattr(run, name), getattr(expected, name)
             if name in ("gains", "phases"):  # the core's one, at the last step
                 reference = reference[:, -1]
             assert values.dtype == reference.dtype and values.shape == reference.shape
             assert values.tobytes() == reference.tobytes(), name
-        kept = budget - 1 if keep else 0
-        assert len(run.utilities) == len(expected.utilities) == kept
-        for values, reference in zip(run.utilities, expected.utilities):
-            assert not values.flags.writeable
-            assert values.tobytes() == reference.tobytes()
+        assert not run.utilities.flags.writeable
 
 
 class TestCorePicks:
@@ -984,8 +983,9 @@ class TestCorePicks:
             projection_energy=energies,
         )
         channels, pilot_power, _ = self.chunk(setup, 2, 3, 4)
+        noise_free = np.zeros((2, 3), dtype=np.complex128)
         with pytest.raises(DegenerateDirectionError, match="no pilot energy"):
-            advance_trials(setup, channels, pilot_power, None, 3)
+            advance_trials(setup, channels, pilot_power, noise_free, 3)
 
 
 class TestPilotReception:

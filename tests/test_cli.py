@@ -211,6 +211,19 @@ def test_estimate_once_golden_bytes(seed, aoa_deg, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_estimate_once_small_array_golden_bytes(capsys):
+    # sha256 of the summary that the single run printed when it first ran
+    # as one Monte Carlo trial (numpy 2.4, x86-64): N = 13 on the default
+    # 2000-point grid, eight pilots
+    argv = ["estimate-once", "--set", "num_elements=13", "--true-aoa-deg", "20",
+            "--l", "8"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ca516e76de1362b3a03d358210e4cb0f5d2466680926d3978aca2358ed8711b9"
+    )
+
+
 def test_estimate_once_prints_summary(capsys):
     code = main(["estimate-once", *FAST, "--true-aoa-deg", "-30", "--l", "4"])
     assert code == 0
@@ -285,6 +298,11 @@ def test_validate_passes(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") == 5
+    # the report's bytes since the checks moved onto the Monte Carlo's code
+    # (numpy 2.4, x86-64)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cef5d329df3d3e1dbd172a6b8a546d46823d3a2f7fb1fa63b3bd8c786da4debc"
+    )
     # apart from their own code, the checks call only package functions
     # that a command calls too
     calls = {}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rispilot import (
     AoaSearchGrid,
@@ -226,6 +227,33 @@ class TestUtilityAccumulator:
             stacked.utility()[1],
             ml_utility_profile(reversed_campaign, array, angles),
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), trials=st.integers(1, 4), points=st.integers(1, 30))
+    def test_both_paths_fill_out_with_the_masked_division(self, data, trials, points):
+        # arbitrary (trials x directions) sums, some directions exactly unlit
+        # with an inner sum that need not be 0: utility(out=buf) writes and
+        # returns buf on the fast and the masked path alike, and both give
+        # the bytes of one masked division, 0 wherever the energy is 0
+        shape = (trials, points)
+        parts = st.floats(-1e100, 1e100)  # no quotient overflows
+        inner = data.draw(hnp.arrays(np.float64, shape, elements=parts)) + 1j * (
+            data.draw(hnp.arrays(np.float64, shape, elements=parts))
+        )
+        energy = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(1e-100, 1e100)))
+        lit = data.draw(hnp.arrays(np.bool_, shape))
+        lit[:, 0] |= ~lit.any(axis=1)  # every run ranks some direction
+        accumulator = UtilityAccumulator(shape)
+        accumulator.inner[...] = inner
+        for mask in (lit, np.ones(shape, dtype=bool)):  # masked, then fast path
+            accumulator.energy[...] = np.where(mask, energy, 0.0)
+            expected = np.divide(
+                np.abs(inner) ** 2, accumulator.energy,
+                out=np.zeros_like(accumulator.energy), where=accumulator.energy > 0,
+            )
+            buf = np.full(shape, np.nan)
+            assert accumulator.utility(out=buf) is buf
+            assert buf.tobytes() == expected.tobytes()
 
 
 class TestEstimateAoa:
