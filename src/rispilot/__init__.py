@@ -6,12 +6,7 @@ selection of pilot-time surface configurations, and a seeded Monte
 Carlo harness with CSV output.
 """
 
-from .adaptive import (
-    build_adaptive_setup,
-    optimal_configuration,
-    plausible_angles,
-    run_adaptive_estimation,
-)
+from .adaptive import build_adaptive_setup, plausible_angles
 from .errors import (
     AngleDomainError,
     ConfigParseError,
@@ -22,23 +17,13 @@ from .errors import (
     InvalidInputError,
     PoolExhaustedError,
     RisPilotError,
-    SingularChannelError,
 )
 from .estimators import (
     AoaSearchGrid,
     least_squares_prefix_estimates,
 )
 from .io import emit_rate_csv, emit_utility_csv, parse_config
-from .model import (
-    ArrayModel,
-    KnownBsRisChannel,
-    LosChannel,
-    RisConfiguration,
-    achievable_rate,
-    array_response,
-    expand_channel,
-    random_bs_ris_channel,
-)
+from .model import ArrayModel, LosChannel, achievable_rate, array_response
 from .simulate import (
     ExperimentConfig,
     RateCurvePoint,
@@ -61,26 +46,19 @@ __all__ = [
     "ExperimentConfig",
     "InsufficientPilotsError",
     "InvalidInputError",
-    "KnownBsRisChannel",
     "LosChannel",
     "PoolExhaustedError",
     "RateCurvePoint",
-    "RisConfiguration",
     "RisPilotError",
-    "SingularChannelError",
     "achievable_rate",
     "array_response",
     "build_adaptive_setup",
     "collect_trial_rates",
     "emit_rate_csv",
     "emit_utility_csv",
-    "expand_channel",
     "least_squares_prefix_estimates",
-    "optimal_configuration",
     "parse_config",
     "plausible_angles",
-    "random_bs_ris_channel",
-    "run_adaptive_estimation",
     "run_rate_experiment",
     "run_single_estimate",
     "snr_to_powers",

@@ -25,14 +25,14 @@ steering matrix: it peaks at about 2 N x G complex arrays and holds about 1.5.
 
 One core, ``advance_trials``, advances a chunk of trials one pilot at a
 time as (trials x grid) arrays, with no matrix product per pick, on the
-|h| * g that every phase-cancelling configuration sees per element.
-``run_adaptive_estimation`` is its one-trial library call; the commands
-call the core through one chunk function, ``simulate._run_trials``.
+unit-magnitude |h| * g that every phase-cancelling configuration sees per
+element. Every run, the single run too, calls it through one chunk
+function, ``simulate._run_trials``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,16 +44,7 @@ from .estimators import (
     _projection_tables,
     closed_form_gain_and_phase,
 )
-from .model import (
-    UNIT_MODULUS_TOL,
-    ArrayModel,
-    KnownBsRisChannel,
-    LosChannel,
-    RisConfiguration,
-    _is_integral,
-    array_response,
-    expand_channel,
-)
+from .model import ArrayModel, _is_integral, array_response
 
 
 def plausible_angles(num_elements: int) -> np.ndarray:
@@ -75,29 +66,6 @@ def plausible_angles(num_elements: int) -> np.ndarray:
     return angles
 
 
-def _check_channel_size(coefficients: np.ndarray, array: ArrayModel) -> None:
-    """Reject BS-RIS coefficients whose last axis does not match the array."""
-    if coefficients.shape[-1] != array.num_elements:
-        raise DimensionError(
-            f"array has {array.num_elements} elements but the BS-RIS channel "
-            f"has {coefficients.shape[-1]}"
-        )
-
-
-def optimal_configuration(
-    bs_ris_channel: KnownBsRisChannel, aoa: float, array: ArrayModel
-) -> RisConfiguration:
-    """Capacity-achieving configuration for a LOS channel from ``aoa``.
-
-    Entry n is exp(-1j*arg(h_n)) * conj(a(aoa)_n): it cancels the BS-RIS
-    phase and the arrival phase so all element paths add coherently.
-    """
-    coefficients = bs_ris_channel.coefficients
-    _check_channel_size(coefficients, array)
-    compensation = np.exp(-1j * np.angle(coefficients))
-    return RisConfiguration(compensation * np.conj(array_response(array, aoa)))
-
-
 #: Sines of the two starting beams: the quarter quantiles of [-1, 1],
 #: far apart without being endfire. A beam at sine u0 has nulls where
 #: N*rho*(u - u0) is a nonzero integer; at N = 40, rho = 1/4 both beams
@@ -110,16 +78,13 @@ class AdaptiveSetup:
     """Trial-independent arrays of the adaptive loop for one array and grid.
 
     Row k of ``conj_responses`` is conj(a(angles[k])) for plausible angle k.
-    ``projections`` and ``projection_energy`` belong to the run's |h|: the
-    ``_projection_tables`` of the candidates over the directions
-    |h| * a(grid_angles[j]) (|h| = 1 in ``build_adaptive_setup``), entry
+    ``projections`` and ``projection_energy`` are the ``_projection_tables``
+    of the candidates over the grid directions a(grid_angles[j]), entry
     [k, j] for candidate k, grid direction j. No steering matrix is kept.
-    ``scores`` and ``start_scores`` depend on the configurations only: row j
-    of ``scores`` (G x N) is |candidates @ conj(reference)|^2 at |h| = 1 for
-    the reference optimal at grid angle j, the read-only view
-    ``projection_energy.T`` as built, which a non-unit |h| run keeps. Row i
-    of ``start_scores`` (2 x N) scores starting pilot i+1 as
-    -|sin(angles) - INITIAL_SINES[i]|.
+    Row j of ``scores`` (G x N) is |candidates @ conj(reference)|^2 for the
+    reference optimal at grid angle j, the read-only view
+    ``projection_energy.T``. Row i of ``start_scores`` (2 x N) scores
+    starting pilot i+1 as -|sin(angles) - INITIAL_SINES[i]|.
     """
 
     array: ArrayModel
@@ -145,46 +110,6 @@ def build_adaptive_setup(array: ArrayModel, grid: AoaSearchGrid) -> AdaptiveSetu
         array, grid_angles, angles, conj_responses,
         projections, energies, energies.T, start_scores,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class AdaptiveRunRecord:
-    """Transcript of one adaptive run of L pilots, as the core's read-only arrays.
-
-    Entry i of ``config_angles`` (L) is the angle of pilot i+1 and entry i
-    of ``samples`` (L) its received sample. One pilot cannot identify the
-    angle, so entry i of ``aoa_estimates`` (L-1) is the angle from the first
-    i+2 pilots, and row i of ``utilities`` ((L-1) x grid) the ML objective
-    over ``grid`` behind it. ``result`` is the last angle with the one gain
-    and phase there.
-    """
-
-    config_angles: np.ndarray
-    aoa_estimates: np.ndarray
-    utilities: np.ndarray
-    samples: np.ndarray
-    result: LosChannel
-    grid: AoaSearchGrid
-
-
-def pilot_power_for_snr(
-    pilot_snr: float, gain: float, coefficients: np.ndarray
-) -> float:
-    """The one pilot power realizing a per-element pilot SNR over unit noise.
-
-    The power is scaled so that pilot_power * gain * mean(|h_n|^2) equals
-    ``pilot_snr`` for the one BS-RIS channel ``coefficients``. An infinite
-    SNR (a noise-free run) maps to unit pilot power.
-    """
-    with np.errstate(all="ignore"):  # a power that is not positive and finite fails
-        mean_h2 = np.mean(np.abs(coefficients) ** 2)
-        power = pilot_snr / (gain * mean_h2 if gain > 0 else 1.0)
-    if np.isinf(pilot_snr) and pilot_snr > 0:
-        return 1.0
-    if not (pilot_snr > 0 and 0 < power < np.inf):
-        raise InvalidInputError("pilot_snr must be positive (use inf for noise-free) "
-                                "and give a positive, finite pilot power")
-    return power
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,7 +161,7 @@ def advance_trials(
     see once they cancel the BS-RIS phases, and row t of the (trials x
     ``num_pilots``) ``noise`` the unit noise of its pilots in transmission
     order (zeros for a noise-free run). Every trial sends at the one
-    ``pilot_power``: the setup's tables belong to one |h|, which fixes the
+    ``pilot_power``: the setup's tables belong to |h| = 1, which fixes the
     power for a given SNR.
 
     Pilot i+1 of each trial sends the argmax of a score row with the
@@ -297,75 +222,3 @@ def pilot_noise(draws: np.ndarray) -> np.ndarray:
     unit that every pilot SNR is counted in.
     """
     return (draws[..., 0::2] + 1j * draws[..., 1::2]) * (1.0 / np.sqrt(2.0))
-
-
-def run_adaptive_estimation(
-    true_channel: LosChannel,
-    bs_ris_channel: KnownBsRisChannel,
-    array: ArrayModel,
-    num_pilots: int,
-    pilot_snr: float,
-    rng=None,
-    grid: AoaSearchGrid | None = None,
-) -> AdaptiveRunRecord:
-    """Run the adaptive estimation loop for ``num_pilots`` pilots.
-
-    Every pilot sends the candidate not yet sent with the largest entry in a
-    score row (ties go to the smallest angle): the first two rows favour the
-    candidates nearest in sine to ``INITIAL_SINES``, and each later row
-    rates |candidate^H reference|^2 for the configuration optimal at the
-    angle and coefficient estimates from all pilots so far. ``pilot_snr`` is
-    the per-element pilot SNR in linear scale (``inf`` for noise-free runs).
-
-    This is the one-trial call of ``advance_trials`` on a setup built for
-    ``array`` and ``grid``, whose P and |P|^2 are replaced by those of |h|
-    when some | |h_n| - 1 | exceeds ``UNIT_MODULUS_TOL``; the budget, the
-    channel's length and the pilot power are checked before the setup is
-    built. The 2 * ``num_pilots`` normals of the per-pilot noise are drawn up
-    front from ``rng``, in transmission order, as two per pilot drawn one
-    pilot at a time would be (none when ``pilot_snr`` is infinite: the
-    noise is then zeros).
-
-    The angle and utility from the first i pilots match a grid-search ML
-    estimate over those pilots' rows exp(-1j*arg(h)) * conj(a(config angle))
-    and samples to rounding, which shows only where the pilots barely
-    illuminate a direction. A run with budget i returns exactly the first i
-    pilots and i-1 angles of a longer run under the same noise draws: its
-    result is that run's estimate from i pilots.
-    """
-    num_pilots = _check_budget(num_pilots, array.num_elements)
-    coefficients = bs_ris_channel.coefficients
-    _check_channel_size(coefficients, array)
-    pilot_power = pilot_power_for_snr(pilot_snr, true_channel.gain, coefficients)
-    if grid is None:
-        grid = AoaSearchGrid()
-    setup = build_adaptive_setup(array, grid)
-    rng = np.random.default_rng(rng)
-
-    noise = np.zeros((1, num_pilots), dtype=np.complex128)
-    if np.isfinite(pilot_snr):
-        noise = pilot_noise(rng.standard_normal((1, 2 * num_pilots)))
-    magnitudes = np.abs(coefficients)
-    if np.max(np.abs(magnitudes - 1.0)) > UNIT_MODULUS_TOL:
-        setup = replace(setup, projections=None)  # unit |P|^2 stays as the scores
-        projections, energies = _projection_tables(
-            setup.conj_responses, array, setup.grid_angles, magnitudes
-        )
-        setup = replace(setup, projections=projections, projection_energy=energies)
-    channels = magnitudes * expand_channel(true_channel, array)
-    run = advance_trials(setup, channels[None], pilot_power, noise, num_pilots,
-                         keep_utility=True)
-    return _one_trial_record(setup, run, grid)
-
-
-def _one_trial_record(setup: AdaptiveSetup, run: AdaptiveTrials, grid):
-    """The ``AdaptiveRunRecord`` of a one-trial ``run`` of ``setup``, utilities kept."""
-    config_angles = setup.angles[run.picks[0]]
-    aoas = setup.grid_angles[run.peaks[0]]
-    samples = run.samples[0]
-    for values in (config_angles, aoas, samples):
-        values.setflags(write=False)
-    return AdaptiveRunRecord(
-        config_angles, aoas, run.utilities[:, 0], samples,
-        LosChannel(run.gains[0], run.phases[0], aoas[-1]), grid,
-    )

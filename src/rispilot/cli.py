@@ -76,8 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 def estimate_once(config: ExperimentConfig, true_aoa: float, num_pilots: int) -> str:
     """Text summary of one seeded run: estimates, rate, chosen angles."""
     summary = run_single_estimate(config, true_aoa, num_pilots)
-    record = summary.record
-    result = record.result
+    result = summary.result
     lines = [
         f"seed: {config.rng_seed}",
         f"true aoa: {true_aoa:.6g} rad ({math.degrees(true_aoa):.6g} deg)",
@@ -90,9 +89,9 @@ def estimate_once(config: ExperimentConfig, true_aoa: float, num_pilots: int) ->
     ]
     # the first pilot alone gives no estimate
     marks = [""] + [
-        f" -> estimate {math.degrees(aoa):.6g} deg" for aoa in record.aoa_estimates
+        f" -> estimate {math.degrees(aoa):.6g} deg" for aoa in summary.aoa_estimates
     ]
-    for pilot, (angle, mark) in enumerate(zip(record.config_angles, marks), start=1):
+    for pilot, (angle, mark) in enumerate(zip(summary.config_angles, marks), start=1):
         lines.append(
             f"pilot {pilot}: config angle {math.degrees(angle):.6g} deg{mark}"
         )
@@ -123,8 +122,8 @@ def _cmd_rate_curve(args: argparse.Namespace) -> int:
 def _cmd_utility_trace(args: argparse.Namespace) -> int:
     config = parse_config(args.config, args.overrides)
     summary = run_single_estimate(config, math.radians(args.true_aoa_deg), args.l_max)
-    emit_utility_csv(summary.record, args.out)
-    print(f"wrote {len(summary.record.utilities)} utility stages to {args.out}")
+    emit_utility_csv(summary, args.out)
+    print(f"wrote {len(summary.utilities)} utility stages to {args.out}")
     return EXIT_OK
 
 

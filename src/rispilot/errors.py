@@ -25,10 +25,6 @@ class DegenerateDirectionError(RisPilotError, ArithmeticError):
     """The probed signal direction carries no energy (zero denominator)."""
 
 
-class SingularChannelError(InvalidInputError):
-    """A BS-RIS channel coefficient is zero, so its diagonal is not invertible."""
-
-
 class PoolExhaustedError(InvalidInputError, RuntimeError):
     """A pilot budget exceeds the N candidate configurations, one per pilot."""
 

@@ -67,20 +67,17 @@ def closed_form_gain_and_phase(inner, energy, pilot_power):
 
 
 def _projection_tables(
-    rows: np.ndarray, array: ArrayModel, angles: np.ndarray, weights=None
+    rows: np.ndarray, array: ArrayModel, angles: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Projections ``rows @ directions`` and their |.|^2, read-only.
 
-    Column j of the directions is v_j = D_w a(angles[j]), with w the
-    per-element ``weights`` (none: all ones). Entry [i, j] is B_i v_j, what
-    pilot row i adds to y^H B v_j per unit sample, and |B_i v_j|^2 what it
-    adds to ||B v_j||^2. The one table route into the ML sums: the adaptive
-    setup's (w = none) and a non-unit run's (w = |h|). The directions are
-    built in place and freed before the energies exist.
+    Column j of the directions is v_j = a(angles[j]). Entry [i, j] is
+    B_i v_j, what pilot row i adds to y^H B v_j per unit sample, and
+    |B_i v_j|^2 what it adds to ||B v_j||^2: the adaptive setup's one table
+    route into the ML sums. The directions are freed before the energies
+    exist.
     """
     directions = array_response(array, angles).T
-    if weights is not None:
-        np.multiply(weights[:, None], directions, out=directions)
     projections = rows @ directions
     del directions
     energies = np.abs(projections)

@@ -14,9 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .adaptive import AdaptiveRunRecord
 from .errors import ConfigParseError, InvalidInputError
-from .simulate import ExperimentConfig, RateCurvePoint
+from .simulate import ExperimentConfig, RateCurvePoint, SingleRunSummary
 
 RATE_CSV_HEADER = (
     "L,mean_rate_ml,mean_rate_ls,mean_capacity,ratio_ml,ratio_ls,"
@@ -111,13 +110,13 @@ def emit_rate_csv(points: Sequence[RateCurvePoint], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def emit_utility_csv(record: AdaptiveRunRecord, path: str | Path) -> None:
-    """Write a run's grid utility in long format, one row per (L, angle).
+def emit_utility_csv(record: SingleRunSummary, path: str | Path) -> None:
+    """Write a single run's grid utility in long format, one row per (L, angle).
 
-    Each row of the record's utilities, L = 2 onward, gives the utility in
+    Each row of the run's utilities, L = 2 onward, gives the utility in
     dB (-inf where it is 0), with ``is_argmax`` 1 on the row of the estimate.
 
-    The angle column is formatted once per record, by one ``%`` over
+    The angle column is formatted once per run, by one ``%`` over
     ``"%.9g,%%.9g,0\\n"`` rows; a ``%.9g`` angle holds no ``%`` and no
     line break, so the result splits back into one ``"angle,%.9g,0\\n"``
     row per angle. Each stage is then one ``%`` over those rows, each

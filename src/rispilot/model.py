@@ -16,13 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AngleDomainError, DimensionError, InvalidInputError,
-                     SingularChannelError)
+from .errors import AngleDomainError, InvalidInputError
 
 TWO_PI = 2.0 * np.pi
-
-#: Tolerance on | |entry| - 1 | for phase-only configuration vectors.
-UNIT_MODULUS_TOL = 1e-12
 
 
 def _check_front_half_plane(aoa) -> None:
@@ -38,25 +34,6 @@ def _is_integral(value) -> bool:
         return math.isfinite(value) and int(value) == value
     except (TypeError, ValueError, OverflowError):
         return False
-
-
-def _readonly_complex_vector(values, what: str) -> np.ndarray:
-    vec = np.array(values, dtype=np.complex128)
-    if vec.ndim != 1 or vec.size == 0:
-        raise DimensionError(f"{what} must be a nonempty 1-D complex vector")
-    if not np.all(np.isfinite(vec)):
-        raise InvalidInputError(f"{what} entries must be finite")
-    vec.setflags(write=False)
-    return vec
-
-
-def _check_unit_modulus(values: np.ndarray, what: str) -> None:
-    """The phase-only rule of configurations; a NaN deviation breaks it too."""
-    deviation = np.max(np.abs(np.abs(values) - 1.0), initial=0.0)
-    if not deviation <= UNIT_MODULUS_TOL:
-        raise InvalidInputError(
-            f"{what} entries must have unit modulus (worst deviation {deviation:.3e})"
-        )
 
 
 @dataclass(frozen=True)
@@ -106,39 +83,6 @@ class LosChannel:
         object.__setattr__(self, "aoa", float(self.aoa))
 
 
-@dataclass(frozen=True, eq=False)
-class RisConfiguration:
-    """Phase-shift vector of the surface, stored as unit-modulus entries.
-
-    Entry n holds exp(-1j * theta_n) for the phase shift theta_n applied
-    by element n.
-    """
-
-    phases: np.ndarray
-
-    def __post_init__(self) -> None:
-        vec = _readonly_complex_vector(self.phases, "configuration")
-        _check_unit_modulus(vec, "configuration")
-        object.__setattr__(self, "phases", vec)
-
-
-@dataclass(frozen=True, eq=False)
-class KnownBsRisChannel:
-    """Known channel coefficients between the surface and the base station.
-
-    All entries must be nonzero so the diagonal channel matrix can be
-    inverted when undoing its effect.
-    """
-
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        vec = _readonly_complex_vector(self.coefficients, "BS-RIS channel")
-        if np.any(vec == 0):
-            raise SingularChannelError("BS-RIS channel coefficients must be nonzero")
-        object.__setattr__(self, "coefficients", vec)
-
-
 def array_response(array: ArrayModel, aoa) -> np.ndarray:
     """Response of the ULA to a plane wave arriving from ``aoa``.
 
@@ -167,11 +111,6 @@ def los_vector(array: ArrayModel, gain, phase, aoa) -> np.ndarray:
     return coefficient[..., None] * array_response(array, aoa)
 
 
-def expand_channel(channel: LosChannel, array: ArrayModel) -> np.ndarray:
-    """Vector form of a LOS channel: sqrt(gain) * e^{j phase} * response(aoa)."""
-    return los_vector(array, channel.gain, channel.phase, channel.aoa)
-
-
 def achievable_rate(effective, data_snr_scale: float):
     """Rate log2(1 + |effective|^2 * P_d / sigma^2) in bits/s/Hz.
 
@@ -185,16 +124,5 @@ def achievable_rate(effective, data_snr_scale: float):
 
 
 def _draw_unit_coefficients(num_elements: int, rng: np.random.Generator) -> np.ndarray:
-    """The draw of ``random_bs_ris_channel``: exp(1j * phase), phases uniform."""
+    """A trial's unit-magnitude BS-RIS coefficients exp(1j * phase), phases uniform."""
     return np.exp(1j * rng.uniform(0.0, TWO_PI, size=num_elements))
-
-
-def random_bs_ris_channel(num_elements: int, rng) -> KnownBsRisChannel:
-    """Unit-magnitude BS-RIS channel with phases drawn uniformly.
-
-    The magnitude profile is irrelevant once the configuration fully
-    compensates the channel phases, so unit entries are the default.
-    """
-    num_elements = ArrayModel(num_elements).num_elements  # its positive-integer rule
-    rng = np.random.default_rng(rng)
-    return KnownBsRisChannel(_draw_unit_coefficients(num_elements, rng))

@@ -4,11 +4,13 @@ Power bookkeeping is normalized: unit noise power, unit channel gain and
 unit-magnitude BS-RIS coefficients, so the per-element data SNR equals the
 data power, the pilot power sits a fixed dB offset above it, and all runs
 share one capacity and the adaptive setup's tables. Every configuration
-cancels the BS-RIS phases, so pilots and data see |h| * g. Every trial,
-the single run too, is ``_run_trials`` on its own seed: it draws all its
-values up front, and everything after the draws runs a chunk of trials at
-once, so a trial's outcome depends neither on execution order nor on its
-chunk. The Monte Carlo seeds trial K with a counter-based split.
+cancels the BS-RIS phases, so pilots and data see |h| * g. Every run is a
+trial of ``_run_trials`` on its own seed, the one entry into the adaptive
+core: the Monte Carlo seeds trial K with a counter-based split, and the
+single run behind ``utility-trace`` and ``estimate-once`` is one trial on
+``SeedSequence(rng_seed)``. A trial draws all its values up front, and
+everything after the draws runs a chunk of trials at once, so its outcome
+depends neither on execution order nor on its chunk.
 """
 
 from __future__ import annotations
@@ -20,11 +22,9 @@ from typing import Callable
 import numpy as np
 
 from .adaptive import (
-    AdaptiveRunRecord,
     AdaptiveSetup,
     AdaptiveTrials,
     _check_budget,
-    _one_trial_record,
     advance_trials,
     build_adaptive_setup,
     pilot_noise,
@@ -34,6 +34,7 @@ from .estimators import AoaSearchGrid, dft_rows, least_squares_prefix_estimates
 from .model import (
     TWO_PI,
     ArrayModel,
+    LosChannel,
     achievable_rate,
     array_response,
     los_vector,
@@ -362,9 +363,20 @@ def run_rate_experiment(
 
 @dataclass(frozen=True, eq=False)
 class SingleRunSummary:
-    """Outcome of one seeded adaptive run, scored against capacity."""
+    """One seeded adaptive run of L pilots, as read-only arrays, scored against capacity.
 
-    record: AdaptiveRunRecord
+    Entry i of ``config_angles`` (L) is the angle of pilot i+1. One pilot
+    cannot identify the angle, so entry i of ``aoa_estimates`` (L-1) is the
+    angle from the first i+2 pilots, and row i of ``utilities`` ((L-1) x
+    grid) the ML objective over ``grid`` behind it. ``result`` is the last
+    angle with the one gain and phase there.
+    """
+
+    config_angles: np.ndarray
+    aoa_estimates: np.ndarray
+    utilities: np.ndarray
+    result: LosChannel
+    grid: AoaSearchGrid
     achieved_rate: float
     capacity_value: float
 
@@ -394,5 +406,12 @@ def run_single_estimate(
         dft_rows(config.num_elements), [np.random.SeedSequence(config.rng_seed)],
         aoa=true_aoa, keep_utility=True,
     )
-    record = _one_trial_record(setup, run, grid)
-    return SingleRunSummary(record, float(rates[0, 0, 0]), _capacity(config))
+    config_angles = setup.angles[run.picks[0]]
+    aoas = setup.grid_angles[run.peaks[0]]
+    for values in (config_angles, aoas):
+        values.setflags(write=False)
+    return SingleRunSummary(
+        config_angles, aoas, run.utilities[:, 0],
+        LosChannel(run.gains[0], run.phases[0], aoas[-1]), grid,
+        float(rates[0, 0, 0]), _capacity(config),
+    )

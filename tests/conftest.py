@@ -1,54 +1,40 @@
 """Shared helpers for the test suite.
 
 It also holds the reference implementations that package code is checked
-against: the batch ML, the pseudoinverse LS, the physical end-to-end channel
-and the capacity.
+against: the batch ML, the pseudoinverse LS, the optimal configuration rows,
+the physical end-to-end channel and the capacity.
 """
 
-import copy
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from rispilot import (
-    ArrayModel,
-    KnownBsRisChannel,
-    LosChannel,
-    RisConfiguration,
-    achievable_rate,
-    array_response,
-    expand_channel,
-    optimal_configuration,
-    plausible_angles,
-    run_adaptive_estimation,
-)
+from rispilot import ArrayModel, LosChannel, achievable_rate, array_response
 from rispilot.adaptive import (
     INITIAL_SINES,
     AdaptiveSetup,
     AdaptiveTrials,
-    pilot_power_for_snr,
+    advance_trials,
 )
 from rispilot.checks import circular_diff
 from rispilot.errors import DegenerateDirectionError
-from rispilot.estimators import (
-    UtilityAccumulator,
-    _projection_tables,
-    closed_form_gain_and_phase,
-)
+from rispilot.estimators import UtilityAccumulator, closed_form_gain_and_phase
 from rispilot.io import UTILITY_CSV_HEADER
+from rispilot.model import los_vector
 
 
 class PilotCampaign(NamedTuple):
-    """Pilot observations: configuration rows B, samples y, power, BS-RIS channel.
+    """Pilot observations: configuration rows B, samples y, power, BS-RIS channel h.
 
-    Row i of ``config_matrix`` and entry i of ``received`` are pilot i+1's.
+    Row i of ``config_matrix`` and entry i of ``received`` are pilot i+1's;
+    ``coefficients`` are the N complex entries of h.
     """
 
     config_matrix: np.ndarray
     received: np.ndarray
     pilot_power: float
-    bs_ris_channel: KnownBsRisChannel
+    coefficients: np.ndarray
 
     @property
     def num_pilots(self) -> int:
@@ -59,15 +45,24 @@ class PilotCampaign(NamedTuple):
         return self.config_matrix.shape[1]
 
 
-def candidate_rows(h, angles, array: ArrayModel) -> np.ndarray:
-    """Stack of candidate-configuration rows for the given angles."""
-    rows = [optimal_configuration(h, float(a), array).phases for a in angles]
-    return np.vstack(rows)
+def candidate_rows(h: np.ndarray, angles, array: ArrayModel) -> np.ndarray:
+    """Rows exp(-1j*arg(h)) * conj(a(angle)), one per angle, for BS-RIS channel h.
+
+    Row k is the configuration optimal at ``angles[k]``: it cancels the
+    BS-RIS phases and the arrival phase, so all element paths add coherently.
+    """
+    angles = np.asarray(angles, dtype=float)
+    return np.exp(-1j * np.angle(h)) * np.conj(array_response(array, angles))
+
+
+def channel_vector(channel: LosChannel, array: ArrayModel) -> np.ndarray:
+    """Vector form sqrt(gain) * e^{j phase} * a(aoa) of one LOS channel."""
+    return los_vector(array, channel.gain, channel.phase, channel.aoa)
 
 
 def make_campaign(
     rows: np.ndarray,
-    h: KnownBsRisChannel,
+    h: np.ndarray,
     channel: LosChannel,
     array: ArrayModel,
     pilot_power: float,
@@ -75,8 +70,8 @@ def make_campaign(
     rng=None,
 ) -> PilotCampaign:
     """Simulate a whole campaign at once: y = B D_h g sqrt(P_p) + w."""
-    g = expand_channel(channel, array)
-    received = rows @ (h.coefficients * g) * np.sqrt(pilot_power)
+    g = channel_vector(channel, array)
+    received = rows @ (h * g) * np.sqrt(pilot_power)
     if noise_std > 0:
         rng = np.random.default_rng(rng)
         noise = rng.standard_normal(rows.shape[0]) + 1j * rng.standard_normal(
@@ -86,35 +81,37 @@ def make_campaign(
     return PilotCampaign(rows, received, pilot_power, h)
 
 
-def run_with_campaign(channel, h, array, num_pilots, pilot_snr, rng=None, grid=None):
-    """``run_adaptive_estimation``'s record and the campaign of its pilots.
+def trial_campaign(setup: AdaptiveSetup, run: AdaptiveTrials, h, pilot_power):
+    """The campaign of trial 0 of ``run``, which saw BS-RIS channel h.
 
-    The campaign's rows are built as the run sends them, exp(-1j*arg(h))
-    times the sent candidates' conj(a(angle)), rebuilt from the record's
-    config angles; its samples are the record's, at the run's pilot power.
-    The phase compensation is a test-side copy of ``optimal_configuration``'s.
+    Its rows are what the trial sent, exp(-1j*arg(h)) times the sent
+    candidates' conj(a(angle)), and its samples are the trial's.
     """
-    record = run_adaptive_estimation(
-        channel, h, array, num_pilots, pilot_snr, rng, grid
-    )
-    angles = plausible_angles(array.num_elements)
-    picks = np.searchsorted(angles, record.config_angles)
-    conj_responses = np.conj(array_response(array, angles))
-    rows = np.exp(-1j * np.angle(h.coefficients)) * conj_responses[picks]
-    pilot_power = pilot_power_for_snr(pilot_snr, channel.gain, h.coefficients)
-    return record, PilotCampaign(rows, record.samples, pilot_power, h)
+    rows = np.exp(-1j * np.angle(h)) * setup.conj_responses[run.picks[0]]
+    return PilotCampaign(rows, run.samples[0], pilot_power, h)
+
+
+def run_with_campaign(setup: AdaptiveSetup, h, g, pilot_power, noise):
+    """One trial of ``advance_trials``, utilities kept, and the campaign of its pilots.
+
+    The trial sees |h| * g and sends one pilot per entry of the 1-D unit
+    ``noise`` (zeros for a noise-free run) at ``pilot_power``.
+    """
+    run = advance_trials(setup, (np.abs(h) * g)[None], pilot_power, noise[None],
+                         noise.size, keep_utility=True)
+    return run, trial_campaign(setup, run, h, pilot_power)
 
 
 def accumulate(campaign: PilotCampaign, array: ArrayModel, angles):
     """An accumulator over ``angles`` fed the campaign's pilots in order.
 
     The batch route of the ML sums: pilot i adds row i of the campaign's
-    table over the directions D_h a(angle), for any |h| and rows.
+    whole matrix V = B D_h A and its |.|^2, for any h and rows.
     """
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    projections, energies = _projection_tables(
-        campaign.config_matrix, array, angles, campaign.bs_ris_channel.coefficients
-    )
+    projections = _pilot_directions(campaign, array, angles)
+    energies = np.abs(projections)
+    np.square(energies, out=energies)
     accumulator = UtilityAccumulator(angles.size)
     for i, sample in enumerate(campaign.received):
         accumulator.add(projections, sample, energies, i)
@@ -146,13 +143,16 @@ def least_squares_estimate(campaign: PilotCampaign) -> np.ndarray:
     """
     pinv = np.linalg.pinv(campaign.config_matrix, rcond=1e-12)
     unscaled = pinv @ campaign.received
-    scale = np.sqrt(campaign.pilot_power) * campaign.bs_ris_channel.coefficients
+    scale = np.sqrt(campaign.pilot_power) * campaign.coefficients
     return unscaled / scale
 
 
-def effective_channel(ris: RisConfiguration, h: KnownBsRisChannel, g) -> complex:
-    """Physical end-to-end channel sum_n h_n * g_n * exp(-1j*theta_n)."""
-    return complex(np.sum(ris.phases * h.coefficients * g))
+def effective_channel(config: np.ndarray, h: np.ndarray, g) -> complex:
+    """Physical end-to-end channel sum_n h_n * g_n * exp(-1j*theta_n).
+
+    ``config`` holds the configuration's unit entries exp(-1j*theta_n).
+    """
+    return complex(np.sum(config * h * g))
 
 
 def capacity(coefficients, g, data_snr_scale: float):
@@ -167,7 +167,7 @@ def capacity(coefficients, g, data_snr_scale: float):
 def _pilot_directions(campaign: PilotCampaign, array: ArrayModel, angles) -> np.ndarray:
     """The whole matrix V = B D_h A at once, one column per angle."""
     return campaign.config_matrix @ (
-        campaign.bs_ris_channel.coefficients[:, None] * array_response(array, angles).T
+        campaign.coefficients[:, None] * array_response(array, angles).T
     )
 
 
@@ -204,26 +204,27 @@ def prefix_campaign(campaign: PilotCampaign, num_pilots: int) -> PilotCampaign:
     )
 
 
-def prefix_results(channel, h, array, num_pilots, pilot_snr, rng, grid) -> list:
-    """The results of the budget-2 to ``num_pilots`` runs, on copies of ``rng``.
+def prefix_results(setup: AdaptiveSetup, h, g, pilot_power, noise) -> list:
+    """The results of the budget-2 to L one-trial runs on the first pilots' noise.
 
-    A budget-i run under the same noise draws is the first i pilots of a
-    longer run, so entry i-2 is the estimate that the budget-``num_pilots``
-    run on ``rng`` itself makes from its first i pilots. ``rng`` is not
-    advanced.
+    A budget-i run on the first i entries of ``noise`` is the first i
+    pilots of the budget-L run on all L of them, so entry i-2 is the
+    estimate, the one gain and phase at its last peak included, that the
+    longer run makes from its first i pilots.
     """
-    return [
-        run_adaptive_estimation(
-            channel, h, array, pilots, pilot_snr, copy.deepcopy(rng), grid
-        ).result
-        for pilots in range(2, num_pilots + 1)
-    ]
+    results = []
+    for pilots in range(2, noise.size + 1):
+        run = advance_trials(setup, (np.abs(h) * g)[None], pilot_power,
+                             noise[None, :pilots], pilots)
+        aoa = setup.grid_angles[run.peaks[0, -1]]
+        results.append(LosChannel(run.gains[0], run.phases[0], aoa))
+    return results
 
 
-def assert_steps_match_batch(record, campaign, array, grid, results) -> int:
-    """Check every step of an adaptive run against the batch estimators.
+def assert_steps_match_batch(run, campaign, array, grid, results) -> int:
+    """Check every step of a one-trial adaptive run against the batch estimators.
 
-    ``campaign`` is the run's from ``run_with_campaign``, and ``results``
+    ``run`` and ``campaign`` are from ``run_with_campaign``, and ``results``
     its ``prefix_results``: entry i is the estimate, gain and phase
     included, from its first i+2 pilots. The loop projects
     through trial-independent tables, the batch estimators through D_h A
@@ -235,8 +236,9 @@ def assert_steps_match_batch(record, campaign, array, grid, results) -> int:
     Returns how many steps were compared that way.
     """
     compared = 0
-    estimates = zip(record.utilities, record.aoa_estimates, results, strict=True)
-    # row i of the record is the estimate from the first i + 2 pilots
+    aoa_estimates = grid.angles[run.peaks[0]]
+    estimates = zip(run.utilities[:, 0], aoa_estimates, results, strict=True)
+    # step i of the run is the estimate from the first i + 2 pilots
     for pilots, (utility, aoa, result) in enumerate(estimates, start=2):
         prefix = prefix_campaign(campaign, pilots)
         energy = pilot_energy(prefix, array, grid.angles)
@@ -291,8 +293,8 @@ def reference_utility_csv(record) -> str:
 
 
 def simulate_pilot_reception(
-    config_row: RisConfiguration,
-    h: KnownBsRisChannel,
+    config_row: np.ndarray,
+    h: np.ndarray,
     g,
     pilot_power: float,
     noise_std: float,

@@ -173,11 +173,11 @@ def test_criterion_09_fig3_utility_evolution():
     details = []
     for seed in range(10):
         config = ExperimentConfig(num_trials=1, rng_seed=seed)
-        record = run_single_estimate(config, truth, 10).record
+        summary = run_single_estimate(config, truth, 10)
         grid = config.grid()
         step = (grid.upper - grid.lower) / (grid.num_points - 1)
-        first, last = record.utilities[0], record.utilities[-1]
-        near_truth = abs(record.grid.angles[np.argmax(last)] - truth) <= step
+        first, last = summary.utilities[0], summary.utilities[-1]
+        near_truth = abs(summary.grid.angles[np.argmax(last)] - truth) <= step
         gap_grew = gap_db_between_top_two_peaks(
             utility_db(last)
         ) > gap_db_between_top_two_peaks(utility_db(first))

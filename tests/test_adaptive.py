@@ -2,12 +2,11 @@
 
 import dataclasses
 import math
-import tracemalloc
-import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rispilot import (
@@ -20,30 +19,25 @@ from rispilot import (
     ExperimentConfig,
     InsufficientPilotsError,
     InvalidInputError,
-    KnownBsRisChannel,
     LosChannel,
     PoolExhaustedError,
-    RisConfiguration,
-    achievable_rate,
     array_response,
     build_adaptive_setup,
-    expand_channel,
-    optimal_configuration,
     plausible_angles,
-    random_bs_ris_channel,
-    run_adaptive_estimation,
     run_single_estimate,
+    snr_to_powers,
 )
-from rispilot import adaptive, simulate
-from rispilot.adaptive import advance_trials, pilot_noise, pilot_power_for_snr
-from rispilot.estimators import _projection_tables
-from rispilot.model import los_vector
+from rispilot import simulate
+from rispilot.adaptive import advance_trials, pilot_noise
+from rispilot.estimators import dft_rows
+from rispilot.model import _draw_unit_coefficients, los_vector
 
 from conftest import (
     NEAR_NULL,
     assert_steps_match_batch,
     candidate_rows,
     capacity,
+    channel_vector,
     circular_diff,
     coefficient_at,
     direct_utility,
@@ -56,6 +50,7 @@ from conftest import (
     reference_advance_trials,
     run_with_campaign,
     simulate_pilot_reception,
+    trial_campaign,
 )
 
 
@@ -107,47 +102,18 @@ class TestPlausibleAngles:
             assert neighbour == pytest.approx(1.0 / (n * math.sin(math.pi / (2 * n))))
 
 
-class TestOptimalConfiguration:
-    def test_real_channel_broadside_is_all_ones(self):
-        h = KnownBsRisChannel(np.full(5, 2.0))
-        config = optimal_configuration(h, 0.0, ArrayModel(5, 0.25))
-        assert np.allclose(config.phases, np.ones(5), atol=1e-15)
-
-    def test_achieves_capacity_on_true_channel(self, rng):
-        n = 12
-        array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
-        channel = LosChannel(1.8, 0.6, -0.7)
-        g = expand_channel(channel, array)
-        config = optimal_configuration(h, channel.aoa, array)
-        rate = achievable_rate(effective_channel(config, h, g), 2.0)
-        assert rate == pytest.approx(capacity(h.coefficients, g, 2.0), rel=1e-9)
-
-    def test_matches_elementwise_oracle(self):
-        n = 8
-        phases = np.array([np.pi / 3 * k for k in range(1, n + 1)])
-        h = KnownBsRisChannel(1.5 * np.exp(1j * phases))
-        array = ArrayModel(n, 0.25)
-        aoa = np.pi / 6
-        config = optimal_configuration(h, aoa, array)
-        for k in range(n):
-            expected = np.exp(-1j * phases[k]) * np.conj(
-                np.exp(-2j * np.pi * 0.25 * k * np.sin(aoa))
-            )
-            assert abs(config.phases[k] - expected) < 1e-12
-
-
 class TestCandidateConfigurations:
     """The N candidate configurations, each sent at most once, seen through runs."""
 
     def test_full_budget_sends_one_config_per_angle(self, rng):
         n = 4
         array = ArrayModel(n, 0.25)
-        h = KnownBsRisChannel(np.ones(n))
-        record, campaign = run_with_campaign(
-            LosChannel(1.0, 0.4, 0.3), h, array, n, 10.0, rng
+        setup = build_adaptive_setup(array, AoaSearchGrid())
+        noise = pilot_noise(rng.standard_normal(2 * n))
+        run, campaign = run_with_campaign(
+            setup, np.ones(n), los_vector(array, 1.0, 0.4, 0.3), 10.0, noise
         )
-        angles = list(record.config_angles)
+        angles = list(setup.angles[run.picks[0]])
         assert sorted(angles) == list(plausible_angles(n))
         for angle, row in zip(angles, campaign.config_matrix, strict=True):
             expected = np.conj(
@@ -160,14 +126,16 @@ class TestCandidateConfigurations:
         # shorter budget are the first picks of the full budget
         n = 6
         array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
-        channel = LosChannel(1.0, 0.5, -0.3)
-        full = run_adaptive_estimation(channel, h, array, n, 10.0, 8)
-        picks = list(full.config_angles)
+        setup = build_adaptive_setup(array, AoaSearchGrid())
+        h = _draw_unit_coefficients(n, rng)
+        g = los_vector(array, 1.0, 0.5, -0.3)
+        noise = pilot_noise(np.random.default_rng(8).standard_normal(2 * n))
+        full, _ = run_with_campaign(setup, h, g, 10.0, noise)
+        picks = list(setup.angles[full.picks[0]])
         assert sorted(picks) == list(plausible_angles(n))
         for budget in range(2, n):
-            record = run_adaptive_estimation(channel, h, array, budget, 10.0, 8)
-            assert list(record.config_angles) == picks[:budget]
+            run, _ = run_with_campaign(setup, h, g, 10.0, noise[:budget])
+            assert list(setup.angles[run.picks[0]]) == picks[:budget]
 
     def test_third_pilot_is_the_estimated_angles_beam(self):
         # noise-free truth on candidate angle 10 and on grid point 0: the
@@ -175,27 +143,13 @@ class TestCandidateConfigurations:
         n = 16
         array = ArrayModel(n, 0.25)
         target = float(plausible_angles(n)[10])
-        grid = AoaSearchGrid(target, np.pi / 2, 500)
+        setup = build_adaptive_setup(array, AoaSearchGrid(target, np.pi / 2, 500))
+        g = los_vector(array, 1.0, 0.7, target)
         for seed in range(3):
-            h = random_bs_ris_channel(n, seed)
-            record = run_adaptive_estimation(
-                LosChannel(1.0, 0.7, target), h, array, 3, math.inf, seed, grid
-            )
-            assert record.aoa_estimates[0] == target
-            assert record.config_angles[2] == target
-
-    def test_rows_match_per_candidate_optimal_configurations(self, rng):
-        # reference: the configuration each candidate has as its own object
-        n = 40
-        array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
-        record, campaign = run_with_campaign(
-            LosChannel(1.0, 2.0, 0.3), h, array, n, 10.0, rng
-        )
-        rows = zip(record.config_angles, campaign.config_matrix, strict=True)
-        for angle, row in rows:
-            expected = optimal_configuration(h, angle, array).phases
-            assert np.array_equal(row, expected)
+            h = _draw_unit_coefficients(n, np.random.default_rng(seed))
+            run, _ = run_with_campaign(setup, h, g, 1.0, np.zeros(3, dtype=complex))
+            assert setup.grid_angles[run.peaks[0, 0]] == target
+            assert setup.angles[run.picks[0, 2]] == target
 
     def test_picks_agree_with_correlation_argmax(self, rng):
         # oracle: each pick after the starting pair is the argmax of the
@@ -204,50 +158,56 @@ class TestCandidateConfigurations:
         # resolve to the smallest unused angle
         n = 40
         array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
-        channel = LosChannel(1.0, 1.1, -0.45)
-        record = run_adaptive_estimation(channel, h, array, n, 10.0, rng)
+        setup = build_adaptive_setup(array, AoaSearchGrid())
+        h = _draw_unit_coefficients(n, rng)
+        g = los_vector(array, 1.0, 1.1, -0.45)
+        noise = pilot_noise(rng.standard_normal(2 * n))
+        run, _ = run_with_campaign(setup, h, g, 10.0, noise)
+        config_angles = setup.angles[run.picks[0]]
+        aoa_estimates = setup.grid_angles[run.peaks[0]]
         angles = plausible_angles(n)
         # pilot i + 1 follows the estimate from the first i pilots
         for i in range(2, n):
-            picked = set(record.config_angles[:i])
+            picked = set(config_angles[:i])
             unused = [float(a) for a in angles if a not in picked]
-            reference = optimal_configuration(h, record.aoa_estimates[i - 2], array)
+            reference = candidate_rows(h, [aoa_estimates[i - 2]], array)[0]
             scores = [
-                abs(np.vdot(reference.phases, row))
-                for row in candidate_rows(h, unused, array)
+                abs(np.vdot(reference, row)) for row in candidate_rows(h, unused, array)
             ]
-            assert record.config_angles[i] == unused[int(np.argmax(scores))]
+            assert config_angles[i] == unused[int(np.argmax(scores))]
 
     def test_ties_go_to_smallest_remaining_angle(self):
         # nearest-sine tie: at N=10 the sines -0.6/-0.4 are equally far
         # from -0.5, and 0.4/0.6 from 0.5
         array = ArrayModel(10, 0.25)
-        h = random_bs_ris_channel(10, 2)
-        channel = LosChannel(1.0, 0.3, 0.2)
-        record = run_adaptive_estimation(channel, h, array, 2, 10.0, 1)
+        setup = build_adaptive_setup(array, AoaSearchGrid())
+        h = _draw_unit_coefficients(10, np.random.default_rng(2))
+        noise = pilot_noise(np.random.default_rng(1).standard_normal(4))
+        run, _ = run_with_campaign(
+            setup, h, los_vector(array, 1.0, 0.3, 0.2), 10.0, noise
+        )
         angles = plausible_angles(10)
-        assert list(record.config_angles) == [angles[1], angles[6]]
+        assert list(setup.angles[run.picks[0]]) == [angles[1], angles[6]]
         # best-match tie: at a vanishing spacing every candidate is the
         # all-ones beam, so all scores are exactly equal
         n = 8
         array = ArrayModel(n, 1e-300)
-        h = KnownBsRisChannel(np.ones(n))
-        rows = candidate_rows(h, plausible_angles(n), array)
+        rows = candidate_rows(np.ones(n), plausible_angles(n), array)
         assert np.all(np.abs(rows @ np.conj(rows[0])) == n)
-        record = run_adaptive_estimation(
-            channel, h, array, n, 10.0, 1, AoaSearchGrid(num_points=50)
+        setup = build_adaptive_setup(array, AoaSearchGrid(num_points=50))
+        noise = pilot_noise(np.random.default_rng(1).standard_normal(2 * n))
+        run, _ = run_with_campaign(
+            setup, np.ones(n), los_vector(array, 1.0, 0.3, 0.2), 10.0, noise
         )
-        sines = [round(math.sin(a), 12) for a in record.config_angles]
+        sines = [round(math.sin(a), 12) for a in setup.angles[run.picks[0]]]
         assert sines == [-0.5, 0.5, -0.75, -0.25, 0.0, 0.25, 0.75, 1.0]
 
-    def test_rejects_mismatched_shapes(self, rng):
-        array = ArrayModel(6, 0.25)
-        channel = LosChannel(1.0, 0.0, 0.1)
+    def test_rejects_mismatched_shapes(self):
+        setup = build_adaptive_setup(ArrayModel(6, 0.25), AoaSearchGrid(num_points=100))
+        noise = np.zeros((1, 3), dtype=complex)
         for length in (5, 7):
-            h = random_bs_ris_channel(length, rng)
             with pytest.raises(DimensionError):
-                run_adaptive_estimation(channel, h, array, 3, 10.0, rng)
+                advance_trials(setup, np.ones((1, length), dtype=complex), 10.0, noise, 3)
 
 
 class TestCandidateCorrelationTable:
@@ -314,45 +274,44 @@ class TestCandidateCorrelationTable:
 
 
 class TestInitialPair:
-    def starting_sines(self, n, rng):
+    def starting_pair(self, n, rng, pilot_power=10.0):
+        """The config angles and campaign of a two-pilot run, noisy unless P_p is 1."""
         array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
-        record = run_adaptive_estimation(
-            LosChannel(1.0, 0.0, 0.2), h, array, 2, 10.0, rng
+        setup = build_adaptive_setup(array, AoaSearchGrid())
+        h = _draw_unit_coefficients(n, rng)
+        noise = np.zeros(2, dtype=complex)
+        if pilot_power != 1.0:
+            noise = pilot_noise(rng.standard_normal(4))
+        run, campaign = run_with_campaign(
+            setup, h, los_vector(array, 1.0, 0.0, 0.2), pilot_power, noise
         )
-        return record, np.sin(record.config_angles)
+        return setup.angles[run.picks[0]], campaign
 
     def test_forty_elements_picks_half_sines(self, rng):
-        _, sines = self.starting_sines(40, rng)
-        assert list(sines) == pytest.approx([-0.5, 0.5])
+        angles, _ = self.starting_pair(40, rng)
+        assert list(np.sin(angles)) == pytest.approx([-0.5, 0.5])
 
     def test_two_elements_uses_both(self, rng):
-        h = random_bs_ris_channel(2, rng)
-        record, campaign = run_with_campaign(
-            LosChannel(1.0, 0.0, 0.2), h, ArrayModel(2, 0.25), 2, 10.0, rng
-        )
-        assert sorted(record.config_angles) == list(plausible_angles(2))
+        angles, campaign = self.starting_pair(2, rng)
+        assert sorted(angles) == list(plausible_angles(2))
         first, second = campaign.config_matrix
         assert not np.array_equal(first, second)
 
     def test_four_elements_picks_inner_pair(self, rng):
-        _, sines = self.starting_sines(4, rng)
-        assert list(sines) == pytest.approx([-0.5, 0.5])
+        angles, _ = self.starting_pair(4, rng)
+        assert list(np.sin(angles)) == pytest.approx([-0.5, 0.5])
 
     def test_exhausted_pool(self, rng):
         with pytest.raises(PoolExhaustedError):
-            self.starting_sines(1, rng)
+            self.starting_pair(1, rng)
 
     def test_reference_pair_has_exact_nulls_at_endfire(self, rng):
         # at N = 40, rho = 1/4 a beam at sine u0 has nulls where
         # N rho (u - u0) = 10 (u - u0) is a nonzero integer; from u0 = +-0.5
         # that includes u = +-1, the grid's endpoints, for both beams
         array, grid = ArrayModel(40, 0.25), AoaSearchGrid()
-        h = random_bs_ris_channel(40, rng)
-        record, campaign = run_with_campaign(
-            LosChannel(1.0, 0.0, 0.2), h, array, 2, math.inf, rng, grid
-        )
-        assert list(np.sin(record.config_angles)) == [-0.5, 0.5]
+        angles, campaign = self.starting_pair(40, rng, pilot_power=1.0)
+        assert list(np.sin(angles)) == [-0.5, 0.5]
         energy = pilot_energy(campaign, array, grid.angles)
         peak = np.max(energy)
         # zero up to rounding at +-90 degrees, while the next grid points
@@ -367,6 +326,33 @@ class TestPeakHelpers:
         assert list(local_peak_indices(values)) == [0, 3, 5]
 
 
+def trial_config(n: int, points: int, offset_db: float, budget: int):
+    """A one-trial config: N elements, a grid of ``points``, P_p = 10**(offset_db/10)."""
+    return ExperimentConfig(
+        num_elements=n, grid_points=points, pilot_snr_offset_db=offset_db,
+        pilot_budgets=(budget,), num_trials=1,
+    )
+
+
+def seeded_trial(config, setup, aoa: float, seed: int, h=None):
+    """``_run_trials`` on ``SeedSequence(seed)`` at ``aoa``: its ML rates and run.
+
+    With ``h`` given, the trial still makes its own BS-RIS draw, so every
+    later draw is its own, but sees ``h`` in its place.
+    """
+    def draw(num_elements, rng):
+        _draw_unit_coefficients(num_elements, rng)
+        return h
+
+    dft = dft_rows(config.num_elements)
+    seeds = [np.random.SeedSequence(seed)]
+    with mock.patch.object(simulate, "_draw_unit_coefficients",
+                           _draw_unit_coefficients if h is None else draw):
+        rates, run = simulate._run_trials(config, setup, dft, seeds, aoa=aoa,
+                                          keep_utility=True)
+    return rates[0], run
+
+
 class TestAdaptiveRun:
     def run_noise_free(self, rng, n=8, budget=5, grid_points=900):
         array = ArrayModel(n, 0.25)
@@ -375,61 +361,44 @@ class TestAdaptiveRun:
         channel = LosChannel(
             float(rng.uniform(0.5, 2.0)), float(rng.uniform(0, 2 * np.pi)), truth_angle
         )
-        h = random_bs_ris_channel(n, rng)
-        record, campaign = run_with_campaign(
-            channel, h, array, budget, math.inf, rng, grid
+        h = _draw_unit_coefficients(n, rng)
+        run, campaign = run_with_campaign(
+            build_adaptive_setup(array, grid), h, channel_vector(channel, array), 1.0,
+            np.zeros(budget, dtype=complex),
         )
-        return array, grid, channel, record, campaign
+        return array, grid, channel, run, campaign
 
-    def test_rejects_bad_budgets(self, rng):
-        array = ArrayModel(6, 0.25)
-        h = random_bs_ris_channel(6, rng)
-        channel = LosChannel(1.0, 0.0, 0.1)
+    def test_rejects_bad_budgets(self):
+        config = ExperimentConfig(num_elements=6, pilot_budgets=(2,), grid_points=200)
         with pytest.raises(InsufficientPilotsError):
-            run_adaptive_estimation(channel, h, array, 1, 10.0, rng)
+            run_single_estimate(config, 0.1, 1)
         with pytest.raises(PoolExhaustedError):
-            run_adaptive_estimation(channel, h, array, 7, 10.0, rng)
+            run_single_estimate(config, 0.1, 7)
 
-    def test_budget_must_be_an_integer(self, rng):
+    def test_budget_must_be_an_integer(self):
         # a package error, not numpy's TypeError; a whole float is that integer
-        array = ArrayModel(8, 0.25)
-        h = random_bs_ris_channel(8, rng)
-        channel = LosChannel(1.0, 0.0, 0.1)
-        grid = AoaSearchGrid(num_points=200)
+        config = ExperimentConfig(num_elements=8, pilot_budgets=(2,), grid_points=200)
         with pytest.raises(InvalidInputError, match="budget 2.5 must be an integer"):
-            run_adaptive_estimation(channel, h, array, 2.5, 10.0, rng, grid)
-        record = run_adaptive_estimation(channel, h, array, 3.0, 10.0, 7, grid)
-        assert record.config_angles.size == 3
-        assert record.aoa_estimates.size == 2
+            run_single_estimate(config, 0.1, 2.5)
+        summary = run_single_estimate(config, 0.1, 3.0)
+        assert summary.config_angles.size == 3
+        assert summary.aoa_estimates.size == 2
 
     def test_inputs_are_checked_before_the_setup_is_built(self, monkeypatch):
         # the setup's N x G tables are the run's largest allocation (about
-        # 157 MiB at N = 256, G = 20 000): a wrong-length BS-RIS channel and
-        # an unrepresentable pilot power must fail before it is built
+        # 157 MiB at N = 256, G = 20 000): a short or long budget and an
+        # angle outside the UE range must fail before it is built, with
+        # their own errors, not with the ConfigValidationError of a config
+        # rebuilt with that budget
         built = []
-        build = adaptive.build_adaptive_setup
+        build = simulate.build_adaptive_setup
 
         def recording(*args):
             built.append(args)
             return build(*args)
 
-        monkeypatch.setattr(adaptive, "build_adaptive_setup", recording)
-        array, grid = ArrayModel(8, 0.25), AoaSearchGrid(num_points=200)
-        h = random_bs_ris_channel(8, 1)
-        with pytest.raises(DimensionError):
-            run_adaptive_estimation(
-                LosChannel(1.0, 0.0, 0.1), random_bs_ris_channel(7, 1), array, 3,
-                10.0, 1, grid,
-            )
-        with pytest.raises(InvalidInputError, match="finite pilot power"):
-            run_adaptive_estimation(
-                LosChannel(1e-320, 0.0, 0.1), h, array, 3, 10.0, 1, grid
-            )
-        # the single run builds its setup through simulate: a short or long
-        # budget and an angle outside the UE range fail with their own
-        # errors, not with the ConfigValidationError of a config rebuilt
-        # with that budget
         monkeypatch.setattr(simulate, "build_adaptive_setup", recording)
+        array, grid = ArrayModel(8, 0.25), AoaSearchGrid(num_points=200)
         config = ExperimentConfig(num_elements=8, pilot_budgets=(2,), grid_points=200)
         for aoa, budget, error in [
             (0.1, 1, InsufficientPilotsError),
@@ -440,17 +409,15 @@ class TestAdaptiveRun:
                 run_single_estimate(config, aoa, budget)
             assert not isinstance(raised.value, ConfigValidationError)
         assert built == []
-        run_adaptive_estimation(LosChannel(1.0, 0.0, 0.1), h, array, 3, 10.0, 1, grid)
-        assert built == [(array, grid)]
         run_single_estimate(config, 0.1, 3)
-        assert built == [(array, grid)] * 2
+        assert built == [(array, grid)]
 
     def test_noise_free_recovery_on_grid_truth(self, rng):
         # oracle: exhaustive scalar utility evaluation shows a unique maximizer
-        array, grid, channel, record, campaign = self.run_noise_free(rng)
-        assert record.result.aoa == channel.aoa
-        assert record.result.gain == pytest.approx(channel.gain, rel=1e-9)
-        assert circular_diff(record.result.phase, channel.phase) < 1e-9
+        array, grid, channel, run, campaign = self.run_noise_free(rng)
+        assert grid.angles[run.peaks[0, -1]] == channel.aoa
+        assert run.gains[0] == pytest.approx(channel.gain, rel=1e-9)
+        assert circular_diff(run.phases[0], channel.phase) < 1e-9
         values = direct_utility(campaign, array, grid.angles)
         best = int(np.argmax(values))
         assert grid.angles[best] == channel.aoa
@@ -459,23 +426,27 @@ class TestAdaptiveRun:
     def test_step_structure_and_pool_discipline(self, rng):
         n, budget = 10, 6
         array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
-        channel = LosChannel(1.0, 1.0, 0.5)
         grid = AoaSearchGrid()
-        results = prefix_results(channel, h, array, budget, 10.0, rng, grid)
-        record = run_adaptive_estimation(channel, h, array, budget, 10.0, rng, grid)
+        setup = build_adaptive_setup(array, grid)
+        h = _draw_unit_coefficients(n, rng)
+        g = los_vector(array, 1.0, 1.0, 0.5)
+        noise = pilot_noise(rng.standard_normal(2 * budget))
+        results = prefix_results(setup, h, g, 10.0, noise)
+        run, _ = run_with_campaign(setup, h, g, 10.0, noise)
+        config_angles = setup.angles[run.picks[0]]
+        aoa_estimates = setup.grid_angles[run.peaks[0]]
         # one config angle per pilot; one estimate per pilot from the second
-        assert record.config_angles.shape == (budget,)
-        assert record.aoa_estimates.shape == (budget - 1,)
-        assert np.all(np.isfinite(record.aoa_estimates))
+        assert config_angles.shape == (budget,)
+        assert aoa_estimates.shape == (budget - 1,)
+        assert np.all(np.isfinite(aoa_estimates))
         for result in results:
             assert math.isfinite(result.gain) and math.isfinite(result.phase)
-        assert record.utilities.shape == (budget - 1, record.grid.num_points)
+        assert run.utilities[:, 0].shape == (budget - 1, grid.num_points)
         pool_angle_set = set(np.round(plausible_angles(n), 12))
-        used = [round(a, 12) for a in record.config_angles]
+        used = [round(a, 12) for a in config_angles]
         assert len(set(used)) == budget  # never reissues a configuration
         assert set(used) <= pool_angle_set
-        assert record.samples.shape == (budget,)
+        assert run.samples[0].shape == (budget,)
 
     def test_interim_estimates_match_batch_estimators(self, rng):
         # dual route: the table-driven loop must agree with the one-shot
@@ -484,18 +455,18 @@ class TestAdaptiveRun:
         n, budget = 12, 7
         array = ArrayModel(n, 0.25)
         grid = AoaSearchGrid(num_points=700)
-        h = random_bs_ris_channel(n, rng)
-        channel = LosChannel(1.0, 2.0, -0.4)
-        results = prefix_results(channel, h, array, budget, 10.0, rng, grid)
-        record, campaign = run_with_campaign(
-            channel, h, array, budget, 10.0, rng, grid
-        )
+        setup = build_adaptive_setup(array, grid)
+        h = _draw_unit_coefficients(n, rng)
+        g = los_vector(array, 1.0, 2.0, -0.4)
+        noise = pilot_noise(rng.standard_normal(2 * budget))
+        results = prefix_results(setup, h, g, 10.0, noise)
+        run, campaign = run_with_campaign(setup, h, g, 10.0, noise)
         assert assert_steps_match_batch(
-            record, campaign, array, grid, results
+            run, campaign, array, grid, results
         ) == budget - 1
         for i in range(2, budget + 1):
             prefix = prefix_campaign(campaign, i)
-            aoa = record.aoa_estimates[i - 2]
+            aoa = grid.angles[run.peaks[0, i - 2]]
             batch = parametric_ml_estimate(prefix, array, grid)
             assert batch.aoa == aoa
             # the coefficient projected onto the one estimated angle alone
@@ -505,7 +476,7 @@ class TestAdaptiveRun:
 
     def test_monotone_information_at_true_angle(self, rng):
         # adding a pilot can only add energy along the true direction
-        array, grid, channel, record, campaign = self.run_noise_free(
+        array, grid, channel, run, campaign = self.run_noise_free(
             rng, n=10, budget=8
         )
         utilities = []
@@ -518,48 +489,41 @@ class TestAdaptiveRun:
         n = 8
         array = ArrayModel(n, 0.25)
         grid = AoaSearchGrid(num_points=500)
-        h = random_bs_ris_channel(n, rng)
-        channel = LosChannel(1.0, 0.3, 0.2)
-        results = prefix_results(channel, h, array, n, 10.0, rng, grid)
-        record, campaign = run_with_campaign(channel, h, array, n, 10.0, rng, grid)
-        used = sorted(round(a, 12) for a in record.config_angles)
+        setup = build_adaptive_setup(array, grid)
+        h = _draw_unit_coefficients(n, rng)
+        g = los_vector(array, 1.0, 0.3, 0.2)
+        noise = pilot_noise(rng.standard_normal(2 * n))
+        results = prefix_results(setup, h, g, 10.0, noise)
+        run, campaign = run_with_campaign(setup, h, g, 10.0, noise)
+        used = sorted(round(a, 12) for a in setup.angles[run.picks[0]])
         assert used == sorted(np.round(plausible_angles(n), 12))
         batch = parametric_ml_estimate(campaign, array, grid)
-        assert batch.aoa == record.result.aoa
-        assert batch.gain == pytest.approx(record.result.gain, rel=1e-12)
-        assert circular_diff(batch.phase, record.result.phase) < 1e-12
+        result = results[-1]
+        assert batch.aoa == result.aoa == grid.angles[run.peaks[0, -1]]
+        assert batch.gain == pytest.approx(run.gains[0], rel=1e-12)
+        assert circular_diff(batch.phase, run.phases[0]) < 1e-12
         np.testing.assert_allclose(
-            expand_channel(batch, array), expand_channel(record.result, array),
-            rtol=1e-12,
+            channel_vector(batch, array), channel_vector(result, array), rtol=1e-12,
         )
-        assert assert_steps_match_batch(record, campaign, array, grid, results) == n - 1
+        assert assert_steps_match_batch(run, campaign, array, grid, results) == n - 1
 
     def test_deterministic_given_seed(self):
-        n = 10
-        array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, 5)
-        channel = LosChannel(1.0, 0.9, -0.2)
-        first = run_adaptive_estimation(channel, h, array, 6, 10.0, rng=99)
-        second = run_adaptive_estimation(channel, h, array, 6, 10.0, rng=99)
+        config = trial_config(10, 2000, 10.0, 6)
+        setup = build_adaptive_setup(config.array(), config.grid())
+        first, second = (seeded_trial(config, setup, -0.2, 99)[1] for _ in range(2))
         assert np.array_equal(first.samples, second.samples)
-        assert first.result.aoa == second.result.aoa
-        assert first.result.gain == second.result.gain
+        assert first.peaks[0, -1] == second.peaks[0, -1]
+        assert first.gains[0] == second.gains[0]
 
-    def test_record_utility_traces(self, rng):
-        n = 8
-        array = ArrayModel(n, 0.25)
-        grid = AoaSearchGrid(num_points=300)
-        h = random_bs_ris_channel(n, rng)
-        channel = LosChannel(1.0, 0.0, -0.6)
-        record = run_adaptive_estimation(channel, h, array, 4, 10.0, rng, grid)
+    def test_record_utility_traces(self):
+        config = ExperimentConfig(num_elements=8, pilot_budgets=(2,), grid_points=300)
+        summary = run_single_estimate(config, -0.6, 4)
         # the first pilot alone has no utility: one row per later pilot
-        assert record.utilities.shape == (3, 300)
-        for utility, aoa in zip(record.utilities, record.aoa_estimates, strict=True):
-            assert grid.angles[np.argmax(utility)] == aoa
-        for values in (
-            record.config_angles, record.samples, record.aoa_estimates,
-            record.utilities,
-        ):
+        assert summary.utilities.shape == (3, 300)
+        angles = summary.grid.angles
+        for utility, aoa in zip(summary.utilities, summary.aoa_estimates, strict=True):
+            assert angles[np.argmax(utility)] == aoa
+        for values in (summary.config_angles, summary.aoa_estimates, summary.utilities):
             with pytest.raises(ValueError):
                 values[0] = 0.0
 
@@ -568,55 +532,52 @@ class TestAdaptiveRun:
         n=st.integers(3, 40),
         points=st.integers(50, 2000),
         seed=st.integers(0, 2**32 - 1),
-        snr=st.sampled_from([1.0, 10.0, 100.0]),
+        offset_db=st.sampled_from([0.0, 10.0, 20.0]),
     )
-    # two pilots from the starting pair tie the utility at -90 and +90 deg
-    # to one ulp here, and each phase profile's rounding picks another side
-    @example(n=18, points=50, seed=3628801, snr=100.0)
-    def test_picks_and_estimates_ignore_bs_ris_phases(self, n, points, seed, snr):
-        # the configurations compensate the known BS-RIS phases, so two
-        # random phase profiles under the same noise must give the same run,
-        # up to the first argmax on a near-null direction, where the utility
-        # divides noise by almost nothing, or on a tie, where rounding of the
-        # phase compensation decides which of the tied angles wins
+    def test_picks_and_estimates_ignore_bs_ris_phases(self, n, points, seed, offset_db):
+        # the configurations compensate the known BS-RIS phases, so a trial
+        # under two random phase profiles must make the same run, up to the
+        # first argmax on a near-null direction, where the utility divides
+        # noise by almost nothing, or on a tie, where rounding of |h|
+        # decides which of the tied angles wins
         gen = np.random.default_rng(seed)
-        array = ArrayModel(n, 0.25)
-        grid = AoaSearchGrid(num_points=points)
-        channel = LosChannel(
-            1.0, float(gen.uniform(0, 2 * np.pi)), float(gen.uniform(-1.0, 1.0))
+        aoa = float(gen.uniform(-1.0, 1.0))
+        hs = [_draw_unit_coefficients(n, gen) for _ in range(2)]
+        config = trial_config(n, points, offset_db, n)
+        array = config.array()
+        setup = build_adaptive_setup(array, config.grid())
+        _, pilot_power = snr_to_powers(config)
+        # at a given angle the trial's first draw is its reference phase
+        omega = np.random.default_rng(np.random.SeedSequence(seed)).uniform(0, 2 * np.pi)
+        g = los_vector(array, 1.0, omega, aoa)
+        assert capacity(hs[0], g, pilot_power) == pytest.approx(
+            capacity(hs[1], g, pilot_power), rel=1e-12
         )
-        noise_seed = int(gen.integers(2**32))
-        hs = [random_bs_ris_channel(n, gen) for _ in range(2)]
-        g = expand_channel(channel, array)
-        assert capacity(hs[0].coefficients, g, snr) == pytest.approx(
-            capacity(hs[1].coefficients, g, snr), rel=1e-12
-        )
-        runs = [
-            run_with_campaign(channel, h, array, n, snr, noise_seed, grid)
-            for h in hs
-        ]
+        runs = []
+        for h in hs:
+            run = seeded_trial(config, setup, aoa, seed, h)[1]
+            runs.append((run, trial_campaign(setup, run, h, pilot_power)))
         (first, _), (second, _) = runs
-        assert first.config_angles[0] == second.config_angles[0]
+        assert first.picks[0, 0] == second.picks[0, 0]
         # estimate i comes from the first i + 2 pilots and picks pilot i + 3
         for i in range(n - 1):
-            assert first.config_angles[i + 1] == second.config_angles[i + 1]
+            assert first.picks[0, i + 1] == second.picks[0, i + 1]
             ambiguous = False
             for run, campaign in runs:
                 prefix = prefix_campaign(campaign, i + 2)
-                energy = pilot_energy(prefix, array, grid.angles)
-                peak = int(np.argmax(run.utilities[i]))
+                energy = pilot_energy(prefix, array, setup.grid_angles)
+                utility = run.utilities[i, 0]
+                peak = int(np.argmax(utility))
                 ambiguous |= energy[peak] <= NEAR_NULL * np.max(energy)
-                runner_up = np.max(np.delete(run.utilities[i], peak))
-                ambiguous |= runner_up >= (1 - 1e-12) * run.utilities[i][peak]
+                runner_up = np.max(np.delete(utility, peak))
+                ambiguous |= runner_up >= (1 - 1e-12) * utility[peak]
             if ambiguous:
                 break
-            assert first.aoa_estimates[i] == second.aoa_estimates[i]
-            # the budget-(i + 2) runs' results are these runs' estimates there
+            assert first.peaks[0, i] == second.peaks[0, i]
+            # the budget-(i + 2) trials' gains are these runs' estimates there
+            budget = dataclasses.replace(config, pilot_budgets=(i + 2,))
             first_gain, second_gain = (
-                run_adaptive_estimation(
-                    channel, h, array, i + 2, snr, noise_seed, grid
-                ).result.gain
-                for h in hs
+                seeded_trial(budget, setup, aoa, seed, h)[1].gains[0] for h in hs
             )
             assert first_gain == pytest.approx(second_gain, rel=1e-9)
 
@@ -625,45 +586,39 @@ class TestAdaptiveRun:
         n=st.integers(3, 40),
         points=st.integers(50, 2000),
         seed=st.integers(0, 2**32 - 1),
-        snr=st.sampled_from([1.0, 10.0, 100.0, math.inf]),
-        unit=st.booleans(),
+        offset_db=st.sampled_from([0.0, 10.0, 20.0, 300.0]),
     )
     def test_quarter_turns_of_bs_ris_phases_keep_runs_byte_identical(
-        self, n, points, seed, snr, unit
+        self, n, points, seed, offset_db
     ):
-        # a run sees the BS-RIS channel only as |h|, and a quarter turn of any
-        # coefficient (times 1, j, -1 or -j) leaves |h| bit for bit the same,
-        # so the whole run must be too: no near-null or tie carve-out
+        # a trial sees the BS-RIS channel only as |h|, and a quarter turn of
+        # any coefficient (times 1, j, -1 or -j) leaves |h| bit for bit the
+        # same, so the whole run and its ML rate must be too: no near-null or
+        # tie carve-out. At +300 dB the pilots are noise-free to ~1e-15
         gen = np.random.default_rng(seed)
-        array = ArrayModel(n, 0.25)
-        grid = AoaSearchGrid(num_points=points)
-        channel = LosChannel(
-            1.0, float(gen.uniform(0, 2 * np.pi)), float(gen.uniform(-1.0, 1.0))
-        )
-        magnitudes = np.ones(n) if unit else gen.uniform(0.5, 2.0, n)
-        h = magnitudes * np.exp(1j * gen.uniform(0, 2 * np.pi, n))
+        aoa = float(gen.uniform(-1.0, 1.0))
+        h = _draw_unit_coefficients(n, gen)
         turned = h * np.array([1, 1j, -1, -1j])[gen.integers(0, 4, n)]
         assert np.abs(turned).tobytes() == np.abs(h).tobytes()
         budget = int(gen.integers(2, n + 1))
-        first, second = (
-            run_adaptive_estimation(
-                channel, KnownBsRisChannel(coefficients), array, budget, snr, seed,
-                grid,
-            )
+        config = trial_config(n, points, offset_db, budget)
+        setup = build_adaptive_setup(config.array(), config.grid())
+        (first_rates, first), (second_rates, second) = (
+            seeded_trial(config, setup, aoa, seed, coefficients)
             for coefficients in (h, turned)
         )
-        for name in ("config_angles", "samples", "aoa_estimates", "utilities"):
+        for name in ("picks", "samples", "peaks", "utilities", "gains", "phases"):
             assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
-        # every step's gain and phase: the budget-i runs' results
-        first_results, second_results = (
-            prefix_results(
-                channel, KnownBsRisChannel(coefficients), array, budget, snr, seed,
-                grid,
+        assert first_rates.tobytes() == second_rates.tobytes()
+        # every step's gain and phase: the budget-i trials' results
+        for pilots in range(2, budget + 1):
+            shorter = dataclasses.replace(config, pilot_budgets=(pilots,))
+            one, other = (
+                seeded_trial(shorter, setup, aoa, seed, coefficients)[1]
+                for coefficients in (h, turned)
             )
-            for coefficients in (h, turned)
-        )
-        for one, other in zip(first_results, second_results, strict=True):
-            pair = np.array([[one.gain, one.phase], [other.gain, other.phase]])
+            pair = np.array([[one.gains[0], one.phases[0]],
+                             [other.gains[0], other.phases[0]]])
             assert pair[0].tobytes() == pair[1].tobytes()
 
     @settings(max_examples=40, deadline=None)
@@ -671,41 +626,36 @@ class TestAdaptiveRun:
         n=st.integers(2, 40),
         points=st.integers(50, 2000),
         seed=st.integers(0, 2**32 - 1),
-        snr=st.sampled_from([1.0, 10.0, 100.0, math.inf]),
-        unit=st.booleans(),
+        offset_db=st.sampled_from([0.0, 10.0, 20.0, 300.0]),
         data=st.data(),
     )
     def test_shorter_budget_is_the_prefix_of_a_longer_run(
-        self, n, points, seed, snr, unit, data
+        self, n, points, seed, offset_db, data
     ):
-        # a budget-i run draws the first 2i normals of a budget-L run and
+        # a budget-i trial's loop takes the first 2i normals of a budget-L
+        # trial's (each trial's 4L normals open with the loop's 2L) and
         # every step reads only the pilots before it, so it is the first i
         # pilots and i-1 estimates of the longer run, bit for bit; its
         # result is the longer run's estimate from those i pilots
         longest = data.draw(st.integers(2, n), label="longest")
         budget = data.draw(st.integers(2, longest), label="budget")
-        gen = np.random.default_rng(seed)
-        array = ArrayModel(n, 0.25)
-        grid = AoaSearchGrid(num_points=points)
-        channel = LosChannel(
-            float(gen.uniform(0.5, 2.0)), float(gen.uniform(0, 2 * np.pi)),
-            float(gen.uniform(-1.0, 1.0)),
-        )
-        magnitudes = np.ones(n) if unit else gen.uniform(0.5, 2.0, n)
-        h = KnownBsRisChannel(magnitudes * np.exp(1j * gen.uniform(0, 2 * np.pi, n)))
+        aoa = float(np.random.default_rng(seed).uniform(-1.0, 1.0))
+        config = trial_config(n, points, offset_db, longest)
+        setup = build_adaptive_setup(config.array(), config.grid())
         short, long = (
-            run_adaptive_estimation(channel, h, array, pilots, snr, seed, grid)
+            seeded_trial(dataclasses.replace(config, pilot_budgets=(pilots,)),
+                         setup, aoa, seed)[1]
             for pilots in (budget, longest)
         )
         for values, expected in (
-            (short.config_angles, long.config_angles[:budget]),
-            (short.samples, long.samples[:budget]),
-            (short.aoa_estimates, long.aoa_estimates[:budget - 1]),
+            (short.picks, long.picks[:, :budget]),
+            (short.samples, long.samples[:, :budget]),
+            (short.peaks, long.peaks[:, :budget - 1]),
             (short.utilities, long.utilities[:budget - 1]),
         ):
             assert values.shape == expected.shape
             assert values.tobytes() == expected.tobytes()
-        assert short.result.aoa == long.aoa_estimates[budget - 2]
+        assert short.peaks[0, -1] == long.peaks[0, budget - 2]
 
     def test_setup_arrays_are_read_only(self):
         # one setup is shared by every trial of an experiment
@@ -745,13 +695,12 @@ class TestProjectionTables:
         setup = build_adaptive_setup(array, grid)
         steering = array_response(array, grid.angles).T
         for _ in range(3):
-            h = random_bs_ris_channel(n, rng)
+            h = _draw_unit_coefficients(n, rng)
             candidates = candidate_rows(h, setup.angles, array)
-            projections = candidates @ (h.coefficients[:, None] * steering)
-            scores = np.array([
-                np.abs(candidates @ np.conj(optimal_configuration(h, a, array).phases))
-                for a in grid.angles
-            ])
+            projections = candidates @ (h[:, None] * steering)
+            # row j: each candidate against the configuration optimal at angle j
+            references = candidate_rows(h, grid.angles, array)
+            scores = np.array([np.abs(candidates @ np.conj(row)) for row in references])
             tol = 1e-12 * n
             assert np.max(np.abs(setup.projections - projections)) <= tol
             assert np.max(
@@ -786,80 +735,34 @@ class TestProjectionTables:
             np.argmax(energies, axis=1), np.argmax(expected, axis=1)
         )
 
-    def test_non_unit_magnitudes_match_batch_estimators(self, rng):
-        # a library caller's BS-RIS channel with |h| in [0.5, 2]: the run
-        # builds its own table from |h| and still matches the batch route
-        n = 12
-        array = ArrayModel(n, 0.25)
-        grid = AoaSearchGrid(num_points=700)
-        for seed in range(3):
-            gen = np.random.default_rng(seed)
-            h = KnownBsRisChannel(
-                gen.uniform(0.5, 2.0, n) * np.exp(1j * gen.uniform(0, 2 * np.pi, n))
-            )
-            channel = LosChannel(1.0, float(gen.uniform(0, 2 * np.pi)), -0.4)
-            results = prefix_results(channel, h, array, n, 10.0, gen, grid)
-            record, campaign = run_with_campaign(channel, h, array, n, 10.0, gen, grid)
-            steps = assert_steps_match_batch(record, campaign, array, grid, results)
-            assert steps >= n - 2
-
-    def test_non_unit_run_holds_one_table_pair_at_a_time(self):
-        # the unit projections are released before the |h| pair is built;
-        # the unit energies stay as the scores, so the run peaks at about
-        # 2.5 N x G complex arrays, not the two full pairs' 4
-        n, points = 40, 2000
-        array, grid = ArrayModel(n, 0.25), AoaSearchGrid(num_points=points)
-        gen = np.random.default_rng(3)
-        h = KnownBsRisChannel(
-            gen.uniform(0.5, 2.0, n) * np.exp(1j * gen.uniform(0, 2 * np.pi, n))
-        )
-        channel = LosChannel(1.0, 0.3, -0.4)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            run_adaptive_estimation(channel, h, array, 2, 10.0, gen, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.6 * 16 * n * points
-
     def test_chunked_trials_match_single_runs_bit_for_bit(self):
         # the Monte Carlo advances trials in chunks; each row must be the
-        # run that run_adaptive_estimation returns for that trial alone
-        n, budget, trials, snr = 16, 10, 5, 10.0
+        # run that advance_trials returns for that trial alone
+        n, budget, trials, pilot_power = 16, 10, 5, 10.0
         array = ArrayModel(n, 0.25)
-        grid = AoaSearchGrid(num_points=500)
-        setup = build_adaptive_setup(array, grid)
+        setup = build_adaptive_setup(array, AoaSearchGrid(num_points=500))
         gen = np.random.default_rng(3)
-        channels = [
-            LosChannel(1.0, float(gen.uniform(0, 2 * np.pi)), float(gen.uniform(-1, 1)))
+        g = np.stack([
+            los_vector(array, 1.0, gen.uniform(0, 2 * np.pi), gen.uniform(-1, 1))
             for _ in range(trials)
-        ]
-        hs = [random_bs_ris_channel(n, gen) for _ in range(trials)]
-        coefficients = np.stack([h.coefficients for h in hs])
-        g = np.stack([expand_channel(c, array) for c in channels])
-        draws = np.stack([
-            np.random.default_rng(100 + t).standard_normal(2 * budget)
+        ])
+        hs = np.stack([_draw_unit_coefficients(n, gen) for _ in range(trials)])
+        noise = np.stack([
+            pilot_noise(np.random.default_rng(100 + t).standard_normal(2 * budget))
             for t in range(trials)
         ])
-        # unit |h|: every trial's own run sends at the chunk's one power
-        powers = {pilot_power_for_snr(snr, 1.0, h.coefficients) for h in hs}
-        assert len(powers) == 1
         chunk = advance_trials(
-            setup, np.abs(coefficients) * g, powers.pop(), pilot_noise(draws), budget,
-            keep_utility=True,
+            setup, np.abs(hs) * g, pilot_power, noise, budget, keep_utility=True
         )
         for t in range(trials):
-            record = run_adaptive_estimation(
-                channels[t], hs[t], array, budget, snr, 100 + t, grid
-            )
+            run, _ = run_with_campaign(setup, hs[t], g[t], pilot_power, noise[t])
             for values, expected in (
-                (record.config_angles, setup.angles[chunk.picks[t]]),
-                (record.samples, chunk.samples[t]),
-                (record.aoa_estimates, setup.grid_angles[chunk.peaks[t]]),
-                (np.float64(record.result.gain), chunk.gains[t]),
-                (np.float64(record.result.phase), chunk.phases[t]),
-                (record.utilities, chunk.utilities[:, t]),
+                (run.picks[0], chunk.picks[t]),
+                (run.samples[0], chunk.samples[t]),
+                (run.peaks[0], chunk.peaks[t]),
+                (run.gains[0], chunk.gains[t]),
+                (run.phases[0], chunk.phases[t]),
+                (run.utilities[:, 0], chunk.utilities[:, t]),
             ):
                 assert values.shape == expected.shape
                 assert values.tobytes() == expected.tobytes()
@@ -875,12 +778,11 @@ class TestCoreMatchesReference:
         points=st.integers(50, 2000),
         seed=st.integers(0, 2**32 - 1),
         noisy=st.booleans(),
-        unit=st.booleans(),
         keep=st.booleans(),
         data=st.data(),
     )
     def test_outputs_equal_reference_loop(
-        self, trials, n, points, seed, noisy, unit, keep, data
+        self, trials, n, points, seed, noisy, keep, data
     ):
         # the core updates each run's sums row by row and forms one gain and
         # phase per run, at its last peak; the reference gathers rows,
@@ -891,23 +793,13 @@ class TestCoreMatchesReference:
         gen = np.random.default_rng(seed)
         array = ArrayModel(n, 0.25)
         setup = build_adaptive_setup(array, AoaSearchGrid(num_points=points))
-        magnitudes = np.ones(n) if unit else gen.uniform(0.5, 2.0, n)
-        coefficients = magnitudes * np.exp(1j * gen.uniform(0, 2 * np.pi, (trials, n)))
-        if not unit:
-            projections, energies = _projection_tables(
-                setup.conj_responses, array, setup.grid_angles, magnitudes
-            )
-            setup = dataclasses.replace(
-                setup, projections=projections, projection_energy=energies
-            )
+        coefficients = np.exp(1j * gen.uniform(0, 2 * np.pi, (trials, n)))
         g = los_vector(
             array, gen.uniform(0.25, 4.0, trials), gen.uniform(0, 2 * np.pi, trials),
             gen.uniform(-1.2, 1.2, trials),
         )
-        # every trial shares the one |h|, and so one pilot power
-        pilot_power = pilot_power_for_snr(
-            10.0 if noisy else np.inf, 1.0, coefficients[0]
-        )
+        # every trial sends at one pilot power; a noise-free run at unit power
+        pilot_power = 10.0 if noisy else 1.0
         noise = np.zeros((trials, budget), dtype=np.complex128)
         if noisy:
             noise = pilot_noise(gen.standard_normal((trials, 2 * budget)))
@@ -989,73 +881,60 @@ class TestCorePicks:
 
 
 class TestPilotReception:
-    @pytest.mark.parametrize("gain, magnitude", [(1e-320, 1.0), (1.0, 1e200)])
-    def test_unrepresentable_pilot_power_is_an_input_error(self, gain, magnitude):
-        # a subnormal gain overflows the pilot power, and a huge |h| squares
-        # to inf and zeroes it: both are rejected, with no numpy warning
-        h = KnownBsRisChannel(magnitude * random_bs_ris_channel(8, 1).coefficients)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(InvalidInputError, match="finite pilot power"):
-                run_adaptive_estimation(
-                    LosChannel(gain, 0, 0.1), h, ArrayModel(8, 0.25), 3, 10.0, 1,
-                    AoaSearchGrid(num_points=100),
-                )
-
     def test_noise_free_returns_effective_value(self, rng):
         n = 6
         array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
-        channel = LosChannel(1.5, 0.4, 0.1)
-        g = expand_channel(channel, array)
-        config = optimal_configuration(h, 0.2, array)
+        h = _draw_unit_coefficients(n, rng)
+        g = los_vector(array, 1.5, 0.4, 0.1)
+        config = candidate_rows(h, [0.2], array)[0]
         value = simulate_pilot_reception(config, h, g, 4.0, 0.0, rng)
         assert value == effective_channel(config, h, g) * 2.0
 
     def test_seeded_reception_is_reproducible(self, rng):
         n = 4
         array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
-        g = expand_channel(LosChannel(1.0, 0.0, 0.0), array)
-        config = optimal_configuration(h, 0.0, array)
+        h = _draw_unit_coefficients(n, rng)
+        g = los_vector(array, 1.0, 0.0, 0.0)
+        config = candidate_rows(h, [0.0], array)[0]
         a = simulate_pilot_reception(config, h, g, 1.0, 1.0, np.random.default_rng(3))
         b = simulate_pilot_reception(config, h, g, 1.0, 1.0, np.random.default_rng(3))
         assert a == b
 
     @pytest.mark.parametrize("pilot_snr, noise_std", [(10.0, 1.0), (math.inf, 0.0)])
     def test_loop_samples_replay_reference_reception(self, pilot_snr, noise_std):
-        # the loop draws its noise up front; every sample must still be
-        # simulate_pilot_reception on the sent row, with the generator
-        # advanced in transmission order, and draw nothing more. The loop
+        # the trial's pilot normals are drawn up front and paired by
+        # pilot_noise; every sample must still be simulate_pilot_reception on
+        # the sent row, with the generator advanced in transmission order,
+        # and draw nothing more. The loop
         # sums |h_n| conj(a_n) g_n and the reference theta_n h_n g_n: the same
         # N exact terms of magnitude |h_n g_n|, each rounded by a few unit
         # roundoffs u = eps/2 (its products and phase), then summed, which
         # adds at most (N - 1) u of their total. So each path is within
         # (N + c) u * sum |h_n g_n| sqrt(P_p) of the exact sample, c < N, and
         # one more rounding adds the noise: the two differ by less than
-        # 2 N eps of that total
+        # 2 N eps of that total. An infinite SNR is a noise-free run at unit power
         n, budget = 16, 7
         array = ArrayModel(n, 0.25)
+        setup = build_adaptive_setup(array, AoaSearchGrid(num_points=300))
         gen = np.random.default_rng(5)
-        h = random_bs_ris_channel(n, gen)
-        channel = LosChannel(0.8, float(gen.uniform(0, 2 * np.pi)), 0.3)
-        g = expand_channel(channel, array)
+        h = _draw_unit_coefficients(n, gen)
+        g = los_vector(array, 0.8, float(gen.uniform(0, 2 * np.pi)), 0.3)
+        pilot_power = pilot_snr if noise_std else 1.0
         run_rng = np.random.default_rng(11)
-        _, campaign = run_with_campaign(
-            channel, h, array, budget, pilot_snr, run_rng,
-            AoaSearchGrid(num_points=300),
-        )
+        noise = np.zeros(budget, dtype=complex)
+        if noise_std:
+            noise = pilot_noise(run_rng.standard_normal(2 * budget))
+        _, campaign = run_with_campaign(setup, h, g, pilot_power, noise)
         replay_rng = np.random.default_rng(11)
         bound = (
-            2 * n * np.finfo(float).eps * np.sum(np.abs(h.coefficients * g))
+            2 * n * np.finfo(float).eps * np.sum(np.abs(h * g))
             * np.sqrt(campaign.pilot_power)
         )
         for received, row in zip(
             campaign.received, campaign.config_matrix, strict=True
         ):
             expected = simulate_pilot_reception(
-                RisConfiguration(row), h, g, campaign.pilot_power, noise_std,
-                replay_rng,
+                row, h, g, campaign.pilot_power, noise_std, replay_rng,
             )
             assert abs(received - expected) <= bound
         assert run_rng.bit_generator.state == replay_rng.bit_generator.state

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import ast
 import dataclasses
 import hashlib
 import os
@@ -268,20 +269,15 @@ def test_estimate_once_converges_near_true_angle(capsys):
     assert abs(estimated_deg - (-45.0)) < 1.0
 
 
-def package_calls(run) -> set[str]:
-    """``module.qualname`` of every package function that ``run()`` calls.
-
-    Before Python 3.11 a code object has no qualname, so methods show as
-    ``module.name``.
-    """
+def package_calls(run) -> set:
+    """The code object of every package function that ``run()`` calls."""
     package = str(Path(rispilot.__file__).parent) + os.sep
     called = set()
 
     def record(frame, event, _arg):
         code = frame.f_code
         if event == "call" and code.co_filename.startswith(package):
-            name = getattr(code, "co_qualname", code.co_name)
-            called.add(f"{Path(code.co_filename).stem}.{name}")
+            called.add(code)
 
     sys.setprofile(record)
     try:
@@ -291,9 +287,21 @@ def package_calls(run) -> set[str]:
     return called
 
 
+def qualnames(codes) -> set[str]:
+    """``module.qualname`` of each code object.
+
+    Before Python 3.11 a code object has no qualname, so methods show as
+    ``module.name``.
+    """
+    return {
+        f"{Path(code.co_filename).stem}.{getattr(code, 'co_qualname', code.co_name)}"
+        for code in codes
+    }
+
+
 def test_validate_passes(capsys, tmp_path):
     statuses = []
-    validated = package_calls(lambda: statuses.append(main(["validate"])))
+    validated = qualnames(package_calls(lambda: statuses.append(main(["validate"]))))
     assert statuses == [0]
     out = capsys.readouterr().out
     assert "FAIL" not in out
@@ -312,7 +320,7 @@ def test_validate_passes(capsys, tmp_path):
          "--out", str(tmp_path / "trace.csv")],
         ["estimate-once", *FAST, "--true-aoa-deg", "-30", "--l", "4"],
     ):
-        calls[argv[0]] = package_calls(lambda: statuses.append(main(argv)))
+        calls[argv[0]] = qualnames(package_calls(lambda: statuses.append(main(argv))))
     assert statuses == [0] * 4
     commands = set().union(*calls.values())
     stray = {
@@ -320,12 +328,59 @@ def test_validate_passes(capsys, tmp_path):
         if not name.startswith("checks.") and name != "cli._cmd_validate"
     }
     assert stray == set()
-    # the single runs are Monte Carlo trials: the chunk function of
-    # rate-curve, not the one-trial API and its power rescaling
-    one_trial = {"adaptive.run_adaptive_estimation", "adaptive.pilot_power_for_snr"}
+    # the single runs are Monte Carlo trials: the chunk function of rate-curve
     for name in ("utility-trace", "estimate-once"):
-        assert ("simulate._run_trials" in calls[name] & calls["rate-curve"]
-                and not one_trial & calls[name]), name
+        assert "simulate._run_trials" in calls[name] & calls["rate-curve"], name
+
+
+def package_functions() -> dict[tuple[str, int], str]:
+    """Every module-level function and class method of the package, by where it starts.
+
+    The key is (file name, first line), the first line being that of the
+    first decorator if there is one, as in the code object's
+    ``co_firstlineno``; the value is ``module.qualname``.
+    """
+    found = {}
+    for path in sorted(Path(rispilot.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            is_class = isinstance(top, ast.ClassDef)
+            for node in top.body if is_class else [top]:
+                if isinstance(node, ast.FunctionDef):
+                    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                    owner = f"{top.name}." if is_class else ""
+                    found[(path.name, first)] = f"{path.stem}.{owner}{node.name}"
+    return found
+
+
+#: Package functions that no command calls, each with the reason inline.
+UNREACHED: set[str] = set()
+
+
+def test_every_package_function_is_reached(tmp_path):
+    # code that no command reaches is a second route to keep right: the
+    # four commands, the config file's degree parser and the progress
+    # counter included, call every function and method the package defines
+    config = tmp_path / "range.cfg"
+    config.write_text("ue_angle_range=-50,50\n")
+    statuses, called = [], set()
+    for argv in (
+        ["rate-curve", "--config", str(config), *FAST, "--progress",
+         "--out", str(tmp_path / "rates.csv")],
+        ["utility-trace", *FAST, "--true-aoa-deg", "-30", "--l-max", "4",
+         "--out", str(tmp_path / "trace.csv")],
+        ["estimate-once", *FAST, "--true-aoa-deg", "-30", "--l", "4"],
+        ["validate"],
+    ):
+        codes = package_calls(lambda: statuses.append(main(argv)))
+        called |= {(Path(code.co_filename).name, code.co_firstlineno) for code in codes}
+    assert statuses == [0] * 4
+    defined = package_functions()
+    assert len(defined) >= 50  # the scan finds the package's functions
+    unreached = sorted(
+        name for key, name in defined.items()
+        if key not in called and name not in UNREACHED
+    )
+    assert unreached == []
 
 
 @pytest.mark.parametrize(
@@ -479,7 +534,7 @@ def test_overflowing_spacing_exits_2_without_a_warning(capsys):
 
 INPUT_ERRORS = [
     errors.InvalidInputError, errors.AngleDomainError, errors.DimensionError,
-    errors.SingularChannelError, errors.PoolExhaustedError,
+    errors.PoolExhaustedError,
     errors.InsufficientPilotsError, errors.ConfigParseError,
     errors.ConfigValidationError,
 ]

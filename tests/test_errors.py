@@ -13,10 +13,8 @@ from rispilot import (
     AoaSearchGrid,
     ArrayModel,
     InvalidInputError,
-    KnownBsRisChannel,
     LosChannel,
     RateCurvePoint,
-    RisConfiguration,
     RisPilotError,
     achievable_rate,
     array_response,
@@ -24,7 +22,6 @@ from rispilot import (
     least_squares_prefix_estimates,
     plausible_angles,
 )
-from rispilot.adaptive import pilot_power_for_snr
 
 SOURCES = sorted(Path(rispilot.__file__).parent.glob("*.py"))
 TEST_SOURCES = sorted(Path(__file__).parent.glob("*.py"))
@@ -52,8 +49,8 @@ def test_every_raise_is_a_package_error(path):
 
 def test_the_scan_sees_the_raise_sites():
     # the scan above passes vacuously if it finds nothing to check; the
-    # package has 34 raise sites
-    assert sum(len(list(raised_classes(path))) for path in SOURCES) >= 30
+    # package has 28 raise sites
+    assert sum(len(list(raised_classes(path))) for path in SOURCES) >= 25
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -111,14 +108,9 @@ REJECTIONS = {
     "LosChannel-gain": lambda: LosChannel(-1.0, 0.0, 0.0),
     "LosChannel-phase": lambda: LosChannel(1.0, math.nan, 0.0),
     "LosChannel-angle": lambda: LosChannel(1.0, 0.0, 2.0),
-    "RisConfiguration-modulus": lambda: RisConfiguration(np.array([1.0, 0.5])),
-    "RisConfiguration-finite": lambda: RisConfiguration(np.array([1.0, np.inf])),
-    "RisConfiguration-shape": lambda: RisConfiguration(np.ones((2, 2))),
-    "KnownBsRisChannel-zero": lambda: KnownBsRisChannel(np.array([1.0, 0.0])),
     "achievable_rate": lambda: achievable_rate(1.0, 0.0),
     "plausible_angles": lambda: plausible_angles(0),
     "plausible_angles-fraction": lambda: plausible_angles(2.5),
-    "pilot_power_for_snr": lambda: pilot_power_for_snr(-1.0, 1.0, np.ones(3)),
     "non-orthogonal-rows": lambda: least_squares_prefix_estimates(
         np.ones((2, 3), dtype=complex), np.zeros(2, dtype=complex),
         np.ones(3, dtype=complex), 1.0,

@@ -14,18 +14,18 @@ from rispilot import (
     DegenerateDirectionError,
     DimensionError,
     InvalidInputError,
-    KnownBsRisChannel,
     LosChannel,
-    expand_channel,
     least_squares_prefix_estimates,
     plausible_angles,
-    random_bs_ris_channel,
 )
-from rispilot.estimators import UtilityAccumulator, _projection_tables
+from rispilot.estimators import UtilityAccumulator
+from rispilot.model import _draw_unit_coefficients
 
 from conftest import (
     PilotCampaign,
+    _pilot_directions,
     candidate_rows,
+    channel_vector,
     circular_diff,
     coefficient_at,
     direct_utility,
@@ -44,7 +44,7 @@ def dft_rows(n: int, columns=None) -> np.ndarray:
     return dft[:, columns].T
 
 
-class TestCampaignTypes:
+class TestAoaSearchGrid:
     def test_grid_angles_are_uniform_with_endpoints(self):
         grid = AoaSearchGrid(-1.0, 1.0, 5)
         assert np.allclose(grid.angles, [-1.0, -0.5, 0.0, 0.5, 1.0])
@@ -74,12 +74,12 @@ class TestMlUtility:
         # gives P_p * gain * ||B D_h a(aoa)||^2 at the true angle.
         n = 8
         array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
+        h = _draw_unit_coefficients(n, rng)
         channel = LosChannel(gain=1.9, phase=0.7, aoa=0.35)
         rows = candidate_rows(h, plausible_angles(n)[:4], array)
         campaign = make_campaign(rows, h, channel, array, pilot_power=2.0)
         direction = rows @ (
-            h.coefficients * expand_channel(LosChannel(1.0, 0.0, 0.35), array)
+            h * channel_vector(LosChannel(1.0, 0.0, 0.35), array)
         )
         expected = 2.0 * 1.9 * float(np.sum(np.abs(direction) ** 2))
         assert ml_utility_profile(campaign, array, [0.35])[0] == pytest.approx(
@@ -92,10 +92,10 @@ class TestMlUtility:
     def test_orthogonal_received_signal_gives_zero(self, rng):
         n = 6
         array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
+        h = _draw_unit_coefficients(n, rng)
         rows = candidate_rows(h, [-0.4, 0.7], array)
         aoa = 0.2
-        direction = rows @ (h.coefficients * expand_channel(LosChannel(1, 0, aoa), array))
+        direction = rows @ (h * channel_vector(LosChannel(1, 0, aoa), array))
         received = np.array([np.conj(direction[1]), -np.conj(direction[0])])
         campaign = PilotCampaign(rows, received, 1.0, h)
         assert ml_utility_profile(campaign, array, [aoa])[0] == pytest.approx(
@@ -105,7 +105,7 @@ class TestMlUtility:
     def test_single_pilot_utility_is_constant(self, rng):
         n = 5
         array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
+        h = _draw_unit_coefficients(n, rng)
         rows = candidate_rows(h, [0.1], array)
         received = np.array([2.0 - 1.0j])
         campaign = PilotCampaign(rows, received, 1.0, h)
@@ -113,7 +113,7 @@ class TestMlUtility:
         assert profile == pytest.approx(np.full(5, 5.0), rel=1e-12)
 
     def test_empty_campaign_is_degenerate(self):
-        h = KnownBsRisChannel(np.ones(4))
+        h = np.ones(4)
         campaign = PilotCampaign(np.ones((0, 4)), np.zeros(0), 1.0, h)
         with pytest.raises(DegenerateDirectionError):
             ml_utility_profile(campaign, ArrayModel(4, 0.25), [0.0])
@@ -123,7 +123,7 @@ class TestMlUtility:
         # [1, 1]; that direction explains nothing and must rank last
         # instead of aborting the search
         array = ArrayModel(2, 0.25)
-        h = KnownBsRisChannel(np.ones(2))
+        h = np.ones(2)
         campaign = PilotCampaign(
             np.array([[1.0, -1.0]]), np.array([2.0 + 1.0j]), 1.0, h
         )
@@ -142,7 +142,7 @@ class TestMlUtility:
         # one angle at a time
         n = 7
         array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
+        h = _draw_unit_coefficients(n, rng)
         channel = LosChannel(1.0, 1.1, -0.5)
         rows = candidate_rows(h, plausible_angles(n)[2:6], array)
         campaign = make_campaign(rows, h, channel, array, 1.0, noise_std=1.0, rng=rng)
@@ -156,7 +156,7 @@ class TestMlUtility:
     def test_invariant_under_global_row_phase_rotation(self, rng):
         n = 6
         array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
+        h = _draw_unit_coefficients(n, rng)
         channel = LosChannel(1.0, 0.3, 0.8)
         rows = candidate_rows(h, [-0.9, 0.2, 1.0], array)
         campaign = make_campaign(rows, h, channel, array, 1.0, noise_std=0.5, rng=rng)
@@ -179,9 +179,7 @@ def utility_inputs(draw):
     n = draw(st.integers(1, 40))
     num_pilots = draw(st.integers(1, 12))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    h = KnownBsRisChannel(
-        gen.uniform(0.5, 2.0, n) * np.exp(1j * gen.uniform(0, 2 * np.pi, n))
-    )
+    h = gen.uniform(0.5, 2.0, n) * np.exp(1j * gen.uniform(0, 2 * np.pi, n))
     rows = np.exp(1j * gen.uniform(0, 2 * np.pi, (num_pilots, n)))
     received = gen.standard_normal(num_pilots) + 1j * gen.standard_normal(num_pilots)
     array = ArrayModel(n, draw(st.floats(0.05, 1.0)))
@@ -196,9 +194,8 @@ class TestUtilityAccumulator:
     @given(utility_inputs())
     def test_profile_matches_whole_matrix_reference(self, inputs):
         campaign, array, angles = inputs
-        projections, energies = _projection_tables(
-            campaign.config_matrix, array, angles, campaign.bs_ris_channel.coefficients
-        )
+        projections = _pilot_directions(campaign, array, angles)
+        energies = np.abs(projections) ** 2
         accumulator = UtilityAccumulator(angles.size)
         # a leading trial axis: row 0 is this campaign, row 1 the same rows
         # with the samples reversed; rows must not mix
@@ -221,7 +218,7 @@ class TestUtilityAccumulator:
         assert np.array_equal(stacked.utility()[0], profile)
         reversed_campaign = PilotCampaign(
             campaign.config_matrix, campaign.received[::-1], 1.0,
-            campaign.bs_ris_channel,
+            campaign.coefficients,
         )
         assert np.array_equal(
             stacked.utility()[1],
@@ -263,7 +260,7 @@ class TestEstimateAoa:
         array = ArrayModel(n, 0.25)
         grid = AoaSearchGrid(num_points=801)
         truth = float(grid.angles[517])
-        h = random_bs_ris_channel(n, rng)
+        h = _draw_unit_coefficients(n, rng)
         channel = LosChannel(1.4, 0.9, truth)
         rows = candidate_rows(h, plausible_angles(n), array)
         campaign = make_campaign(rows, h, channel, array, 1.0)
@@ -277,7 +274,7 @@ class TestEstimateAoa:
     def test_zero_signal_breaks_ties_toward_smallest_angle(self):
         n = 4
         array = ArrayModel(n, 0.25)
-        h = KnownBsRisChannel(np.ones(n))
+        h = np.ones(n)
         rows = candidate_rows(h, [-0.5, 0.5], array)
         campaign = PilotCampaign(rows, np.zeros(2), 1.0, h)
         grid = AoaSearchGrid(-1.0, 1.0, 21)
@@ -287,7 +284,7 @@ class TestEstimateAoa:
         # oracle: a 100x finer grid search over the same objective
         n = 12
         array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
+        h = _draw_unit_coefficients(n, rng)
         channel = LosChannel(1.0, 0.2, 0.31417)
         rows = candidate_rows(h, [-0.52, 0.47], array)
         campaign = make_campaign(rows, h, channel, array, 1.0)
@@ -302,7 +299,7 @@ class TestEstimateAoa:
         n = 10
         array = ArrayModel(n, 0.25)
         grid = AoaSearchGrid(num_points=500)
-        h = random_bs_ris_channel(n, rng)
+        h = _draw_unit_coefficients(n, rng)
         channel = LosChannel(1.0, 2.2, -0.8)
         rows = candidate_rows(h, [-0.8, -0.1, 0.6], array)
         campaign = make_campaign(rows, h, channel, array, 1.0, noise_std=1.0, rng=rng)
@@ -318,7 +315,7 @@ class TestScalarCoefficient:
     def test_noise_free_recovery(self, rng):
         n = 9
         array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
+        h = _draw_unit_coefficients(n, rng)
         truth = LosChannel(gain=0.8, phase=2.9, aoa=-0.41)
         rows = candidate_rows(h, plausible_angles(n)[::2], array)
         campaign = make_campaign(rows, h, truth, array, pilot_power=3.0)
@@ -329,7 +326,7 @@ class TestScalarCoefficient:
     def test_zero_signal_convention(self):
         n = 4
         array = ArrayModel(n, 0.25)
-        h = KnownBsRisChannel(np.ones(n))
+        h = np.ones(n)
         rows = candidate_rows(h, [-0.5, 0.5], array)
         campaign = PilotCampaign(rows, np.zeros(2), 1.0, h)
         gain, phase = coefficient_at(campaign, array, 0.3)
@@ -339,7 +336,7 @@ class TestScalarCoefficient:
     def test_real_scaling_moves_gain_not_phase(self, rng):
         n = 6
         array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
+        h = _draw_unit_coefficients(n, rng)
         channel = LosChannel(1.2, 0.5, 0.2)
         rows = candidate_rows(h, [-0.4, 0.3, 0.9], array)
         campaign = make_campaign(rows, h, channel, array, 1.0, noise_std=0.7, rng=rng)
@@ -357,22 +354,22 @@ class TestParametricMl:
         grid = AoaSearchGrid(num_points=901)
         truth_aoa = float(grid.angles[222])
         truth = LosChannel(gain=2.2, phase=4.0, aoa=truth_aoa)
-        h = random_bs_ris_channel(n, rng)
+        h = _draw_unit_coefficients(n, rng)
         rows = candidate_rows(h, plausible_angles(n), array)
         campaign = make_campaign(rows, h, truth, array, 1.5)
         result = parametric_ml_estimate(campaign, array, grid)
-        g = expand_channel(truth, array)
+        g = channel_vector(truth, array)
         assert result.aoa == truth_aoa
-        assert np.max(np.abs(expand_channel(result, array) - g)) < 1e-9
+        assert np.max(np.abs(channel_vector(result, array) - g)) < 1e-9
 
     def test_zero_signal_gives_zero_channel(self):
         n = 4
         array = ArrayModel(n, 0.25)
-        h = KnownBsRisChannel(np.ones(n))
+        h = np.ones(n)
         rows = candidate_rows(h, [-0.5, 0.5], array)
         campaign = PilotCampaign(rows, np.zeros(2), 1.0, h)
         result = parametric_ml_estimate(campaign, array, AoaSearchGrid(num_points=50))
-        assert np.array_equal(expand_channel(result, array), np.zeros(n, dtype=complex))
+        assert np.array_equal(channel_vector(result, array), np.zeros(n, dtype=complex))
 
 
 class TestLeastSquares:
@@ -380,34 +377,34 @@ class TestLeastSquares:
         # oracle: direct linear solve of B D_h g sqrt(P_p) = y
         n = 8
         array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
+        h = _draw_unit_coefficients(n, rng)
         truth = LosChannel(1.3, 0.8, 0.25)
         rows = dft_rows(n)
         campaign = make_campaign(rows, h, truth, array, 2.0)
         estimate = least_squares_estimate(campaign)
-        g = expand_channel(truth, array)
+        g = channel_vector(truth, array)
         assert np.max(np.abs(estimate - g)) < 1e-9
         solved = np.linalg.solve(
-            rows * h.coefficients[None, :] * np.sqrt(2.0), campaign.received
+            rows * h[None, :] * np.sqrt(2.0), campaign.received
         )
         assert np.max(np.abs(estimate - solved)) < 1e-9
 
     def test_minimum_norm_solution_for_single_all_ones_row(self):
         n = 6
         array = ArrayModel(n, 0.25)
-        h = KnownBsRisChannel(np.ones(n))
+        h = np.ones(n)
         truth = LosChannel(1.0, 0.9, 0.6)
         rows = np.ones((1, n), dtype=complex)
         campaign = make_campaign(rows, h, truth, array, 1.0)
         estimate = least_squares_estimate(campaign)
-        g = expand_channel(truth, array)
+        g = channel_vector(truth, array)
         assert np.allclose(estimate, np.full(n, np.sum(g) / n), atol=1e-12)
 
     def test_matches_explicit_normal_equations(self, rng):
         # oracle: the (B^H B)^{-1} B^H closed form for full-rank L >= N
         n = 6
         array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
+        h = _draw_unit_coefficients(n, rng)
         truth = LosChannel(0.9, 1.7, -0.3)
         extra = candidate_rows(h, [-0.7, 0.1, 0.8], array)
         rows = np.vstack([dft_rows(n), extra])
@@ -418,7 +415,7 @@ class TestLeastSquares:
             np.linalg.inv(b.conj().T @ b)
             @ b.conj().T
             @ campaign.received
-            / (np.sqrt(campaign.pilot_power) * h.coefficients)
+            / (np.sqrt(campaign.pilot_power) * h)
         )
         assert np.max(np.abs(estimate - explicit)) < 1e-9
 
@@ -434,13 +431,13 @@ class TestLeastSquares:
         # noise-free estimate is the channel, elementwise to 1e-9
         n = 16
         array = ArrayModel(n, 0.25)
-        unit_h = KnownBsRisChannel(np.ones(n))
+        unit_h = np.ones(n)
         extra = candidate_rows(unit_h, plausible_angles(n)[:8], array)
         rows = np.vstack([dft_rows(n), extra])
         truth = LosChannel(gain, phase, aoa)
-        h = random_bs_ris_channel(n, seed)
+        h = _draw_unit_coefficients(n, np.random.default_rng(seed))
         campaign = make_campaign(rows, h, truth, array, 5.0)
-        error = least_squares_estimate(campaign) - expand_channel(truth, array)
+        error = least_squares_estimate(campaign) - channel_vector(truth, array)
         assert np.max(np.abs(error)) <= 1e-9
 
     def test_unbiased_over_many_noisy_trials(self, rng):
@@ -450,17 +447,17 @@ class TestLeastSquares:
         n = 8
         trials = 100000
         array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
+        h = _draw_unit_coefficients(n, rng)
         truth = LosChannel(1.0, 0.4, 0.2)
         rows = dft_rows(n)
-        g = expand_channel(truth, array)
-        base = rows @ (h.coefficients * g) * np.sqrt(4.0)
+        g = channel_vector(truth, array)
+        base = rows @ (h * g) * np.sqrt(4.0)
         noise = (
             rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
         ) / np.sqrt(2.0)
         pinv = np.linalg.pinv(rows, rcond=1e-12)
         estimates = ((base[None, :] + noise) @ pinv.T) / (
-            np.sqrt(4.0) * h.coefficients[None, :]
+            np.sqrt(4.0) * h[None, :]
         )
         mean = estimates.mean(axis=0)
         stderr = estimates.std(axis=0, ddof=1) / np.sqrt(trials)
@@ -470,17 +467,17 @@ class TestLeastSquares:
         n = 8
         array = ArrayModel(n, 0.25)
         grid = AoaSearchGrid(num_points=4001)
-        h = random_bs_ris_channel(n, rng)
+        h = _draw_unit_coefficients(n, rng)
         truth = LosChannel(1.1, 5.1, float(grid.angles[1377]))
         rows = dft_rows(n)
         campaign = make_campaign(rows, h, truth, array, 1.0)
         g_ls = least_squares_estimate(campaign)
-        g_ml = expand_channel(parametric_ml_estimate(campaign, array, grid), array)
-        g_true = expand_channel(truth, array)
+        g_ml = channel_vector(parametric_ml_estimate(campaign, array, grid), array)
+        g_true = channel_vector(truth, array)
 
         def effective_under_own_configuration(estimate):
-            shifts = np.angle(h.coefficients) + np.angle(estimate)
-            return abs(np.sum(h.coefficients * g_true * np.exp(-1j * shifts)))
+            shifts = np.angle(h) + np.angle(estimate)
+            return abs(np.sum(h * g_true * np.exp(-1j * shifts)))
 
         assert effective_under_own_configuration(g_ls) == pytest.approx(
             effective_under_own_configuration(g_ml), rel=1e-6
@@ -492,7 +489,7 @@ def campaign_prefixes(campaign: PilotCampaign) -> np.ndarray:
     return least_squares_prefix_estimates(
         campaign.config_matrix,
         campaign.received,
-        campaign.bs_ris_channel.coefficients,
+        campaign.coefficients,
         campaign.pilot_power,
     )
 
@@ -504,9 +501,7 @@ def dft_prefix_campaigns(draw):
     num_pilots = draw(st.integers(1, n))
     columns = draw(st.permutations(range(n)))[:num_pilots]
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    h = KnownBsRisChannel(
-        gen.uniform(0.5, 2.0, n) * np.exp(1j * gen.uniform(0, 2 * np.pi, n))
-    )
+    h = gen.uniform(0.5, 2.0, n) * np.exp(1j * gen.uniform(0, 2 * np.pi, n))
     received = gen.standard_normal(num_pilots) + 1j * gen.standard_normal(num_pilots)
     power = draw(st.floats(1e-3, 1e3))
     return PilotCampaign(dft_rows(n, columns), received, power, h)
@@ -543,7 +538,7 @@ class TestLeastSquaresPrefixes:
                     campaign.config_matrix[:length],
                     campaign.received[:length],
                     campaign.pilot_power,
-                    campaign.bs_ris_channel,
+                    campaign.coefficients,
                 )
             )
             # relative to the largest entry: an entry that cancels to ~0
@@ -568,7 +563,7 @@ class TestLeastSquaresPrefixes:
             rows,
             np.ones(rows.shape[0], dtype=complex),
             campaign.pilot_power,
-            campaign.bs_ris_channel,
+            campaign.coefficients,
         )
         with pytest.raises(ValueError, match="orthogonal"):
             campaign_prefixes(skewed)
@@ -615,8 +610,8 @@ class TestLeastSquaresPrefixes:
     def test_full_dft_recovers_channel(self, rng):
         n = 8
         array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
+        h = _draw_unit_coefficients(n, rng)
         truth = LosChannel(1.3, 0.8, 0.25)
         campaign = make_campaign(dft_rows(n), h, truth, array, 2.0)
         prefixes = campaign_prefixes(campaign)
-        assert np.max(np.abs(prefixes[-1] - expand_channel(truth, array))) < 1e-12
+        assert np.max(np.abs(prefixes[-1] - channel_vector(truth, array))) < 1e-12

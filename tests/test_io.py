@@ -183,7 +183,7 @@ class TestUtilityCsv:
             num_elements=8, pilot_budgets=(2, 4), num_trials=1,
             grid_points=50, rng_seed=6,
         )
-        return run_single_estimate(config, 0.2, 4).record
+        return run_single_estimate(config, 0.2, 4)
 
     def test_row_counts_and_argmax_markers(self, tmp_path, record):
         path = tmp_path / "trace.csv"
@@ -214,7 +214,7 @@ class TestUtilityCsv:
 
     def test_reference_config_matches_row_by_row_reference(self, tmp_path):
         config = ExperimentConfig(rng_seed=11)
-        record = run_single_estimate(config, math.radians(-20.0), 10).record
+        record = run_single_estimate(config, math.radians(-20.0), 10)
         path = tmp_path / "trace.csv"
         emit_utility_csv(record, path)
         assert path.read_bytes() == reference_utility_csv(record).encode()

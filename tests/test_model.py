@@ -9,15 +9,9 @@ import pytest
 from rispilot import (
     AngleDomainError,
     ArrayModel,
-    InvalidInputError,
-    KnownBsRisChannel,
     LosChannel,
-    RisConfiguration,
-    SingularChannelError,
     achievable_rate,
     array_response,
-    expand_channel,
-    random_bs_ris_channel,
 )
 from rispilot.model import los_vector
 
@@ -103,18 +97,15 @@ class TestArrayResponse:
 
 class TestChannelTypes:
     def test_expand_unit_gain_broadside(self):
-        channel = LosChannel(gain=1.0, phase=0.0, aoa=0.0)
-        assert np.allclose(expand_channel(channel, ArrayModel(3, 0.25)), np.ones(3))
+        assert np.allclose(los_vector(ArrayModel(3, 0.25), 1.0, 0.0, 0.0), np.ones(3))
 
     def test_expand_gain_four_phase_pi(self):
-        channel = LosChannel(gain=4.0, phase=np.pi, aoa=0.0)
-        expanded = expand_channel(channel, ArrayModel(2, 0.25))
+        expanded = los_vector(ArrayModel(2, 0.25), 4.0, np.pi, 0.0)
         assert np.allclose(expanded, [-2.0, -2.0], atol=1e-12)
 
     def test_expand_matches_elementwise_oracle(self):
         # oracle: sqrt(beta) e^{j omega} e^{-j 2 pi rho n sin(phi)} per element
-        channel = LosChannel(gain=2.5, phase=1.0, aoa=0.3)
-        expanded = expand_channel(channel, ArrayModel(40, 0.25))
+        expanded = los_vector(ArrayModel(40, 0.25), 2.5, 1.0, 0.3)
         for n in range(40):
             expected = (
                 math.sqrt(2.5)
@@ -131,7 +122,8 @@ class TestChannelTypes:
         vectors = los_vector(array, gains, phases, aoas)
         assert vectors.shape == (6, 9)
         for t in range(6):
-            alone = expand_channel(LosChannel(gains[t], phases[t], aoas[t]), array)
+            channel = LosChannel(gains[t], phases[t], aoas[t])
+            alone = los_vector(array, channel.gain, channel.phase, channel.aoa)
             assert np.array_equal(vectors[t], alone)
 
     def test_los_channel_rejects_bad_fields(self):
@@ -152,60 +144,36 @@ class TestChannelTypes:
         assert LosChannel(1.0, 2 * np.pi + 0.5, 0.0).phase == pytest.approx(0.5)
         assert LosChannel(1.0, -0.5, 0.0).phase == pytest.approx(2 * np.pi - 0.5)
 
-    def test_ris_configuration_requires_unit_modulus(self):
-        RisConfiguration(np.exp(1j * np.array([0.1, 2.0, -1.0])))
-        with pytest.raises(ValueError):
-            RisConfiguration(np.array([1.0, 1.0 + 1e-6]))
-
-    @pytest.mark.parametrize(
-        "bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)]
-    )
-    def test_known_channel_rejects_non_finite_entries(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            KnownBsRisChannel(np.array([1.0, bad, 1.0j]))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1, math.nan)])
-    def test_ris_configuration_rejects_non_finite_entries(self, bad):
-        with pytest.raises(ValueError):
-            RisConfiguration(np.array([bad, 1.0, 1.0]))
-
-    def test_known_channel_rejects_zero_entries(self):
-        with pytest.raises(SingularChannelError):
-            KnownBsRisChannel(np.array([1.0, 0.0, 1.0j]))
-
 
 class TestEffectiveChannel:
     """The physical end-to-end channel that the pilot and rate references use."""
 
     def test_cancellation(self):
-        ris = RisConfiguration(np.ones(2))
-        h = KnownBsRisChannel(np.ones(2))
+        ris, h = np.ones(2), np.ones(2)
         assert effective_channel(ris, h, np.array([1.0, -1.0])) == 0.0
 
     def test_phase_aligned_configuration_sums_magnitudes(self, rng):
         n = 6
-        h = KnownBsRisChannel(
-            rng.uniform(0.5, 2, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-        )
+        h = rng.uniform(0.5, 2, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
         g = rng.normal(size=n) + 1j * rng.normal(size=n)
-        ris = RisConfiguration(np.exp(-1j * (np.angle(h.coefficients) + np.angle(g))))
+        ris = np.exp(-1j * (np.angle(h) + np.angle(g)))
         value = effective_channel(ris, h, g)
         assert value.imag == pytest.approx(0.0, abs=1e-12)
-        assert value.real == pytest.approx(float(np.sum(np.abs(h.coefficients * g))))
+        assert value.real == pytest.approx(float(np.sum(np.abs(h * g))))
 
     def test_matches_naive_summation_oracle(self, rng):
         # oracle: explicit python loop over the length-8 vectors
         n = 8
-        ris = RisConfiguration(np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
-        h = KnownBsRisChannel(rng.normal(size=n) + 1j * rng.normal(size=n))
+        ris = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        h = rng.normal(size=n) + 1j * rng.normal(size=n)
         g = rng.normal(size=n) + 1j * rng.normal(size=n)
-        expected = sum(ris.phases[k] * h.coefficients[k] * g[k] for k in range(n))
+        expected = sum(ris[k] * h[k] * g[k] for k in range(n))
         assert effective_channel(ris, h, g) == pytest.approx(expected, abs=1e-12)
 
     def test_linear_in_channel_vector(self, rng):
         n = 5
-        ris = RisConfiguration(np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
-        h = KnownBsRisChannel(rng.normal(size=n) + 1j * rng.normal(size=n))
+        ris = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        h = rng.normal(size=n) + 1j * rng.normal(size=n)
         g1 = rng.normal(size=n) + 1j * rng.normal(size=n)
         g2 = rng.normal(size=n) + 1j * rng.normal(size=n)
         alpha = complex(rng.normal(), rng.normal())
@@ -229,29 +197,26 @@ class TestRates:
         assert achievable_rate(effective, 1.0) == pytest.approx(10.645, abs=1e-3)
 
     def test_capacity_single_element(self):
-        h = KnownBsRisChannel(np.array([1.0]))
-        assert capacity(h.coefficients, np.array([1.0]), 1.0) == pytest.approx(1.0)
+        assert capacity(np.array([1.0]), np.array([1.0]), 1.0) == pytest.approx(1.0)
 
     def test_capacity_upper_bounds_any_configuration(self, rng):
         n = 7
-        h = KnownBsRisChannel(rng.normal(size=n) + 1j * rng.normal(size=n))
+        h = rng.normal(size=n) + 1j * rng.normal(size=n)
         g = rng.normal(size=n) + 1j * rng.normal(size=n)
-        cap = capacity(h.coefficients, g, 2.0)
+        cap = capacity(h, g, 2.0)
         for _ in range(100):
-            ris = RisConfiguration(np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
+            ris = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
             assert achievable_rate(effective_channel(ris, h, g), 2.0) <= cap
 
     def test_capacity_all_unit_products(self):
-        h = KnownBsRisChannel(np.ones(40))
         g = np.exp(1j * np.linspace(0, 3, 40))
-        assert capacity(h.coefficients, g, 1.0) == pytest.approx(math.log2(1601.0), rel=1e-12)
+        assert capacity(np.ones(40), g, 1.0) == pytest.approx(math.log2(1601.0), rel=1e-12)
 
     def test_rates_keep_precision_at_tiny_snr(self):
         # log2(1 + x) rounds to 0 for x below 2^-53; log1p keeps x / ln 2
-        h = KnownBsRisChannel(np.ones(40))
         g = np.exp(1j * np.linspace(0, 3, 40))
         expected = 1600e-20 / math.log(2.0)
-        assert math.isclose(capacity(h.coefficients, g, 1e-20), expected, rel_tol=1e-12)
+        assert math.isclose(capacity(np.ones(40), g, 1e-20), expected, rel_tol=1e-12)
         assert math.isclose(achievable_rate(40.0, 1e-20), expected, rel_tol=1e-12)
 
     def test_capacity_over_trial_axis_matches_scalar_calls(self, rng):
@@ -263,25 +228,3 @@ class TestRates:
             alone = capacity(coefficients[t], g[t], 0.7)
             assert isinstance(alone, float)
             assert caps[t] == alone
-
-
-@pytest.mark.parametrize("size", [2.5, -1, 0, "3"])
-def test_random_bs_ris_channel_size_is_a_positive_integer(size):
-    # the array's own rule, not numpy's TypeError or ValueError
-    with pytest.raises(InvalidInputError, match="positive integer"):
-        random_bs_ris_channel(size, 1)
-
-
-def test_random_bs_ris_channel_takes_a_whole_float_size():
-    expected = random_bs_ris_channel(3, 1).coefficients
-    assert random_bs_ris_channel(3.0, 1).coefficients.tobytes() == expected.tobytes()
-
-
-def test_random_bs_ris_channel_unit_magnitude_and_seeded():
-    first = random_bs_ris_channel(32, 0)
-    second = random_bs_ris_channel(32, 0)
-    assert np.array_equal(first.coefficients, second.coefficients)
-    assert np.max(np.abs(np.abs(first.coefficients) - 1.0)) < 1e-12
-    assert not np.array_equal(
-        first.coefficients, random_bs_ris_channel(32, 1).coefficients
-    )

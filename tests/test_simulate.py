@@ -1,6 +1,5 @@
 """Tests for the Monte Carlo harness."""
 
-import copy
 import math
 import tracemalloc
 
@@ -20,11 +19,7 @@ from rispilot import (
     array_response,
     build_adaptive_setup,
     collect_trial_rates,
-    expand_channel,
     least_squares_prefix_estimates,
-    optimal_configuration,
-    random_bs_ris_channel,
-    run_adaptive_estimation,
     run_rate_experiment,
     run_single_estimate,
     snr_to_powers,
@@ -32,6 +27,8 @@ from rispilot import (
 
 from rispilot import simulate
 from rispilot.adaptive import advance_trials, pilot_noise
+from rispilot.estimators import dft_rows
+from rispilot.model import _draw_unit_coefficients, los_vector
 from rispilot.simulate import (
     DEFAULT_PILOT_BUDGETS,
     MAX_ARRAY_ENTRIES,
@@ -42,9 +39,12 @@ from rispilot.simulate import (
 
 from conftest import (
     PilotCampaign,
+    candidate_rows,
     capacity,
+    channel_vector,
     least_squares_estimate,
     local_peak_indices,
+    run_with_campaign,
     simulate_pilot_reception,
     utility_db,
 )
@@ -73,9 +73,9 @@ class TestPilotReceptionStatistics:
         # sample-variance oracle over 1e5 draws
         n = 4
         array = ArrayModel(n, 0.25)
-        h = random_bs_ris_channel(n, rng)
-        g = expand_channel(LosChannel(1.0, 0.2, 0.1), array)
-        config = optimal_configuration(h, 0.4, array)
+        h = _draw_unit_coefficients(n, rng)
+        g = los_vector(array, 1.0, 0.2, 0.1)
+        config = candidate_rows(h, [0.4], array)[0]
         sigma = 1.3
         draws = np.array(
             [
@@ -265,14 +265,14 @@ class TestTrialRates:
         def phase_matched_rate(h, g, estimate):
             # the configuration from h and the estimate cancels the BS-RIS
             # phases: the data see |h_n| g_n exp(-j arg(estimate_n))
-            channel = np.abs(h.coefficients) * g
+            channel = np.abs(h) * g
             eff = complex(np.sum(channel * np.exp(-1j * np.angle(estimate))))
             return achievable_rate(eff, data_power)
 
         def physical_rate(h, g, estimate):
             # the same configuration built from h's phases and applied to D_h g
-            shifts = np.angle(h.coefficients) + np.angle(estimate)
-            eff = complex(np.sum(h.coefficients * g * np.exp(-1j * shifts)))
+            shifts = np.angle(h) + np.angle(estimate)
+            eff = complex(np.sum(h * g * np.exp(-1j * shifts)))
             return achievable_rate(eff, data_power)
 
         def closed_form_rate(aoa_estimate, aoa):
@@ -294,34 +294,33 @@ class TestTrialRates:
             rng = np.random.default_rng(seed)
             aoa = rng.uniform(*config.ue_angle_range)
             omega = rng.uniform(0.0, 2.0 * np.pi)
-            channel = LosChannel(1.0, omega, aoa)
-            h = random_bs_ris_channel(n, rng)
-            g = expand_channel(channel, array)
-            caps[t] = capacity(h.coefficients, g, data_power)
+            h = _draw_unit_coefficients(n, rng)
+            g = los_vector(array, 1.0, omega, aoa)
+            caps[t] = capacity(h, g, data_power)
             aligned_caps[t] = closed_form_rate(aoa, aoa)
-            draws = copy.deepcopy(rng)
-            record = run_adaptive_estimation(
-                channel, h, array, max(budgets), pilot_power, rng, grid
-            )
+            setup = build_adaptive_setup(array, grid)
+            loop_noise = pilot_noise(rng.standard_normal(2 * max(budgets)))
+            run, _ = run_with_campaign(setup, h, g, pilot_power, loop_noise)
+            aoa_estimates = grid.angles[run.peaks[0]]
             for b, budget in enumerate(budgets):
                 # entry budget - 2 is the estimate from the first budget pilots
                 step = budget - 2
-                steering = array_response(array, record.aoa_estimates[step])
+                steering = array_response(array, aoa_estimates[step])
                 rate_ml[b, t] = phase_matched_rate(h, g, steering)
-                # the budget run under the same draws is those first pilots:
-                # its result carries their gain and phase
-                result = run_adaptive_estimation(
-                    channel, h, array, budget, pilot_power, copy.deepcopy(draws), grid
-                ).result
-                estimate = np.sqrt(result.gain) * np.exp(1j * result.phase) * steering
-                rate_ml_physical[b, t] = physical_rate(h, g, estimate)
-                rate_ml_closed[b, t] = closed_form_rate(record.aoa_estimates[step], aoa)
+                # the budget run on the first pilots' noise is those pilots:
+                # its one gain and phase are theirs
+                prefix, _ = run_with_campaign(
+                    setup, h, g, pilot_power, loop_noise[:budget]
+                )
+                estimate = np.sqrt(prefix.gains[0]) * np.exp(1j * prefix.phases[0])
+                rate_ml_physical[b, t] = physical_rate(h, g, estimate * steering)
+                rate_ml_closed[b, t] = closed_form_rate(aoa_estimates[step], aoa)
             noise = (
                 rng.standard_normal(max(budgets))
                 + 1j * rng.standard_normal(max(budgets))
             ) / np.sqrt(2.0)
             columns = rng.permutation(n)
-            signal = h.coefficients * g * np.sqrt(pilot_power)
+            signal = h * g * np.sqrt(pilot_power)
             for b, budget in enumerate(budgets):
                 rows = dft[:, columns[:budget]].T
                 received = rows @ signal + noise[:budget]
@@ -332,7 +331,7 @@ class TestTrialRates:
             # the trial's own campaign at the largest budget, alone
             rows = dft[:, columns[:max(budgets)]].T
             prefixes = least_squares_prefix_estimates(
-                rows, rows @ signal + noise, h.coefficients, pilot_power
+                rows, rows @ signal + noise, h, pilot_power
             )
             for b, budget in enumerate(budgets):
                 rate_ls_prefix[b, t] = phase_matched_rate(h, g, prefixes[budget - 1])
@@ -368,22 +367,17 @@ class TestTrialRates:
     )
     def test_two_pilot_estimate_is_not_at_a_null_grid_edge(self):
         # trial 40 of the criterion-1 curve (budgets 2, 4, 5; seed 42),
-        # replayed as the per-trial reference loop does: the truth is at
-        # -44.42 degrees, yet the L = 2 estimate lands at 89.91 degrees
-        # (grid index 1998) and scores 0.000 of the capacity
+        # run alone as the Monte Carlo runs it: the truth is at -44.42
+        # degrees, yet the L = 2 estimate lands at 89.91 degrees (grid
+        # index 1998) and scores 0.000 of the capacity
         config = ExperimentConfig(pilot_budgets=(2, 4, 5), rng_seed=42)
-        array, grid = config.array(), config.grid()
-        _, pilot_power = snr_to_powers(config)
+        setup = build_adaptive_setup(config.array(), config.grid())
         seed = np.random.SeedSequence(config.rng_seed).spawn(41)[40]
-        rng = np.random.default_rng(seed)
-        aoa = rng.uniform(*config.ue_angle_range)
-        channel = LosChannel(1.0, rng.uniform(0.0, 2.0 * np.pi), aoa)
-        h = random_bs_ris_channel(config.num_elements, rng)
-        record = run_adaptive_estimation(
-            channel, h, array, max(config.pilot_budgets), pilot_power, rng, grid
+        _, run = simulate._run_trials(
+            config, setup, dft_rows(config.num_elements), [seed]
         )
-        edges = grid.angles[[0, 1, -2, -1]]
-        assert record.aoa_estimates[0] not in edges
+        edges = setup.grid_angles[[0, 1, -2, -1]]
+        assert setup.grid_angles[run.peaks[0, 0]] not in edges
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -435,10 +429,10 @@ class TestTrialRates:
     ):
         # unit-magnitude h and g make every trial's aligned sum N, so the one
         # capacity collect_trial_rates keeps loses nothing but rounding
-        h = random_bs_ris_channel(n, seed)
-        g = expand_channel(LosChannel(1.0, phase, aoa), ArrayModel(n, spacing))
+        h = _draw_unit_coefficients(n, np.random.default_rng(seed))
+        g = channel_vector(LosChannel(1.0, phase, aoa), ArrayModel(n, spacing))
         shared = achievable_rate(float(n), data_power)
-        own = capacity(h.coefficients, g, data_power)
+        own = capacity(h, g, data_power)
         assert abs(own - shared) <= 4 * 2.0**-52 * shared
 
     def test_progress_counts_whole_chunks_to_the_end(self):
@@ -462,7 +456,8 @@ class TestTrialRates:
         # the unit magnitudes' squares rounds off 1 for some draws: every
         # chunk's loop must get the configured P_p itself, as one float
         assert any(
-            np.mean(np.abs(random_bs_ris_channel(13, seed).coefficients) ** 2) != 1.0
+            np.mean(np.abs(_draw_unit_coefficients(13, np.random.default_rng(seed))) ** 2)
+            != 1.0
             for seed in range(200)
         )
         config = ExperimentConfig(
@@ -547,21 +542,17 @@ class TestRateExperiment:
         for t in range(rates.size):
             aoa = oracle_rng.uniform(*config.ue_angle_range)
             omega = oracle_rng.uniform(0.0, 2 * np.pi)
-            g = expand_channel(LosChannel(1.0, omega, aoa), array)
-            h = random_bs_ris_channel(n, oracle_rng)
+            g = los_vector(array, 1.0, omega, aoa)
+            h = _draw_unit_coefficients(n, oracle_rng)
             rows = dft[:, oracle_rng.permutation(n)[:L]].T
             w = (
                 oracle_rng.standard_normal(L) + 1j * oracle_rng.standard_normal(L)
             ) / np.sqrt(2.0)
-            estimate = g + (rows.conj().T @ w) / (
-                L * np.sqrt(pilot_power) * h.coefficients
-            )
-            shifts = np.angle(h.coefficients) + np.angle(estimate)
-            eff = np.sum(h.coefficients * g * np.exp(-1j * shifts))
+            estimate = g + (rows.conj().T @ w) / (L * np.sqrt(pilot_power) * h)
+            shifts = np.angle(h) + np.angle(estimate)
+            eff = np.sum(h * g * np.exp(-1j * shifts))
             rates[t] = np.log2(1.0 + abs(eff) ** 2 * data_power)
-            caps[t] = np.log2(
-                1.0 + np.sum(np.abs(h.coefficients * g)) ** 2 * data_power
-            )
+            caps[t] = np.log2(1.0 + np.sum(np.abs(h * g)) ** 2 * data_power)
         oracle_ratio = rates.mean() / caps.mean()
         oracle_stderr = rates.std(ddof=1) / np.sqrt(rates.size) / caps.mean()
         combined = np.hypot(point.stderr_ls / point.mean_capacity, oracle_stderr)
@@ -592,14 +583,14 @@ class TestUtilityTrace:
             num_elements=16, pilot_budgets=(2, 8), num_trials=1,
             grid_points=300, rng_seed=2,
         )
-        record = run_single_estimate(config, 0.3, 6).record
+        summary = run_single_estimate(config, 0.3, 6)
         # one stage per L = 2, ..., 6
-        assert record.utilities.shape == (5, 300)
-        for utility, aoa in zip(record.utilities, record.aoa_estimates, strict=True):
+        assert summary.utilities.shape == (5, 300)
+        for utility, aoa in zip(summary.utilities, summary.aoa_estimates, strict=True):
             db = utility_db(utility)
             peak = int(np.argmax(utility))
             # the estimate sits at the largest utility, in dB as well
-            assert record.grid.angles[peak] == aoa
+            assert summary.grid.angles[peak] == aoa
             assert db[peak] == np.max(db)
 
     def test_rejects_truth_outside_ue_range(self):
@@ -618,7 +609,7 @@ class TestUtilityTrace:
         )
         angles = config.grid().angles
         truth = float(angles[np.argmin(np.abs(angles - (-np.pi / 4)))])
-        utilities = run_single_estimate(config, truth, 8).record.utilities
+        utilities = run_single_estimate(config, truth, 8).utilities
         assert len(utilities) == 7
         for utility in utilities:
             assert angles[np.argmax(utility)] == truth
@@ -626,8 +617,8 @@ class TestUtilityTrace:
     def test_two_pilot_stage_has_near_equal_peaks(self):
         # with two pilots several angles explain the data almost equally well
         config = ExperimentConfig(rng_seed=3, num_trials=1)
-        record = run_single_estimate(config, -np.pi / 4, 10).record
-        first = utility_db(record.utilities[0])
+        summary = run_single_estimate(config, -np.pi / 4, 10)
+        first = utility_db(summary.utilities[0])
         peaks = np.sort(first[local_peak_indices(first)])[::-1]
         assert peaks.size >= 2
         assert peaks[0] - peaks[1] < 3.0
@@ -642,8 +633,43 @@ class TestSingleRun:
         second = run_single_estimate(config, 0.4, 5)
         assert first.achieved_rate == second.achieved_rate
         assert 0.0 <= first.achieved_rate <= first.capacity_value + 1e-12
-        assert first.record.config_angles.size == 5
+        assert first.config_angles.size == 5
         assert first.ratio <= 1.0 + 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 24),
+        points=st.integers(50, 600),
+        seed=st.integers(0, 2**32 - 1),
+        true_aoa=st.floats(-math.pi / 3, math.pi / 3),
+        draw=st.integers(0, 2**16),
+    )
+    def test_is_trial_zero_of_the_chunk_function(self, n, points, seed, true_aoa, draw):
+        # the single run is no second route into the core: its angles,
+        # estimates, utilities, result and rate are those of _run_trials on
+        # [SeedSequence(rng_seed)] at the given angle, bit for bit
+        budget = 2 + draw % (n - 1)
+        config = ExperimentConfig(
+            num_elements=n, grid_points=points, pilot_budgets=(budget,),
+            num_trials=1, rng_seed=seed,
+        )
+        summary = run_single_estimate(config, true_aoa, budget)
+        setup = build_adaptive_setup(config.array(), config.grid())
+        rates, run = simulate._run_trials(
+            config, setup, dft_rows(n), [np.random.SeedSequence(seed)],
+            aoa=true_aoa, keep_utility=True,
+        )
+        result = summary.result
+        for values, expected in (
+            (summary.config_angles, setup.angles[run.picks[0]]),
+            (summary.aoa_estimates, setup.grid_angles[run.peaks[0]]),
+            (summary.utilities, run.utilities[:, 0]),
+            (np.array([result.gain, result.phase]), np.array([run.gains[0], run.phases[0]])),
+            (np.float64(summary.achieved_rate), rates[0, 0, 0]),
+        ):
+            assert values.shape == expected.shape
+            assert values.tobytes() == expected.tobytes()
+        assert result.aoa == summary.aoa_estimates[-1]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -666,8 +692,7 @@ class TestSingleRun:
         config, summary, h, g = single_run(n, spacing, seed, data_snr_db, true_aoa, draw)
         data_power, _ = snr_to_powers(config)
         assert summary.capacity_value == achievable_rate(float(n), data_power)
-        record = summary.record
-        estimate = array_response(config.array(), record.result.aoa)
+        estimate = array_response(config.array(), summary.result.aoa)
         matched = np.sum(np.abs(h) * g * np.exp(-1j * np.angle(estimate)))
         assert summary.achieved_rate == achievable_rate(matched, data_power)
         shifts = np.angle(h) + np.angle(estimate)
@@ -698,7 +723,7 @@ class TestSingleRun:
         # single run's estimate is scored through the same input, bit for bit
         config, summary, h, g = single_run(n, spacing, seed, data_snr_db, true_aoa, draw)
         data_power, _ = snr_to_powers(config)
-        array, estimate = config.array(), summary.record.result
+        array, estimate = config.array(), summary.result
         steering = array_response(array, estimate.aoa)
         assert summary.achieved_rate == _phase_matched_rate(
             np.abs(h) * g, steering, data_power
@@ -706,7 +731,7 @@ class TestSingleRun:
         # the estimate's gain and common phase drop out of the phase-matched
         # rate, so its whole vector scores the same to rounding
         expanded = _phase_matched_rate(
-            np.abs(h) * g, expand_channel(estimate, array), data_power
+            np.abs(h) * g, channel_vector(estimate, array), data_power
         )
         bound = n * np.finfo(float).eps * summary.capacity_value
         assert abs(summary.achieved_rate - expanded) <= bound
@@ -718,7 +743,8 @@ def single_run(n, spacing, seed, data_snr_db, true_aoa, draw):
     The run is replayed from its documented recipe: ``SeedSequence(seed)``
     draws the reference phase, then N uniform phases for h, then 4L normals,
     the first 2L of which are the pilot noise. ``advance_trials`` at the
-    configured P_p on those draws must send the run's samples again.
+    configured P_p on those draws must make the run's picks, estimates and
+    utilities again.
     """
     budget = 2 + draw % (n - 1)
     config = ExperimentConfig(
@@ -731,11 +757,17 @@ def single_run(n, spacing, seed, data_snr_db, true_aoa, draw):
     h = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
     normals = rng.standard_normal(4 * budget)
     array = config.array()
-    g = expand_channel(LosChannel(1.0, phase, true_aoa), array)
+    g = los_vector(array, 1.0, phase, true_aoa)
     _, pilot_power = snr_to_powers(config)
+    setup = build_adaptive_setup(array, config.grid())
     replay = advance_trials(
-        build_adaptive_setup(array, config.grid()), (np.abs(h) * g)[None],
-        pilot_power, pilot_noise(normals[None, :2 * budget]), budget,
+        setup, (np.abs(h) * g)[None], pilot_power,
+        pilot_noise(normals[None, :2 * budget]), budget, keep_utility=True,
     )
-    assert replay.samples[0].tobytes() == summary.record.samples.tobytes()
+    for values, expected in (
+        (setup.angles[replay.picks[0]], summary.config_angles),
+        (setup.grid_angles[replay.peaks[0]], summary.aoa_estimates),
+        (replay.utilities[:, 0], summary.utilities),
+    ):
+        assert values.tobytes() == expected.tobytes()
     return config, summary, h, g
