@@ -11,23 +11,23 @@ energy) to the configuration optimal at the current angle estimate,
 which all received pilots refresh after every transmission.
 
 Everything that depends only on the array and the grid is built once
-per experiment by ``build_adaptive_setup``: the candidates' array
-responses and three tables. The configurations cancel the BS-RIS phases,
-so for unit-magnitude coefficients candidate k's projection onto grid
-direction j is the trial-independent P[k, j] = conj(a_k)^T a_j. The
-setup holds P and the energy |P|^2 a pilot adds, from the estimators'
-``_projection_tables``, and the selection policy: two start rows and the
-view (|P|^2)^T, whose row j rates every candidate against the
-configuration optimal at grid angle j. Squaring is strictly increasing
-on float magnitudes (sqrt(fl(x^2)) = x short of underflow), so this
-ranks, ties included, as |P| does. The build runs in place and keeps no
-steering matrix: it peaks at about 2 N x G complex arrays and holds about 1.5.
+per experiment by ``build_adaptive_setup``, the one builder of the
+tables laid out in ``AdaptiveSetup``. The configurations cancel the
+BS-RIS phases, so for unit-magnitude coefficients candidate k's
+projection onto grid direction j is the trial-independent
+P[k, j] = conj(a_k)^T a_j, and |P|^2 is both the energy a pilot adds and
+the score of the selection policy. Squaring is strictly increasing on
+float magnitudes (sqrt(fl(x^2)) = x short of underflow), so |P|^2 ranks,
+ties included, as |P| does. The build runs in place and keeps no
+steering matrix: the grid responses are freed before the energies exist,
+so it peaks at about 2 N x G complex arrays and holds about 1.5.
 
 One core, ``advance_trials``, advances a chunk of trials one pilot at a
 time as (trials x grid) arrays, with no matrix product per pick, on the
 unit-magnitude |h| * g that every phase-cancelling configuration sees per
 element. Every run, the single run too, calls it through one chunk
-function, ``simulate._run_trials``.
+function, ``simulate._run_trials``, which also turns each trial's
+up-front draws into its pilot noise.
 """
 
 from __future__ import annotations
@@ -38,12 +38,7 @@ import numpy as np
 
 from .errors import (DimensionError, InsufficientPilotsError, InvalidInputError,
                      PoolExhaustedError)
-from .estimators import (
-    AoaSearchGrid,
-    UtilityAccumulator,
-    _projection_tables,
-    closed_form_gain_and_phase,
-)
+from .estimators import AoaSearchGrid, UtilityAccumulator, closed_form_gain_and_phase
 from .model import ArrayModel, _is_integral, array_response
 
 
@@ -78,13 +73,13 @@ class AdaptiveSetup:
     """Trial-independent arrays of the adaptive loop for one array and grid.
 
     Row k of ``conj_responses`` is conj(a(angles[k])) for plausible angle k.
-    ``projections`` and ``projection_energy`` are the ``_projection_tables``
-    of the candidates over the grid directions a(grid_angles[j]), entry
-    [k, j] for candidate k, grid direction j. No steering matrix is kept.
-    Row j of ``scores`` (G x N) is |candidates @ conj(reference)|^2 for the
-    reference optimal at grid angle j, the read-only view
-    ``projection_energy.T``. Row i of ``start_scores`` (2 x N) scores
-    starting pilot i+1 as -|sin(angles) - INITIAL_SINES[i]|.
+    Entry [k, j] of ``projections`` is P[k, j], candidate k's projection
+    onto grid direction a(grid_angles[j]), and of ``projection_energy``
+    |P[k, j]|^2. Row j of ``scores`` (G x N), the view
+    ``projection_energy.T``, rates every candidate against the
+    configuration optimal at grid angle j. Row i of ``start_scores``
+    (2 x N) scores starting pilot i+1 as -|sin(angles) - INITIAL_SINES[i]|.
+    Every array is read-only.
     """
 
     array: ArrayModel
@@ -102,9 +97,13 @@ def build_adaptive_setup(array: ArrayModel, grid: AoaSearchGrid) -> AdaptiveSetu
     grid_angles = grid.angles
     angles = plausible_angles(array.num_elements)
     conj_responses = np.conj(array_response(array, angles))
-    projections, energies = _projection_tables(conj_responses, array, grid_angles)
+    directions = array_response(array, grid_angles).T
+    projections = conj_responses @ directions
+    del directions
+    energies = np.abs(projections)
+    np.square(energies, out=energies)
     start_scores = -np.abs(np.sin(angles) - np.array(INITIAL_SINES)[:, None])
-    for values in (grid_angles, conj_responses, start_scores):
+    for values in (grid_angles, conj_responses, projections, energies, start_scores):
         values.setflags(write=False)
     return AdaptiveSetup(
         array, grid_angles, angles, conj_responses,
@@ -212,13 +211,3 @@ def advance_trials(
         accumulator.inner[rows, peak], accumulator.energy[rows, peak], pilot_power
     )
     return AdaptiveTrials(picks, samples, peaks, gains, phases, utilities)
-
-
-def pilot_noise(draws: np.ndarray) -> np.ndarray:
-    """Unit-power complex pilot noise from standard normals, one pilot per pair.
-
-    Pilot i takes draws 2i and 2i+1 along the last axis as its real and
-    imaginary parts, each scaled to variance 1/2: the noise power is the
-    unit that every pilot SNR is counted in.
-    """
-    return (draws[..., 0::2] + 1j * draws[..., 1::2]) * (1.0 / np.sqrt(2.0))

@@ -5,10 +5,10 @@ estimator restricts the channel to the LOS family c * a(aoa) and
 reduces to a one-dimensional grid search over the angle followed by
 closed-form expressions for the complex coefficient. Its sums live in
 one ``UtilityAccumulator`` fed pilot by pilot with rows of the adaptive
-setup's ``_projection_tables`` as the loop sends pilots. The
-least-squares baseline inverts the pilot equation B D_h g sqrt(P_p) = y.
-For mutually orthogonal rows (DFT columns) the pseudoinverse is B^H / N,
-so the estimates of all pilot prefixes come from one cumulative sum.
+setup's tables. The least-squares baseline inverts the pilot equation
+B D_h g sqrt(P_p) = y. For mutually orthogonal rows (DFT columns) the
+pseudoinverse is B^H / N, so the estimates of all pilot prefixes come
+from one cumulative sum.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AngleDomainError, DegenerateDirectionError, DimensionError,
-                     InvalidInputError)
-from .model import TWO_PI, ArrayModel, _is_integral, array_response
+from .errors import DegenerateDirectionError, DimensionError, InvalidInputError
+from .model import TWO_PI, _check_front_half_plane, _is_integral
 
 #: Tolerance on max |B B^H - N I| / N for rows taken as mutually orthogonal.
 ORTHOGONALITY_TOL = 1e-9
@@ -44,8 +43,8 @@ class AoaSearchGrid:
             raise InvalidInputError(
                 "grid needs an integer number of at least two points"
             )
-        if self.lower < -np.pi / 2 or self.upper > np.pi / 2:
-            raise AngleDomainError("grid must lie within the front half-plane")
+        _check_front_half_plane(self.lower)
+        _check_front_half_plane(self.upper)
         object.__setattr__(self, "num_points", int(self.num_points))
 
     @property
@@ -66,27 +65,6 @@ def closed_form_gain_and_phase(inner, energy, pilot_power):
     return np.abs(inner) ** 2 / (pilot_power * energy**2), (-np.angle(inner)) % TWO_PI
 
 
-def _projection_tables(
-    rows: np.ndarray, array: ArrayModel, angles: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Projections ``rows @ directions`` and their |.|^2, read-only.
-
-    Column j of the directions is v_j = a(angles[j]). Entry [i, j] is
-    B_i v_j, what pilot row i adds to y^H B v_j per unit sample, and
-    |B_i v_j|^2 what it adds to ||B v_j||^2: the adaptive setup's one table
-    route into the ML sums. The directions are freed before the energies
-    exist.
-    """
-    directions = array_response(array, angles).T
-    projections = rows @ directions
-    del directions
-    energies = np.abs(projections)
-    np.square(energies, out=energies)
-    for values in (projections, energies):
-        values.setflags(write=False)
-    return projections, energies
-
-
 class UtilityAccumulator:
     """Running sums behind the ML objective, one pilot at a time.
 
@@ -104,9 +82,11 @@ class UtilityAccumulator:
         self.energy = np.zeros(shape, dtype=float)
 
     def add(self, projections: np.ndarray, samples, energies: np.ndarray, picks) -> None:
-        """Add one pilot per run t, row picks[t] of the tables and samples[t], in place.
+        """Add one pilot per run t in place: samples[t], row picks[t] of the tables.
 
-        The tables come from ``_projection_tables`` and are read in place.
+        Entry [k, j] of ``projections`` is what pilot row k adds to y^H B v_j
+        per unit sample, and of ``energies`` what it adds to ||B v_j||^2; the
+        rows are read in place.
         """
         size = self.inner.shape[-1]
         # Python scalars index and multiply as numpy's would, at less cost

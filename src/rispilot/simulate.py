@@ -27,7 +27,6 @@ from .adaptive import (
     _check_budget,
     advance_trials,
     build_adaptive_setup,
-    pilot_noise,
 )
 from .errors import AngleDomainError, ConfigValidationError, InvalidInputError
 from .estimators import AoaSearchGrid, dft_rows, least_squares_prefix_estimates
@@ -249,6 +248,16 @@ def _capacity(config: ExperimentConfig) -> float:
     return achievable_rate(float(config.num_elements), snr_to_powers(config)[0])
 
 
+def pilot_noise(draws: np.ndarray) -> np.ndarray:
+    """Unit-power complex pilot noise from standard normals, one pilot per pair.
+
+    Pilot i takes draws 2i and 2i+1 along the last axis as its real and
+    imaginary parts, each scaled to variance 1/2: the noise power is the
+    unit that every pilot SNR is counted in.
+    """
+    return (draws[..., 0::2] + 1j * draws[..., 1::2]) * (1.0 / np.sqrt(2.0))
+
+
 def _run_trials(
     config: ExperimentConfig, setup: AdaptiveSetup, dft: np.ndarray, seeds,
     aoa: float | None = None, keep_utility: bool = False,
@@ -257,13 +266,14 @@ def _run_trials(
 
     A trial draws from its own generator, in this order: user angle (unless
     ``aoa`` fixes it), reference phase, BS-RIS channel, 4L normals (the
-    adaptive loop's 2L pilot normals, then the least-squares noise's L real
-    and L imaginary parts) and a permutation whose first L entries pick its
-    DFT columns, L the largest budget. The rest runs on (trials x ...) arrays,
-    each trial's row its own: ``advance_trials`` on |h| * g at the configured
-    P_p, the baseline's prefix estimates (budget L takes the first L columns
-    and noise samples of one campaign) and one phase-matched rate call for
-    both, the ML estimate as the bare steering vector at its budget's peak.
+    adaptive loop's 2L pilot normals, paired by ``pilot_noise``, then the
+    least-squares noise's L real and L imaginary parts) and a permutation
+    whose first L entries pick its DFT columns, L the largest budget. The
+    rest runs on (trials x ...) arrays, each trial's row its own:
+    ``advance_trials`` on |h| * g at the configured P_p, the baseline's
+    prefix estimates (budget L takes the first L columns and noise samples
+    of one campaign) and one phase-matched rate call for both, the ML
+    estimate as the bare steering vector at its budget's peak.
     Returns the ML and LS rates, (2 x budgets x trials), and the run.
     """
     data_power, pilot_power = snr_to_powers(config)

@@ -28,9 +28,10 @@ from rispilot import (
     snr_to_powers,
 )
 from rispilot import simulate
-from rispilot.adaptive import advance_trials, pilot_noise
+from rispilot.adaptive import advance_trials
 from rispilot.estimators import dft_rows
 from rispilot.model import _draw_unit_coefficients, los_vector
+from rispilot.simulate import pilot_noise
 
 from conftest import (
     NEAR_NULL,

@@ -18,7 +18,7 @@ from rispilot import (
     least_squares_prefix_estimates,
     plausible_angles,
 )
-from rispilot.estimators import UtilityAccumulator
+from rispilot.estimators import UtilityAccumulator, dft_rows
 from rispilot.model import _draw_unit_coefficients
 
 from conftest import (
@@ -34,14 +34,6 @@ from conftest import (
     ml_utility_profile,
     parametric_ml_estimate,
 )
-
-
-def dft_rows(n: int, columns=None) -> np.ndarray:
-    k = np.arange(n)
-    dft = np.exp(-2j * np.pi * np.outer(k, k) / n)
-    if columns is None:
-        return dft.T
-    return dft[:, columns].T
 
 
 class TestAoaSearchGrid:
@@ -504,7 +496,7 @@ def dft_prefix_campaigns(draw):
     h = gen.uniform(0.5, 2.0, n) * np.exp(1j * gen.uniform(0, 2 * np.pi, n))
     received = gen.standard_normal(num_pilots) + 1j * gen.standard_normal(num_pilots)
     power = draw(st.floats(1e-3, 1e3))
-    return PilotCampaign(dft_rows(n, columns), received, power, h)
+    return PilotCampaign(dft_rows(n)[columns], received, power, h)
 
 
 @st.composite
@@ -515,7 +507,7 @@ def stacked_dft_campaigns(draw):
     count = draw(st.integers(1, 5))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = np.stack(
-        [dft_rows(n, gen.permutation(n)[:num_pilots]) for _ in range(count)]
+        [dft_rows(n)[gen.permutation(n)[:num_pilots]] for _ in range(count)]
     )
     received = gen.standard_normal((count, num_pilots)) + 1j * gen.standard_normal(
         (count, num_pilots)

@@ -26,7 +26,7 @@ from rispilot import (
 )
 
 from rispilot import simulate
-from rispilot.adaptive import advance_trials, pilot_noise
+from rispilot.adaptive import advance_trials
 from rispilot.estimators import dft_rows
 from rispilot.model import _draw_unit_coefficients, los_vector
 from rispilot.simulate import (
@@ -35,6 +35,7 @@ from rispilot.simulate import (
     _mean_and_stderr,
     _phase_matched_rate,
     _trial_chunk,
+    pilot_noise,
 )
 
 from conftest import (
