@@ -18,12 +18,14 @@ from .errors import (
     PoolExhaustedError,
     RisPilotError,
 )
-from .estimators import (
-    AoaSearchGrid,
-    least_squares_prefix_estimates,
-)
 from .io import emit_rate_csv, emit_utility_csv, parse_config
-from .model import ArrayModel, LosChannel, achievable_rate, array_response
+from .model import (
+    AoaSearchGrid,
+    ArrayModel,
+    LosChannel,
+    achievable_rate,
+    array_response,
+)
 from .simulate import (
     ExperimentConfig,
     RateCurvePoint,
@@ -56,7 +58,6 @@ __all__ = [
     "collect_trial_rates",
     "emit_rate_csv",
     "emit_utility_csv",
-    "least_squares_prefix_estimates",
     "parse_config",
     "plausible_angles",
     "run_rate_experiment",

@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import (DimensionError, InsufficientPilotsError, InvalidInputError,
                      PoolExhaustedError)
-from .estimators import AoaSearchGrid, UtilityAccumulator, closed_form_gain_and_phase
-from .model import ArrayModel, _is_integral, array_response
+from .estimators import UtilityAccumulator, closed_form_gain_and_phase
+from .model import AoaSearchGrid, ArrayModel, _is_integral, array_response
 
 
 def plausible_angles(num_elements: int) -> np.ndarray:

@@ -40,7 +40,7 @@ def noise_free_recovery() -> CheckResult:
     that order per case), then run as one chunk on one adaptive setup.
     """
     rng = np.random.default_rng(2024)
-    array, grid = model.ArrayModel(40, 0.25), estimators.AoaSearchGrid()
+    array, grid = model.ArrayModel(40, 0.25), model.AoaSearchGrid()
     setup = adaptive.build_adaptive_setup(array, grid)
     grid_angles = setup.grid_angles
     draws = []
@@ -74,7 +74,7 @@ def least_squares_recovery() -> CheckResult:
     rng = np.random.default_rng(77)
     n, cases = 16, 20
     array = model.ArrayModel(n, 0.25)
-    dft = estimators.dft_rows(n)
+    dft = simulate.dft_rows(n)
     draws = []
     for _ in range(cases):
         gain, phase = rng.uniform(0.2, 3.0), rng.uniform(0, 2 * np.pi)
@@ -84,7 +84,7 @@ def least_squares_recovery() -> CheckResult:
     gains, phases, aoas, h_rows, rows = map(np.array, zip(*draws))
     g_rows = model.los_vector(array, gains, phases, aoas)
     received = (rows @ (h_rows * g_rows)[..., None])[..., 0] * np.sqrt(5.0)
-    estimates = estimators.least_squares_prefix_estimates(rows, received, h_rows, 5.0)
+    estimates = simulate._least_squares_prefix_estimates(rows, received, h_rows, 5.0)
     worst = float(np.max(np.abs(estimates[:, -1] - g_rows)))
     detail = f"worst elementwise recovery error {worst:.2e} over {cases} campaigns"
     return CheckResult(worst <= 1e-9, cases, detail, dict(worst=worst))
@@ -124,7 +124,7 @@ def scale_invariance() -> CheckResult:
     """
     rng = np.random.default_rng(55)
     n = 16
-    array, grid = model.ArrayModel(n, 0.25), estimators.AoaSearchGrid(num_points=1200)
+    array, grid = model.ArrayModel(n, 0.25), model.AoaSearchGrid(num_points=1200)
     setup = adaptive.build_adaptive_setup(array, grid)
     cases = mismatches = 0
     for cases in range(1, 101):
@@ -154,8 +154,8 @@ def beam_correlation() -> CheckResult:
     """
     rng = np.random.default_rng(101)
     n, rho = 40, 0.25
-    setup = adaptive.build_adaptive_setup(model.ArrayModel(n, rho),
-                                          estimators.AoaSearchGrid())
+    array, grid = model.ArrayModel(n, rho), model.AoaSearchGrid()
+    setup = adaptive.build_adaptive_setup(array, grid)
     cases, worst = 0, 0.0
     for cases in range(1, 51):
         k, j = int(rng.integers(n)), int(rng.integers(setup.grid_angles.size))

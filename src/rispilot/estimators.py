@@ -1,55 +1,18 @@
-"""Channel estimators for the pilots of one or many campaigns.
+"""The parametric maximum-likelihood (ML) estimator's sums and closed forms.
 
-Two estimators are provided. The parametric maximum-likelihood (ML)
-estimator restricts the channel to the LOS family c * a(aoa) and
+The ML estimator restricts the channel to the LOS family c * a(aoa) and
 reduces to a one-dimensional grid search over the angle followed by
 closed-form expressions for the complex coefficient. Its sums live in
 one ``UtilityAccumulator`` fed pilot by pilot with rows of the adaptive
-setup's tables. The least-squares baseline inverts the pilot equation
-B D_h g sqrt(P_p) = y. For mutually orthogonal rows (DFT columns) the
-pseudoinverse is B^H / N, so the estimates of all pilot prefixes come
-from one cumulative sum.
+setup's tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegenerateDirectionError, DimensionError, InvalidInputError
-from .model import TWO_PI, _check_front_half_plane, _is_integral
-
-#: Tolerance on max |B B^H - N I| / N for rows taken as mutually orthogonal.
-ORTHOGONALITY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class AoaSearchGrid:
-    """Uniform angle grid over which the ML objective is evaluated.
-
-    Both endpoints are included. Granularity only affects computation,
-    not the recorded pilot data, so it can be chosen freely.
-    """
-
-    lower: float = -np.pi / 2
-    upper: float = np.pi / 2
-    num_points: int = 2000
-
-    def __post_init__(self) -> None:
-        if not self.lower < self.upper:
-            raise InvalidInputError("grid lower bound must be below the upper bound")
-        if not (_is_integral(self.num_points) and self.num_points >= 2):
-            raise InvalidInputError(
-                "grid needs an integer number of at least two points"
-            )
-        _check_front_half_plane(self.lower)
-        _check_front_half_plane(self.upper)
-        object.__setattr__(self, "num_points", int(self.num_points))
-
-    @property
-    def angles(self) -> np.ndarray:
-        return np.linspace(self.lower, self.upper, self.num_points)
+from .errors import DegenerateDirectionError
+from .model import TWO_PI
 
 
 def closed_form_gain_and_phase(inner, energy, pilot_power):
@@ -119,39 +82,3 @@ class UtilityAccumulator:
         np.divide(value, energy, out=value, where=lit)
         value[~lit] = 0.0  # |P|^2 can underflow to 0 where the inner sum does not
         return value
-
-
-def dft_rows(num_elements: int) -> np.ndarray:
-    """The N x N DFT configurations of the least-squares baseline, B B^H = N I."""
-    n = np.arange(num_elements)
-    return np.exp(-2j * np.pi * np.outer(n, n) / num_elements)
-
-
-def least_squares_prefix_estimates(
-    rows: np.ndarray, received: np.ndarray, coefficients: np.ndarray, pilot_power: float
-) -> np.ndarray:
-    """Least-squares estimates of every pilot prefix of orthogonal campaigns.
-
-    A campaign is configuration rows B, samples y and BS-RIS coefficients
-    h; leading axes stack campaigns that share one pilot power, and each
-    gives its own call's result bit for bit. Row L-1 of a result is the
-    minimum-norm estimate D_h^{-1} B^+ y / sqrt(P_p) from the first L pilots:
-    with B B^H = N I the pseudoinverse of any row subset is its conjugate
-    transpose over N, so the estimates are the cumulative sums of
-    conj(B) * y over N sqrt(P_p) h. Raises ``InvalidInputError`` for a pilot
-    power outside (0, inf) or rows of any campaign not mutually orthogonal.
-    """
-    if not 0 < pilot_power < np.inf:
-        raise InvalidInputError("pilot_power must be positive and finite")
-    n = rows.shape[-1]
-    if received.shape != rows.shape[:-1] or coefficients.shape[-1] != n:
-        raise DimensionError("samples and BS-RIS channel must match the rows")
-    gram = rows @ np.conj(np.swapaxes(rows, -1, -2))
-    deviation = np.max(np.abs(gram - n * np.eye(received.shape[-1])), initial=0.0)
-    if not deviation <= ORTHOGONALITY_TOL * n:
-        raise InvalidInputError(
-            f"configuration rows must be mutually orthogonal "
-            f"(worst |B B^H - N I| entry {deviation:.3e})"
-        )
-    sums = np.cumsum(np.conj(rows) * received[..., None], axis=-2)
-    return sums / (n * np.sqrt(pilot_power) * coefficients[..., None, :])

@@ -5,6 +5,7 @@ single-antenna user toward a single-antenna base station. Conventions
 used throughout the package:
 
 * angles are radians and live in the front half-plane [-pi/2, pi/2],
+  and so does the angle grid of the ML search,
 * element 0 of the array is the phase reference,
 * complex values are double precision.
 """
@@ -81,6 +82,34 @@ class LosChannel:
         object.__setattr__(self, "gain", float(self.gain))
         object.__setattr__(self, "phase", float(self.phase) % TWO_PI)
         object.__setattr__(self, "aoa", float(self.aoa))
+
+
+@dataclass(frozen=True)
+class AoaSearchGrid:
+    """Uniform angle grid over which the ML objective is evaluated.
+
+    Both endpoints are included. Granularity only affects computation,
+    not the recorded pilot data, so it can be chosen freely.
+    """
+
+    lower: float = -np.pi / 2
+    upper: float = np.pi / 2
+    num_points: int = 2000
+
+    def __post_init__(self) -> None:
+        if not self.lower < self.upper:
+            raise InvalidInputError("grid lower bound must be below the upper bound")
+        if not (_is_integral(self.num_points) and self.num_points >= 2):
+            raise InvalidInputError(
+                "grid needs an integer number of at least two points"
+            )
+        _check_front_half_plane(self.lower)
+        _check_front_half_plane(self.upper)
+        object.__setattr__(self, "num_points", int(self.num_points))
+
+    @property
+    def angles(self) -> np.ndarray:
+        return np.linspace(self.lower, self.upper, self.num_points)
 
 
 def array_response(array: ArrayModel, aoa) -> np.ndarray:

@@ -10,7 +10,10 @@ core: the Monte Carlo seeds trial K with a counter-based split, and the
 single run behind ``utility-trace`` and ``estimate-once`` is one trial on
 ``SeedSequence(rng_seed)``. A trial draws all its values up front, and
 everything after the draws runs a chunk of trials at once, so its outcome
-depends neither on execution order nor on its chunk.
+depends neither on execution order nor on its chunk. The least-squares
+baseline lives here too: it only ever runs on the rows of ``dft_rows``
+that each trial's permutation picks, so its estimates of every budget are
+one prefix sum.
 """
 
 from __future__ import annotations
@@ -28,10 +31,11 @@ from .adaptive import (
     advance_trials,
     build_adaptive_setup,
 )
-from .errors import AngleDomainError, ConfigValidationError, InvalidInputError
-from .estimators import AoaSearchGrid, dft_rows, least_squares_prefix_estimates
+from .errors import (AngleDomainError, ConfigValidationError, DimensionError,
+                     InvalidInputError)
 from .model import (
     TWO_PI,
+    AoaSearchGrid,
     ArrayModel,
     LosChannel,
     achievable_rate,
@@ -258,6 +262,38 @@ def pilot_noise(draws: np.ndarray) -> np.ndarray:
     return (draws[..., 0::2] + 1j * draws[..., 1::2]) * (1.0 / np.sqrt(2.0))
 
 
+def dft_rows(num_elements: int) -> np.ndarray:
+    """The N x N DFT configurations of the least-squares baseline.
+
+    Any subset B of these rows has B B^H = N I, so its pseudoinverse is
+    B^H / N: this is the one place that orthogonality is guaranteed, and
+    ``_least_squares_prefix_estimates`` relies on it without a check.
+    """
+    n = np.arange(num_elements)
+    return np.exp(-2j * np.pi * np.outer(n, n) / num_elements)
+
+
+def _least_squares_prefix_estimates(
+    rows: np.ndarray, received: np.ndarray, coefficients: np.ndarray, pilot_power: float
+) -> np.ndarray:
+    """Least-squares estimates of every pilot prefix of stacked DFT campaigns.
+
+    A campaign is rows of ``dft_rows``, samples y and BS-RIS coefficients
+    h; leading axes stack campaigns that share one pilot power, and each
+    gives its own call's result bit for bit. Row L-1 of a result is the
+    minimum-norm estimate D_h^{-1} B^+ y / sqrt(P_p) from the first L
+    pilots, that is the cumulative sum of conj(B) * y over N sqrt(P_p) h.
+    Raises ``InvalidInputError`` for a pilot power outside (0, inf).
+    """
+    if not 0 < pilot_power < np.inf:
+        raise InvalidInputError("pilot_power must be positive and finite")
+    n = rows.shape[-1]
+    if received.shape != rows.shape[:-1] or coefficients.shape[-1] != n:
+        raise DimensionError("samples and BS-RIS channel must match the rows")
+    sums = np.cumsum(np.conj(rows) * received[..., None], axis=-2)
+    return sums / (n * np.sqrt(pilot_power) * coefficients[..., None, :])
+
+
 def _run_trials(
     config: ExperimentConfig, setup: AdaptiveSetup, dft: np.ndarray, seeds,
     aoa: float | None = None, keep_utility: bool = False,
@@ -308,7 +344,7 @@ def _run_trials(
     signal = h_rows * g_rows * np.sqrt(pilot_power)
     ls_noise = (ls_real + 1j * ls_imag) / np.sqrt(2.0)
     received = (rows @ signal[..., None])[..., 0] + ls_noise
-    ls_estimates = least_squares_prefix_estimates(rows, received, h_rows, pilot_power)
+    ls_estimates = _least_squares_prefix_estimates(rows, received, h_rows, pilot_power)
 
     estimates = np.stack([ml_estimates, ls_estimates[:, last]])
     rates = _phase_matched_rate(channels[:, None, :], estimates, data_power)

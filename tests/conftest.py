@@ -139,7 +139,7 @@ def least_squares_estimate(campaign: PilotCampaign) -> np.ndarray:
 
     Singular values below 1e-12 of the largest count as zero, so it also
     covers rank-deficient campaigns with fewer pilots than elements. The
-    reference for ``least_squares_prefix_estimates``.
+    reference for ``simulate._least_squares_prefix_estimates``.
     """
     pinv = np.linalg.pinv(campaign.config_matrix, rcond=1e-12)
     unscaled = pinv @ campaign.received

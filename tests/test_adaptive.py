@@ -29,9 +29,8 @@ from rispilot import (
 )
 from rispilot import simulate
 from rispilot.adaptive import advance_trials
-from rispilot.estimators import dft_rows
 from rispilot.model import _draw_unit_coefficients, los_vector
-from rispilot.simulate import pilot_noise
+from rispilot.simulate import dft_rows, pilot_noise
 
 from conftest import (
     NEAR_NULL,

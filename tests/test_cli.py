@@ -435,7 +435,7 @@ def test_validate_failure_exits_nonzero(capsys, monkeypatch):
 DEFECTS = [
     ("noise-free-recovery", adaptive, "closed_form_gain_and_phase",
      lambda out, *_: (out[0] * (1 + 1e-6), out[1])),
-    ("least-squares-recovery", estimators, "least_squares_prefix_estimates",
+    ("least-squares-recovery", simulate, "_least_squares_prefix_estimates",
      lambda out, *_: out + 1e-6),
     ("capacity-bound", simulate, "_phase_matched_rate",
      lambda out, *_: out * (1 + 1e-6)),

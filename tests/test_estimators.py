@@ -15,11 +15,14 @@ from rispilot import (
     DimensionError,
     InvalidInputError,
     LosChannel,
-    least_squares_prefix_estimates,
     plausible_angles,
 )
-from rispilot.estimators import UtilityAccumulator, dft_rows
+from rispilot.estimators import UtilityAccumulator
 from rispilot.model import _draw_unit_coefficients
+from rispilot.simulate import (
+    _least_squares_prefix_estimates as least_squares_prefix_estimates,
+    dft_rows,
+)
 
 from conftest import (
     PilotCampaign,
@@ -519,6 +522,15 @@ def stacked_dft_campaigns(draw):
 
 
 class TestLeastSquaresPrefixes:
+    def test_every_dft_row_subset_is_orthogonal(self):
+        # the prefix sums take B^+ = B^H / N without checking B B^H = N I;
+        # a subset's Gram matrix is a principal submatrix of the full one,
+        # so the full rows bound every campaign, here up to N = 256
+        for n in range(1, 257):
+            rows = dft_rows(n)
+            deviation = np.max(np.abs(rows @ np.conj(rows.T) - n * np.eye(n)))
+            assert deviation <= 1e-9 * n, (n, deviation)
+
     @settings(max_examples=60, deadline=None)
     @given(dft_prefix_campaigns())
     def test_every_prefix_matches_pseudoinverse(self, campaign):
@@ -543,24 +555,6 @@ class TestLeastSquaresPrefixes:
             )
 
     @settings(max_examples=30, deadline=None)
-    @given(dft_prefix_campaigns(), st.data())
-    def test_non_orthogonal_rows_raise(self, campaign, data):
-        rows = np.array(campaign.config_matrix)
-        if rows.shape[0] < 2:
-            rows = np.vstack([rows, rows])
-        row = data.draw(st.integers(0, rows.shape[0] - 1))
-        element = data.draw(st.integers(0, rows.shape[1] - 1))
-        rows[row, element] *= np.exp(1j * data.draw(st.floats(0.05, 6.2)))
-        skewed = PilotCampaign(
-            rows,
-            np.ones(rows.shape[0], dtype=complex),
-            campaign.pilot_power,
-            campaign.coefficients,
-        )
-        with pytest.raises(ValueError, match="orthogonal"):
-            campaign_prefixes(skewed)
-
-    @settings(max_examples=30, deadline=None)
     @given(stacked_dft_campaigns())
     def test_stacked_campaigns_match_their_own_calls(self, stack):
         rows, received, coefficients, power = stack
@@ -571,20 +565,6 @@ class TestLeastSquaresPrefixes:
                 rows[t], received[t], coefficients[t], power
             )
             assert np.array_equal(prefixes[t], alone)
-
-    @settings(max_examples=30, deadline=None)
-    @given(stacked_dft_campaigns(), st.data())
-    def test_one_skewed_campaign_in_a_stack_raises(self, stack, data):
-        rows, received, coefficients, power = stack
-        if rows.shape[1] < 2:
-            rows = np.concatenate([rows, rows], axis=1)
-            received = np.concatenate([received, received], axis=1)
-        campaign = data.draw(st.integers(0, rows.shape[0] - 1))
-        row = data.draw(st.integers(0, rows.shape[1] - 1))
-        element = data.draw(st.integers(0, rows.shape[2] - 1))
-        rows[campaign, row, element] *= np.exp(1j * data.draw(st.floats(0.05, 6.2)))
-        with pytest.raises(ValueError, match="orthogonal"):
-            least_squares_prefix_estimates(rows, received, coefficients, power)
 
     def test_mismatched_shapes_raise(self):
         rows = dft_rows(4)[None]

@@ -19,7 +19,6 @@ from rispilot import (
     array_response,
     build_adaptive_setup,
     collect_trial_rates,
-    least_squares_prefix_estimates,
     run_rate_experiment,
     run_single_estimate,
     snr_to_powers,
@@ -27,14 +26,15 @@ from rispilot import (
 
 from rispilot import simulate
 from rispilot.adaptive import advance_trials
-from rispilot.estimators import dft_rows
 from rispilot.model import _draw_unit_coefficients, los_vector
 from rispilot.simulate import (
     DEFAULT_PILOT_BUDGETS,
     MAX_ARRAY_ENTRIES,
+    _least_squares_prefix_estimates as least_squares_prefix_estimates,
     _mean_and_stderr,
     _phase_matched_rate,
     _trial_chunk,
+    dft_rows,
     pilot_noise,
 )
 
