@@ -7,17 +7,7 @@ Carlo harness with CSV output.
 """
 
 from .adaptive import build_adaptive_setup, plausible_angles
-from .errors import (
-    AngleDomainError,
-    ConfigParseError,
-    ConfigValidationError,
-    DegenerateDirectionError,
-    DimensionError,
-    InsufficientPilotsError,
-    InvalidInputError,
-    PoolExhaustedError,
-    RisPilotError,
-)
+from .errors import DegenerateDirectionError, InvalidInputError, RisPilotError
 from .io import emit_rate_csv, emit_utility_csv, parse_config
 from .model import (
     AoaSearchGrid,
@@ -38,18 +28,12 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleDomainError",
     "AoaSearchGrid",
     "ArrayModel",
-    "ConfigParseError",
-    "ConfigValidationError",
     "DegenerateDirectionError",
-    "DimensionError",
     "ExperimentConfig",
-    "InsufficientPilotsError",
     "InvalidInputError",
     "LosChannel",
-    "PoolExhaustedError",
     "RateCurvePoint",
     "RisPilotError",
     "achievable_rate",

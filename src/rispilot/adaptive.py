@@ -36,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionError, InsufficientPilotsError, InvalidInputError,
-                     PoolExhaustedError)
+from .errors import InvalidInputError
 from .estimators import UtilityAccumulator, closed_form_gain_and_phase
 from .model import AoaSearchGrid, ArrayModel, _is_integral, array_response
 
@@ -137,9 +136,9 @@ def _check_budget(num_pilots: int, n: int) -> int:
     if not _is_integral(num_pilots):
         raise InvalidInputError(f"budget {num_pilots!r} must be an integer")
     if num_pilots < 2:
-        raise InsufficientPilotsError("at least two pilots are required")
+        raise InvalidInputError("at least two pilots are required")
     if num_pilots > n:
-        raise PoolExhaustedError(
+        raise InvalidInputError(
             f"budget {num_pilots} exceeds the {n} available configurations"
         )
     return int(num_pilots)
@@ -177,7 +176,7 @@ def advance_trials(
     """
     trials, n = channels.shape
     if n != setup.angles.size:
-        raise DimensionError(f"array has {setup.angles.size} elements, channels {n}")
+        raise InvalidInputError(f"array has {setup.angles.size} elements, channels {n}")
     num_pilots = _check_budget(num_pilots, n)
     rows = np.arange(trials)
     amplitude = np.sqrt(pilot_power)

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigParseError, InvalidInputError
+from .errors import InvalidInputError
 from .simulate import ExperimentConfig, RateCurvePoint, SingleRunSummary
 
 RATE_CSV_HEADER = (
@@ -27,7 +27,7 @@ UTILITY_CSV_HEADER = "L,angle_rad,utility_db,is_argmax"
 def _parse_list(raw: str, parse: Callable[[str], object] = int) -> tuple:
     """The comma-separated items of a list value, parsed; an empty item is refused."""
     if any(not part.strip() for part in raw.split(",")):
-        raise ConfigParseError(f"empty item in {raw!r}")
+        raise InvalidInputError(f"empty item in {raw!r}")
     return tuple(map(parse, raw.split(",")))
 
 
@@ -53,18 +53,18 @@ FIELD_PARSERS: dict[str, Callable[[str], object]] = {
 
 def _parse_pair(text: str, where: str) -> tuple[str, object]:
     if "=" not in text:
-        raise ConfigParseError(f"{where}: expected key=value, got {text!r}")
+        raise InvalidInputError(f"{where}: expected key=value, got {text!r}")
     key, raw = text.split("=", 1)
     key = key.strip()
     parser = FIELD_PARSERS.get(key)
     if parser is None:
-        raise ConfigParseError(
+        raise InvalidInputError(
             f"{where}: unknown key {key!r} (known: {', '.join(sorted(FIELD_PARSERS))})"
         )
     try:
         return key, parser(raw.strip())
     except ValueError as exc:
-        raise ConfigParseError(f"{where}: bad value for {key!r}: {exc}") from exc
+        raise InvalidInputError(f"{where}: bad value for {key!r}: {exc}") from exc
 
 
 def parse_config(
@@ -83,7 +83,7 @@ def parse_config(
             # utf-8-sig drops a leading byte-order mark instead of keying on it
             text = Path(path).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
-            raise ConfigParseError(f"{path}: not UTF-8 text ({exc})") from exc
+            raise InvalidInputError(f"{path}: not UTF-8 text ({exc})") from exc
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:

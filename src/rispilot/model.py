@@ -17,14 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AngleDomainError, InvalidInputError
+from .errors import InvalidInputError
 
 TWO_PI = 2.0 * np.pi
 
 
 def _check_front_half_plane(aoa) -> None:
     if not np.all((-np.pi / 2 <= aoa) & (aoa <= np.pi / 2)):
-        raise AngleDomainError(
+        raise InvalidInputError(
             f"angle {aoa!r} rad lies outside the front half-plane [-pi/2, pi/2]"
         )
 
@@ -148,7 +148,7 @@ def achievable_rate(effective, data_snr_scale: float):
     """
     if not data_snr_scale > 0:
         raise InvalidInputError("data_snr_scale must be positive")
-    rate = np.log1p(np.abs(effective) ** 2 * data_snr_scale) / np.log(2.0)
+    rate = np.log1p(np.square(np.abs(effective)) * data_snr_scale) / np.log(2.0)
     return float(rate) if np.ndim(rate) == 0 else rate
 
 

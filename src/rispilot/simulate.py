@@ -31,8 +31,7 @@ from .adaptive import (
     advance_trials,
     build_adaptive_setup,
 )
-from .errors import (AngleDomainError, ConfigValidationError, DimensionError,
-                     InvalidInputError)
+from .errors import InvalidInputError
 from .model import (
     TWO_PI,
     AoaSearchGrid,
@@ -60,7 +59,7 @@ CHUNK_ENTRIES = 40_000
 
 def _require(condition: bool, name: str, message: str) -> None:
     if not condition:
-        raise ConfigValidationError(f"{name}: {message}")
+        raise InvalidInputError(f"{name}: {message}")
 
 
 def _owned(keys: str, owner: Callable, *args):
@@ -68,7 +67,7 @@ def _owned(keys: str, owner: Callable, *args):
     try:
         return owner(*args)
     except InvalidInputError as exc:
-        raise ConfigValidationError(f"{keys}: {exc}") from exc
+        raise InvalidInputError(f"{keys}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -289,7 +288,7 @@ def _least_squares_prefix_estimates(
         raise InvalidInputError("pilot_power must be positive and finite")
     n = rows.shape[-1]
     if received.shape != rows.shape[:-1] or coefficients.shape[-1] != n:
-        raise DimensionError("samples and BS-RIS channel must match the rows")
+        raise InvalidInputError("samples and BS-RIS channel must match the rows")
     sums = np.cumsum(np.conj(rows) * received[..., None], axis=-2)
     return sums / (n * np.sqrt(pilot_power) * coefficients[..., None, :])
 
@@ -442,8 +441,8 @@ def run_single_estimate(
     """
     lo, hi = config.ue_angle_range
     if not lo <= true_aoa <= hi:
-        raise AngleDomainError(f"true angle {true_aoa!r} rad lies outside the "
-                               f"configured UE range [{lo}, {hi}]")
+        raise InvalidInputError(f"true angle {true_aoa!r} rad lies outside the "
+                                f"configured UE range [{lo}, {hi}]")
     num_pilots = _check_budget(num_pilots, config.num_elements)
     grid = config.grid()
     setup = build_adaptive_setup(config.array(), grid)

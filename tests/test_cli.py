@@ -532,12 +532,7 @@ def test_overflowing_spacing_exits_2_without_a_warning(capsys):
     assert "RuntimeWarning" not in err and caught == []
 
 
-INPUT_ERRORS = [
-    errors.InvalidInputError, errors.AngleDomainError, errors.DimensionError,
-    errors.PoolExhaustedError,
-    errors.InsufficientPilotsError, errors.ConfigParseError,
-    errors.ConfigValidationError,
-]
+INPUT_ERRORS = [errors.InvalidInputError]
 RUNTIME_ERRORS = [
     errors.DegenerateDirectionError, errors.RisPilotError, np.linalg.LinAlgError,
     FloatingPointError, OSError,

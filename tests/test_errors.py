@@ -12,6 +12,7 @@ import rispilot
 from rispilot import (
     AoaSearchGrid,
     ArrayModel,
+    DegenerateDirectionError,
     InvalidInputError,
     LosChannel,
     RateCurvePoint,
@@ -38,12 +39,22 @@ def raised_classes(path: Path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
 def test_every_raise_is_a_package_error(path):
+    # one class per family: a rejected input or a degenerate probe direction
     strays = [
         (line, cls.__name__)
         for line, cls in raised_classes(path)
-        if not issubclass(cls, RisPilotError)
+        if cls not in (InvalidInputError, DegenerateDirectionError)
     ]
     assert strays == []
+
+
+def test_the_errors_module_defines_the_two_families_and_their_base():
+    source = (Path(rispilot.__file__).parent / "errors.py").read_text(encoding="utf-8")
+    defined = [node.name for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef)]
+    assert defined == ["RisPilotError", "InvalidInputError", "DegenerateDirectionError"]
+    assert issubclass(InvalidInputError, RisPilotError)
+    assert issubclass(DegenerateDirectionError, RisPilotError)
 
 
 def test_the_scan_sees_the_raise_sites():

@@ -12,7 +12,6 @@ from rispilot import (
     AoaSearchGrid,
     ArrayModel,
     DegenerateDirectionError,
-    DimensionError,
     InvalidInputError,
     LosChannel,
     plausible_angles,
@@ -568,9 +567,10 @@ class TestLeastSquaresPrefixes:
 
     def test_mismatched_shapes_raise(self):
         rows = dft_rows(4)[None]
-        with pytest.raises(DimensionError):
+        message = "^samples and BS-RIS channel must match the rows$"
+        with pytest.raises(InvalidInputError, match=message):
             least_squares_prefix_estimates(rows, np.ones((1, 3)), np.ones((1, 4)), 1.0)
-        with pytest.raises(DimensionError):
+        with pytest.raises(InvalidInputError, match=message):
             least_squares_prefix_estimates(rows, np.ones((1, 4)), np.ones((1, 5)), 1.0)
 
     @pytest.mark.parametrize("power", [0.0, -1.0, np.inf, np.nan])

@@ -12,8 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from rispilot import (
     AoaSearchGrid,
-    ConfigParseError,
-    ConfigValidationError,
+    InvalidInputError,
     RateCurvePoint,
     emit_rate_csv,
     emit_utility_csv,
@@ -87,19 +86,21 @@ class TestParseConfig:
     def test_unknown_key_rejected_with_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("num_elements=8\nwavelength=3\n")
-        with pytest.raises(ConfigParseError, match=r"bad.cfg:2.*wavelength"):
+        message = r"bad\.cfg:2: unknown key 'wavelength'"
+        with pytest.raises(InvalidInputError, match=message):
             parse_config(path)
 
     def test_malformed_line_reports_position(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("num_elements=8\njust some words\n")
-        with pytest.raises(ConfigParseError, match=r"bad.cfg:2"):
+        with pytest.raises(InvalidInputError, match=r"bad\.cfg:2: expected key=value"):
             parse_config(path)
 
     def test_bad_value_type_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("num_trials=many\n")
-        with pytest.raises(ConfigParseError, match="num_trials"):
+        message = r"bad\.cfg:1: bad value for 'num_trials'"
+        with pytest.raises(InvalidInputError, match=message):
             parse_config(path)
 
     @pytest.mark.parametrize("key, value", [
@@ -115,15 +116,15 @@ class TestParseConfig:
         path = tmp_path / "lists.cfg"
         path.write_text(f"{key}={value}\n")
         for overrides, source in (([f"{key}={value}"], None), ([], path)):
-            with pytest.raises(ConfigParseError, match=f"{key}.*empty item"):
+            with pytest.raises(InvalidInputError, match=f"'{key}': empty item"):
                 parse_config(source, overrides)
 
     def test_unknown_override_rejected(self):
-        with pytest.raises(ConfigParseError, match="wavelength"):
+        with pytest.raises(InvalidInputError, match="^override 'wavelength=3': unknown"):
             parse_config(None, ["wavelength=3"])
 
     def test_validation_error_names_field(self):
-        with pytest.raises(ConfigValidationError, match="num_trials"):
+        with pytest.raises(InvalidInputError, match="^num_trials: must be a positive"):
             parse_config(None, ["num_trials=0"])
 
 

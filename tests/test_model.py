@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rispilot import (
-    AngleDomainError,
     ArrayModel,
+    InvalidInputError,
     LosChannel,
     achievable_rate,
     array_response,
@@ -16,6 +18,9 @@ from rispilot import (
 from rispilot.model import los_vector
 
 from conftest import capacity, effective_channel
+
+#: The message of the front half-plane rule, whatever the angle it names.
+HALF_PLANE = r"^angle .* rad lies outside the front half-plane \[-pi/2, pi/2\]$"
 
 
 class TestArrayResponse:
@@ -49,7 +54,7 @@ class TestArrayResponse:
 
     @pytest.mark.parametrize("aoa", [np.pi / 2 + 1e-9, -np.pi / 2 - 1e-9, np.nan])
     def test_rejects_angles_outside_front_half_plane(self, aoa):
-        with pytest.raises(AngleDomainError):
+        with pytest.raises(InvalidInputError, match=HALF_PLANE):
             array_response(ArrayModel(4, 0.25), aoa)
 
     def test_steering_matrix_stacks_responses(self, rng):
@@ -71,7 +76,7 @@ class TestArrayResponse:
         assert array_response(array, [0.3]).tobytes() == (
             array_response(array, np.array([0.3])).tobytes()
         )
-        with pytest.raises(AngleDomainError):
+        with pytest.raises(InvalidInputError, match=HALF_PLANE):
             array_response(array, [0.0, 2.0])
 
     def test_array_model_validation(self):
@@ -129,7 +134,7 @@ class TestChannelTypes:
     def test_los_channel_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             LosChannel(gain=-0.1, phase=0.0, aoa=0.0)
-        with pytest.raises(AngleDomainError):
+        with pytest.raises(InvalidInputError, match=HALF_PLANE):
             LosChannel(gain=1.0, phase=0.0, aoa=2.0)
 
     @pytest.mark.parametrize(
@@ -228,3 +233,16 @@ class TestRates:
             alone = capacity(coefficients[t], g[t], 0.7)
             assert isinstance(alone, float)
             assert caps[t] == alone
+
+    @given(
+        real=st.floats(-1e6, 1e6),
+        imag=st.floats(-1e6, 1e6),
+        snr=st.floats(1e-6, 1e6),
+    )
+    # a single run's effective channel, |.| = 12 + 2^-49, whose square pow
+    # rounds an ulp below the product x * x an array call forms
+    @example(real=-8.334738029297263, imag=8.63319998511479, snr=1.0)
+    def test_a_scalar_rate_is_its_entry_of_an_array_call(self, real, imag, snr):
+        effective = np.complex128(complex(real, imag))
+        rates = achievable_rate(np.array([effective]), snr)
+        assert achievable_rate(effective, snr) == rates[0]
