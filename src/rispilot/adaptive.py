@@ -12,21 +12,19 @@ which all received pilots refresh after every transmission.
 
 Everything that depends only on the array and the grid is built once
 per experiment by ``build_adaptive_setup``, the one builder of the
-tables laid out in ``AdaptiveSetup``. The configurations cancel the
-BS-RIS phases, so for unit-magnitude coefficients candidate k's
-projection onto grid direction j is the trial-independent
-P[k, j] = conj(a_k)^T a_j, and |P|^2 is both the energy a pilot adds and
-the score of the selection policy. Squaring is strictly increasing on
-float magnitudes (sqrt(fl(x^2)) = x short of underflow), so |P|^2 ranks,
-ties included, as |P| does. The build runs in place and keeps no
+tables laid out in ``AdaptiveSetup``. Candidate k's projection onto grid
+direction j is the trial-independent P[k, j] = conj(a_k)^T a_j, and
+|P|^2 is both the energy a pilot adds and the score of the selection
+policy. Squaring is strictly increasing on float magnitudes
+(sqrt(fl(x^2)) = x short of underflow), so |P|^2 ranks, ties included,
+as |P| does. The build runs in place and keeps no
 steering matrix: the grid responses are freed before the energies exist,
 so it peaks at about 2 N x G complex arrays and holds about 1.5.
 
 One core, ``advance_trials``, advances a chunk of trials one pilot at a
-time as (trials x grid) arrays, with no matrix product per pick, on the
-unit-magnitude |h| * g that every phase-cancelling configuration sees per
-element. Every run, the single run too, calls it through one chunk
-function, ``simulate._run_trials``, which also turns each trial's
+time as (trials x grid) arrays, with no matrix product per pick, on each
+trial's LOS vector g. Every run, the single run too, calls it through one
+chunk function, ``simulate._run_trials``, which also turns each trial's
 up-front draws into its pilot noise.
 """
 
@@ -78,6 +76,7 @@ class AdaptiveSetup:
     ``projection_energy.T``, rates every candidate against the
     configuration optimal at grid angle j. Row i of ``start_scores``
     (2 x N) scores starting pilot i+1 as -|sin(angles) - INITIAL_SINES[i]|.
+    No table depends on a trial, so one setup serves every trial's g.
     Every array is read-only.
     """
 
@@ -155,12 +154,10 @@ def advance_trials(
 ) -> AdaptiveTrials:
     """Run the adaptive loop for a chunk of trials, one pilot at a time.
 
-    Row t of ``channels`` is trial t's |h| * g, which the configurations
-    see once they cancel the BS-RIS phases, and row t of the (trials x
-    ``num_pilots``) ``noise`` the unit noise of its pilots in transmission
-    order (zeros for a noise-free run). Every trial sends at the one
-    ``pilot_power``: the setup's tables belong to |h| = 1, which fixes the
-    power for a given SNR.
+    Row t of ``channels`` is trial t's LOS vector g, and row t of the
+    (trials x ``num_pilots``) ``noise`` the unit noise of its pilots in
+    transmission order (zeros for a noise-free run). Every trial sends at
+    the one ``pilot_power``.
 
     Pilot i+1 of each trial sends the argmax of a score row with the
     trial's sent candidates at -inf: row i of ``setup.start_scores`` for
@@ -194,7 +191,7 @@ def advance_trials(
             scores = setup.scores[peak]
         scores[rows[:, None], picks[:, :i]] = -np.inf
         k = np.argmax(scores, axis=1)
-        # candidate k's noisy sample sum_n |h_n| conj(a_k,n) g_n sqrt(P_p) + w
+        # candidate k's noisy sample sum_n conj(a_k,n) g_n sqrt(P_p) + w
         sample = np.sum(setup.conj_responses[k] * channels, axis=-1) * amplitude
         sample += noise[:, i]
         accumulator.add(setup.projections, sample, setup.projection_energy, k)

@@ -37,7 +37,7 @@ def noise_free_recovery() -> CheckResult:
     """Noise-free 5-pilot runs, truth on the grid: exact angle, gain, phase.
 
     The 100 cases are drawn first (target, gain, phase, BS-RIS channel, in
-    that order per case), then run as one chunk on one adaptive setup.
+    that order per case), then their g run as one chunk on one setup.
     """
     rng = np.random.default_rng(2024)
     array, grid = model.ArrayModel(40, 0.25), model.AoaSearchGrid()
@@ -48,13 +48,14 @@ def noise_free_recovery() -> CheckResult:
         target = rng.choice(setup.angles)
         truth = float(grid_angles[np.argmin(np.abs(grid_angles - target))])
         gain, phase = float(rng.uniform(0.25, 4.0)), float(rng.uniform(0, 2 * np.pi))
-        h = model._draw_unit_coefficients(40, rng)
-        draws.append((truth, gain, phase, h))
-    truths, gains, phases, h_rows = map(np.array, zip(*draws))
+        # the core reads g alone; h is still drawn, as the pinned cases follow it
+        model._draw_unit_coefficients(40, rng)
+        draws.append((truth, gain, phase))
+    truths, gains, phases = map(np.array, zip(*draws))
     g_rows = model.los_vector(array, gains, phases, truths)
     cases = len(draws)
     noise_free = np.zeros((cases, 5), dtype=np.complex128)
-    run = adaptive.advance_trials(setup, np.abs(h_rows) * g_rows, 1.0, noise_free, 5)
+    run = adaptive.advance_trials(setup, g_rows, 1.0, noise_free, 5)
     exact = int(np.sum(grid_angles[run.peaks[:, -1]] == truths))
     worst_gain = float(np.max(np.abs(run.gains - gains) / gains))
     worst_phase = max(map(circular_diff, run.phases.tolist(), phases.tolist()))
@@ -93,8 +94,8 @@ def least_squares_recovery() -> CheckResult:
 def capacity_bound() -> CheckResult:
     """No random-phase estimate beats capacity; g itself attains it.
 
-    Rates are the Monte Carlo's phase-matched ones of |h| * g, the capacity
-    the ``achievable_rate`` of the aligned sum of |h_n g_n|.
+    Rates are the Monte Carlo's phase-matched ones of random-magnitude
+    channels, the capacity the ``achievable_rate`` of their aligned sum.
     """
     rng = np.random.default_rng(31)
     cases, violations, worst_equality = 0, 0, 0.0

@@ -25,7 +25,8 @@ def closed_form_gain_and_phase(inner, energy, pilot_power):
         raise DegenerateDirectionError(
             "the estimated direction carries no pilot energy"
         )
-    return np.abs(inner) ** 2 / (pilot_power * energy**2), (-np.angle(inner)) % TWO_PI
+    gain = np.square(np.abs(inner)) / (pilot_power * np.square(energy))
+    return gain, (-np.angle(inner)) % TWO_PI
 
 
 class UtilityAccumulator:

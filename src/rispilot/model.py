@@ -88,8 +88,9 @@ class LosChannel:
 class AoaSearchGrid:
     """Uniform angle grid over which the ML objective is evaluated.
 
-    Both endpoints are included. Granularity only affects computation,
-    not the recorded pilot data, so it can be chosen freely.
+    Both endpoints are included. Under adaptive selection every pilot
+    after the starting pair is picked at the current grid peak, so the
+    granularity changes which pilots a trial sends, not only its cost.
     """
 
     lower: float = -np.pi / 2
@@ -132,9 +133,9 @@ def array_response(array: ArrayModel, aoa) -> np.ndarray:
 def los_vector(array: ArrayModel, gain, phase, aoa) -> np.ndarray:
     """Vector form sqrt(gain) * e^{j phase} * a(aoa) of a LOS channel.
 
-    It expands true channels and estimates alike. Arrays of gains, phases
-    and angles broadcast and give one vector per entry along a new last
-    axis, each equal to that entry's own.
+    It expands the true channels of the Monte Carlo and the checks. Arrays
+    of gains, phases and angles broadcast and give one vector per entry
+    along a new last axis, each equal to that entry's own.
     """
     coefficient = np.sqrt(gain) * np.exp(1j * np.asarray(phase))
     return coefficient[..., None] * array_response(array, aoa)

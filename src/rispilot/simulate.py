@@ -3,11 +3,13 @@
 Power bookkeeping is normalized: unit noise power, unit channel gain and
 unit-magnitude BS-RIS coefficients, so the per-element data SNR equals the
 data power, the pilot power sits a fixed dB offset above it, and all runs
-share one capacity and the adaptive setup's tables. Every configuration
-cancels the BS-RIS phases, so pilots and data see |h| * g. Every run is a
-trial of ``_run_trials`` on its own seed, the one entry into the adaptive
-core: the Monte Carlo seeds trial K with a counter-based split, and the
-single run behind ``utility-trace`` and ``estimate-once`` is one trial on
+share one capacity and the adaptive setup's tables. The configurations of
+the adaptive pilots and of the data cancel the known BS-RIS phases, and
+|h| = 1, so they see the LOS vector g: a trial draws h, but only the
+least-squares baseline reads it. Every run is a trial of ``_run_trials``
+on its own seed, the one entry into the adaptive core: the Monte Carlo
+seeds trial K with a counter-based split, and the single run behind
+``utility-trace`` and ``estimate-once`` is one trial on
 ``SeedSequence(rng_seed)``. A trial draws all its values up front, and
 everything after the draws runs a chunk of trials at once, so its outcome
 depends neither on execution order nor on its chunk. The least-squares
@@ -224,10 +226,9 @@ class TrialRates:
 def _phase_matched_rate(channels: np.ndarray, estimated: np.ndarray, data_power: float):
     """Rate of any estimate, ML or LS: the surface takes the estimate's phases.
 
-    The configuration cancels the BS-RIS phases, so it sums ``channels``,
-    |h| * g, times exp(-1j*arg(estimated_n)); a gain or common phase of
-    the estimate drops out. The vectors run along the last axis; leading
-    axes broadcast and give one rate each.
+    It sums the LOS vectors ``channels`` times exp(-1j*arg(estimated_n));
+    a gain or common phase of the estimate drops out. The vectors run along
+    the last axis; leading axes broadcast and give one rate each.
     """
     eff = np.sum(channels * np.exp(-1j * np.angle(estimated)), axis=-1)
     return achievable_rate(eff, data_power)
@@ -247,7 +248,7 @@ def _trial_chunk(num_elements: int, grid_points: int) -> int:
 
 
 def _capacity(config: ExperimentConfig) -> float:
-    """log2(1 + N^2 P_d): |h_n| = |g_n| = 1, so every trial's aligned sum is N."""
+    """log2(1 + N^2 P_d): |g_n| = 1, so every trial's aligned sum is N."""
     return achievable_rate(float(config.num_elements), snr_to_powers(config)[0])
 
 
@@ -305,10 +306,10 @@ def _run_trials(
     least-squares noise's L real and L imaginary parts) and a permutation
     whose first L entries pick its DFT columns, L the largest budget. The
     rest runs on (trials x ...) arrays, each trial's row its own:
-    ``advance_trials`` on |h| * g at the configured P_p, the baseline's
-    prefix estimates (budget L takes the first L columns and noise samples
-    of one campaign) and one phase-matched rate call for both, the ML
-    estimate as the bare steering vector at its budget's peak.
+    ``advance_trials`` on g at the configured P_p, the baseline's prefix
+    estimates on D_h g (budget L takes the first L columns and noise
+    samples of one campaign) and one phase-matched rate call on g for both,
+    the ML estimate as the bare steering vector at its budget's peak.
     Returns the ML and LS rates, (2 x budgets x trials), and the run.
     """
     data_power, pilot_power = snr_to_powers(config)
@@ -331,10 +332,9 @@ def _run_trials(
     bounds = [2 * max_budget, 3 * max_budget]
     loop_normals, ls_real, ls_imag = np.split(normals, bounds, axis=1)
     g_rows = los_vector(setup.array, 1.0, omegas, aoas)
-    channels = np.abs(h_rows) * g_rows
 
     # unit |h| and gain: both estimators send at the configured P_p
-    run = advance_trials(setup, channels, pilot_power, pilot_noise(loop_normals),
+    run = advance_trials(setup, g_rows, pilot_power, pilot_noise(loop_normals),
                          max_budget, keep_utility=keep_utility)
     ml_angles = setup.grid_angles[run.peaks[:, last - 1]]
     ml_estimates = array_response(setup.array, ml_angles)
@@ -346,7 +346,7 @@ def _run_trials(
     ls_estimates = _least_squares_prefix_estimates(rows, received, h_rows, pilot_power)
 
     estimates = np.stack([ml_estimates, ls_estimates[:, last]])
-    rates = _phase_matched_rate(channels[:, None, :], estimates, data_power)
+    rates = _phase_matched_rate(g_rows[:, None, :], estimates, data_power)
     return rates.transpose(0, 2, 1), run
 
 

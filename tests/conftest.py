@@ -94,11 +94,11 @@ def trial_campaign(setup: AdaptiveSetup, run: AdaptiveTrials, h, pilot_power):
 def run_with_campaign(setup: AdaptiveSetup, h, g, pilot_power, noise):
     """One trial of ``advance_trials``, utilities kept, and the campaign of its pilots.
 
-    The trial sees |h| * g and sends one pilot per entry of the 1-D unit
+    The trial sees g and sends one pilot per entry of the 1-D unit
     ``noise`` (zeros for a noise-free run) at ``pilot_power``.
     """
-    run = advance_trials(setup, (np.abs(h) * g)[None], pilot_power, noise[None],
-                         noise.size, keep_utility=True)
+    run = advance_trials(setup, g[None], pilot_power, noise[None], noise.size,
+                         keep_utility=True)
     return run, trial_campaign(setup, run, h, pilot_power)
 
 
@@ -214,8 +214,8 @@ def prefix_results(setup: AdaptiveSetup, h, g, pilot_power, noise) -> list:
     """
     results = []
     for pilots in range(2, noise.size + 1):
-        run = advance_trials(setup, (np.abs(h) * g)[None], pilot_power,
-                             noise[None, :pilots], pilots)
+        run = advance_trials(setup, g[None], pilot_power, noise[None, :pilots],
+                             pilots)
         aoa = setup.grid_angles[run.peaks[0, -1]]
         results.append(LosChannel(run.gains[0], run.phases[0], aoa))
     return results
@@ -354,8 +354,8 @@ def reference_advance_trials(
     magnitudes |P|^T, formed here from the candidates and the grid, not by
     the setup's scores, so equal bytes show that the scores pick what |P|
     picks. The reference keeps the all-candidates ``signals`` table, every
-    candidate's noise-free sample as a row-wise sum over ``channels`` (|h|
-    * g), to which each pick adds its noise, so the core's per-pick
+    candidate's noise-free sample as a row-wise sum over ``channels`` (g),
+    to which each pick adds its noise, so the core's per-pick
     sums are checked against it byte for byte; ``TestPilotReception``
     checks those samples against the physical model theta^T D_h g sqrt(P_p).
     """

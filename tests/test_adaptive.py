@@ -20,7 +20,6 @@ from rispilot import (
     build_adaptive_setup,
     plausible_angles,
     run_single_estimate,
-    snr_to_powers,
 )
 from rispilot import simulate
 from rispilot.adaptive import advance_trials
@@ -28,10 +27,8 @@ from rispilot.model import _draw_unit_coefficients, los_vector
 from rispilot.simulate import dft_rows, pilot_noise
 
 from conftest import (
-    NEAR_NULL,
     assert_steps_match_batch,
     candidate_rows,
-    capacity,
     channel_vector,
     circular_diff,
     coefficient_at,
@@ -45,7 +42,6 @@ from conftest import (
     reference_advance_trials,
     run_with_campaign,
     simulate_pilot_reception,
-    trial_campaign,
 )
 
 
@@ -523,59 +519,22 @@ class TestAdaptiveRun:
             with pytest.raises(ValueError):
                 values[0] = 0.0
 
-    @settings(max_examples=20, deadline=None)
-    @given(
-        n=st.integers(3, 40),
-        points=st.integers(50, 2000),
-        seed=st.integers(0, 2**32 - 1),
-        offset_db=st.sampled_from([0.0, 10.0, 20.0]),
-    )
-    def test_picks_and_estimates_ignore_bs_ris_phases(self, n, points, seed, offset_db):
-        # the configurations compensate the known BS-RIS phases, so a trial
-        # under two random phase profiles must make the same run, up to the
-        # first argmax on a near-null direction, where the utility divides
-        # noise by almost nothing, or on a tie, where rounding of |h|
-        # decides which of the tied angles wins
-        gen = np.random.default_rng(seed)
-        aoa = float(gen.uniform(-1.0, 1.0))
-        hs = [_draw_unit_coefficients(n, gen) for _ in range(2)]
-        config = trial_config(n, points, offset_db, n)
-        array = config.array()
-        setup = build_adaptive_setup(array, config.grid())
-        _, pilot_power = snr_to_powers(config)
-        # at a given angle the trial's first draw is its reference phase
-        omega = np.random.default_rng(np.random.SeedSequence(seed)).uniform(0, 2 * np.pi)
-        g = los_vector(array, 1.0, omega, aoa)
-        assert capacity(hs[0], g, pilot_power) == pytest.approx(
-            capacity(hs[1], g, pilot_power), rel=1e-12
-        )
-        runs = []
-        for h in hs:
-            run = seeded_trial(config, setup, aoa, seed, h)[1]
-            runs.append((run, trial_campaign(setup, run, h, pilot_power)))
-        (first, _), (second, _) = runs
-        assert first.picks[0, 0] == second.picks[0, 0]
-        # estimate i comes from the first i + 2 pilots and picks pilot i + 3
-        for i in range(n - 1):
-            assert first.picks[0, i + 1] == second.picks[0, i + 1]
-            ambiguous = False
-            for run, campaign in runs:
-                prefix = prefix_campaign(campaign, i + 2)
-                energy = pilot_energy(prefix, array, setup.grid_angles)
-                utility = run.utilities[i, 0]
-                peak = int(np.argmax(utility))
-                ambiguous |= energy[peak] <= NEAR_NULL * np.max(energy)
-                runner_up = np.max(np.delete(utility, peak))
-                ambiguous |= runner_up >= (1 - 1e-12) * utility[peak]
-            if ambiguous:
-                break
-            assert first.peaks[0, i] == second.peaks[0, i]
-            # the budget-(i + 2) trials' gains are these runs' estimates there
-            budget = dataclasses.replace(config, pilot_budgets=(i + 2,))
-            first_gain, second_gain = (
-                seeded_trial(budget, setup, aoa, seed, h)[1].gains[0] for h in hs
-            )
-            assert first_gain == pytest.approx(second_gain, rel=1e-9)
+    def test_a_coarser_grid_changes_which_pilots_are_sent(self):
+        # every pilot after the starting pair goes to the current grid peak,
+        # so the grid's granularity is part of the selection policy: on a
+        # tenth of the reference grid some trial sends other pilots
+        picks = []
+        for points in (2000, 200):
+            config = ExperimentConfig(grid_points=points, pilot_budgets=(10,),
+                                      num_trials=20)
+            setup = build_adaptive_setup(config.array(), config.grid())
+            seeds = np.random.SeedSequence(config.rng_seed).spawn(config.num_trials)
+            dft = dft_rows(config.num_elements)
+            _, run = simulate._run_trials(config, setup, dft, seeds)
+            picks.append(run.picks)
+        fine, coarse = picks
+        assert np.array_equal(fine[:, :2], coarse[:, :2])
+        assert np.any(fine != coarse)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -584,24 +543,22 @@ class TestAdaptiveRun:
         seed=st.integers(0, 2**32 - 1),
         offset_db=st.sampled_from([0.0, 10.0, 20.0, 300.0]),
     )
-    def test_quarter_turns_of_bs_ris_phases_keep_runs_byte_identical(
-        self, n, points, seed, offset_db
-    ):
-        # a trial sees the BS-RIS channel only as |h|, and a quarter turn of
-        # any coefficient (times 1, j, -1 or -j) leaves |h| bit for bit the
-        # same, so the whole run and its ML rate must be too: no near-null or
-        # tie carve-out. At +300 dB the pilots are noise-free to ~1e-15
+    def test_bs_ris_phases_keep_runs_byte_identical(self, n, points, seed, offset_db):
+        # the adaptive pilots and the data cancel the known BS-RIS phases, so
+        # the ML half of a trial reads g alone: under any other unit-modulus
+        # profile its whole run and its ML rate must keep their bytes, with
+        # no near-null or tie carve-out. At +300 dB the pilots are noise-free
+        # to ~1e-15
         gen = np.random.default_rng(seed)
         aoa = float(gen.uniform(-1.0, 1.0))
         h = _draw_unit_coefficients(n, gen)
-        turned = h * np.array([1, 1j, -1, -1j])[gen.integers(0, 4, n)]
-        assert np.abs(turned).tobytes() == np.abs(h).tobytes()
+        h_other = _draw_unit_coefficients(n, gen)
         budget = int(gen.integers(2, n + 1))
         config = trial_config(n, points, offset_db, budget)
         setup = build_adaptive_setup(config.array(), config.grid())
         (first_rates, first), (second_rates, second) = (
             seeded_trial(config, setup, aoa, seed, coefficients)
-            for coefficients in (h, turned)
+            for coefficients in (h, h_other)
         )
         for name in ("picks", "samples", "peaks", "utilities", "gains", "phases"):
             assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
@@ -611,7 +568,7 @@ class TestAdaptiveRun:
             shorter = dataclasses.replace(config, pilot_budgets=(pilots,))
             one, other = (
                 seeded_trial(shorter, setup, aoa, seed, coefficients)[1]
-                for coefficients in (h, turned)
+                for coefficients in (h, h_other)
             )
             pair = np.array([[one.gains[0], one.phases[0]],
                              [other.gains[0], other.phases[0]]])
@@ -747,9 +704,7 @@ class TestProjectionTables:
             pilot_noise(np.random.default_rng(100 + t).standard_normal(2 * budget))
             for t in range(trials)
         ])
-        chunk = advance_trials(
-            setup, np.abs(hs) * g, pilot_power, noise, budget, keep_utility=True
-        )
+        chunk = advance_trials(setup, g, pilot_power, noise, budget, keep_utility=True)
         for t in range(trials):
             run, _ = run_with_campaign(setup, hs[t], g[t], pilot_power, noise[t])
             for values, expected in (
@@ -789,7 +744,6 @@ class TestCoreMatchesReference:
         gen = np.random.default_rng(seed)
         array = ArrayModel(n, 0.25)
         setup = build_adaptive_setup(array, AoaSearchGrid(num_points=points))
-        coefficients = np.exp(1j * gen.uniform(0, 2 * np.pi, (trials, n)))
         g = los_vector(
             array, gen.uniform(0.25, 4.0, trials), gen.uniform(0, 2 * np.pi, trials),
             gen.uniform(-1.2, 1.2, trials),
@@ -799,7 +753,7 @@ class TestCoreMatchesReference:
         noise = np.zeros((trials, budget), dtype=np.complex128)
         if noisy:
             noise = pilot_noise(gen.standard_normal((trials, 2 * budget)))
-        args = (setup, np.abs(coefficients) * g, pilot_power, noise, budget)
+        args = (setup, g, pilot_power, noise, budget)
         run = advance_trials(*args, keep_utility=keep)
         expected = reference_advance_trials(*args)
         # the core keeps every step's utility, or only the last one's
@@ -820,16 +774,14 @@ class TestCorePicks:
 
     @staticmethod
     def chunk(setup, trials, budget, seed):
-        """Noisy unit-|h| inputs of ``advance_trials`` for ``trials`` runs."""
+        """Noisy unit-gain inputs of ``advance_trials`` for ``trials`` runs."""
         gen = np.random.default_rng(seed)
-        n = setup.angles.size
-        coefficients = np.exp(1j * gen.uniform(0, 2 * np.pi, (trials, n)))
         g = los_vector(
             setup.array, np.ones(trials), gen.uniform(0, 2 * np.pi, trials),
             gen.uniform(-1.2, 1.2, trials),
         )
         noise = pilot_noise(gen.standard_normal((trials, 2 * budget)))
-        return np.abs(coefficients) * g, 10.0, noise
+        return g, 10.0, noise
 
     def test_picks_follow_the_setups_tables(self):
         # the core has no selection policy of its own: with one ranking in
@@ -902,8 +854,8 @@ class TestPilotReception:
         # pilot_noise; every sample must still be simulate_pilot_reception on
         # the sent row, with the generator advanced in transmission order,
         # and draw nothing more. The loop
-        # sums |h_n| conj(a_n) g_n and the reference theta_n h_n g_n: the same
-        # N exact terms of magnitude |h_n g_n|, each rounded by a few unit
+        # sums conj(a_n) g_n and the reference theta_n h_n g_n: the same N
+        # exact terms of magnitude |h_n g_n| = |g_n|, each rounded by a few unit
         # roundoffs u = eps/2 (its products and phase), then summed, which
         # adds at most (N - 1) u of their total. So each path is within
         # (N + c) u * sum |h_n g_n| sqrt(P_p) of the exact sample, c < N, and

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -16,7 +16,7 @@ from rispilot import (
     LosChannel,
     plausible_angles,
 )
-from rispilot.estimators import UtilityAccumulator
+from rispilot.estimators import UtilityAccumulator, closed_form_gain_and_phase
 from rispilot.model import _draw_unit_coefficients
 from rispilot.simulate import (
     _least_squares_prefix_estimates as least_squares_prefix_estimates,
@@ -339,6 +339,24 @@ class TestScalarCoefficient:
         gain_scaled, phase_scaled = coefficient_at(scaled, array, 0.21)
         assert gain_scaled == pytest.approx(9.0 * gain, rel=1e-12)
         assert circular_diff(phase_scaled, phase) < 1e-12
+
+    @given(
+        inner=st.complex_numbers(max_magnitude=1e6, allow_nan=False),
+        energy=st.floats(1e-6, 1e6),
+        pilot_power=st.floats(1e-6, 1e6),
+    )
+    # pow rounds this |inner|^2 an ulp away from the product x * x that an
+    # array call forms
+    @example(inner=-21.37116295454298-0.9005359862433566j, energy=59.13683915764939,
+             pilot_power=3.0)
+    def test_a_scalar_call_is_its_entry_of_an_array_call(
+        self, inner, energy, pilot_power
+    ):
+        alone = closed_form_gain_and_phase(inner, energy, pilot_power)
+        entries = closed_form_gain_and_phase(
+            np.array([inner]), np.array([energy]), pilot_power
+        )
+        assert np.array(alone).tobytes() == np.concatenate(entries).tobytes()
 
 
 class TestParametricMl:

@@ -266,11 +266,10 @@ class TestTrialRates:
         n, budgets = config.num_elements, config.pilot_budgets
         dft = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
 
-        def phase_matched_rate(h, g, estimate):
+        def phase_matched_rate(g, estimate):
             # the configuration from h and the estimate cancels the BS-RIS
-            # phases: the data see |h_n| g_n exp(-j arg(estimate_n))
-            channel = np.abs(h) * g
-            eff = complex(np.sum(channel * np.exp(-1j * np.angle(estimate))))
+            # phases of unit-modulus h: the data see g_n exp(-j arg(estimate_n))
+            eff = complex(np.sum(g * np.exp(-1j * np.angle(estimate))))
             return achievable_rate(eff, data_power)
 
         def physical_rate(h, g, estimate):
@@ -310,7 +309,7 @@ class TestTrialRates:
                 # entry budget - 2 is the estimate from the first budget pilots
                 step = budget - 2
                 steering = array_response(array, aoa_estimates[step])
-                rate_ml[b, t] = phase_matched_rate(h, g, steering)
+                rate_ml[b, t] = phase_matched_rate(g, steering)
                 # the budget run on the first pilots' noise is those pilots:
                 # its one gain and phase are theirs
                 prefix, _ = run_with_campaign(
@@ -329,16 +328,14 @@ class TestTrialRates:
                 rows = dft[:, columns[:budget]].T
                 received = rows @ signal + noise[:budget]
                 campaign = PilotCampaign(rows, received, pilot_power, h)
-                rate_ls[b, t] = phase_matched_rate(
-                    h, g, least_squares_estimate(campaign)
-                )
+                rate_ls[b, t] = phase_matched_rate(g, least_squares_estimate(campaign))
             # the trial's own campaign at the largest budget, alone
             rows = dft[:, columns[:max(budgets)]].T
             prefixes = least_squares_prefix_estimates(
                 rows, rows @ signal + noise, h, pilot_power
             )
             for b, budget in enumerate(budgets):
-                rate_ls_prefix[b, t] = phase_matched_rate(h, g, prefixes[budget - 1])
+                rate_ls_prefix[b, t] = phase_matched_rate(g, prefixes[budget - 1])
 
         trials = collect_trial_rates(config)
         assert np.array_equal(trials.rate_ml, rate_ml)
@@ -355,7 +352,7 @@ class TestTrialRates:
             rate_ml_closed, trials.rate_ml, rtol=0, atol=1e-12 * trials.capacity
         )
         np.testing.assert_allclose(aligned_caps, trials.capacity, rtol=1e-12, atol=0)
-        # scoring the bare steering vector through |h| * g is the physical
+        # scoring the bare steering vector through g is the physical
         # rate of the configuration built from h and the whole estimate: the
         # two sum the same N paths, rounded differently in their last bits
         np.testing.assert_allclose(
@@ -691,14 +688,14 @@ class TestSingleRun:
         self, n, spacing, seed, data_snr_db, true_aoa, draw
     ):
         # the single run shares the Monte Carlo's capacity and scorer: its
-        # rate is phase-matched through |h| * g, and that effective channel
+        # rate is phase-matched through g, and that effective channel
         # is, to rounding, the physical one of the configuration built from
         # h's phases and the estimate's steering vector, applied to D_h g
         config, summary, h, g = single_run(n, spacing, seed, data_snr_db, true_aoa, draw)
         data_power, _ = snr_to_powers(config)
         assert summary.capacity_value == achievable_rate(float(n), data_power)
         estimate = array_response(config.array(), summary.result.aoa)
-        matched = np.sum(np.abs(h) * g * np.exp(-1j * np.angle(estimate)))
+        matched = np.sum(g * np.exp(-1j * np.angle(estimate)))
         assert summary.achieved_rate == achievable_rate(matched, data_power)
         shifts = np.angle(h) + np.angle(estimate)
         physical = np.sum(h * g * np.exp(-1j * shifts))
@@ -733,14 +730,10 @@ class TestSingleRun:
         data_power, _ = snr_to_powers(config)
         array, estimate = config.array(), summary.result
         steering = array_response(array, estimate.aoa)
-        assert summary.achieved_rate == _phase_matched_rate(
-            np.abs(h) * g, steering, data_power
-        )
+        assert summary.achieved_rate == _phase_matched_rate(g, steering, data_power)
         # the estimate's gain and common phase drop out of the phase-matched
         # rate, so its whole vector scores the same to rounding
-        expanded = _phase_matched_rate(
-            np.abs(h) * g, channel_vector(estimate, array), data_power
-        )
+        expanded = _phase_matched_rate(g, channel_vector(estimate, array), data_power)
         bound = n * np.finfo(float).eps * summary.capacity_value
         assert abs(summary.achieved_rate - expanded) <= bound
 
@@ -769,7 +762,7 @@ def single_run(n, spacing, seed, data_snr_db, true_aoa, draw):
     _, pilot_power = snr_to_powers(config)
     setup = build_adaptive_setup(array, config.grid())
     replay = advance_trials(
-        setup, (np.abs(h) * g)[None], pilot_power,
+        setup, g[None], pilot_power,
         pilot_noise(normals[None, :2 * budget]), budget, keep_utility=True,
     )
     for values, expected in (
