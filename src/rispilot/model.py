@@ -80,7 +80,8 @@ class LosChannel:
             raise InvalidInputError("phase must be finite")
         _check_front_half_plane(self.aoa)
         object.__setattr__(self, "gain", float(self.gain))
-        object.__setattr__(self, "phase", float(self.phase) % TWO_PI)
+        phase = float(self.phase) % TWO_PI  # a tiny negative phase gives 2*pi
+        object.__setattr__(self, "phase", phase if phase < TWO_PI else 0.0)
         object.__setattr__(self, "aoa", float(self.aoa))
 
 

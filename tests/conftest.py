@@ -321,9 +321,9 @@ def simulate_pilot_reception(
 def reference_utility(accumulator: UtilityAccumulator) -> np.ndarray:
     """The accumulator's utility as a new array, by one masked division.
 
-    The reference for both of ``UtilityAccumulator.utility``'s paths: 0
-    wherever the energy is exactly 0, and a degenerate-direction error
-    when no direction of a run carries energy.
+    The reference for both of ``UtilityAccumulator.utility``'s paths: the
+    numerator re^2 + im^2, 0 wherever the energy is exactly 0, and a
+    degenerate-direction error when no direction of a run carries energy.
     """
     energy = accumulator.energy
     lit = energy > 0.0
@@ -332,7 +332,7 @@ def reference_utility(accumulator: UtilityAccumulator) -> np.ndarray:
             "no probed direction carries pilot energy; the campaign cannot "
             "rank any angle"
         )
-    value = np.abs(accumulator.inner) ** 2
+    value = accumulator.inner.real ** 2 + accumulator.inner.imag ** 2
     return np.divide(value, energy, out=np.zeros_like(energy), where=lit)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -717,6 +718,39 @@ class TestProjectionTables:
             ):
                 assert values.shape == expected.shape
                 assert values.tobytes() == expected.tobytes()
+
+
+class TestCoreFootprint:
+    def test_reference_chunk_allocates_its_sums_and_one_block(self):
+        # the core holds the sums, one reused utility step, its small
+        # outputs, per-pick (trials x N) temporaries and one grid row of the
+        # accumulator's add, plus the utility's im^2 scratch of at most
+        # 16 384 floats: no (trials x grid) scratch on top
+        config = ExperimentConfig()
+        n, g, pilots = config.num_elements, config.grid_points, 40
+        trials = simulate._trial_chunk(n, g)
+        assert trials == 20
+        setup = build_adaptive_setup(config.array(), config.grid())
+        gen = np.random.default_rng(0)
+        channels = los_vector(
+            setup.array, 1.0, gen.uniform(0, 2 * np.pi, trials),
+            gen.uniform(-1, 1, trials),
+        )
+        noise = pilot_noise(gen.standard_normal((trials, 2 * pilots)))
+        sums = trials * g * (16 + 8)  # inner and energy
+        utilities = trials * g * 8
+        outputs = trials * pilots * (8 + 16 + 8) + trials * 2 * 8
+        per_pick = 3 * trials * n * 16 + g * 16
+        scratch = 16384 * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            advance_trials(setup, channels, 10.0, noise, pilots)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= sums + utilities + outputs + per_pick + scratch
 
 
 class TestCoreMatchesReference:

@@ -1,6 +1,7 @@
 """Tests for the parametric ML estimator and the least-squares baseline."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -239,12 +240,51 @@ class TestUtilityAccumulator:
         for mask in (lit, np.ones(shape, dtype=bool)):  # masked, then fast path
             accumulator.energy[...] = np.where(mask, energy, 0.0)
             expected = np.divide(
-                np.abs(inner) ** 2, accumulator.energy,
+                inner.real ** 2 + inner.imag ** 2, accumulator.energy,
                 out=np.zeros_like(accumulator.energy), where=accumulator.energy > 0,
             )
             buf = np.full(shape, np.nan)
             assert accumulator.utility(out=buf) is buf
             assert buf.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), trials=st.integers(1, 4), points=st.integers(1, 30))
+    def test_utility_is_within_its_rounding_bounds(self, data, trials, points):
+        # re^2, im^2, their sum and the division each round once, so every
+        # utility is within 1.5 eps (1 eps = 2^-52) of the exact quotient,
+        # which no part, square or quotient here under- or overflows. The
+        # hypot route np.abs(inner) ** 2 / energy rounds |inner| within
+        # 2 ulp (1.97 measured for numpy's complex abs) before its square
+        # and division, so it lies within 5 eps of the exact value and the
+        # two routes within 6.5 eps of each other
+        shape = (trials, points)
+        magnitudes = st.floats(1e-100, 1e100)
+        parts = st.one_of(st.just(0.0), magnitudes, magnitudes.map(lambda x: -x))
+        inner = data.draw(hnp.arrays(np.float64, shape, elements=parts)) + 1j * (
+            data.draw(hnp.arrays(np.float64, shape, elements=parts))
+        )
+        energy = data.draw(hnp.arrays(np.float64, shape, elements=magnitudes))
+        lit = data.draw(hnp.arrays(np.bool_, shape))
+        lit[:, 0] |= ~lit.any(axis=1)  # every run ranks some direction
+        eps = np.finfo(float).eps
+        bound = Fraction(3 * eps / 2) * (1 + Fraction(eps))
+        accumulator = UtilityAccumulator(shape)
+        accumulator.inner[...] = inner
+        for mask in (lit, np.ones(shape, dtype=bool)):  # masked, then fast path
+            accumulator.energy[...] = np.where(mask, energy, 0.0)
+            value = accumulator.utility()
+            for t, j in zip(*np.nonzero(mask)):
+                z = inner[t, j]
+                exact = (Fraction(z.real) ** 2 + Fraction(z.imag) ** 2) / Fraction(
+                    energy[t, j]
+                )
+                assert abs(Fraction(value[t, j]) - exact) <= bound * exact
+            assert np.all(value[~mask] == 0.0)
+            hypot_route = np.divide(
+                np.abs(inner) ** 2, accumulator.energy,
+                out=np.zeros_like(accumulator.energy), where=mask,
+            )
+            np.testing.assert_allclose(value, hypot_route, rtol=6.5 * eps, atol=0.0)
 
 
 class TestEstimateAoa:
@@ -357,6 +397,15 @@ class TestScalarCoefficient:
             np.array([inner]), np.array([energy]), pilot_power
         )
         assert np.array(alone).tobytes() == np.concatenate(entries).tobytes()
+
+    @given(inner=st.complex_numbers(max_magnitude=1e100, allow_nan=False))
+    # the angle 1e-17 wraps -1e-17 up to exactly 2*pi
+    @example(inner=1 + 1e-17j)
+    def test_every_phase_wraps_into_zero_to_two_pi(self, inner):
+        _, alone = closed_form_gain_and_phase(inner, 1.0, 1.0)
+        _, entries = closed_form_gain_and_phase(np.array([inner]), np.array([1.0]), 1.0)
+        assert 0.0 <= alone < 2 * np.pi
+        assert 0.0 <= entries[0] < 2 * np.pi
 
 
 class TestParametricMl:

@@ -149,6 +149,11 @@ class TestChannelTypes:
         assert LosChannel(1.0, 2 * np.pi + 0.5, 0.0).phase == pytest.approx(0.5)
         assert LosChannel(1.0, -0.5, 0.0).phase == pytest.approx(2 * np.pi - 0.5)
 
+    @given(phase=st.floats(allow_nan=False, allow_infinity=False))
+    @example(phase=-1e-17)  # % wraps it up to exactly 2*pi
+    def test_every_finite_phase_wraps_into_zero_to_two_pi(self, phase):
+        assert 0.0 <= LosChannel(1.0, phase, 0.0).phase < 2 * np.pi
+
 
 class TestEffectiveChannel:
     """The physical end-to-end channel that the pilot and rate references use."""
