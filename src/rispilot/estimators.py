@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateDirectionError
+from .errors import DegenerateDirectionError, InvalidInputError
 from .model import TWO_PI
 
 #: Entries per block of ``UtilityAccumulator.utility``'s im^2 pass: a
@@ -45,11 +45,22 @@ class UtilityAccumulator:
     adaptive loop advances a chunk of trials at once this way. This is
     the one copy of the utility; ``closed_form_gain_and_phase`` turns the
     sums into a gain and phase.
+
+    ``inner`` and ``energy`` change only through ``add``, which writes
+    each run's sums through row views made once, here. Energies only
+    grow, so once a ``utility`` call finds every direction lit (nonzero
+    energy) the sums are in the lit state for good, and later calls skip
+    the scan for unlit directions.
     """
 
     def __init__(self, shape):
         self.inner = np.zeros(shape, dtype=np.complex128)
         self.energy = np.zeros(shape, dtype=float)
+        size = self.inner.shape[-1]
+        self._rows = list(
+            zip(self.inner.reshape(-1, size), self.energy.reshape(-1, size))
+        )
+        self._lit = False
 
     def add(self, projections: np.ndarray, samples, energies: np.ndarray, picks) -> None:
         """Add one pilot per run t in place: samples[t], row picks[t] of the tables.
@@ -58,13 +69,12 @@ class UtilityAccumulator:
         per unit sample, and of ``energies`` what it adds to ||B v_j||^2; the
         rows are read in place.
         """
-        size = self.inner.shape[-1]
         # Python scalars index and multiply as numpy's would, at less cost
         runs = zip(
-            self.inner.reshape(-1, size), self.energy.reshape(-1, size),
-            np.reshape(picks, -1).tolist(), np.conj(samples).reshape(-1).tolist(),
+            self._rows, np.reshape(picks, -1).tolist(),
+            np.conj(samples).reshape(-1).tolist(),
         )
-        for inner, total, k, conj_sample in runs:
+        for (inner, total), k, conj_sample in runs:
             inner += conj_sample * projections[k]
             total += energies[k]
 
@@ -76,18 +86,23 @@ class UtilityAccumulator:
         underflow, and the same bits at every numpy SIMD level, as the
         hypot behind ``np.abs`` is not. The im^2 pass runs in blocks of at
         most ``_BLOCK`` entries, so no (trials x grid) scratch is taken.
-        ``out`` must be C-contiguous. A direction with exactly zero pilot
-        energy (a kernel null shared by all rows) explains nothing and
-        scores 0. If no direction of a run carries energy:
-        degenerate-direction error.
+        ``out`` must be C-contiguous: another layout is an input error,
+        raised before anything is written. A direction with exactly zero
+        pilot energy (a kernel null shared by all rows) explains nothing
+        and scores 0. If no direction of a run carries energy:
+        degenerate-direction error. In the lit state no direction is
+        unlit, and the division is not masked.
         """
+        if out is not None and not out.flags.c_contiguous:
+            raise InvalidInputError("the utility's out buffer must be C-contiguous")
         energy = self.energy
         value = np.square(self.inner.real, out=out)
         flat, imag = value.reshape(-1), self.inner.imag.reshape(-1)
         for start in range(0, imag.size, _BLOCK):
             block = slice(start, start + _BLOCK)
             flat[block] += np.square(imag[block])
-        if energy.min() > 0.0:  # the usual case: no masked division needed
+        self._lit = self._lit or bool(energy.min() > 0.0)
+        if self._lit:  # the usual case: no masked division needed
             return np.divide(value, energy, out=value)
         lit = energy > 0.0
         if not lit.any(axis=-1).all():

@@ -121,14 +121,23 @@ def array_response(array: ArrayModel, aoa) -> np.ndarray:
     the reference element is exactly 1 and every entry has unit modulus.
     This is the one steering formula: an array-like of angles gives each
     angle's own response along a new last axis, and its transpose is the
-    steering matrix of the ML search and the adaptive tables. The phases
-    are exponentiated in place, so a grid's matrix costs one array.
+    steering matrix of the ML search and the adaptive tables. The real
+    phase -2*pi * spacing_ratio * sin(aoa) * n is written into the
+    imaginary part of the result, its cosine into the real part, and its
+    sine in place: the values of the complex ``exp`` of the imaginary
+    phase, so a grid's matrix costs one array. Element 0's imaginary zero
+    may carry the sign of the phase.
     """
     aoa = np.asarray(aoa, dtype=float)
     _check_front_half_plane(aoa)
-    indices = np.arange(array.num_elements)
-    phase = -1j * TWO_PI * array.spacing_ratio * np.sin(aoa)[..., None] * indices
-    return np.exp(phase, out=phase)
+    indices = np.arange(array.num_elements, dtype=float)
+    response = np.empty((*aoa.shape, array.num_elements), dtype=np.complex128)
+    phase = response.imag
+    scale = -TWO_PI * array.spacing_ratio * np.sin(aoa)[..., None]
+    np.multiply(scale, indices, out=phase)
+    np.cos(phase, out=response.real)
+    np.sin(phase, out=phase)
+    return response
 
 
 def los_vector(array: ArrayModel, gain, phase, aoa) -> np.ndarray:

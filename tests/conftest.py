@@ -21,7 +21,7 @@ from rispilot.checks import circular_diff
 from rispilot.errors import DegenerateDirectionError
 from rispilot.estimators import UtilityAccumulator, closed_form_gain_and_phase
 from rispilot.io import UTILITY_CSV_HEADER
-from rispilot.model import los_vector
+from rispilot.model import TWO_PI, los_vector
 
 
 class PilotCampaign(NamedTuple):
@@ -43,6 +43,18 @@ class PilotCampaign(NamedTuple):
     @property
     def num_elements(self) -> int:
         return self.config_matrix.shape[1]
+
+
+def reference_array_response(array: ArrayModel, aoa) -> np.ndarray:
+    """a(aoa) as the complex ``exp`` of the imaginary phase -2j*pi*rho*sin(aoa)*n.
+
+    The reference whose values ``array_response`` keeps entry for entry: a
+    complex phase array, multiplied in this order and exponentiated in place.
+    """
+    aoa = np.asarray(aoa, dtype=float)
+    indices = np.arange(array.num_elements)
+    phase = -1j * TWO_PI * array.spacing_ratio * np.sin(aoa)[..., None] * indices
+    return np.exp(phase, out=phase)
 
 
 def candidate_rows(h: np.ndarray, angles, array: ArrayModel) -> np.ndarray:

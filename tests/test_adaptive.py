@@ -41,6 +41,7 @@ from conftest import (
     prefix_campaign,
     prefix_results,
     reference_advance_trials,
+    reference_array_response,
     run_with_campaign,
     simulate_pilot_reception,
 )
@@ -641,6 +642,20 @@ class TestProjectionTables:
             assert np.array_equal(
                 steering[:, j], array_response(array, setup.grid_angles[j])
             )
+
+    @pytest.mark.parametrize("n, points", [(13, 500), (40, 2000), (64, 3000)])
+    def test_tables_keep_the_bytes_of_complex_exp_responses(self, n, points):
+        # P and |P|^2 built op for op on the reference responses: the route
+        # the setup's responses take does not reach the tables' bits
+        array = ArrayModel(n, 0.25)
+        setup = build_adaptive_setup(array, AoaSearchGrid(num_points=points))
+        conj_responses = np.conj(reference_array_response(array, setup.angles))
+        directions = reference_array_response(array, setup.grid_angles).T
+        projections = conj_responses @ directions
+        energies = np.abs(projections)
+        np.square(energies, out=energies)
+        assert setup.projections.tobytes() == projections.tobytes()
+        assert setup.projection_energy.tobytes() == energies.tobytes()
 
     def test_tables_match_reference_constructions(self, rng):
         n = 16

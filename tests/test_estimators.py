@@ -36,6 +36,7 @@ from conftest import (
     make_campaign,
     ml_utility_profile,
     parametric_ml_estimate,
+    reference_utility,
 )
 
 
@@ -285,6 +286,68 @@ class TestUtilityAccumulator:
                 out=np.zeros_like(accumulator.energy), where=mask,
             )
             np.testing.assert_allclose(value, hypot_route, rtol=6.5 * eps, atol=0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(), trials=st.integers(1, 3), points=st.integers(1, 12),
+        rows=st.integers(1, 6),
+    )
+    def test_every_step_keeps_the_reference_bytes_before_and_after_lit(
+        self, data, trials, points, rows
+    ):
+        # synthetic tables with many exact zeros, so directions stay unlit
+        # for some pilots, plus a last row that lights every direction: at
+        # every step of a random add sequence, utility(out=buf) gives the
+        # bytes of the masked reference on the same sums, or its error
+        shape = (rows, points)
+        parts = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))
+        projections = data.draw(hnp.arrays(np.float64, shape, elements=parts)) + 1j * (
+            data.draw(hnp.arrays(np.float64, shape, elements=parts))
+        )
+        energies = data.draw(hnp.arrays(
+            np.float64, shape, elements=st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+        ))
+        projections = np.vstack([projections, np.ones(points)])
+        energies = np.vstack([energies, np.ones(points)])
+        picks = st.lists(st.integers(0, rows - 1), min_size=trials, max_size=trials)
+        steps = [
+            *data.draw(st.lists(picks, max_size=6)), [rows] * trials,
+            *data.draw(st.lists(picks, max_size=3)),
+        ]
+        samples = hnp.arrays(np.complex128, trials, elements=st.complex_numbers(
+            max_magnitude=1e3, allow_nan=False, allow_infinity=False,
+        ))
+        accumulator = UtilityAccumulator((trials, points))
+        for pick in steps:
+            accumulator.add(projections, data.draw(samples), energies, pick)
+            buf = np.full((trials, points), np.nan)
+            try:
+                expected = reference_utility(accumulator)
+            except DegenerateDirectionError:
+                with pytest.raises(DegenerateDirectionError):
+                    accumulator.utility(out=buf)
+                continue
+            assert accumulator.utility(out=buf) is buf
+            assert buf.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_rejects_an_out_that_is_not_c_contiguous(self, layout):
+        # such an out reshapes to a copy: the im^2 blocks would land there
+        # and the call return re^2 / E. It is refused before any write
+        accumulator = UtilityAccumulator((3, 5))
+        gen = np.random.default_rng(3)
+        projections = gen.standard_normal((2, 5)) + 1j * gen.standard_normal((2, 5))
+        accumulator.add(projections, np.ones(3), np.abs(projections) ** 2, [0, 1, 0])
+        if layout == "fortran":
+            buf = np.full((3, 5), np.nan, order="F")
+        else:
+            buf = np.full((3, 10), np.nan)[:, ::2]
+        with pytest.raises(InvalidInputError, match="C-contiguous"):
+            accumulator.utility(out=buf)
+        assert np.isnan(buf).all()
+        assert accumulator.utility(out=np.empty((3, 5))).tobytes() == (
+            reference_utility(accumulator).tobytes()
+        )
 
 
 class TestEstimateAoa:

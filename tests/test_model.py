@@ -2,11 +2,13 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rispilot import (
     ArrayModel,
@@ -17,7 +19,7 @@ from rispilot import (
 )
 from rispilot.model import los_vector
 
-from conftest import capacity, effective_channel
+from conftest import capacity, effective_channel, reference_array_response
 
 #: The message of the front half-plane rule, whatever the angle it names.
 HALF_PLANE = r"^angle .* rad lies outside the front half-plane \[-pi/2, pi/2\]$"
@@ -78,6 +80,41 @@ class TestArrayResponse:
         )
         with pytest.raises(InvalidInputError, match=HALF_PLANE):
             array_response(array, [0.0, 2.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        spacing=st.floats(0.01, 4.0),
+        angles=hnp.arrays(
+            np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=6),
+            elements=st.floats(-np.pi / 2, np.pi / 2),
+        ),
+    )
+    @example(n=40, spacing=0.25, angles=np.array([0.0, -0.0, np.pi / 2, -np.pi / 2]))
+    def test_equals_the_complex_exp_reference(self, n, spacing, angles):
+        # cos and sin of the real phase are the complex exp's values entry
+        # for entry; only the sign of an imaginary zero may differ
+        array = ArrayModel(n, spacing)
+        response = array_response(array, angles)
+        expected = reference_array_response(array, angles)
+        assert response.shape == expected.shape
+        assert np.all(response == expected)
+
+    def test_one_response_allocates_one_array(self):
+        # beyond the result: the G sines, their scaled copy and the two
+        # 8192-float buffers of the broadcast multiply; no complex phase
+        # array and no complex buffers
+        array, points = ArrayModel(40, 0.25), 2000
+        angles = np.linspace(-np.pi / 2, np.pi / 2, points)
+        array_response(array, angles)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            response = array_response(array, angles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= response.nbytes + 2 * points * 8 + 2 * 8192 * 8 + 4096
 
     def test_array_model_validation(self):
         with pytest.raises(ValueError):
