@@ -115,10 +115,10 @@ class AdaptiveTrials:
 
     Column i of ``picks`` and ``samples`` is pilot i+1's candidate index and
     received sample, and column i of ``peaks`` the grid index of the angle
-    from the first i+2 pilots. ``utilities`` is the one read-only (steps x
-    trials x grid) buffer the utilities were written to: entry i is the
-    step behind column i of ``peaks`` when kept, else the one step holds
-    the last. ``gains`` and ``phases`` hold one estimate per trial, from
+    from the first i+2 pilots. ``utilities`` is the run's accumulator's
+    read-only (steps x trials x grid) buffer: entry i is the step behind
+    column i of ``peaks`` when kept, else the one step holds the last.
+    ``gains`` and ``phases`` hold one estimate per trial, from
     all pilots at the last peak.
     """
 
@@ -165,9 +165,10 @@ def advance_trials(
     estimate. Only that candidate's noise-free sample is formed, its noise
     added, and its table rows are added, read in place, to the trial's row
     of a (trials x grid) ``UtilityAccumulator``. From the second pilot on,
-    each step writes its utility into one (steps x trials x grid) buffer,
-    a step per entry when kept, else one entry reused; its argmax is the
-    angle, and the sums at the last peak give each trial's gain and phase.
+    each step's utility goes into the accumulator's (steps x trials x
+    grid) buffer, a step per entry when kept, else one entry reused; its
+    argmax is the angle, and the sums at the last peak give each trial's
+    gain and phase.
     Every step is elementwise or reduces within a row, so a trial's
     outcome does not depend on the chunk.
     """
@@ -177,12 +178,11 @@ def advance_trials(
     num_pilots = _check_budget(num_pilots, n)
     rows = np.arange(trials)
     amplitude = np.sqrt(pilot_power)
-    accumulator = UtilityAccumulator((trials, setup.grid_angles.size))
+    accumulator = UtilityAccumulator(setup.projections, setup.projection_energy,
+                                     (trials,), num_pilots - 1 if keep_utility else 1)
     picks = np.empty((trials, num_pilots), dtype=np.intp)
     samples = np.empty((trials, num_pilots), dtype=np.complex128)
     peaks = np.empty((trials, num_pilots - 1), dtype=np.intp)
-    steps = num_pilots - 1 if keep_utility else 1
-    utilities = np.empty((steps, *accumulator.energy.shape))
 
     for i in range(num_pilots):
         if i < len(setup.start_scores):
@@ -194,16 +194,14 @@ def advance_trials(
         # candidate k's noisy sample sum_n conj(a_k,n) g_n sqrt(P_p) + w
         sample = np.sum(setup.conj_responses[k] * channels, axis=-1) * amplitude
         sample += noise[:, i]
-        accumulator.add(setup.projections, sample, setup.projection_energy, k)
+        accumulator.add(sample, k)
         picks[:, i] = k
         samples[:, i] = sample
         if i >= 1:
-            utility = accumulator.utility(out=utilities[(i - 1) % steps])
-            peak = np.argmax(utility, axis=1)
+            peak = np.argmax(accumulator.utility(), axis=1)
             peaks[:, i - 1] = peak
 
-    utilities.setflags(write=False)
     gains, phases = closed_form_gain_and_phase(
         accumulator.inner[rows, peak], accumulator.energy[rows, peak], pilot_power
     )
-    return AdaptiveTrials(picks, samples, peaks, gains, phases, utilities)
+    return AdaptiveTrials(picks, samples, peaks, gains, phases, accumulator.utilities)

@@ -138,10 +138,10 @@ def scale_invariance() -> CheckResult:
         scale = 0.0
         while scale == 0.0:
             scale = complex(rng.normal(), rng.normal())
-        accumulator = estimators.UtilityAccumulator((2, grid.num_points))
+        accumulator = estimators.UtilityAccumulator(setup.projections,
+                                                    setup.projection_energy, (2,))
         for k, sample in zip(picks, received):
-            accumulator.add(setup.projections, np.array([sample, scale * sample]),
-                            setup.projection_energy, [k, k])
+            accumulator.add(np.array([sample, scale * sample]), [k, k])
         baseline, scaled = np.argmax(accumulator.utility(), axis=1)
         mismatches += scaled != baseline
     detail = f"{mismatches} argmax changes over {cases} scaled campaigns"

@@ -124,9 +124,9 @@ def accumulate(campaign: PilotCampaign, array: ArrayModel, angles):
     projections = _pilot_directions(campaign, array, angles)
     energies = np.abs(projections)
     np.square(energies, out=energies)
-    accumulator = UtilityAccumulator(angles.size)
+    accumulator = UtilityAccumulator(projections, energies)
     for i, sample in enumerate(campaign.received):
-        accumulator.add(projections, sample, energies, i)
+        accumulator.add(sample, i)
     return accumulator
 
 
@@ -330,21 +330,20 @@ def simulate_pilot_reception(
     return signal + (re + 1j * im) * (noise_std / np.sqrt(2.0))
 
 
-def reference_utility(accumulator: UtilityAccumulator) -> np.ndarray:
-    """The accumulator's utility as a new array, by one masked division.
+def reference_utility(inner: np.ndarray, energy: np.ndarray) -> np.ndarray:
+    """The utility of the sums ``inner`` and ``energy``, by one masked division.
 
     The reference for both of ``UtilityAccumulator.utility``'s paths: the
     numerator re^2 + im^2, 0 wherever the energy is exactly 0, and a
     degenerate-direction error when no direction of a run carries energy.
     """
-    energy = accumulator.energy
     lit = energy > 0.0
     if not lit.any(axis=-1).all():
         raise DegenerateDirectionError(
             "no probed direction carries pilot energy; the campaign cannot "
             "rank any angle"
         )
-    value = accumulator.inner.real ** 2 + accumulator.inner.imag ** 2
+    value = inner.real ** 2 + inner.imag ** 2
     return np.divide(value, energy, out=np.zeros_like(energy), where=lit)
 
 
@@ -358,18 +357,20 @@ def reference_advance_trials(
     """The adaptive loop with whole-chunk sums and a gain and phase per step.
 
     The reference for ``advance_trials``, which must give exactly these
-    bytes: each pick gathers the sent candidates' table rows into (trials x
-    grid) copies and adds conj(sample)[:, None] times them to the sums in
-    one broadcast multiply, every step takes a new utility array (all are
-    stacked into ``utilities``), and the gain and phase are taken at each
-    step's peak as it is reached. Later picks rank candidates by the unit
-    magnitudes |P|^T, formed here from the candidates and the grid, not by
-    the setup's scores, so equal bytes show that the scores pick what |P|
-    picks. The reference keeps the all-candidates ``signals`` table, every
-    candidate's noise-free sample as a row-wise sum over ``channels`` (g),
-    to which each pick adds its noise, so the core's per-pick
-    sums are checked against it byte for byte; ``TestPilotReception``
-    checks those samples against the physical model theta^T D_h g sqrt(P_p).
+    bytes. It keeps its own (trials x grid) sums, no ``UtilityAccumulator``:
+    each pick gathers the sent candidates' table rows into (trials x grid)
+    copies and adds conj(sample)[:, None] times them to the sums in one
+    broadcast multiply, every step takes a new utility array from
+    ``reference_utility`` (all are stacked into ``utilities``), and the
+    gain and phase are taken at each step's peak as it is reached. Later
+    picks rank candidates by the unit magnitudes |P|^T, formed here from
+    the candidates and the grid, not by the setup's scores, so equal bytes
+    show that the scores pick what |P| picks. The reference keeps the
+    all-candidates ``signals`` table, every candidate's noise-free sample
+    as a row-wise sum over ``channels`` (g), to which each pick adds its
+    noise, so the core's per-pick sums are checked against it byte for
+    byte; ``TestPilotReception`` checks those samples against the physical
+    model theta^T D_h g sqrt(P_p).
     """
     projections, energies = setup.projections, setup.projection_energy
     magnitudes = np.abs(
@@ -381,7 +382,8 @@ def reference_advance_trials(
     signals = np.sum(
         setup.conj_responses * channels[:, None, :], axis=-1
     ) * np.sqrt(pilot_power)
-    accumulator = UtilityAccumulator((trials, projections.shape[1]))
+    inner = np.zeros((trials, projections.shape[1]), dtype=np.complex128)
+    energy = np.zeros((trials, projections.shape[1]))
     used = np.zeros((trials, n), dtype=bool)
     picks = np.empty((trials, num_pilots), dtype=np.intp)
     samples = np.empty((trials, num_pilots), dtype=np.complex128)
@@ -394,8 +396,8 @@ def reference_advance_trials(
         """Send candidate k[t] as pilot i+1 of trial t."""
         used[rows, k] = True
         sample = signals[rows, k] + noise[:, i]
-        accumulator.inner += np.conj(sample)[..., None] * projections[k]
-        accumulator.energy += energies[k]
+        np.add(inner, np.conj(sample)[..., None] * projections[k], out=inner)
+        np.add(energy, energies[k], out=energy)
         picks[:, i] = k
         samples[:, i] = sample
 
@@ -409,14 +411,13 @@ def reference_advance_trials(
         transmit(i, np.full(trials, k))
 
     for i in range(1, num_pilots):
-        utility = reference_utility(accumulator)
+        utility = reference_utility(inner, energy)
         peak = np.argmax(utility, axis=1)
         peaks[:, i - 1] = peak
         at = np.asarray(peak)[..., None]
-        inner = np.take_along_axis(accumulator.inner, at, axis=-1)[..., 0]
-        energy = np.take_along_axis(accumulator.energy, at, axis=-1)[..., 0]
         gains[:, i - 1], phases[:, i - 1] = closed_form_gain_and_phase(
-            inner, energy, pilot_power
+            np.take_along_axis(inner, at, axis=-1)[..., 0],
+            np.take_along_axis(energy, at, axis=-1)[..., 0], pilot_power,
         )
         utilities.append(utility)
         if i + 1 < num_pilots:

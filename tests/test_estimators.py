@@ -185,6 +185,18 @@ def utility_inputs(draw):
     return PilotCampaign(rows, received, 1.0, h), array, np.array(angles)
 
 
+def unlit_then_lit_tables(inner, energy, lit):
+    """Tables whose rows t, then T + t, bring run t's sums to ``inner``, ``energy``.
+
+    With unit samples each add is exact: row t adds inner[t] and the
+    energies where ``lit[t]``, so the directions off ``lit`` stay unlit;
+    row T + t adds no inner part and the energies it left out.
+    """
+    projections = np.concatenate([inner, np.zeros_like(inner)])
+    energies = np.concatenate([np.where(lit, energy, 0.0), np.where(lit, 0.0, energy)])
+    return projections, energies
+
+
 class TestUtilityAccumulator:
     @settings(max_examples=60, deadline=None)
     @given(utility_inputs())
@@ -192,16 +204,13 @@ class TestUtilityAccumulator:
         campaign, array, angles = inputs
         projections = _pilot_directions(campaign, array, angles)
         energies = np.abs(projections) ** 2
-        accumulator = UtilityAccumulator(angles.size)
+        accumulator = UtilityAccumulator(projections, energies)
         # a leading trial axis: row 0 is this campaign, row 1 the same rows
         # with the samples reversed; rows must not mix
-        stacked = UtilityAccumulator((2, angles.size))
+        stacked = UtilityAccumulator(projections, energies, (2,))
         for i, sample in enumerate(campaign.received):
-            accumulator.add(projections, sample, energies, i)
-            stacked.add(
-                projections, np.array([sample, campaign.received[-1 - i]]),
-                energies, [i, i],
-            )
+            accumulator.add(sample, i)
+            stacked.add(np.array([sample, campaign.received[-1 - i]]), [i, i])
         profile = accumulator.utility()
         reference = direct_utility(campaign, array, angles)
         # relative to the largest value: a direction the pilots barely see
@@ -224,10 +233,12 @@ class TestUtilityAccumulator:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), trials=st.integers(1, 4), points=st.integers(1, 30))
     def test_both_paths_fill_out_with_the_masked_division(self, data, trials, points):
-        # arbitrary (trials x directions) sums, some directions exactly unlit
-        # with an inner sum that need not be 0: utility(out=buf) writes and
-        # returns buf on the fast and the masked path alike, and both give
-        # the bytes of one masked division, 0 wherever the energy is 0
+        # arbitrary (trials x directions) sums, reached through add: first
+        # with some directions exactly unlit and an inner sum that need not
+        # be 0 there, then all lit. Each call writes its own step of the
+        # accumulator's two-step buffer and returns it, on the masked and
+        # the fast path alike, and both give the bytes of one masked
+        # division, 0 wherever the energy is 0
         shape = (trials, points)
         parts = st.floats(-1e100, 1e100)  # no quotient overflows
         inner = data.draw(hnp.arrays(np.float64, shape, elements=parts)) + 1j * (
@@ -236,17 +247,24 @@ class TestUtilityAccumulator:
         energy = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(1e-100, 1e100)))
         lit = data.draw(hnp.arrays(np.bool_, shape))
         lit[:, 0] |= ~lit.any(axis=1)  # every run ranks some direction
-        accumulator = UtilityAccumulator(shape)
-        accumulator.inner[...] = inner
-        for mask in (lit, np.ones(shape, dtype=bool)):  # masked, then fast path
-            accumulator.energy[...] = np.where(mask, energy, 0.0)
+        accumulator = UtilityAccumulator(
+            *unlit_then_lit_tables(inner, energy, lit), (trials,), steps=2
+        )
+        written = []
+        # masked, then fast path
+        for step, mask in enumerate((lit, np.ones(shape, dtype=bool))):
+            accumulator.add(np.ones(trials), np.arange(trials) + step * trials)
+            sums = np.where(mask, energy, 0.0)
+            assert accumulator.energy.tobytes() == sums.tobytes()
             expected = np.divide(
-                inner.real ** 2 + inner.imag ** 2, accumulator.energy,
-                out=np.zeros_like(accumulator.energy), where=accumulator.energy > 0,
+                inner.real ** 2 + inner.imag ** 2, sums,
+                out=np.zeros_like(sums), where=sums > 0,
             )
-            buf = np.full(shape, np.nan)
-            assert accumulator.utility(out=buf) is buf
-            assert buf.tobytes() == expected.tobytes()
+            value = accumulator.utility()
+            assert np.shares_memory(value, accumulator.utilities[step])
+            assert value.tobytes() == expected.tobytes()
+            written.append(expected)
+        assert accumulator.utilities.tobytes() == np.stack(written).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), trials=st.integers(1, 4), points=st.integers(1, 30))
@@ -257,7 +275,8 @@ class TestUtilityAccumulator:
         # hypot route np.abs(inner) ** 2 / energy rounds |inner| within
         # 2 ulp (1.97 measured for numpy's complex abs) before its square
         # and division, so it lies within 5 eps of the exact value and the
-        # two routes within 6.5 eps of each other
+        # two routes within 6.5 eps of each other. The sums are reached
+        # through add, some directions unlit first, then all lit
         shape = (trials, points)
         magnitudes = st.floats(1e-100, 1e100)
         parts = st.one_of(st.just(0.0), magnitudes, magnitudes.map(lambda x: -x))
@@ -269,10 +288,12 @@ class TestUtilityAccumulator:
         lit[:, 0] |= ~lit.any(axis=1)  # every run ranks some direction
         eps = np.finfo(float).eps
         bound = Fraction(3 * eps / 2) * (1 + Fraction(eps))
-        accumulator = UtilityAccumulator(shape)
-        accumulator.inner[...] = inner
-        for mask in (lit, np.ones(shape, dtype=bool)):  # masked, then fast path
-            accumulator.energy[...] = np.where(mask, energy, 0.0)
+        accumulator = UtilityAccumulator(
+            *unlit_then_lit_tables(inner, energy, lit), (trials,)
+        )
+        # masked, then fast path
+        for step, mask in enumerate((lit, np.ones(shape, dtype=bool))):
+            accumulator.add(np.ones(trials), np.arange(trials) + step * trials)
             value = accumulator.utility()
             for t, j in zip(*np.nonzero(mask)):
                 z = inner[t, j]
@@ -297,8 +318,8 @@ class TestUtilityAccumulator:
     ):
         # synthetic tables with many exact zeros, so directions stay unlit
         # for some pilots, plus a last row that lights every direction: at
-        # every step of a random add sequence, utility(out=buf) gives the
-        # bytes of the masked reference on the same sums, or its error
+        # every step of a random add sequence, utility() gives the bytes of
+        # the masked reference on the same sums, or its error
         shape = (rows, points)
         parts = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))
         projections = data.draw(hnp.arrays(np.float64, shape, elements=parts)) + 1j * (
@@ -317,37 +338,34 @@ class TestUtilityAccumulator:
         samples = hnp.arrays(np.complex128, trials, elements=st.complex_numbers(
             max_magnitude=1e3, allow_nan=False, allow_infinity=False,
         ))
-        accumulator = UtilityAccumulator((trials, points))
+        accumulator = UtilityAccumulator(projections, energies, (trials,))
         for pick in steps:
-            accumulator.add(projections, data.draw(samples), energies, pick)
-            buf = np.full((trials, points), np.nan)
+            accumulator.add(data.draw(samples), pick)
             try:
-                expected = reference_utility(accumulator)
+                expected = reference_utility(accumulator.inner, accumulator.energy)
             except DegenerateDirectionError:
                 with pytest.raises(DegenerateDirectionError):
-                    accumulator.utility(out=buf)
+                    accumulator.utility()
                 continue
-            assert accumulator.utility(out=buf) is buf
-            assert buf.tobytes() == expected.tobytes()
+            assert accumulator.utility().tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("layout", ["fortran", "strided"])
-    def test_rejects_an_out_that_is_not_c_contiguous(self, layout):
-        # such an out reshapes to a copy: the im^2 blocks would land there
-        # and the call return re^2 / E. It is refused before any write
-        accumulator = UtilityAccumulator((3, 5))
-        gen = np.random.default_rng(3)
-        projections = gen.standard_normal((2, 5)) + 1j * gen.standard_normal((2, 5))
-        accumulator.add(projections, np.ones(3), np.abs(projections) ** 2, [0, 1, 0])
-        if layout == "fortran":
-            buf = np.full((3, 5), np.nan, order="F")
-        else:
-            buf = np.full((3, 10), np.nan)[:, ::2]
-        with pytest.raises(InvalidInputError, match="C-contiguous"):
-            accumulator.utility(out=buf)
-        assert np.isnan(buf).all()
-        assert accumulator.utility(out=np.empty((3, 5))).tobytes() == (
-            reference_utility(accumulator).tobytes()
+    def test_callers_cannot_write_the_state(self):
+        # the lit flag trusts that energies only grow through add: a 0
+        # written into them after a lit call would reach the unmasked
+        # division and give inf. The sums and the buffer are read-only to
+        # callers, and a refused write changes nothing
+        projections = np.array([[1.0, 2.0j, 0.5], [0.5, 1.0, 1.0j]])
+        accumulator = UtilityAccumulator(
+            projections, np.abs(projections) ** 2, (2,), steps=2
         )
+        accumulator.add(np.array([1.0, 1.0j]), [0, 1])
+        lit = accumulator.utility().copy()
+        assert np.all(accumulator.energy > 0.0)
+        for values in (accumulator.energy, accumulator.inner, accumulator.utilities):
+            with pytest.raises(ValueError, match="read-only"):
+                values[..., 0] = 0.0
+        with np.errstate(all="raise"):
+            assert accumulator.utility().tobytes() == lit.tobytes()
 
 
 class TestEstimateAoa:
